@@ -2,10 +2,8 @@
 
 Files written by `run`:
 
-timeseries.csv    header t,E,E_rel,D,M1,M2,l1_a,l1_b,l1_c,dev_A2,dev_B2,
-                  dev_C2,abc_defect,ckp_lhs,b_l32,a_l32,b_lN2,c_l3,
-                  int_a2ac,int_b2bc; one row per sample, 17 significant
-                  digits (lossless float64 round trip)
+timeseries.csv    header: the names of functionals.CSV_COLUMNS; one row per
+                  sample, 17 significant digits (lossless float64 round trip)
 final_fields.snap line 1: dim, cells per axis, lengths per axis; then one
                   "a b c" line per cell in row-major order
 run_meta          exact echo of the parsed config plus solver statistics
@@ -18,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -29,6 +29,7 @@ import numpy as np
 from . import analysis, functionals, presets
 from .errors import (
     ConfigError,
+    InvalidArgument,
     IoError,
     NumericalBlowup,
     ParseError,
@@ -49,15 +50,7 @@ __all__ = [
     "main",
 ]
 
-CSV_HEADER = (
-    "t,E,E_rel,D,M1,M2,l1_a,l1_b,l1_c,dev_A2,dev_B2,dev_C2,"
-    "abc_defect,ckp_lhs,b_l32,a_l32,b_lN2,c_l3,int_a2ac,int_b2bc"
-)
-
-CONFIG_KEYS = (
-    "dim", "cells", "lengths", "d_a", "d_b", "d_c", "init",
-    "dt", "t_end", "record_every", "linsolve_tol", "out_dir", "seed",
-)
+CSV_HEADER = ",".join(functionals.CSV_COLUMNS)
 
 INIT_KINDS = ("uniform", "cosine_bump", "random_positive")
 
@@ -78,41 +71,30 @@ class RunConfig:
     dt: float
     t_end: float
     record_every: int
-    linsolve_tol: float
     out_dir: str
     seed: int
 
 
-def _parse_floats(value, key, line):
-    try:
-        return tuple(float(tok) for tok in value.split())
-    except ValueError:
-        raise ConfigError(f"malformed number in {key}={value!r}", line=line)
+#: the config keys, in canonical order: one per RunConfig field
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
+#: keys of older configs that are accepted and ignored
+LEGACY_KEYS = ("linsolve_tol",)
 
-def _parse_ints(value, key, line):
-    try:
-        return tuple(int(tok) for tok in value.split())
-    except ValueError:
-        raise ConfigError(f"malformed integer in {key}={value!r}", line=line)
-
-
-def _parse_one_float(value, key, line):
-    vals = _parse_floats(value, key, line)
-    if len(vals) != 1:
-        raise ConfigError(f"{key} takes exactly one number, got {value!r}", line=line)
-    return vals[0]
-
-
-def _parse_one_int(value, key, line):
-    vals = _parse_ints(value, key, line)
-    if len(vals) != 1:
-        raise ConfigError(f"{key} takes exactly one integer, got {value!r}", line=line)
-    return vals[0]
+#: number type of each key but init and out_dir; dim comes first, because
+#: cells and lengths take one value per axis (the others take exactly one)
+_NUMBER_KEYS = {
+    "dim": int, "cells": int, "lengths": float, "d_a": float, "d_b": float, "d_c": float,
+    "dt": float, "t_end": float, "record_every": int, "seed": int,
+}
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse a key=value run configuration; errors carry the line number."""
+    """Parse a key=value run configuration; errors carry the line number.
+
+    Value ranges are checked by building the DomainSpec, Grid, ModelParams
+    and SolverConfig the config describes.
+    """
     raw = {}
     lines_of = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -124,7 +106,7 @@ def parse_config(text: str) -> RunConfig:
         key, value = stripped.split("=", 1)
         key = key.strip()
         value = value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in CONFIG_KEYS + LEGACY_KEYS:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         if key in raw:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
@@ -135,87 +117,57 @@ def parse_config(text: str) -> RunConfig:
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
 
-    def lno(key):
-        return lines_of[key]
+    nums = {}
+    for key, kind in _NUMBER_KEYS.items():
+        try:
+            vals = tuple(kind(tok) for tok in raw[key].split())
+        except ValueError:
+            raise ConfigError(f"malformed number in {key}={raw[key]!r}", line=lines_of[key])
+        per_axis = key in ("cells", "lengths")
+        if len(vals) != (nums["dim"] if per_axis else 1):
+            count = f"one value per axis (dim={nums['dim']})" if per_axis else "one value"
+            raise ConfigError(f"{key} takes {count}, got {raw[key]!r}", line=lines_of[key])
+        nums[key] = vals if per_axis else vals[0]
 
-    dim = _parse_one_int(raw["dim"], "dim", lno("dim"))
-    if dim not in (1, 2, 3):
-        raise ConfigError(f"dim must be 1, 2 or 3, got {raw['dim']!r}", line=lno("dim"))
+    def build(keys, constructor, *args):
+        """constructor(*args), with InvalidArgument raised as a ConfigError on
+        the line of the first of keys that its message names (else keys[0])."""
+        try:
+            return constructor(*args)
+        except InvalidArgument as exc:
+            msg = str(exc)
+            named = [(m.start(), k) for k in keys if (m := re.search(rf"\b{k}\b", msg))]
+            raise ConfigError(msg, line=lines_of[min(named)[1] if named else keys[0]]) from None
 
-    cells = _parse_ints(raw["cells"], "cells", lno("cells"))
-    if len(cells) != dim or any(n < 1 for n in cells):
-        raise ConfigError(
-            f"cells needs {dim} positive integers, got {raw['cells']!r}",
-            line=lno("cells"),
-        )
-
-    lengths = _parse_floats(raw["lengths"], "lengths", lno("lengths"))
-    if len(lengths) != dim or any(not math.isfinite(x) or x <= 0 for x in lengths):
-        raise ConfigError(
-            f"lengths needs {dim} positive reals, got {raw['lengths']!r}",
-            line=lno("lengths"),
-        )
-
-    ds = {}
-    for key in ("d_a", "d_b", "d_c"):
-        val = _parse_one_float(raw[key], key, lno(key))
-        if not math.isfinite(val) or val < 0.0:
-            raise ConfigError(f"{key} must be nonnegative", line=lno(key))
-        ds[key] = val
-    if ds["d_a"] <= 0.0:
-        raise ConfigError("d_a must be strictly positive", line=lno("d_a"))
-    if ds["d_b"] == 0.0 and ds["d_c"] == 0.0:
-        raise ConfigError("at most one of d_b, d_c may be zero", line=lno("d_b"))
+    domain = build(("dim", "lengths"), DomainSpec.box, nums["lengths"])
+    build(("cells",), Grid.for_domain, domain, nums["cells"])
+    build(("d_a", "d_b", "d_c"), ModelParams, nums["d_a"], nums["d_b"], nums["d_c"])
+    build(("dt", "t_end", "record_every"), SolverConfig,
+          nums["dt"], nums["t_end"], nums["record_every"])
+    if nums["seed"] < 0:
+        raise ConfigError(f"seed must be nonnegative, got {nums['seed']}", line=lines_of["seed"])
 
     toks = raw["init"].split()
+    line = lines_of["init"]
     if not toks or toks[0] not in INIT_KINDS:
         raise ConfigError(
-            f"init must start with one of {INIT_KINDS}, got {raw['init']!r}",
-            line=lno("init"),
+            f"init must start with one of {INIT_KINDS}, got {raw['init']!r}", line=line
         )
     kind = toks[0]
-    params = _parse_floats(" ".join(toks[1:]), "init", lno("init"))
+    try:
+        params = tuple(float(tok) for tok in toks[1:])
+    except ValueError:
+        raise ConfigError(f"malformed number in init={raw['init']!r}", line=line)
     if kind == "uniform" and (len(params) != 3 or min(params) <= 0):
-        raise ConfigError("init uniform needs three positive values", line=lno("init"))
+        raise ConfigError("init uniform needs three positive values", line=line)
     if kind == "cosine_bump" and (len(params) != 1 or not 0 < params[0] < 1):
-        raise ConfigError("init cosine_bump needs amplitude in (0,1)", line=lno("init"))
+        raise ConfigError("init cosine_bump needs amplitude in (0,1)", line=line)
     if kind == "random_positive" and (len(params) != 2 or params[0] <= 0 or params[1] < 0):
         raise ConfigError(
-            "init random_positive needs positive floor and nonnegative amp",
-            line=lno("init"),
+            "init random_positive needs positive floor and nonnegative amp", line=line
         )
-    init = (kind,) + params
 
-    dt = _parse_one_float(raw["dt"], "dt", lno("dt"))
-    t_end = _parse_one_float(raw["t_end"], "t_end", lno("t_end"))
-    if not (0 < dt < t_end):
-        raise ConfigError("need 0 < dt < t_end", line=lno("dt"))
-
-    record_every = _parse_one_int(raw["record_every"], "record_every", lno("record_every"))
-    if record_every < 1:
-        raise ConfigError("record_every must be >= 1", line=lno("record_every"))
-
-    linsolve_tol = _parse_one_float(raw["linsolve_tol"], "linsolve_tol", lno("linsolve_tol"))
-    if not (0 < linsolve_tol < 1e-6):
-        raise ConfigError("linsolve_tol must lie in (0, 1e-6)", line=lno("linsolve_tol"))
-
-    seed = _parse_one_int(raw["seed"], "seed", lno("seed"))
-
-    return RunConfig(
-        dim=dim,
-        cells=cells,
-        lengths=lengths,
-        d_a=ds["d_a"],
-        d_b=ds["d_b"],
-        d_c=ds["d_c"],
-        init=init,
-        dt=dt,
-        t_end=t_end,
-        record_every=record_every,
-        linsolve_tol=linsolve_tol,
-        out_dir=raw["out_dir"],
-        seed=seed,
-    )
+    return RunConfig(init=(kind,) + params, out_dir=raw["out_dir"], **nums)
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -232,7 +184,6 @@ def serialize_config(cfg: RunConfig) -> str:
         f"dt={_fmt(cfg.dt)}",
         f"t_end={_fmt(cfg.t_end)}",
         f"record_every={cfg.record_every}",
-        f"linsolve_tol={_fmt(cfg.linsolve_tol)}",
         f"out_dir={cfg.out_dir}",
         f"seed={cfg.seed}",
     ]
@@ -279,15 +230,7 @@ def build_initial(cfg: RunConfig, grid: Grid, domain: DomainSpec) -> SpeciesFiel
 
 
 def _csv_row(s: functionals.FunctionalSample) -> str:
-    d = s.diag_norms
-    vals = (
-        s.t, s.entropy, s.e_rel, s.dissipation, s.m1, s.m2,
-        s.l1_dist_a, s.l1_dist_b, s.l1_dist_c,
-        s.dev_a2, s.dev_b2, s.dev_c2, s.abc_defect, s.ckp_lhs,
-        d["b_l32"], d["a_l32"], d["b_lN2"], d["c_l3"],
-        d["int_a2ac"], d["int_b2bc"],
-    )
-    return ",".join(_fmt(v) for v in vals)
+    return ",".join(_fmt(v) for v in functionals.column_values(s))
 
 
 def write_snapshot(path: str, cfg: RunConfig, fields: SpeciesFields) -> None:
@@ -338,12 +281,7 @@ def cmd_run(cfg: RunConfig) -> int:
     """Run the configured simulation and write its outputs; 0 on success."""
     domain, grid = build_domain(cfg)
     params = ModelParams(cfg.d_a, cfg.d_b, cfg.d_c)
-    solver_cfg = SolverConfig(
-        dt=cfg.dt,
-        t_end=cfg.t_end,
-        record_every=cfg.record_every,
-        linsolve_tol=cfg.linsolve_tol,
-    )
+    solver_cfg = SolverConfig(cfg.dt, cfg.t_end, cfg.record_every)
     initial = build_initial(cfg, grid, domain)
 
     try:
@@ -371,7 +309,7 @@ def cmd_run(cfg: RunConfig) -> int:
             )
             meta_lines += [
                 "status=ok",
-                f"steps={int(round(cfg.t_end / cfg.dt))}",
+                f"steps={solver_cfg.n_steps}",
                 f"samples={len(traj.samples)}",
                 f"wall_time_s={elapsed:.3f}",
             ]
@@ -390,14 +328,14 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def read_timeseries(path: str):
-    """Parse a timeseries.csv into a dict of column arrays."""
+    """Parse a timeseries.csv into a dict of column arrays; every cell must be finite."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ParseError("empty CSV", line=1)
     if lines[0] != CSV_HEADER:
         raise ParseError(f"unexpected header {lines[0]!r}", line=1)
-    names = CSV_HEADER.split(",")
+    names = list(functionals.CSV_COLUMNS)
     rows = []
     for i, line in enumerate(lines[1:], start=2):
         toks = line.split(",")
@@ -412,6 +350,9 @@ def read_timeseries(path: str):
     if not rows:
         raise ParseError("CSV has no data rows", line=1)
     data = np.asarray(rows)
+    bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
+    if bad.size:
+        raise ParseError(f"non-finite value in {lines[bad[0] + 1]!r}", line=int(bad[0]) + 2)
     return {name: data[:, j] for j, name in enumerate(names)}
 
 
@@ -476,8 +417,7 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
         ok = False
 
     # growth diagnostics
-    series = {k: cols[k] for k in ("b_l32", "a_l32", "b_lN2", "c_l3", "int_a2ac", "int_b2bc")}
-    diags = analysis.growth_diagnostics_from_series(t, series, mode, dim)
+    diags = analysis.growth_diagnostics_from_series(t, cols, mode, dim)
     summary["growth"] = []
     for g in diags:
         finite = math.isfinite(g.fitted_constant)
@@ -600,10 +540,7 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(presets.preset_text(args.name))
             return 0
-    except RevReactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RevReactError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

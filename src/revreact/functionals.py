@@ -30,6 +30,8 @@ __all__ = [
     "ckp_violation",
     "bound_violation",
     "sample",
+    "CSV_COLUMNS",
+    "column_values",
     "CKP_PREFACTOR",
     "REL_SLACK",
 ]
@@ -85,6 +87,25 @@ class FunctionalSample:
     diag_norms: dict = field(default_factory=dict)
 
 
+#: timeseries.csv columns in file order: CSV name -> FunctionalSample
+#: attribute, or the diag_norms key of a growth-diagnostic column
+CSV_COLUMNS = {
+    "t": "t", "E": "entropy", "E_rel": "e_rel", "D": "dissipation",
+    "M1": "m1", "M2": "m2",
+    "l1_a": "l1_dist_a", "l1_b": "l1_dist_b", "l1_c": "l1_dist_c",
+    "dev_A2": "dev_a2", "dev_B2": "dev_b2", "dev_C2": "dev_c2",
+    "abc_defect": "abc_defect", "ckp_lhs": "ckp_lhs",
+    "b_l32": "b_l32", "a_l32": "a_l32", "b_lN2": "b_lN2", "c_l3": "c_l3",
+    "int_a2ac": "int_a2ac", "int_b2bc": "int_b2bc",
+}
+
+
+def column_values(s: FunctionalSample) -> list:
+    """The values of one sample in CSV_COLUMNS order."""
+    d = s.diag_norms
+    return [d[src] if src in d else getattr(s, src) for src in CSV_COLUMNS.values()]
+
+
 def _entropy_density(u, ref=1.0):
     """u*ln(u/ref) - u + ref, evaluated cancellation-free via log1p."""
     delta = (u - ref) / ref
@@ -100,6 +121,10 @@ def _require_positive(fields):
 def entropy(fields, grid: Grid) -> float:
     """Entropy E = int sum_u (u ln u - u + 1); nonnegative."""
     _require_positive(fields)
+    return _entropy(fields, grid)
+
+
+def _entropy(fields, grid):
     dens = (
         _entropy_density(fields.a)
         + _entropy_density(fields.b)
@@ -117,6 +142,10 @@ def relative_entropy(fields, eq: EquilibriumState, grid: Grid) -> float:
     masses match.
     """
     _require_positive(fields)
+    return _relative_entropy(fields, eq, grid)
+
+
+def _relative_entropy(fields, eq, grid):
     refs = (eq.a_inf, eq.b_inf, eq.c_inf)
     if any(r <= 0.0 for r in refs):
         raise DegenerateEquilibrium(
@@ -149,6 +178,10 @@ def dissipation(fields, params: ModelParams, grid: Grid) -> float:
     d_b = 0 or d_c = 0 (the vanished gradient term drops out).
     """
     _require_positive(fields)
+    return _dissipation(fields, params, grid)
+
+
+def _dissipation(fields, params, grid):
     total = 0.0
     for d, (_, u) in zip(params.diffusivities(), fields.species()):
         if d > 0.0:
@@ -165,6 +198,10 @@ def ckp_lower_bound(fields, eq: EquilibriumState, grid: Grid) -> float:
     mass placement as in the decay theorems.
     """
     _require_positive(fields)
+    return _ckp_lower_bound(fields, eq, grid)
+
+
+def _ckp_lower_bound(fields, eq, grid):
     if eq.M1 <= 0.0 or eq.M2 <= 0.0:
         raise InvalidMass("CKP bound requires strictly positive masses")
     volume = grid.cell_volume * grid.n_cells
@@ -198,7 +235,7 @@ def dissipation_deviation_bound(fields, params: ModelParams, domain: DomainSpec,
     degeneracy mode.
     """
     _require_positive(fields)
-    lhs = dissipation(fields, params, grid)
+    lhs = _dissipation(fields, params, grid)
     p = domain.poincare_constant
     rhs = 0.0
     for d, (_, u) in zip(params.diffusivities(), fields.species()):
@@ -212,16 +249,24 @@ def dissipation_deviation_bound(fields, params: ModelParams, domain: DomainSpec,
 
 def ckp_violation(e_rel: float, ckp_lhs: float, m1: float, m2: float,
                   volume: float) -> float:
-    """Amount by which ckp_lhs <= e_rel fails beyond the allowed slack (0 if it holds)."""
-    slack = REL_SLACK * inequality_scale(e_rel, ckp_lhs, m1, m2, volume)
-    return max(0.0, ckp_lhs - e_rel - slack)
+    """Amount by which ckp_lhs <= e_rel fails beyond the allowed slack: 0 if it
+    holds, inf if any input is non-finite (so NaN never passes)."""
+    return _excess(ckp_lhs, e_rel, m1, m2, volume)
 
 
 def bound_violation(lhs: float, rhs: float, m1: float, m2: float,
                     volume: float) -> float:
-    """Amount by which lhs >= rhs fails beyond the allowed slack (0 if it holds)."""
-    slack = REL_SLACK * inequality_scale(lhs, rhs, m1, m2, volume)
-    return max(0.0, rhs - lhs - slack)
+    """Amount by which lhs >= rhs fails beyond the allowed slack: 0 if it
+    holds, inf if any input is non-finite (so NaN never passes)."""
+    return _excess(rhs, lhs, m1, m2, volume)
+
+
+def _excess(small, large, m1, m2, volume):
+    # checked up front: max() and comparisons pass NaN through as 0 or False
+    if not all(math.isfinite(x) for x in (small, large, m1, m2, volume)):
+        return math.inf
+    slack = REL_SLACK * inequality_scale(large, small, m1, m2, volume)
+    return max(0.0, small - large - slack)
 
 
 def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
@@ -230,7 +275,8 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
     """Evaluate every recorded functional of one snapshot.
 
     Updates the running time-integrals (trapezoid rule at record times)
-    when an accumulator is supplied.
+    when an accumulator is supplied.  The fields are checked for positivity
+    once, here, and not again by each functional.
     """
     _require_positive(fields)
     a, b, c = fields.a, fields.b, fields.c
@@ -265,9 +311,9 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
 
     return FunctionalSample(
         t=t,
-        entropy=entropy(fields, grid),
-        e_rel=relative_entropy(fields, eq, grid),
-        dissipation=dissipation(fields, params, grid),
+        entropy=_entropy(fields, grid),
+        e_rel=_relative_entropy(fields, eq, grid),
+        dissipation=_dissipation(fields, params, grid),
         m1=m1,
         m2=m2,
         l1_dist_a=lp_norm(a - eq.a_inf, 1, grid),
@@ -277,6 +323,6 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
         dev_b2=dev_b * dev_b,
         dev_c2=dev_c * dev_c,
         abc_defect=abc_defect,
-        ckp_lhs=ckp_lower_bound(fields, eq, grid),
+        ckp_lhs=_ckp_lower_bound(fields, eq, grid),
         diag_norms=diag,
     )

@@ -14,11 +14,13 @@ The 2D and 3D presets are anisotropic boxes with the bump along the long
 """
 from __future__ import annotations
 
+from .errors import ConfigError
+
 __all__ = ["PRESETS", "preset_text", "preset_names"]
 
 
 def _config(dim, cells, lengths, d_a, d_b, d_c, init, dt, t_end,
-            record_every, out_dir, seed=1, linsolve_tol=1e-12):
+            record_every, out_dir, seed=1):
     lines = [
         f"dim={dim}",
         "cells=" + " ".join(str(n) for n in cells),
@@ -30,7 +32,6 @@ def _config(dim, cells, lengths, d_a, d_b, d_c, init, dt, t_end,
         f"dt={dt!r}",
         f"t_end={t_end!r}",
         f"record_every={record_every}",
-        f"linsolve_tol={linsolve_tol!r}",
         f"out_dir={out_dir}",
         f"seed={seed}",
     ]
@@ -78,4 +79,8 @@ def preset_names():
 
 
 def preset_text(name: str) -> str:
+    if name not in PRESETS:
+        raise ConfigError(
+            f"unknown preset {name!r}; choose from {', '.join(preset_names())}"
+        )
     return PRESETS[name]

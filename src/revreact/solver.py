@@ -11,9 +11,8 @@ Laplacian, diagonalized by the type-II cosine transform on the uniform
 grid.  The semigroup matrix is symmetric, nonnegative and doubly
 stochastic, which makes positivity, mass conservation and entropy decay
 structural as well, and leaves the pure O(dt^2) splitting error as the
-only time-discretization error.  The standalone diffusion_substep below
-retains the backward-Euler contract, solved matrix-free by conjugate
-gradients.
+only time-discretization error.  No step solves a linear system; the
+backward-Euler diffusion step that tests compare against lives in oracle.
 """
 from __future__ import annotations
 
@@ -25,14 +24,13 @@ import numpy as np
 import scipy.fft
 
 from . import functionals
-from .errors import InvalidArgument, LinSolveFailure, NumericalBlowup
-from .grid import Grid, SpeciesFields, laplacian_neumann
+from .errors import InvalidArgument, NumericalBlowup
+from .grid import Grid, SpeciesFields
 from .model import DomainSpec, ModelParams, conserved_masses, equilibrium_state, riccati_roots
 
 __all__ = [
     "SolverConfig",
     "Trajectory",
-    "diffusion_substep",
     "reaction_substep",
     "strang_step",
     "run",
@@ -42,26 +40,41 @@ __all__ = [
 #: reaction substep returns its input when |c - r1| < this multiple of r2
 RICCATI_GUARD = 1e-15
 
+#: relative distance of t_end/dt from an integer still taken as a whole step count
+STEP_ROUNDING = 1e-9
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time stepping and linear solver parameters."""
+    """Time step, end time and record spacing (in steps) of one run.
+
+    t_end must be a whole number of record intervals record_every*dt, to
+    rounding, so the last recorded sample is the final state.
+    """
 
     dt: float
     t_end: float
     record_every: int = 100
-    linsolve_tol: float = 1e-12
-    linsolve_max_iter: int = 50_000
 
     def __post_init__(self):
+        if not math.isfinite(self.t_end):
+            raise InvalidArgument(f"t_end must be finite, got {self.t_end}")
         if not (0.0 < self.dt < self.t_end):
             raise InvalidArgument("need 0 < dt < t_end")
         if self.record_every < 1:
             raise InvalidArgument("record_every must be a positive integer")
-        if not (0.0 < self.linsolve_tol < 1e-6):
-            raise InvalidArgument("linsolve_tol must lie in (0, 1e-6)")
-        if self.linsolve_max_iter < 1:
-            raise InvalidArgument("linsolve_max_iter must be positive")
+        steps = self.t_end / self.dt
+        whole = math.isfinite(steps) and abs(steps - round(steps)) <= STEP_ROUNDING * steps
+        if not (whole and round(steps) % self.record_every == 0):
+            raise InvalidArgument(
+                f"t_end={self.t_end!r} is not a whole number of record intervals "
+                f"record_every*dt = {self.record_every * self.dt!r}"
+            )
+
+    @property
+    def n_steps(self) -> int:
+        """Number of time steps from 0 to t_end."""
+        return round(self.t_end / self.dt)
 
 
 @dataclass
@@ -103,55 +116,6 @@ class DiffusionSemigroup:
         coeff = scipy.fft.dctn(u, type=2, norm="ortho")
         coeff *= self.factor
         return scipy.fft.idctn(coeff, type=2, norm="ortho")
-
-
-def _cg(apply_a, b, x0, tol, max_iter):
-    """Conjugate gradients for an SPD operator, matrix-free.
-
-    Iterates until ||b - A x||_2 <= tol * ||b||_2; deterministic reduction
-    order (single-threaded numpy sums).
-    """
-    x = x0.copy()
-    r = b - apply_a(x)
-    bnorm = math.sqrt(float(np.sum(b * b)))
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    p = r.copy()
-    rs = float(np.sum(r * r))
-    for _ in range(max_iter):
-        if math.sqrt(rs) <= tol * bnorm:
-            return x
-        ap = apply_a(p)
-        alpha = rs / float(np.sum(p * ap))
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(np.sum(r * r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    if math.sqrt(rs) <= tol * bnorm:
-        return x
-    raise LinSolveFailure(
-        f"CG did not reach relative residual {tol:g} in {max_iter} iterations"
-    )
-
-
-def diffusion_substep(u, d: float, dt: float, grid: Grid, cfg: SolverConfig):
-    """Backward-Euler diffusion step: solve (I - dt*d*L) v = u.
-
-    Identity for d = 0.  The system matrix is a symmetric M-matrix, so the
-    solution conserves the cell-volume weighted sum (up to the solver
-    tolerance) and preserves positivity.
-    """
-    u = np.asarray(u, dtype=float)
-    if d < 0.0:
-        raise InvalidArgument("diffusivity must be nonnegative")
-    if d == 0.0:
-        return u.copy()
-
-    def apply_a(v):
-        return v - dt * d * laplacian_neumann(v, grid)
-
-    return _cg(apply_a, u, u, cfg.linsolve_tol, cfg.linsolve_max_iter)
 
 
 def _react_arrays(a, b, c, dt):
@@ -198,10 +162,6 @@ class _StrangStepper:
         oa, ob, oc = ops
         return oa.apply(a), ob.apply(b), oc.apply(c)
 
-    def step(self, fields: SpeciesFields) -> SpeciesFields:
-        a, b, c = self.step_block(fields.a, fields.b, fields.c, 1)
-        return SpeciesFields(a, b, c)
-
     def step_block(self, a, b, c, n_steps):
         """Advance raw arrays by n_steps Strang steps with fused half-steps."""
         a, b, c = self._diffuse(self.half_ops, a, b, c)
@@ -213,9 +173,10 @@ class _StrangStepper:
 
 
 def strang_step(fields: SpeciesFields, params: ModelParams, dt: float,
-                grid: Grid, cfg: SolverConfig) -> SpeciesFields:
+                grid: Grid) -> SpeciesFields:
     """One Strang step: half diffusion, full reaction, half diffusion."""
-    return _StrangStepper(params, dt, grid).step(fields)
+    stepper = _StrangStepper(params, dt, grid)
+    return SpeciesFields(*stepper.step_block(fields.a, fields.b, fields.c, 1))
 
 
 def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
@@ -226,7 +187,6 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
     Raises NumericalBlowup (with the offending time) if any recorded
     functional turns non-finite.
     """
-    n_steps = int(round(cfg.t_end / cfg.dt))
     stepper = _StrangStepper(params, cfg.dt, grid)
     m1, m2 = conserved_masses(initial, grid, domain)
     eq = equilibrium_state(m1, m2)
@@ -247,12 +207,8 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
         traj.samples.append(s)
 
     record(0, initial)
-    step = 0
-    while step < n_steps:
-        block = min(cfg.record_every, n_steps - step)
-        a, b, c = stepper.step_block(a, b, c, block)
-        step += block
-        if step % cfg.record_every == 0:
-            record(step, SpeciesFields(a, b, c))
+    for step in range(cfg.record_every, cfg.n_steps + 1, cfg.record_every):
+        a, b, c = stepper.step_block(a, b, c, cfg.record_every)
+        record(step, SpeciesFields(a, b, c))
     traj.final_fields = SpeciesFields(a, b, c)
     return traj

@@ -25,9 +25,7 @@ class PresetRun:
         self.domain, self.grid = build_domain(cfg)
         self.params = ModelParams(cfg.d_a, cfg.d_b, cfg.d_c)
         self.initial = build_initial(cfg, self.grid, self.domain)
-        solver_cfg = SolverConfig(
-            cfg.dt, cfg.t_end, cfg.record_every, cfg.linsolve_tol
-        )
+        solver_cfg = SolverConfig(cfg.dt, cfg.t_end, cfg.record_every)
         started = time.perf_counter()
         self.trajectory = run(self.initial, self.params, self.grid, self.domain, solver_cfg)
         self.wall_time = time.perf_counter() - started

@@ -62,6 +62,47 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(EXAMPLE.replace("d_c=1.0", "d_c=0"))
 
+    def test_legacy_linsolve_tol_accepted_and_ignored(self):
+        without = "\n".join(
+            line for line in EXAMPLE.splitlines() if not line.startswith("linsolve_tol")
+        )
+        assert parse_config(EXAMPLE) == parse_config(without)
+        assert "linsolve_tol" not in serialize_config(parse_config(EXAMPLE))
+
+    @pytest.mark.parametrize("old, new, line", [
+        ("cells=128", "cells=0", 2),
+        ("cells=128", "cells=1 2", 2),
+        ("lengths=1.0", "lengths=-1", 3),
+        ("lengths=1.0", "lengths=nan", 3),
+        ("d_a=1.0", "d_a=0", 4),
+        ("d_c=1.0", "d_c=inf", 6),
+        ("d_c=1.0", "d_c=0", 5),
+        ("dt=0.001", "dt=nan", 8),
+        ("t_end=50", "t_end=inf", 9),
+        ("t_end=50", "t_end=50.05", 9),
+        ("record_every=100", "record_every=0", 10),
+        ("seed=7", "seed=-3", 13),
+    ])
+    def test_range_errors_carry_line_numbers(self, old, new, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(EXAMPLE.replace(old, new))
+        assert err.value.line == line
+
+    def test_dim_four_rejected_on_dim_line(self):
+        text = EXAMPLE.replace("cells=128", "cells=4 4 4 4").replace(
+            "lengths=1.0", "lengths=1 1 1 1"
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.replace("dim=1", "dim=4"))
+        assert err.value.line == 1
+
+    def test_unrecorded_tail_rejected(self):
+        text = EXAMPLE.replace("t_end=50", "t_end=0.35")
+        with pytest.raises(ConfigError, match="record intervals") as err:
+            parse_config(text)
+        assert err.value.line == 9
+        assert parse_config(text.replace("record_every=100", "record_every=50")).t_end == 0.35
+
     def test_round_trip_identity(self):
         cfg = parse_config(EXAMPLE)
         assert parse_config(serialize_config(cfg)) == cfg
@@ -188,6 +229,19 @@ class TestCmdAnalyze:
             read_timeseries(path)
         assert err.value.line == 8
 
+    def test_non_finite_cell_rejected(self, tmp_path, capsys):
+        t = np.arange(0.0, 20.0001, 0.1)
+        e = np.exp(-((1.0 + t) ** 0.9))
+        ckp = 0.3 * e
+        ckp[3] = np.nan  # file line 5
+        path = str(tmp_path / "timeseries.csv")
+        synthetic_csv(path, t, e, ckp=ckp)
+        with pytest.raises(ParseError, match="non-finite") as err:
+            read_timeseries(path)
+        assert err.value.line == 5
+        assert main(["analyze", path, "--mode", "db0", "--dim", "1"]) == 2
+        assert "overall: PASS" not in capsys.readouterr().out
+
     def test_bad_header_rejected(self, tmp_path):
         path = str(tmp_path / "timeseries.csv")
         with open(path, "w") as fh:
@@ -277,3 +331,24 @@ class TestMain:
         bad.write_text("dt=-1\n")
         assert main(["run", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edits", [
+        {"t_end=1.0": "t_end=inf"},
+        {"init=cosine_bump 0.4": "init=random_positive 0.5 1.0", "seed=3": "seed=-3"},
+    ])
+    def test_crashing_values_exit_2(self, tmp_path, capsys, edits):
+        text = FAST.format(out=str(tmp_path / "out"))
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert main(["run", str(bad)]) == 2
+        assert "error: line " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["presets", "nosuch"], ["run", "preset:nosuch"]])
+    def test_unknown_preset_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "nosuch" in err
+        assert all(name in err for name in preset_names())

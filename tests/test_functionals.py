@@ -248,3 +248,42 @@ class TestSample:
         # constant integrand a^2 + ac = 2 on |Omega| = 1: integral = 2t
         assert s.diag_norms["int_a2ac"] == pytest.approx(2.0, rel=1e-13)
         assert s.diag_norms["int_b2bc"] == pytest.approx(2.0, rel=1e-13)
+
+    def test_positivity_checked_once_per_snapshot(self, rng, monkeypatch):
+        from revreact import functionals
+
+        calls = []
+        real = functionals._require_positive
+        monkeypatch.setattr(functionals, "_require_positive",
+                            lambda fields: calls.append(1) or real(fields))
+        dom, grid = unit_setup(16)
+        f = random_fields(rng, grid)
+        eq = equilibrium_state(*conserved_masses(f, grid, dom))
+        sample(f, 0.0, eq, ModelParams(1.0, 0.0, 1.0), dom, grid)
+        assert len(calls) == 1
+
+    def test_rejects_nonpositive(self):
+        dom, grid = unit_setup(4)
+        f = SpeciesFields.uniform(grid, 1.0, 1.0, 1.0)
+        f.c = f.c.copy()
+        f.c[2] = 0.0
+        eq = equilibrium_state(2.0, 2.0)
+        with pytest.raises(NotPositive):
+            sample(f, 0.0, eq, ModelParams(1.0, 1.0, 1.0), dom, grid)
+
+
+class TestViolationsFailClosed:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_a_violation(self, bad):
+        good = (0.5, 0.1, 1.0, 1.0, 1.0)
+        for i in range(5):
+            args = list(good)
+            args[i] = bad
+            assert ckp_violation(*args) > 0.0
+            assert bound_violation(*args) > 0.0
+
+    def test_finite_inputs_unchanged(self):
+        assert ckp_violation(0.5, 0.1, 1.0, 1.0, 1.0) == 0.0
+        assert ckp_violation(0.1, 0.5, 1.0, 1.0, 1.0) == pytest.approx(0.4, rel=1e-8)
+        assert bound_violation(0.5, 0.1, 1.0, 1.0, 1.0) == 0.0
+        assert bound_violation(0.1, 0.5, 1.0, 1.0, 1.0) == pytest.approx(0.4, rel=1e-8)

@@ -6,10 +6,10 @@ import pytest
 from revreact.errors import InvalidArgument, LinSolveFailure, NumericalBlowup
 from revreact.grid import Grid, SpeciesFields, integrate
 from revreact.model import DomainSpec, ModelParams, equilibrium_state
+from revreact.oracle import diffusion_substep
 from revreact.solver import (
     DiffusionSemigroup,
     SolverConfig,
-    diffusion_substep,
     neumann_eigenvalues,
     reaction_substep,
     run,
@@ -35,52 +35,59 @@ class TestSolverConfig:
             SolverConfig(dt=1.0, t_end=0.5)
         with pytest.raises(InvalidArgument):
             SolverConfig(dt=0.1, t_end=1.0, record_every=0)
-        with pytest.raises(InvalidArgument):
-            SolverConfig(dt=0.1, t_end=1.0, linsolve_tol=1e-3)
+
+    def test_non_finite_times_rejected(self):
+        for dt, t_end in ((1e-3, math.inf), (math.nan, 1.0), (1e-3, math.nan)):
+            with pytest.raises(InvalidArgument):
+                SolverConfig(dt=dt, t_end=t_end, record_every=10)
+
+    def test_partial_record_interval_rejected(self):
+        # 350 steps do not fill whole blocks of 100: the tail would go unrecorded
+        with pytest.raises(InvalidArgument, match="record intervals"):
+            SolverConfig(dt=1e-3, t_end=0.35, record_every=100)
+        with pytest.raises(InvalidArgument, match="record intervals"):
+            SolverConfig(dt=1e-3, t_end=0.3504, record_every=50)
+        assert SolverConfig(dt=1e-3, t_end=0.35, record_every=50).n_steps == 350
+        assert SolverConfig(dt=1e-3, t_end=50.0, record_every=100).n_steps == 50_000
 
 
 class TestDiffusionSubstep:
     def test_constant_fixed_point(self):
         dom, grid = setup_1d()
-        cfg = SolverConfig(dt=0.1, t_end=1.0)
         u = np.full(64, 2.0)
-        v = diffusion_substep(u, 1.0, 0.1, grid, cfg)
+        v = diffusion_substep(u, 1.0, 0.1, grid)
         assert v == pytest.approx(u, rel=1e-12)
 
     def test_degenerate_identity(self):
         dom, grid = setup_1d()
-        cfg = SolverConfig(dt=0.1, t_end=1.0)
         u = np.linspace(1.0, 2.0, 64)
-        v = diffusion_substep(u, 0.0, 0.1, grid, cfg)
+        v = diffusion_substep(u, 0.0, 0.1, grid)
         assert np.array_equal(v, u)
 
     def test_eigenmode_decay_factor(self):
         # backward Euler damps the discrete mode by 1/(1 + dt d lambda_h)
         n, L, d, dt, k = 64, 1.0, 0.7, 0.05, 3
         dom, grid = setup_1d(n, L)
-        cfg = SolverConfig(dt=dt, t_end=1.0, linsolve_tol=1e-13)
         x = grid.axis_coordinates(0)
         mode = np.cos(k * np.pi * x / L)
         u = 1.0 + 0.1 * mode
         lam = discrete_lambda(k, n, L / n)
         expected = 1.0 + 0.1 / (1.0 + dt * d * lam) * mode
-        v = diffusion_substep(u, d, dt, grid, cfg)
+        v = diffusion_substep(u, d, dt, grid, tol=1e-13)
         assert np.max(np.abs(v - expected)) <= 1e-10
 
     def test_conserves_mass_and_positivity(self, rng):
         dom, grid = setup_1d(48)
-        cfg = SolverConfig(dt=0.5, t_end=1.0)
         u = rng.uniform(0.05, 2.0, size=48)
-        v = diffusion_substep(u, 2.0, 0.5, grid, cfg)
+        v = diffusion_substep(u, 2.0, 0.5, grid)
         assert integrate(v, grid) == pytest.approx(integrate(u, grid), rel=1e-11)
         assert np.all(v > 0.0)
 
     def test_iteration_cap(self):
         dom, grid = setup_1d(32)
-        cfg = SolverConfig(dt=0.1, t_end=1.0, linsolve_tol=1e-13, linsolve_max_iter=1)
         u = 1.0 + 0.5 * np.cos(np.pi * grid.axis_coordinates(0))
         with pytest.raises(LinSolveFailure):
-            diffusion_substep(u, 5.0, 0.1, grid, cfg)
+            diffusion_substep(u, 5.0, 0.1, grid, tol=1e-13, max_iter=1)
 
 
 class TestSemigroup:
@@ -91,8 +98,7 @@ class TestSemigroup:
         lam = discrete_lambda(2, 32, 1.0 / 32)
         gaps = []
         for dt in (1e-5, 5e-6):
-            cfg = SolverConfig(dt=dt, t_end=1.0, linsolve_tol=1e-13)
-            be = diffusion_substep(u, 1.0, dt, grid, cfg)
+            be = diffusion_substep(u, 1.0, dt, grid, tol=1e-13)
             sg = DiffusionSemigroup(grid, 1.0, dt).apply(u)
             gaps.append(np.max(np.abs(be - sg)))
             assert gaps[-1] == pytest.approx(0.3 * (dt * lam) ** 2 / 2.0, rel=0.01)
@@ -131,9 +137,8 @@ class TestThreeDimensional:
     def test_semigroup_matches_cg_step_in_3d(self, rng):
         dom = DomainSpec.box([1.0, 0.5, 0.25])
         grid = Grid.for_domain(dom, [8, 4, 4])
-        cfg = SolverConfig(dt=1e-5, t_end=1.0, linsolve_tol=1e-13)
         u = rng.uniform(0.5, 1.5, size=grid.cells)
-        be = diffusion_substep(u, 1.0, 1e-5, grid, cfg)
+        be = diffusion_substep(u, 1.0, 1e-5, grid, tol=1e-13)
         sg = DiffusionSemigroup(grid, 1.0, 1e-5).apply(u)
         # both approximate the same flow; they agree to O((dt*lambda)^2)
         assert np.max(np.abs(be - sg)) <= 1e-4
@@ -217,21 +222,19 @@ class TestReactionSubstep:
 class TestStrangStep:
     def test_uniform_fields_reduce_to_reaction(self):
         dom, grid = setup_1d(32)
-        cfg = SolverConfig(dt=0.05, t_end=1.0)
         params = ModelParams(1.0, 0.5, 0.8)
         f = SpeciesFields.uniform(grid, 2.0, 1.0, 0.3)
-        full = strang_step(f, params, 0.05, grid, cfg)
+        full = strang_step(f, params, 0.05, grid)
         react = reaction_substep(f, 0.05)
         assert np.max(np.abs(full.a - react.a)) <= 1e-13
         assert np.max(np.abs(full.c - react.c)) <= 1e-13
 
     def test_equilibrium_fixed_point(self):
         dom, grid = setup_1d(32)
-        cfg = SolverConfig(dt=0.05, t_end=1.0)
         params = ModelParams(1.0, 0.0, 1.0)
         eq = equilibrium_state(2.0, 1.0)
         f = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
-        g = strang_step(f, params, 0.05, grid, cfg)
+        g = strang_step(f, params, 0.05, grid)
         for u, v in ((f.a, g.a), (f.b, g.b), (f.c, g.c)):
             assert np.max(np.abs(u - v)) <= 1e-12
 
