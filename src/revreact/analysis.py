@@ -200,18 +200,12 @@ def check_theorem_envelope(fit: DecayFit, mode: str, dimension: int,
     )
 
 
-def entropy_balance_audit(times, e_rel_values=None, dissipation_values=None) -> float:
+def entropy_balance_audit(times, e_rel_values, dissipation_values) -> float:
     """Max relative residual of dE_rel/dt = -D over interior sample times.
 
-    Accepts a Trajectory or three arrays.  Central differences at uniform
-    sample spacing; the residual at each interior sample is
-    |dE/dt + D| / max(D, 1e-14).
+    Central differences at uniform sample spacing; the residual at each
+    interior sample is |dE/dt + D| / max(D, 1e-14).
     """
-    if e_rel_values is None:
-        traj = times
-        times = np.asarray(traj.times, dtype=float)
-        e_rel_values = np.array([s.e_rel for s in traj.samples])
-        dissipation_values = np.array([s.dissipation for s in traj.samples])
     t = np.asarray(times, dtype=float)
     e = np.asarray(e_rel_values, dtype=float)
     d = np.asarray(dissipation_values, dtype=float)

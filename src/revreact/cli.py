@@ -234,30 +234,35 @@ def _csv_row(s: functionals.FunctionalSample) -> str:
 
 
 def write_snapshot(path: str, cfg: RunConfig, fields: SpeciesFields) -> None:
-    header = " ".join(
-        [str(cfg.dim)]
-        + [str(n) for n in cfg.cells]
-        + [_fmt(x) for x in cfg.lengths]
-    )
-    lines = [header]
+    lines = [" ".join([str(cfg.dim), *map(str, cfg.cells), *map(_fmt, cfg.lengths)])]
     flat = zip(fields.a.ravel(), fields.b.ravel(), fields.c.ravel())
     lines.extend(f"{_fmt(a)} {_fmt(b)} {_fmt(c)}" for a, b, c in flat)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_lines(path: str) -> list[str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8 text: {exc}")
+
+
 def read_snapshot(path: str):
     """Read a final_fields.snap file back into (dim, cells, lengths, fields)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError("empty snapshot", line=1)
     toks = lines[0].split()
     try:
         dim = int(toks[0])
+        if len(toks) != 1 + 2 * dim:
+            raise ValueError
         cells = tuple(int(t) for t in toks[1:1 + dim])
-        lengths = tuple(float(t) for t in toks[1 + dim:1 + 2 * dim])
-    except (ValueError, IndexError):
+        lengths = tuple(float(t) for t in toks[1 + dim:])
+        Grid.for_domain(DomainSpec.box(lengths), cells)
+    except (ValueError, IndexError, InvalidArgument):
         raise ParseError(f"malformed snapshot header {lines[0]!r}", line=1)
     n = math.prod(cells)
     if len(lines) - 1 != n:
@@ -329,8 +334,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
 def read_timeseries(path: str):
     """Parse a timeseries.csv into a dict of column arrays; every cell must be finite."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError("empty CSV", line=1)
     if lines[0] != CSV_HEADER:
@@ -358,8 +362,7 @@ def read_timeseries(path: str):
 
 def _read_meta_config(meta_path: str) -> RunConfig | None:
     try:
-        with open(meta_path) as fh:
-            lines = fh.read().splitlines()
+        lines = _read_lines(meta_path)
     except OSError:
         return None
     try:
@@ -435,31 +438,25 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
     # inequality suites
     meta_path = meta_path or os.path.join(os.path.dirname(csv_path) or ".", "run_meta")
     meta = _read_meta_config(meta_path)
-    volume = math.prod(meta.lengths) if meta is not None else None
+    volume = math.prod(meta.lengths) if meta is not None else 1.0
 
-    ckp_count = 0
-    for i in range(t.size):
-        e_rel, ckp = cols["E_rel"][i], cols["ckp_lhs"][i]
-        m1, m2 = cols["M1"][i], cols["M2"][i]
-        vol = volume if volume is not None else 1.0
-        if functionals.ckp_violation(e_rel, ckp, m1, m2, vol) > 0.0:
-            ckp_count += 1
+    ckp_count = sum(
+        1 for row in zip(cols["E_rel"], cols["ckp_lhs"], cols["M1"], cols["M2"])
+        if functionals.ckp_violation(*row, volume) > 0.0
+    )
     lines.append(f"CKP violations: {ckp_count} ({'PASS' if ckp_count == 0 else 'FAIL'})")
     summary["ckp_violations"] = ckp_count
     ok &= ckp_count == 0
 
     if meta is not None:
-        p = DomainSpec.box(meta.lengths).poincare_constant
-        ds = {"A": meta.d_a, "B": meta.d_b, "C": meta.d_c}
-        diss_count = 0
-        for i in range(t.size):
-            rhs = 4.0 * cols["abc_defect"][i]
-            for sp, d in ds.items():
-                if d > 0.0:
-                    rhs += 4.0 * d / p * cols[f"dev_{sp}2"][i]
-            lhs = cols["D"][i]
-            if functionals.bound_violation(lhs, rhs, cols["M1"][i], cols["M2"][i], volume) > 0.0:
-                diss_count += 1
+        rhs = functionals.dissipation_bound_rhs(
+            [cols[f"dev_{sp}2"] for sp in "ABC"], cols["abc_defect"],
+            (meta.d_a, meta.d_b, meta.d_c), DomainSpec.box(meta.lengths).poincare_constant,
+        )
+        diss_count = sum(
+            1 for row in zip(cols["D"], rhs, cols["M1"], cols["M2"])
+            if functionals.bound_violation(*row, volume) > 0.0
+        )
         lines.append(
             f"dissipation-bound violations: {diss_count} "
             f"({'PASS' if diss_count == 0 else 'FAIL'})"

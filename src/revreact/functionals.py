@@ -26,6 +26,7 @@ __all__ = [
     "dissipation",
     "ckp_lower_bound",
     "dissipation_deviation_bound",
+    "dissipation_bound_rhs",
     "inequality_scale",
     "ckp_violation",
     "bound_violation",
@@ -227,24 +228,39 @@ def inequality_scale(lhs: float, rhs: float, m1: float, m2: float, volume: float
 
 def dissipation_deviation_bound(fields, params: ModelParams, domain: DomainSpec,
                                 grid: Grid) -> tuple[float, float]:
-    """Dissipation lower bound pair (lhs, rhs).
-
-    lhs is the dissipation; rhs = sum over diffusing species of
-    (4 d_u / P(Omega)) * ||delta_sqrt(u)||_2^2 plus 4*||AB - C||_2^2.
-    Deviation terms of non-diffusing species drop out, matching the
-    degeneracy mode.
-    """
+    """Dissipation lower bound pair (lhs, rhs): the dissipation and
+    dissipation_bound_rhs of the snapshot."""
     _require_positive(fields)
-    lhs = _dissipation(fields, params, grid)
-    p = domain.poincare_constant
+    dev2, abc_defect = _deviations(fields, grid)
+    rhs = dissipation_bound_rhs(dev2, abc_defect, params.diffusivities(),
+                                domain.poincare_constant)
+    return _dissipation(fields, params, grid), rhs
+
+
+def _deviations(fields, grid):
+    """Squared deviations ||sqrt(u) - avg sqrt(u)||_2^2 of a, b and c, and
+    abc_defect = ||sqrt(a b) - sqrt(c)||_2^2."""
+    sqa, sqb, sqc = (np.sqrt(u) for _, u in fields.species())
+    devs = [deviation_l2(sq, grid) for sq in (sqa, sqb, sqc)]
+    defect = sqa * sqb - sqc
+    return [dev * dev for dev in devs], integrate(defect * defect, grid)
+
+
+def dissipation_bound_rhs(dev2, abc_defect: float, diffusivities,
+                          poincare: float) -> float:
+    """Right-hand side of the dissipation bound D >= rhs.
+
+    rhs = sum over diffusing species of (4 d_u / P(Omega)) * dev_u^2 plus
+    4 * abc_defect, where dev_u^2 = ||sqrt(u) - avg sqrt(u)||_2^2 and
+    abc_defect = ||sqrt(a b) - sqrt(c)||_2^2, per sample or elementwise over
+    arrays of samples.  Deviation terms of non-diffusing species drop out,
+    matching the degeneracy mode.
+    """
     rhs = 0.0
-    for d, (_, u) in zip(params.diffusivities(), fields.species()):
+    for d, dev2_u in zip(diffusivities, dev2):
         if d > 0.0:
-            dev = deviation_l2(np.sqrt(u), grid)
-            rhs += 4.0 * d / p * dev * dev
-    defect = np.sqrt(fields.a) * np.sqrt(fields.b) - np.sqrt(fields.c)
-    rhs += 4.0 * integrate(defect * defect, grid)
-    return lhs, rhs
+            rhs += 4.0 * d / poincare * dev2_u
+    return rhs + 4.0 * abc_defect
 
 
 def ckp_violation(e_rel: float, ckp_lhs: float, m1: float, m2: float,
@@ -282,12 +298,7 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
     a, b, c = fields.a, fields.b, fields.c
     m1, m2 = conserved_masses(fields, grid, domain)
 
-    sqa, sqb, sqc = np.sqrt(a), np.sqrt(b), np.sqrt(c)
-    dev_a = deviation_l2(sqa, grid)
-    dev_b = deviation_l2(sqb, grid)
-    dev_c = deviation_l2(sqc, grid)
-    defect = sqa * sqb - sqc
-    abc_defect = integrate(defect * defect, grid)
+    (dev_a2, dev_b2, dev_c2), abc_defect = _deviations(fields, grid)
 
     fa = integrate(a * a + a * c, grid)
     fb = integrate(b * b + b * c, grid)
@@ -319,9 +330,9 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
         l1_dist_a=lp_norm(a - eq.a_inf, 1, grid),
         l1_dist_b=lp_norm(b - eq.b_inf, 1, grid),
         l1_dist_c=lp_norm(c - eq.c_inf, 1, grid),
-        dev_a2=dev_a * dev_a,
-        dev_b2=dev_b * dev_b,
-        dev_c2=dev_c * dev_c,
+        dev_a2=dev_a2,
+        dev_b2=dev_b2,
+        dev_c2=dev_c2,
         abc_defect=abc_defect,
         ckp_lhs=_ckp_lower_bound(fields, eq, grid),
         diag_norms=diag,

@@ -93,9 +93,6 @@ class SpeciesFields:
         shape = grid.cells
         return cls(np.full(shape, a), np.full(shape, b), np.full(shape, c))
 
-    def copy(self) -> "SpeciesFields":
-        return SpeciesFields(self.a.copy(), self.b.copy(), self.c.copy())
-
     def species(self):
         return (("a", self.a), ("b", self.b), ("c", self.c))
 

@@ -1,18 +1,21 @@
 """Time integration by Strang splitting.
 
-One step advances a half diffusion step per species, the exact pointwise
-reaction flow over the full step, then a second half diffusion step.  The
-reaction substep integrates dc/dt = (c - r1)(c - r2) in closed form with
-the local invariants m1 = a + c and m2 = b + c held exactly, so positivity
-and pointwise conservation are structural.
+The state is one stacked (3, *cells) array of a, b and c.  One step
+advances a half diffusion step, the exact pointwise reaction flow over the
+full step, then a second half diffusion step.  The reaction substep
+integrates dc/dt = (c - r1)(c - r2) in closed form with the local
+invariants m1 = a + c and m2 = b + c held exactly, so positivity and
+pointwise conservation are structural.
 
 The diffusion half-steps apply the exact semigroup of the discrete Neumann
 Laplacian, diagonalized by the type-II cosine transform on the uniform
 grid.  The semigroup matrix is symmetric, nonnegative and doubly
 stochastic, which makes positivity, mass conservation and entropy decay
 structural as well, and leaves the pure O(dt^2) splitting error as the
-only time-discretization error.  No step solves a linear system; the
-backward-Euler diffusion step that tests compare against lives in oracle.
+only time-discretization error.  A species with zero diffusivity (d_b = 0
+or d_c = 0) is skipped by index, so diffusion leaves it bit-for-bit
+unchanged.  No step solves a linear system; the backward-Euler diffusion
+step that tests compare against lives in oracle.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import numpy as np
 import scipy.fft
 
 from . import functionals
-from .errors import InvalidArgument, NumericalBlowup
+from .errors import InvalidArgument, InvalidField, NotPositive, NumericalBlowup
 from .grid import Grid, SpeciesFields
 from .model import DomainSpec, ModelParams, conserved_masses, equilibrium_state, riccati_roots
 
@@ -32,7 +35,7 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "reaction_substep",
-    "strang_step",
+    "StrangStepper",
     "run",
     "DiffusionSemigroup",
 ]
@@ -103,19 +106,30 @@ def neumann_eigenvalues(grid: Grid):
 
 
 class DiffusionSemigroup:
-    """Exact heat flow exp(tau * d * L) of the discrete Neumann Laplacian."""
+    """Exact heat flow exp(tau * d * L) of the discrete Neumann Laplacian.
 
-    def __init__(self, grid: Grid, d: float, tau: float):
-        self.identity = d == 0.0 or tau == 0.0
-        if not self.identity:
-            self.factor = np.exp(-tau * d * neumann_eigenvalues(grid))
+    Transforms the last len(grid.cells) axes of its input.  d holds one
+    diffusivity per entry of the leading axis; a scalar d acts on a plain
+    field, a stack of one.  Entries with d * tau == 0 are skipped by index
+    and come back bit-for-bit unchanged.
+    """
+
+    def __init__(self, grid: Grid, d, tau: float):
+        rates = -tau * np.atleast_1d(d)
+        self.shape = rates.shape + grid.cells
+        self.axes = tuple(range(1, len(self.shape)))
+        self.moving = np.flatnonzero(rates != 0.0)
+        self.factor = np.exp(rates[self.moving].reshape((-1,) + (1,) * len(grid.cells))
+                             * neumann_eigenvalues(grid))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        if self.identity:
-            return u
-        coeff = scipy.fft.dctn(u, type=2, norm="ortho")
-        coeff *= self.factor
-        return scipy.fft.idctn(coeff, type=2, norm="ortho")
+        """A new array holding the flow of every entry of u; u is not modified."""
+        out = np.array(u, dtype=float).reshape(self.shape)
+        if self.moving.size:
+            coeff = scipy.fft.dctn(out[self.moving], type=2, norm="ortho", axes=self.axes)
+            coeff *= self.factor
+            out[self.moving] = scipy.fft.idctn(coeff, type=2, norm="ortho", axes=self.axes)
+        return out.reshape(np.shape(u))
 
 
 def _react_arrays(a, b, c, dt):
@@ -141,8 +155,9 @@ def reaction_substep(fields: SpeciesFields, dt: float) -> SpeciesFields:
     return SpeciesFields(*_react_arrays(fields.a, fields.b, fields.c, dt))
 
 
-class _StrangStepper:
-    """Precomputed half- and full-step semigroups for one (params, dt, grid).
+class StrangStepper:
+    """Strang steps of a stacked (3, *cells) array of a, b and c, with the
+    half- and full-step semigroups built once.
 
     Consecutive Strang steps share a diffusion half-step, so a block of k
     steps is composed as D(h/2) [R D(h)]^(k-1) R D(h/2), identical to the
@@ -151,32 +166,17 @@ class _StrangStepper:
 
     def __init__(self, params: ModelParams, dt: float, grid: Grid):
         self.dt = dt
-        self.half_ops = [
-            DiffusionSemigroup(grid, d, 0.5 * dt) for d in params.diffusivities()
-        ]
-        self.full_ops = [
-            DiffusionSemigroup(grid, d, dt) for d in params.diffusivities()
-        ]
+        self.half = DiffusionSemigroup(grid, params.diffusivities(), 0.5 * dt)
+        self.full = DiffusionSemigroup(grid, params.diffusivities(), dt)
 
-    def _diffuse(self, ops, a, b, c):
-        oa, ob, oc = ops
-        return oa.apply(a), ob.apply(b), oc.apply(c)
-
-    def step_block(self, a, b, c, n_steps):
-        """Advance raw arrays by n_steps Strang steps with fused half-steps."""
-        a, b, c = self._diffuse(self.half_ops, a, b, c)
-        a, b, c = _react_arrays(a, b, c, self.dt)
+    def advance(self, u: np.ndarray, n_steps: int) -> np.ndarray:
+        """The stack u after n_steps Strang steps; u itself is not modified."""
+        u = self.half.apply(u)
+        u[0], u[1], u[2] = _react_arrays(*u, self.dt)
         for _ in range(n_steps - 1):
-            a, b, c = self._diffuse(self.full_ops, a, b, c)
-            a, b, c = _react_arrays(a, b, c, self.dt)
-        return self._diffuse(self.half_ops, a, b, c)
-
-
-def strang_step(fields: SpeciesFields, params: ModelParams, dt: float,
-                grid: Grid) -> SpeciesFields:
-    """One Strang step: half diffusion, full reaction, half diffusion."""
-    stepper = _StrangStepper(params, dt, grid)
-    return SpeciesFields(*stepper.step_block(fields.a, fields.b, fields.c, 1))
+            u = self.full.apply(u)
+            u[0], u[1], u[2] = _react_arrays(*u, self.dt)
+        return self.half.apply(u)
 
 
 def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
@@ -184,31 +184,30 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
     """Advance from t = 0 to t_end, recording functionals every record_every steps.
 
     The equilibrium reference is fixed from the initial conserved masses.
-    Raises NumericalBlowup (with the offending time) if any recorded
-    functional turns non-finite.
+    Raises NumericalBlowup (with the offending time) if a recorded state is
+    not finite and positive or any recorded functional turns non-finite.
     """
-    stepper = _StrangStepper(params, cfg.dt, grid)
-    m1, m2 = conserved_masses(initial, grid, domain)
-    eq = equilibrium_state(m1, m2)
+    stepper = StrangStepper(params, cfg.dt, grid)
+    eq = equilibrium_state(*conserved_masses(initial, grid, domain))
     running = functionals.RunningIntegrals()
 
     traj = Trajectory()
-    a, b, c = initial.a.copy(), initial.b.copy(), initial.c.copy()
+    u = np.stack((initial.a, initial.b, initial.c))
 
-    def record(step_index, fields):
+    def record(step_index, u):
         t = step_index * cfg.dt
-        s = functionals.sample(fields, t, eq, params, domain, grid, running)
-        if not all(
-            math.isfinite(v)
-            for v in (s.entropy, s.e_rel, s.dissipation, s.m1, s.m2)
-        ):
+        try:
+            s = functionals.sample(SpeciesFields(*u), t, eq, params, domain, grid, running)
+        except (InvalidField, NotPositive) as exc:
+            raise NumericalBlowup(f"{exc} at t = {t}", t=t) from exc
+        if not all(map(math.isfinite, (s.entropy, s.e_rel, s.dissipation, s.m1, s.m2))):
             raise NumericalBlowup(f"non-finite functional at t = {t}", t=t)
         traj.times.append(t)
         traj.samples.append(s)
 
-    record(0, initial)
+    record(0, u)
     for step in range(cfg.record_every, cfg.n_steps + 1, cfg.record_every):
-        a, b, c = stepper.step_block(a, b, c, cfg.record_every)
-        record(step, SpeciesFields(a, b, c))
-    traj.final_fields = SpeciesFields(a, b, c)
+        u = stepper.advance(u, cfg.record_every)
+        record(step, u)
+    traj.final_fields = SpeciesFields(*u)
     return traj

@@ -15,7 +15,7 @@ from revreact.cli import cmd_run, parse_config, read_timeseries
 from revreact.functionals import bound_violation, ckp_violation, dissipation_deviation_bound
 from revreact.grid import Grid, SpeciesFields, integrate, laplacian_neumann
 from revreact.model import DomainSpec, ModelParams, conserved_masses, equilibrium_state
-from revreact.solver import _StrangStepper
+from revreact.solver import StrangStepper
 from conftest import random_fields
 
 SQRT2 = math.sqrt(2.0)
@@ -72,12 +72,13 @@ class TestAcceptance:
     def test_3_oracle_equivalence(self, preset_run, rng):
         # PDE run from uniform data against the homogeneous RK4 oracle
         r = preset_run("uniform_ode")
-        stepper = _StrangStepper(r.params, r.cfg.dt, r.grid)
-        a, b, c = r.initial.a.copy(), r.initial.b.copy(), r.initial.c.copy()
+        stepper = StrangStepper(r.params, r.cfg.dt, r.grid)
+        u = np.stack((r.initial.a, r.initial.b, r.initial.c))
         worst_pde = 0.0
         n_blocks = int(round(r.cfg.t_end / r.cfg.dt)) // r.cfg.record_every
         for k in range(1, n_blocks + 1):
-            a, b, c = stepper.step_block(a, b, c, r.cfg.record_every)
+            u = stepper.advance(u, r.cfg.record_every)
+            a, b, c = u
             t = k * r.cfg.record_every * r.cfg.dt
             ref = oracle.homogeneous_ode(2.0, 1.0, 0.01, t, max(1000, int(2000 * t)))
             worst_pde = max(
@@ -240,9 +241,8 @@ class TestAcceptance:
         # Strang order on the standard preset
         r = preset_run("full_1d")
         def advance(dt, t_end=1.0):
-            st = _StrangStepper(r.params, dt, r.grid)
-            a, b, c = r.initial.a.copy(), r.initial.b.copy(), r.initial.c.copy()
-            return np.stack(st.step_block(a, b, c, int(round(t_end / dt))))
+            u = np.stack((r.initial.a, r.initial.b, r.initial.c))
+            return StrangStepper(r.params, dt, r.grid).advance(u, int(round(t_end / dt)))
 
         ref = advance(0.0002)
         e1 = float(np.max(np.abs(advance(0.02) - ref)))

@@ -282,6 +282,21 @@ class TestBlowupPath:
         assert "0.25" in meta
         assert not os.path.exists(os.path.join(out, "timeseries.csv"))
 
+    def test_overflowing_initial_data_is_a_blowup(self, tmp_path):
+        # finite fields whose functionals overflow at t = 0
+        out = str(tmp_path / "huge")
+        text = FAST.format(out=out).replace(
+            "init=cosine_bump 0.4", "init=uniform 1e160 1e160 1e160"
+        )
+        with np.errstate(over="ignore"):
+            rc = cmd_run(parse_config(text))
+        assert rc == 1
+        with open(os.path.join(out, "run_meta")) as fh:
+            meta = fh.read().splitlines()
+        assert "status=blowup" in meta
+        assert "blowup_t=0" in meta
+        assert not os.path.exists(os.path.join(out, "timeseries.csv"))
+
 
 class TestFloatFormat:
     def test_seventeen_digits_round_trip(self, rng):

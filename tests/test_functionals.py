@@ -11,6 +11,7 @@ from revreact.functionals import (
     ckp_lower_bound,
     ckp_violation,
     dissipation,
+    dissipation_bound_rhs,
     dissipation_deviation_bound,
     entropy,
     reaction_production,
@@ -192,6 +193,26 @@ class TestDissipationBound:
             m1, m2 = conserved_masses(f, grid, dom)
             lhs, rhs = dissipation_deviation_bound(f, modes[i % 3], dom, grid)
             assert bound_violation(lhs, rhs, m1, m2, dom.volume) == 0.0
+
+    def test_recorded_columns_give_the_same_rhs(self, rng):
+        # analyze rebuilds rhs from the CSV columns; it must equal the
+        # snapshot's rhs exactly, per sample and over an array of samples
+        dom, grid = unit_setup(64)
+        params = ModelParams(1.0, 0.0, 0.7)
+        samples, rhs_direct = [], []
+        for _ in range(5):
+            f = random_fields(rng, grid)
+            eq = equilibrium_state(*conserved_masses(f, grid, dom))
+            samples.append(sample(f, 0.0, eq, params, dom, grid))
+            rhs_direct.append(dissipation_deviation_bound(f, params, dom, grid)[1])
+        P = dom.poincare_constant
+        for s, rhs in zip(samples, rhs_direct):
+            dev2 = (s.dev_a2, s.dev_b2, s.dev_c2)
+            assert dissipation_bound_rhs(dev2, s.abc_defect, params.diffusivities(), P) == rhs
+        columns = [np.array([getattr(s, k) for s in samples]) for k in ("dev_a2", "dev_b2", "dev_c2")]
+        defects = np.array([s.abc_defect for s in samples])
+        assert np.array_equal(
+            dissipation_bound_rhs(columns, defects, params.diffusivities(), P), rhs_direct)
 
     def test_degenerate_mode_drops_deviation_term(self):
         # d_b = 0: perturbing only b leaves the rhs gradient part unchanged

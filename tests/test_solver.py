@@ -10,10 +10,10 @@ from revreact.oracle import diffusion_substep
 from revreact.solver import (
     DiffusionSemigroup,
     SolverConfig,
+    StrangStepper,
     neumann_eigenvalues,
     reaction_substep,
     run,
-    strang_step,
 )
 from revreact import oracle
 
@@ -219,12 +219,49 @@ class TestReactionSubstep:
         assert worst <= 1e-10
 
 
+def strang_once(f, params, dt, grid):
+    """One Strang step of the fields f."""
+    u = np.stack((f.a, f.b, f.c))
+    return SpeciesFields(*StrangStepper(params, dt, grid).advance(u, 1))
+
+
+class TestStackedSemigroup:
+    @pytest.mark.parametrize("lengths, cells", [([1.0], [64]), ([1.0, 0.5, 0.25], [12, 6, 4])])
+    def test_stack_equals_per_species_bit_for_bit(self, rng, lengths, cells):
+        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        u = rng.uniform(0.5, 1.5, size=(3, *grid.cells))
+        ds = (1.0, 0.5, 0.0)
+        stacked = DiffusionSemigroup(grid, ds, 0.01).apply(u)
+        for k, d in enumerate(ds):
+            assert np.array_equal(stacked[k], DiffusionSemigroup(grid, d, 0.01).apply(u[k]))
+
+    def test_zero_diffusivity_entry_unchanged(self, rng):
+        dom, grid = setup_1d(32)
+        u = rng.uniform(0.5, 1.5, size=(3, 32))
+        v = DiffusionSemigroup(grid, (1.0, 0.0, 2.0), 0.1).apply(u)
+        assert np.array_equal(v[1], u[1])
+        assert not np.array_equal(v[0], u[0]) and not np.array_equal(v[2], u[2])
+
+    def test_stack_length_must_match_diffusivities(self):
+        dom, grid = setup_1d(32)
+        with pytest.raises(ValueError):
+            DiffusionSemigroup(grid, 1.0, 0.1).apply(np.ones((3, 32)))
+
+    def test_advance_leaves_input_unmodified(self, rng):
+        dom, grid = setup_1d(32)
+        u = rng.uniform(0.5, 1.5, size=(3, 32))
+        kept = u.copy()
+        v = StrangStepper(ModelParams(1.0, 0.0, 1.0), 0.01, grid).advance(u, 3)
+        assert np.array_equal(u, kept)
+        assert v.shape == u.shape and not np.array_equal(v, u)
+
+
 class TestStrangStep:
     def test_uniform_fields_reduce_to_reaction(self):
         dom, grid = setup_1d(32)
         params = ModelParams(1.0, 0.5, 0.8)
         f = SpeciesFields.uniform(grid, 2.0, 1.0, 0.3)
-        full = strang_step(f, params, 0.05, grid)
+        full = strang_once(f, params, 0.05, grid)
         react = reaction_substep(f, 0.05)
         assert np.max(np.abs(full.a - react.a)) <= 1e-13
         assert np.max(np.abs(full.c - react.c)) <= 1e-13
@@ -234,7 +271,7 @@ class TestStrangStep:
         params = ModelParams(1.0, 0.0, 1.0)
         eq = equilibrium_state(2.0, 1.0)
         f = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
-        g = strang_step(f, params, 0.05, grid)
+        g = strang_once(f, params, 0.05, grid)
         for u, v in ((f.a, g.a), (f.b, g.b), (f.c, g.c)):
             assert np.max(np.abs(u - v)) <= 1e-12
 
