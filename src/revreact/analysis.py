@@ -32,7 +32,6 @@ __all__ = [
     "envelope_holds",
     "check_theorem_envelope",
     "entropy_balance_audit",
-    "growth_diagnostics",
     "growth_diagnostics_from_series",
     "theorem_alpha",
     "EPSILON",
@@ -62,7 +61,6 @@ class DecayFit:
     rms_residual: float
     n_samples: int
     t_window: tuple[float, float]
-    theoretical_alpha: float | None = None
 
 
 @dataclass
@@ -173,13 +171,11 @@ def theorem_alpha(mode: str, dimension: int) -> float:
 
 
 def check_theorem_envelope(fit: DecayFit, mode: str, dimension: int,
-                           times=None, e_rel_values=None) -> EnvelopeReport:
-    """PASS iff fitted alpha >= theorem alpha and the envelope invariant holds."""
+                           times, e_rel_values) -> EnvelopeReport:
+    """PASS iff fitted alpha >= theorem alpha and the envelope invariant holds
+    on the given samples."""
     target = theorem_alpha(mode, dimension)
-    fit.theoretical_alpha = target
-    env_ok = True
-    if times is not None and e_rel_values is not None:
-        env_ok = envelope_holds(fit, times, e_rel_values)
+    env_ok = envelope_holds(fit, times, e_rel_values)
     passed = fit.alpha >= target and env_ok
     lines = [
         f"decay fit: alpha = {fit.alpha:.2f}, S1 = {fit.S1:.6g}, S2 = {fit.S2:.6g}, "
@@ -239,19 +235,10 @@ def _diagnostic_plan(mode: str, dimension: int):
     return []
 
 
-def growth_diagnostics(trajectory, mode: str, dimension: int) -> list[GrowthDiagnostic]:
-    """Fit the smallest constant K per applicable polynomial growth bound."""
-    times = np.asarray(trajectory.times, dtype=float)
-    series = {
-        key: np.array([s.diag_norms[key] for s in trajectory.samples])
-        for key in trajectory.samples[0].diag_norms
-    }
-    return growth_diagnostics_from_series(times, series, mode, dimension)
-
-
 def growth_diagnostics_from_series(times, series, mode: str,
                                    dimension: int) -> list[GrowthDiagnostic]:
-    """Growth-bound constants from explicit arrays (label -> value series)."""
+    """Smallest constant K per applicable polynomial growth bound, from
+    explicit arrays (label -> value series)."""
     times = np.asarray(times, dtype=float)
     series = {k: np.asarray(v, dtype=float) for k, v in series.items()}
     out = []

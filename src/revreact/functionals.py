@@ -1,7 +1,9 @@
 """Entropy, dissipation, deviation norms and the inequality checks.
 
 All functionals are evaluated on a single field snapshot with midpoint
-quadrature.  Nonnegativity of the entropy-type quantities is structural:
+quadrature.  They take a SpeciesFields, whose constructor has already
+checked that the fields are finite and strictly positive, and do not check
+it again.  Nonnegativity of the entropy-type quantities is structural:
 the relative entropy is assembled from the entropy ratio function times a
 square, and the reaction production (ab-c)*ln(ab/c) is a product of
 same-sign factors.
@@ -14,8 +16,8 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateEquilibrium, InvalidMass, NotPositive
-from .grid import Grid, deviation_l2, integrate, lp_norm, sqrt_gradient_energy
+from .errors import DegenerateEquilibrium, InvalidMass
+from .grid import Grid, deviation_l2, dirichlet_energy, integrate, lp_norm
 from .model import DomainSpec, EquilibriumState, ModelParams, conserved_masses, gamma_ratio
 
 __all__ = [
@@ -107,29 +109,18 @@ def column_values(s: FunctionalSample) -> list:
     return [d[src] if src in d else getattr(s, src) for src in CSV_COLUMNS.values()]
 
 
-def _entropy_density(u, ref=1.0):
+def _kl_density(u, ref=1.0):
     """u*ln(u/ref) - u + ref, evaluated cancellation-free via log1p."""
     delta = (u - ref) / ref
     return ref * ((1.0 + delta) * np.log1p(delta) - delta)
 
 
-def _require_positive(fields):
-    for name, u in fields.species():
-        if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
-            raise NotPositive(f"field {name} must be strictly positive and finite")
-
-
 def entropy(fields, grid: Grid) -> float:
     """Entropy E = int sum_u (u ln u - u + 1); nonnegative."""
-    _require_positive(fields)
-    return _entropy(fields, grid)
-
-
-def _entropy(fields, grid):
     dens = (
-        _entropy_density(fields.a)
-        + _entropy_density(fields.b)
-        + _entropy_density(fields.c)
+        _kl_density(fields.a)
+        + _kl_density(fields.b)
+        + _kl_density(fields.c)
     )
     return integrate(dens, grid)
 
@@ -142,11 +133,6 @@ def relative_entropy(fields, eq: EquilibriumState, grid: Grid) -> float:
     Equals entropy(fields) - entropy(equilibrium) whenever the conserved
     masses match.
     """
-    _require_positive(fields)
-    return _relative_entropy(fields, eq, grid)
-
-
-def _relative_entropy(fields, eq, grid):
     refs = (eq.a_inf, eq.b_inf, eq.c_inf)
     if any(r <= 0.0 for r in refs):
         raise DegenerateEquilibrium(
@@ -178,15 +164,10 @@ def dissipation(fields, params: ModelParams, grid: Grid) -> float:
     Covers the full system and reduces to the two degenerate variants when
     d_b = 0 or d_c = 0 (the vanished gradient term drops out).
     """
-    _require_positive(fields)
-    return _dissipation(fields, params, grid)
-
-
-def _dissipation(fields, params, grid):
     total = 0.0
     for d, (_, u) in zip(params.diffusivities(), fields.species()):
         if d > 0.0:
-            total += 4.0 * d * sqrt_gradient_energy(u, grid)
+            total += 4.0 * d * dirichlet_energy(np.sqrt(u), grid)
     total += integrate(reaction_production(fields.a, fields.b, fields.c), grid)
     return total
 
@@ -198,17 +179,17 @@ def ckp_lower_bound(fields, eq: EquilibriumState, grid: Grid) -> float:
     + ||c-c_inf||_1^2/(M1+M2) ) with kappa = (3+2*sqrt(2))/(9+2*sqrt(2)),
     mass placement as in the decay theorems.
     """
-    _require_positive(fields)
-    return _ckp_lower_bound(fields, eq, grid)
-
-
-def _ckp_lower_bound(fields, eq, grid):
-    if eq.M1 <= 0.0 or eq.M2 <= 0.0:
-        raise InvalidMass("CKP bound requires strictly positive masses")
-    volume = grid.cell_volume * grid.n_cells
     l1a = lp_norm(fields.a - eq.a_inf, 1, grid)
     l1b = lp_norm(fields.b - eq.b_inf, 1, grid)
     l1c = lp_norm(fields.c - eq.c_inf, 1, grid)
+    return _ckp_from_l1(l1a, l1b, l1c, eq, grid)
+
+
+def _ckp_from_l1(l1a, l1b, l1c, eq, grid):
+    """ckp_lower_bound from the L1 distances of a, b and c to equilibrium."""
+    if eq.M1 <= 0.0 or eq.M2 <= 0.0:
+        raise InvalidMass("CKP bound requires strictly positive masses")
+    volume = grid.cell_volume * grid.n_cells
     return CKP_PREFACTOR * volume * (
         l1a * l1a / (2.0 * eq.M1)
         + l1b * l1b / (2.0 * eq.M2)
@@ -230,11 +211,10 @@ def dissipation_deviation_bound(fields, params: ModelParams, domain: DomainSpec,
                                 grid: Grid) -> tuple[float, float]:
     """Dissipation lower bound pair (lhs, rhs): the dissipation and
     dissipation_bound_rhs of the snapshot."""
-    _require_positive(fields)
     dev2, abc_defect = _deviations(fields, grid)
     rhs = dissipation_bound_rhs(dev2, abc_defect, params.diffusivities(),
                                 domain.poincare_constant)
-    return _dissipation(fields, params, grid), rhs
+    return dissipation(fields, params, grid), rhs
 
 
 def _deviations(fields, grid):
@@ -291,10 +271,10 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
     """Evaluate every recorded functional of one snapshot.
 
     Updates the running time-integrals (trapezoid rule at record times)
-    when an accumulator is supplied.  The fields are checked for positivity
-    once, here, and not again by each functional.
+    when an accumulator is supplied.  Nothing here checks the result: on
+    huge fields a functional may overflow to inf, and the caller that
+    records the sample rejects any non-finite value.
     """
-    _require_positive(fields)
     a, b, c = fields.a, fields.b, fields.c
     m1, m2 = conserved_masses(fields, grid, domain)
 
@@ -320,20 +300,23 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
         "int_b2bc": int_b2bc,
     }
 
+    l1a = lp_norm(a - eq.a_inf, 1, grid)
+    l1b = lp_norm(b - eq.b_inf, 1, grid)
+    l1c = lp_norm(c - eq.c_inf, 1, grid)
     return FunctionalSample(
         t=t,
-        entropy=_entropy(fields, grid),
-        e_rel=_relative_entropy(fields, eq, grid),
-        dissipation=_dissipation(fields, params, grid),
+        entropy=entropy(fields, grid),
+        e_rel=relative_entropy(fields, eq, grid),
+        dissipation=dissipation(fields, params, grid),
         m1=m1,
         m2=m2,
-        l1_dist_a=lp_norm(a - eq.a_inf, 1, grid),
-        l1_dist_b=lp_norm(b - eq.b_inf, 1, grid),
-        l1_dist_c=lp_norm(c - eq.c_inf, 1, grid),
+        l1_dist_a=l1a,
+        l1_dist_b=l1b,
+        l1_dist_c=l1c,
         dev_a2=dev_a2,
         dev_b2=dev_b2,
         dev_c2=dev_c2,
         abc_defect=abc_defect,
-        ckp_lhs=_ckp_lower_bound(fields, eq, grid),
+        ckp_lhs=_ckp_from_l1(l1a, l1b, l1c, eq, grid),
         diag_norms=diag,
     )

@@ -4,6 +4,10 @@ Uniform spacing per axis; midpoint quadrature.  The flux-form Laplacian is
 conservative by construction (zero-flux boundary faces), symmetric and
 negative semidefinite with respect to the cell-volume weighted inner
 product.
+
+SpeciesFields is the one check that a state is finite and strictly
+positive.  The grid operators do not check their input: on non-finite data
+they return non-finite results, which the caller that records them checks.
 """
 from __future__ import annotations
 
@@ -23,7 +27,6 @@ __all__ = [
     "integrate",
     "lp_norm",
     "dirichlet_energy",
-    "sqrt_gradient_energy",
     "deviation_l2",
 ]
 
@@ -63,28 +66,31 @@ class Grid:
         return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 
-def _check_finite(u):
-    if not np.all(np.isfinite(u)):
-        raise InvalidField("field contains non-finite entries")
-
-
-@dataclass
+@dataclass(frozen=True)
 class SpeciesFields:
-    """Cell-averaged concentrations of the three species (strictly positive)."""
+    """Cell-averaged concentrations of the three species, finite and
+    strictly positive.
+
+    The constructor checks each field once and keeps a read-only view of
+    it: attributes cannot be reassigned and the arrays cannot be written
+    through the instance.  A view shares memory with the array passed in,
+    which its owner must therefore leave unchanged.  Functionals of a
+    SpeciesFields do not check it again.
+    """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        self.c = np.asarray(self.c, dtype=float)
-        for name, u in (("a", self.a), ("b", self.b), ("c", self.c)):
+        for name in ("a", "b", "c"):
+            u = np.asarray(getattr(self, name), dtype=float).view()
             if not np.all(np.isfinite(u)):
                 raise InvalidField(f"field {name} contains non-finite entries")
             if np.any(u <= 0.0):
                 raise NotPositive(f"field {name} must be strictly positive")
+            u.flags.writeable = False
+            object.__setattr__(self, name, u)
         if not (self.a.shape == self.b.shape == self.c.shape):
             raise InvalidArgument("species fields must share one grid shape")
 
@@ -105,7 +111,6 @@ def laplacian_neumann(u, grid: Grid) -> np.ndarray:
     vanishes identically (each interior face contributes +/- the same flux).
     """
     u = np.asarray(u, dtype=float)
-    _check_finite(u)
     out = np.zeros_like(u)
     for ax, h in enumerate(grid.spacings):
         if u.shape[ax] == 1:
@@ -123,14 +128,12 @@ def laplacian_neumann(u, grid: Grid) -> np.ndarray:
 def integrate(u, grid: Grid) -> float:
     """Midpoint-rule integral: cell_volume times the sum of cell values."""
     u = np.asarray(u, dtype=float)
-    _check_finite(u)
     return grid.cell_volume * float(np.sum(u))
 
 
 def lp_norm(u, p, grid: Grid) -> float:
     """Lebesgue norm (cell_volume * sum |u|**p)**(1/p); max|u| for p = inf."""
     u = np.asarray(u, dtype=float)
-    _check_finite(u)
     if p == np.inf or p == math.inf:
         return float(np.max(np.abs(u)))
     p = float(p)
@@ -147,7 +150,6 @@ def dirichlet_energy(u, grid: Grid) -> float:
     nothing.
     """
     u = np.asarray(u, dtype=float)
-    _check_finite(u)
     total = 0.0
     for ax, h in enumerate(grid.spacings):
         if u.shape[ax] == 1:
@@ -157,18 +159,8 @@ def dirichlet_energy(u, grid: Grid) -> float:
     return total
 
 
-def sqrt_gradient_energy(u, grid: Grid) -> float:
-    """Discrete Dirichlet energy of sqrt(u); requires u > 0."""
-    u = np.asarray(u, dtype=float)
-    _check_finite(u)
-    if np.any(u <= 0.0):
-        raise NotPositive("sqrt_gradient_energy requires strictly positive input")
-    return dirichlet_energy(np.sqrt(u), grid)
-
-
 def deviation_l2(u, grid: Grid) -> float:
     """L2 norm of u minus its volume average."""
     u = np.asarray(u, dtype=float)
-    _check_finite(u)
     d = u - np.mean(u)
     return float(np.sqrt(grid.cell_volume * np.sum(d * d)))

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.fft
 
 from . import functionals
-from .errors import InvalidArgument, InvalidField, NotPositive, NumericalBlowup
+from .errors import InvalidArgument, InvalidField, InvalidMass, NotPositive, NumericalBlowup
 from .grid import Grid, SpeciesFields
 from .model import DomainSpec, ModelParams, conserved_masses, equilibrium_state, riccati_roots
 
@@ -184,11 +184,18 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
     """Advance from t = 0 to t_end, recording functionals every record_every steps.
 
     The equilibrium reference is fixed from the initial conserved masses.
-    Raises NumericalBlowup (with the offending time) if a recorded state is
-    not finite and positive or any recorded functional turns non-finite.
+    Raises NumericalBlowup (with the offending time) if that reference is
+    not finite with positive components (t = 0), if a recorded state is not
+    finite and positive, or if any value of a recorded sample is not finite.
     """
     stepper = StrangStepper(params, cfg.dt, grid)
-    eq = equilibrium_state(*conserved_masses(initial, grid, domain))
+    try:
+        eq = equilibrium_state(*conserved_masses(initial, grid, domain))
+    except InvalidMass as exc:
+        raise NumericalBlowup(f"{exc} at t = 0", t=0.0) from exc
+    if not all(math.isfinite(r) and r > 0.0 for r in (eq.a_inf, eq.b_inf, eq.c_inf)):
+        raise NumericalBlowup(f"equilibrium ({eq.a_inf}, {eq.b_inf}, {eq.c_inf}) is not "
+                              "finite and positive at t = 0", t=0.0)
     running = functionals.RunningIntegrals()
 
     traj = Trajectory()
@@ -197,10 +204,11 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
     def record(step_index, u):
         t = step_index * cfg.dt
         try:
-            s = functionals.sample(SpeciesFields(*u), t, eq, params, domain, grid, running)
+            fields = SpeciesFields(*u)
         except (InvalidField, NotPositive) as exc:
             raise NumericalBlowup(f"{exc} at t = {t}", t=t) from exc
-        if not all(map(math.isfinite, (s.entropy, s.e_rel, s.dissipation, s.m1, s.m2))):
+        s = functionals.sample(fields, t, eq, params, domain, grid, running)
+        if not all(map(math.isfinite, functionals.column_values(s))):
             raise NumericalBlowup(f"non-finite functional at t = {t}", t=t)
         traj.times.append(t)
         traj.samples.append(s)

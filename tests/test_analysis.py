@@ -73,22 +73,25 @@ class TestTheoremEnvelope:
         with pytest.raises(Unsupported):
             theorem_alpha("dc0", 4)
 
-    def _fit(self, alpha):
-        return DecayFit(alpha=alpha, S1=1.0, S2=1.0, rms_residual=0.0,
-                        n_samples=50, t_window=(0.0, 10.0))
+    def _check(self, alpha, mode, dimension):
+        # samples exactly on the fitted envelope exp(-(1+t)**alpha), S1 = S2 = 1
+        fit = DecayFit(alpha=alpha, S1=1.0, S2=1.0, rms_residual=0.0,
+                       n_samples=50, t_window=(0.0, 10.0))
+        t = np.linspace(0.0, 10.0, 50)
+        return check_theorem_envelope(fit, mode, dimension, t, np.exp(-(1.0 + t) ** alpha))
 
     def test_db0_dimension_one_passes(self):
-        report = check_theorem_envelope(self._fit(0.97), "db0", 1)
+        report = self._check(0.97, "db0", 1)
         assert report.passed
         assert report.theoretical_alpha == pytest.approx(0.99 / 6.0)
 
     def test_dc0_dimension_three_fails_below_target(self):
-        report = check_theorem_envelope(self._fit(0.50), "dc0", 3)
+        report = self._check(0.50, "dc0", 3)
         assert not report.passed
         assert report.theoretical_alpha == pytest.approx(1.99 / 3.0)
 
     def test_boundary_alpha_passes(self):
-        report = check_theorem_envelope(self._fit((1.0 - EPSILON) / 6.0), "db0", 2)
+        report = self._check((1.0 - EPSILON) / 6.0, "db0", 2)
         assert report.passed
 
 

@@ -283,19 +283,28 @@ class TestBlowupPath:
         assert not os.path.exists(os.path.join(out, "timeseries.csv"))
 
     def test_overflowing_initial_data_is_a_blowup(self, tmp_path):
-        # finite fields whose functionals overflow at t = 0
-        out = str(tmp_path / "huge")
-        text = FAST.format(out=out).replace(
-            "init=cosine_bump 0.4", "init=uniform 1e160 1e160 1e160"
+        # finite fields whose functionals, conserved masses or recorded norms
+        # overflow at t = 0
+        huge_box = (
+            "dim=3\ncells=2 2 2\nlengths=1e103 1e102 1.6e102\nd_a=1\nd_b=1\nd_c=1\n"
+            "init=uniform 2 2 4\ndt=0.001\nt_end=0.2\nrecord_every=100\n"
+            "out_dir={out}\nseed=3"
         )
-        with np.errstate(over="ignore"):
-            rc = cmd_run(parse_config(text))
-        assert rc == 1
-        with open(os.path.join(out, "run_meta")) as fh:
-            meta = fh.read().splitlines()
-        assert "status=blowup" in meta
-        assert "blowup_t=0" in meta
-        assert not os.path.exists(os.path.join(out, "timeseries.csv"))
+        cases = {
+            "e160": FAST.replace("init=cosine_bump 0.4", "init=uniform 1e160 1e160 1e160"),
+            "e308": FAST.replace("init=cosine_bump 0.4", "init=uniform 1e308 1e308 1e308"),
+            "huge_box": huge_box,
+        }
+        for name, template in cases.items():
+            out = str(tmp_path / name)
+            with np.errstate(over="ignore"):
+                rc = cmd_run(parse_config(template.format(out=out)))
+            assert rc == 1, name
+            with open(os.path.join(out, "run_meta")) as fh:
+                meta = fh.read().splitlines()
+            assert "status=blowup" in meta, name
+            assert "blowup_t=0" in meta, name
+            assert not os.path.exists(os.path.join(out, "timeseries.csv")), name
 
 
 class TestFloatFormat:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from revreact.errors import DegenerateEquilibrium, NotPositive
+from revreact.errors import DegenerateEquilibrium
 from revreact.functionals import (
     CKP_PREFACTOR,
     RunningIntegrals,
@@ -52,14 +52,6 @@ class TestEntropy:
         dom, grid = unit_setup(32)
         for _ in range(50):
             assert entropy(random_fields(rng, grid, 0.05, 5.0), grid) >= 0.0
-
-    def test_rejects_nonpositive(self):
-        dom, grid = unit_setup(4)
-        f = SpeciesFields.uniform(grid, 1.0, 1.0, 1.0)
-        f.a = f.a.copy()
-        f.a[0] = -1.0
-        with pytest.raises(NotPositive):
-            entropy(f, grid)
 
 
 class TestRelativeEntropy:
@@ -269,28 +261,6 @@ class TestSample:
         # constant integrand a^2 + ac = 2 on |Omega| = 1: integral = 2t
         assert s.diag_norms["int_a2ac"] == pytest.approx(2.0, rel=1e-13)
         assert s.diag_norms["int_b2bc"] == pytest.approx(2.0, rel=1e-13)
-
-    def test_positivity_checked_once_per_snapshot(self, rng, monkeypatch):
-        from revreact import functionals
-
-        calls = []
-        real = functionals._require_positive
-        monkeypatch.setattr(functionals, "_require_positive",
-                            lambda fields: calls.append(1) or real(fields))
-        dom, grid = unit_setup(16)
-        f = random_fields(rng, grid)
-        eq = equilibrium_state(*conserved_masses(f, grid, dom))
-        sample(f, 0.0, eq, ModelParams(1.0, 0.0, 1.0), dom, grid)
-        assert len(calls) == 1
-
-    def test_rejects_nonpositive(self):
-        dom, grid = unit_setup(4)
-        f = SpeciesFields.uniform(grid, 1.0, 1.0, 1.0)
-        f.c = f.c.copy()
-        f.c[2] = 0.0
-        eq = equilibrium_state(2.0, 2.0)
-        with pytest.raises(NotPositive):
-            sample(f, 0.0, eq, ModelParams(1.0, 1.0, 1.0), dom, grid)
 
 
 class TestViolationsFailClosed:

@@ -12,7 +12,6 @@ from revreact.grid import (
     integrate,
     laplacian_neumann,
     lp_norm,
-    sqrt_gradient_energy,
 )
 from revreact.model import DomainSpec
 
@@ -45,6 +44,18 @@ class TestSpeciesFields:
 
         with pytest.raises(InvalidField):
             SpeciesFields(np.array([1.0, np.inf]), np.ones(2), np.ones(2))
+
+    def test_validated_fields_cannot_change(self):
+        from dataclasses import FrozenInstanceError
+
+        _, grid = unit_grid(4)
+        f = SpeciesFields.uniform(grid, 1.0, 1.0, 1.0)
+        with pytest.raises(FrozenInstanceError):
+            f.a = np.array([1.0, -1.0, 1.0, 1.0])
+        for u in (f.a, f.b, f.c):
+            with pytest.raises(ValueError):
+                u[0] = np.nan
+        assert np.all(f.a == 1.0) and np.all(f.b == 1.0) and np.all(f.c == 1.0)
 
 
 class TestLaplacian:
@@ -132,18 +143,13 @@ class TestEnergies:
     def test_constant_energies_vanish(self):
         _, grid = unit_grid(9)
         u = np.full(9, 2.5)
-        assert sqrt_gradient_energy(u, grid) == 0.0
+        assert dirichlet_energy(np.sqrt(u), grid) == 0.0
         assert deviation_l2(u, grid) == 0.0
 
     def test_single_face(self):
         dom = DomainSpec.box([2.0])
         grid = Grid.for_domain(dom, [2])  # h = 1, face area 1
-        assert sqrt_gradient_energy(np.array([1.0, 4.0]), grid) == pytest.approx(1.0, rel=1e-14)
-
-    def test_sqrt_energy_requires_positive(self):
-        _, grid = unit_grid(3)
-        with pytest.raises(NotPositive):
-            sqrt_gradient_energy(np.array([1.0, -1.0, 2.0]), grid)
+        assert dirichlet_energy(np.sqrt([1.0, 4.0]), grid) == pytest.approx(1.0, rel=1e-14)
 
     def test_cosine_mode_dirichlet_energy(self):
         # u = (1 + 0.1 cos(pi x/L))^2 has sqrt-energy 0.01 (pi/L)^2 L/2
@@ -152,7 +158,7 @@ class TestEnergies:
         x = grid.axis_coordinates(0)
         u = (1.0 + 0.1 * np.cos(np.pi * x / L)) ** 2
         exact = 0.01 * (np.pi / L) ** 2 * (L / 2.0)
-        assert sqrt_gradient_energy(u, grid) == pytest.approx(exact, rel=0.01)
+        assert dirichlet_energy(np.sqrt(u), grid) == pytest.approx(exact, rel=0.01)
 
     def test_deviation_two_cells(self):
         dom, grid = unit_grid(2, L=1.0)  # cell volume 0.5
