@@ -380,7 +380,9 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
     zero, growth constants are finite and the balance residual is finite.
     The dissipation-bound check needs the run_meta next to the CSV (or via
     meta_path) for the diffusivities and the Poincare constant; without it
-    that check is reported as skipped.
+    that check is reported as skipped.  The CKP check takes the domain
+    volume from the same run_meta; without it volume 1.0 is used, which the
+    report says and summary.json records as volume null.
     """
     cols = read_timeseries(csv_path)
     t = cols["t"]
@@ -438,7 +440,11 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
     # inequality suites
     meta_path = meta_path or os.path.join(os.path.dirname(csv_path) or ".", "run_meta")
     meta = _read_meta_config(meta_path)
-    volume = math.prod(meta.lengths) if meta is not None else 1.0
+    if meta is not None:
+        volume = summary["volume"] = math.prod(meta.lengths)
+    else:
+        volume, summary["volume"] = 1.0, None
+        lines.append("domain volume: 1.0 assumed for the CKP check (no run_meta found)")
 
     ckp_count = sum(
         1 for row in zip(cols["E_rel"], cols["ckp_lhs"], cols["M1"], cols["M2"])

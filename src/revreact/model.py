@@ -7,7 +7,8 @@ equilibrium compatible with (M1, M2) solves
     c_inf**2 - (1 + M1 + M2) * c_inf + M1 * M2 = 0
 
 with the smaller root, and a_inf = M1 - c_inf, b_inf = M2 - c_inf, so that
-a_inf * b_inf = c_inf.
+a_inf * b_inf = c_inf (equilibrium_state evaluates all three without
+cancellation).
 """
 from __future__ import annotations
 
@@ -114,22 +115,36 @@ def conserved_masses(fields, grid, domain) -> tuple[float, float]:
     return m1, m2
 
 
+def _twice_gap(m: float, other: float, sq: float) -> float:
+    """2*(r2 - other) = 1 + m - other + sq, as a sum of nonnegative terms."""
+    if m >= other:
+        return (m - other) + (1.0 + sq)
+    return 4.0 * other / ((other - m) + (sq - 1.0))
+
+
 def equilibrium_state(M1: float, M2: float) -> EquilibriumState:
     """Homogeneous equilibrium for given conserved masses.
 
-    c_inf is the smaller root of c**2 - (1+M1+M2)c + M1*M2, evaluated in the
-    cancellation-free form 2*M1*M2 / (S + sqrt(S**2 - 4*M1*M2)); the
-    discriminant is expanded as 1 + 2(M1+M2) + (M1-M2)**2 which is positive
-    for all admissible masses.
+    With the discriminant expanded as sq**2 = 1 + 2(M1+M2) + (M1-M2)**2,
+    which is positive for all admissible masses, and the larger root
+    r2 = (1 + M1 + M2 + sq)/2, each component is a ratio of positive terms:
+    c_inf = M1*M2/r2, a_inf = M1*(r2 - M2)/r2 and b_inf = M2*(r2 - M1)/r2.
+    2*(r2 - M2) = 1 + M1 - M2 + sq is summed directly when M1 >= M2 and
+    otherwise in its conjugate form 4*M2/(sq - 1 - M1 + M2), and likewise
+    for r2 - M1.  The difference a_inf = M1 - c_inf would lose every digit
+    of a_inf for large masses (a_inf ~ sqrt(M1) when M1 = M2).
     """
     if not (math.isfinite(M1) and math.isfinite(M2)) or M1 < 0.0 or M2 < 0.0:
         raise InvalidMass(f"masses must be finite and nonnegative, got ({M1}, {M2})")
-    s = 1.0 + M1 + M2
-    disc = 1.0 + 2.0 * (M1 + M2) + (M1 - M2) ** 2
-    c_inf = 2.0 * M1 * M2 / (s + math.sqrt(disc))
-    a_inf = M1 - c_inf
-    b_inf = M2 - c_inf
-    return EquilibriumState(a_inf=a_inf, b_inf=b_inf, c_inf=c_inf, M1=M1, M2=M2)
+    sq = math.sqrt(1.0 + 2.0 * (M1 + M2) + (M1 - M2) ** 2)
+    twice_r2 = 1.0 + M1 + M2 + sq
+    return EquilibriumState(
+        a_inf=M1 * _twice_gap(M1, M2, sq) / twice_r2,
+        b_inf=M2 * _twice_gap(M2, M1, sq) / twice_r2,
+        c_inf=2.0 * M1 * M2 / twice_r2,
+        M1=M1,
+        M2=M2,
+    )
 
 
 def riccati_roots(m1, m2):

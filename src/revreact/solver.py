@@ -8,14 +8,22 @@ invariants m1 = a + c and m2 = b + c held exactly, so positivity and
 pointwise conservation are structural.
 
 The diffusion half-steps apply the exact semigroup of the discrete Neumann
-Laplacian, diagonalized by the type-II cosine transform on the uniform
-grid.  The semigroup matrix is symmetric, nonnegative and doubly
+Laplacian.  On a box it factors over the axes,
+exp(tau d L) = K_1 x ... x K_N with K = C^T diag(exp(-tau d lam)) C for the
+cosine transform C and eigenvalues lam of one axis, so it is applied one
+axis at a time: an axis of at most KERNEL_MAX_CELLS cells by its dense heat
+kernel K, built once per diffusivity and step length and applied with one
+matmul, a longer axis by the type-II cosine transform along that axis.
+In exact arithmetic each factor is symmetric, nonnegative and doubly
 stochastic, which makes positivity, mass conservation and entropy decay
-structural as well, and leaves the pure O(dt^2) splitting error as the
-only time-discretization error.  A species with zero diffusivity (d_b = 0
-or d_c = 0) is skipped by index, so diffusion leaves it bit-for-bit
-unchanged.  No step solves a linear system; the backward-Euler diffusion
-step that tests compare against lives in oracle.
+structural, and leaves the pure O(dt^2) splitting error as the only
+time-discretization error.  In floating point the kernels are exactly
+symmetric, and nonnegative and doubly stochastic to rounding: entries
+whose true value is below rounding can come out as about -6e-17, and row
+sums are 1 to within 2.2e-16 on the shipped presets.  A species with zero
+diffusivity (d_b = 0 or d_c = 0) is skipped by index, so diffusion leaves
+it bit-for-bit unchanged.  No step solves a linear system; the
+backward-Euler diffusion step that tests compare against lives in oracle.
 """
 from __future__ import annotations
 
@@ -45,6 +53,12 @@ RICCATI_GUARD = 1e-15
 
 #: relative distance of t_end/dt from an integer still taken as a whole step count
 STEP_ROUNDING = 1e-9
+
+#: longest axis (in cells) that diffusion applies as a dense heat kernel;
+#: longer axes use the cosine transform.  Set at the measured crossover of
+#: the two on a (3, n) stack; a kernel also holds 8 n^2 bytes per
+#: diffusivity and step length
+KERNEL_MAX_CELLS = 192
 
 
 @dataclass(frozen=True)
@@ -89,46 +103,88 @@ class Trajectory:
     final_fields: SpeciesFields | None = None
 
 
-def neumann_eigenvalues(grid: Grid):
-    """Nonpositive eigenvalue grid of the discrete Neumann Laplacian.
+def neumann_eigenvalues(n: int, h: float) -> np.ndarray:
+    """Eigenvalues of minus the discrete Neumann Laplacian on one axis of n
+    cells of width h, in mode order k = 0..n-1.
 
-    Mode (k1,..,kN) carries -sum_ax (4/h^2) sin^2(k pi / (2 n)); the cosine
-    modes cos(k pi (i+1/2)/n) diagonalize the flux-form stencil exactly.
+    Mode k carries (4/h^2) sin^2(k pi / (2 n)); the cosine modes
+    cos(k pi (i+1/2)/n) diagonalize the flux-form stencil exactly.  On a
+    box the modes are products over the axes and their eigenvalues add.
     """
-    lam = np.zeros(grid.cells)
-    for ax, (n, h) in enumerate(zip(grid.cells, grid.spacings)):
-        k = np.arange(n)
-        lam_ax = (4.0 / (h * h)) * np.sin(0.5 * np.pi * k / n) ** 2
-        shape = [1] * len(grid.cells)
-        shape[ax] = n
-        lam = lam + lam_ax.reshape(shape)
-    return lam
+    k = np.arange(n)
+    return (4.0 / (h * h)) * np.sin(0.5 * np.pi * k / n) ** 2
+
+
+def heat_kernels(n: int, h: float, rates) -> np.ndarray:
+    """Dense heat kernels exp(r * L) of one Neumann axis, one n x n matrix
+    per rate r (each r <= 0), stacked as (len(rates), n, n).
+
+    With C the orthonormal type-II cosine transform and e_k = exp(r lam_k),
+    the kernel C^T diag(e) C has entry (i, j) = g(i - j) + g(i + j + 1),
+    where g(m) = (e_0/2 + sum_{k>=1} e_k cos(k pi m / n)) / n.  g is one
+    type-I cosine transform of e, accurate to rounding, and the kernel is
+    exactly symmetric because g is indexed by |i - j|.
+    """
+    e = np.exp(np.multiply.outer(np.asarray(rates, dtype=float), neumann_eigenvalues(n, h)))
+    g = scipy.fft.dct(np.pad(e, ((0, 0), (0, 1))), type=1, axis=-1) / (2 * n)  # m = 0..n
+    g = np.concatenate((g, g[:, -2:0:-1]), axis=-1)  # g(2n - m) = g(m), m = 0..2n-1
+    i = np.arange(n)
+    # C order for every stack length: matmul's summation order follows the
+    # layout, and a stacked entry must equal its stand-alone flow bit for bit
+    return np.ascontiguousarray(g[:, abs(i[:, None] - i)] + g[:, i[:, None] + i + 1])
 
 
 class DiffusionSemigroup:
     """Exact heat flow exp(tau * d * L) of the discrete Neumann Laplacian.
 
-    Transforms the last len(grid.cells) axes of its input.  d holds one
+    Acts on the last len(grid.cells) axes of its input.  d holds one
     diffusivity per entry of the leading axis; a scalar d acts on a plain
     field, a stack of one.  Entries with d * tau == 0 are skipped by index
     and come back bit-for-bit unchanged.
+
+    The flow factors over the axes and is applied one axis at a time: by a
+    dense heat kernel (one matmul) on an axis of at most KERNEL_MAX_CELLS
+    cells, by the type-II cosine transform along a longer axis, whose
+    kernel would be slower and hold n^2 doubles.  The kernels are built
+    here, once; entries that share one rate share them.
     """
 
     def __init__(self, grid: Grid, d, tau: float):
         rates = -tau * np.atleast_1d(d)
         self.shape = rates.shape + grid.cells
-        self.axes = tuple(range(1, len(self.shape)))
         self.moving = np.flatnonzero(rates != 0.0)
-        self.factor = np.exp(rates[self.moving].reshape((-1,) + (1,) * len(grid.cells))
-                             * neumann_eigenvalues(grid))
+        rates = rates[self.moving]
+        # moving entries with one common rate (every preset) share one
+        # kernel, broadcast over the stack, instead of holding a copy each
+        kernel_rates = rates[:1] if np.all(rates == rates[:1]) else rates
+        #: per axis: the (entries, before, along, after) shape it acts on,
+        #: and its kernels (entries or 1, n, n) or, for a long axis, its
+        #: cosine-mode factors shaped to broadcast along it
+        self.axes = []
+        for ax, (n, h) in enumerate(zip(grid.cells, grid.spacings)):
+            shape = (rates.size, math.prod(grid.cells[:ax]), n, math.prod(grid.cells[ax + 1:]))
+            if n <= KERNEL_MAX_CELLS:
+                self.axes.append((shape, heat_kernels(n, h, kernel_rates), None))
+            else:
+                factor = np.exp(np.multiply.outer(rates, neumann_eigenvalues(n, h)))
+                self.axes.append((shape, None, factor[:, None, :, None]))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """A new array holding the flow of every entry of u; u is not modified."""
         out = np.array(u, dtype=float).reshape(self.shape)
         if self.moving.size:
-            coeff = scipy.fft.dctn(out[self.moving], type=2, norm="ortho", axes=self.axes)
-            coeff *= self.factor
-            out[self.moving] = scipy.fft.idctn(coeff, type=2, norm="ortho", axes=self.axes)
+            v = out[self.moving]
+            for shape, kernel, factor in self.axes:
+                v = v.reshape(shape)
+                if kernel is None:
+                    coeff = scipy.fft.dct(v, type=2, norm="ortho", axis=2)
+                    coeff *= factor
+                    v = scipy.fft.idct(coeff, type=2, norm="ortho", axis=2)
+                elif shape[3] == 1:  # last axis: rows times the symmetric kernel
+                    v = v[..., 0] @ kernel
+                else:
+                    v = kernel[:, None] @ v
+            out[self.moving] = v.reshape((self.moving.size,) + self.shape[1:])
         return out.reshape(np.shape(u))
 
 

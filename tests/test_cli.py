@@ -201,6 +201,19 @@ class TestCmdAnalyze:
         assert os.path.exists(tmp_path / "report.txt")
         assert os.path.exists(tmp_path / "summary.json")
 
+    def test_missing_run_meta_reports_assumed_volume(self, tmp_path, capsys):
+        import json
+
+        t = np.arange(0.0, 20.0001, 0.1)
+        path = str(tmp_path / "timeseries.csv")
+        synthetic_csv(path, t, np.exp(-((1.0 + t) ** 0.9)))
+        cmd_analyze(path, "db0", 1)
+        assert "domain volume: 1.0 assumed" in capsys.readouterr().out
+        with open(tmp_path / "report.txt") as fh:
+            assert "domain volume: 1.0 assumed" in fh.read()
+        with open(tmp_path / "summary.json") as fh:
+            assert json.load(fh)["volume"] is None
+
     def test_ckp_violation_detected(self, tmp_path):
         t = np.arange(0.0, 20.0001, 0.1)
         e = np.exp(-(1.0 + t))
@@ -262,6 +275,9 @@ class TestCmdAnalyze:
         assert summary["dissipation_violations"] == 0
         assert summary["ckp_violations"] == 0
         assert summary["fit"]["passed"]
+        assert summary["volume"] == 1.0
+        with open(os.path.join(out, "report.txt")) as fh:
+            assert "assumed" not in fh.read()
 
 
 class TestBlowupPath:

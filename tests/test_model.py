@@ -81,6 +81,21 @@ class TestEquilibrium:
             assert abs(eq.a_inf * eq.b_inf - eq.c_inf) <= 1e-12 * scale
             assert min(eq.a_inf, eq.b_inf, eq.c_inf) >= 0.0
 
+    @pytest.mark.parametrize("m1, m2", [(2e16, 2e16), (2e32, 2e32), (3e20, 7e24), (7e24, 3e20)])
+    def test_large_masses_match_high_precision_reference(self, m1, m2):
+        # a_inf = M1 - c_inf cancels: at 2e32 the difference read 0.0
+        from decimal import Decimal, localcontext
+
+        with localcontext() as ctx:
+            ctx.prec = 50
+            d1, d2 = Decimal(m1), Decimal(m2)
+            sq = (1 + 2 * (d1 + d2) + (d1 - d2) ** 2).sqrt()
+            c = (1 + d1 + d2 - sq) / 2
+            exact = (d1 - c, d2 - c, c)
+        eq = equilibrium_state(m1, m2)
+        for got, want in zip((eq.a_inf, eq.b_inf, eq.c_inf), exact):
+            assert abs(Decimal(got) - want) <= Decimal("1e-14") * want
+
     def test_discriminant_identity_positive(self, rng):
         for m1, m2 in rng.uniform(0.0, 10.0, size=(200, 2)):
             direct = (1.0 + m1 + m2) ** 2 - 4.0 * m1 * m2

@@ -8,9 +8,11 @@ from revreact.grid import Grid, SpeciesFields, integrate
 from revreact.model import DomainSpec, ModelParams, equilibrium_state
 from revreact.oracle import diffusion_substep
 from revreact.solver import (
+    KERNEL_MAX_CELLS,
     DiffusionSemigroup,
     SolverConfig,
     StrangStepper,
+    heat_kernels,
     neumann_eigenvalues,
     reaction_substep,
     run,
@@ -105,8 +107,7 @@ class TestSemigroup:
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.02)
 
     def test_eigenvalue_table(self):
-        dom, grid = setup_1d(16, 2.0)
-        lam = neumann_eigenvalues(grid)
+        lam = neumann_eigenvalues(16, 0.125)
         assert lam[0] == 0.0
         assert lam[1] == pytest.approx(discrete_lambda(1, 16, 0.125), rel=1e-13)
 
@@ -122,17 +123,18 @@ class TestSemigroup:
 
 class TestThreeDimensional:
     def test_eigenvalues_add_across_axes(self):
-        dom = DomainSpec.box([1.0, 0.5, 0.25])
-        grid = Grid.for_domain(dom, [8, 4, 2])
-        from revreact.solver import neumann_eigenvalues
-
-        lam = neumann_eigenvalues(grid)
-        expected = (
-            discrete_lambda(3, 8, 1.0 / 8)
-            + discrete_lambda(1, 4, 0.5 / 4)
-            + discrete_lambda(1, 2, 0.25 / 2)
-        )
-        assert lam[3, 1, 1] == pytest.approx(expected, rel=1e-13)
+        # a separable cosine mode decays by exp(-tau d (lx + ly + lz)), with
+        # every axis a kernel axis or the first one a transform axis
+        lengths = [1.0, 0.5, 0.25]
+        d, tau = 0.7, 0.05
+        for cells in ([8, 4, 2], [KERNEL_MAX_CELLS + 8, 4, 2]):
+            grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+            x, y, z = grid.mesh()
+            mode = np.cos(3 * np.pi * x) * np.cos(np.pi * y / 0.5) * np.cos(np.pi * z / 0.25)
+            lam = sum(discrete_lambda(k, n, L / n) for k, n, L in zip((3, 1, 1), cells, lengths))
+            v = DiffusionSemigroup(grid, d, tau).apply(1.0 + 0.1 * mode)
+            expected = 1.0 + 0.1 * math.exp(-tau * d * lam) * mode
+            assert np.max(np.abs(v - expected)) <= 1e-13, cells
 
     def test_semigroup_matches_cg_step_in_3d(self, rng):
         dom = DomainSpec.box([1.0, 0.5, 0.25])
@@ -223,6 +225,63 @@ def strang_once(f, params, dt, grid):
     """One Strang step of the fields f."""
     u = np.stack((f.a, f.b, f.c))
     return SpeciesFields(*StrangStepper(params, dt, grid).advance(u, 1))
+
+
+def spectral_flow(u, d, tau, grid):
+    """exp(tau d L) u by the cosine eigenbasis of the whole grid, each mode
+    damped by the exponential of its summed eigenvalue."""
+    bases, lams = [], []
+    for n, h in zip(grid.cells, grid.spacings):
+        k, i = np.arange(n)[:, None], np.arange(n)[None, :]
+        # the phase k (2i+1) / (2n), reduced mod 2 exactly in integers
+        basis = np.cos(np.pi * ((k * (2 * i + 1)) % (4 * n)) / (2 * n)) * math.sqrt(2.0 / n)
+        basis[0] /= SQRT2
+        bases.append(basis)
+        lams.append([discrete_lambda(kk, n, h) for kk in range(n)])
+    coeff = u
+    for ax, basis in enumerate(bases):
+        coeff = np.moveaxis(np.tensordot(basis, coeff, axes=([1], [ax])), 0, ax)
+    coeff = coeff * np.exp(-tau * d * sum(np.ix_(*lams)))
+    for ax, basis in enumerate(bases):
+        coeff = np.moveaxis(np.tensordot(basis.T, coeff, axes=([1], [ax])), 0, ax)
+    return coeff
+
+
+class TestAxisOperators:
+    def test_kernels_symmetric_doubly_stochastic(self):
+        for n, rate in ((1, -1.0), (12, -0.0125), (128, -1e-5), (KERNEL_MAX_CELLS, -0.01)):
+            k = heat_kernels(n, 1.0 / n, [rate])[0]
+            assert np.array_equal(k, k.T)
+            assert np.max(np.abs(k.sum(axis=0) - 1.0)) <= 1e-14
+            assert k.min() >= -1e-15
+
+    @pytest.mark.parametrize("lengths, cells", [([1.0], [300]), ([1.0, 0.3], [300, 6])])
+    def test_long_axis_matches_spectral_reference(self, rng, lengths, cells):
+        assert cells[0] > KERNEL_MAX_CELLS and all(n <= KERNEL_MAX_CELLS for n in cells[1:])
+        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        u = rng.uniform(0.5, 1.5, size=(2, *grid.cells))
+        ds = (0.3, 1.0)
+        v = DiffusionSemigroup(grid, ds, 2e-4).apply(u)
+        for k, d in enumerate(ds):
+            ref = spectral_flow(u[k], d, 2e-4, grid)
+            assert np.max(np.abs(v[k] - ref)) <= 1e-13
+            assert abs(v[k].sum() - u[k].sum()) <= 1e-13 * u[k].sum()
+
+    def test_dc0_3d_grid_steps_without_transforms(self, rng, monkeypatch):
+        import scipy.fft
+
+        grid = Grid.for_domain(DomainSpec.box([1.0, 0.4, 0.4]), [48, 12, 12])
+        assert max(grid.cells) <= KERNEL_MAX_CELLS
+        stepper = StrangStepper(ModelParams(1.0, 1.0, 0.0), 2e-3, grid)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cosine transform called on a kernel-only grid")
+
+        for name in ("dct", "idct", "dctn", "idctn"):
+            monkeypatch.setattr(scipy.fft, name, forbidden)
+        u = rng.uniform(0.5, 1.5, size=(3, *grid.cells))
+        v = stepper.advance(u, 3)
+        assert np.all(np.isfinite(v)) and not np.array_equal(v, u)
 
 
 class TestStackedSemigroup:
