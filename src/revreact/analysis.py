@@ -75,9 +75,6 @@ class GrowthDiagnostic:
 
 @dataclass
 class EnvelopeReport:
-    mode: str
-    dimension: int
-    fitted_alpha: float
     theoretical_alpha: float
     envelope_ok: bool
     passed: bool
@@ -186,9 +183,6 @@ def check_theorem_envelope(fit: DecayFit, mode: str, dimension: int,
         f"envelope check: {'PASS' if passed else 'FAIL'}",
     ]
     return EnvelopeReport(
-        mode=mode,
-        dimension=dimension,
-        fitted_alpha=fit.alpha,
         theoretical_alpha=target,
         envelope_ok=env_ok,
         passed=passed,
@@ -216,7 +210,7 @@ def entropy_balance_audit(times, e_rel_values, dissipation_values) -> float:
     return float(np.max(resid))
 
 
-# diagnostics per degeneracy mode: (diag_norms key, growth exponent in (1+t))
+# diagnostics per degeneracy mode: (CSV column, growth exponent in (1+t))
 def _diagnostic_plan(mode: str, dimension: int):
     if mode == "db0":
         plan = [("b_l32", 5.0 / 6.0)]

@@ -2,8 +2,10 @@
 
 Files written by `run`:
 
-timeseries.csv    header: the names of functionals.CSV_COLUMNS; one row per
-                  sample, 17 significant digits (lossless float64 round trip)
+timeseries.csv    header: the CSV columns functionals.CSV_COLUMNS, which key
+                  each recorded sample; one row per sample, its values in
+                  column order, 17 significant digits (lossless float64
+                  round trip)
 final_fields.snap line 1: dim, cells per axis, lengths per axis; then one
                   "a b c" line per cell in row-major order
 run_meta          exact echo of the parsed config plus solver statistics
@@ -229,8 +231,8 @@ def build_initial(cfg: RunConfig, grid: Grid, domain: DomainSpec) -> SpeciesFiel
     raise ConfigError(f"unknown init kind {kind!r}")
 
 
-def _csv_row(s: functionals.FunctionalSample) -> str:
-    return ",".join(_fmt(v) for v in functionals.column_values(s))
+def _csv_row(s: dict) -> str:
+    return ",".join(_fmt(v) for v in s.values())
 
 
 def write_snapshot(path: str, cfg: RunConfig, fields: SpeciesFields) -> None:
@@ -339,7 +341,7 @@ def read_timeseries(path: str):
         raise ParseError("empty CSV", line=1)
     if lines[0] != CSV_HEADER:
         raise ParseError(f"unexpected header {lines[0]!r}", line=1)
-    names = list(functionals.CSV_COLUMNS)
+    names = functionals.CSV_COLUMNS
     rows = []
     for i, line in enumerate(lines[1:], start=2):
         toks = line.split(",")

@@ -1,16 +1,17 @@
 """Entropy, dissipation, deviation norms and the inequality checks.
 
 All functionals are evaluated on a single field snapshot with midpoint
-quadrature.  They take a SpeciesFields, whose constructor has already
-checked that the fields are finite and strictly positive, and do not check
-it again.  Nonnegativity of the entropy-type quantities is structural:
+quadrature.  sample records them all as one dict keyed by CSV_COLUMNS, the
+names of the timeseries.csv columns, in that order.  The functionals take
+a SpeciesFields, whose constructor has already checked that the fields are
+finite and strictly positive, and do not check it again.  Nonnegativity of the entropy-type quantities is structural:
 the relative entropy is assembled from the entropy ratio function times a
 square, and the reaction production (ab-c)*ln(ab/c) is a product of
 same-sign factors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import math
 
@@ -21,7 +22,6 @@ from .grid import Grid, deviation_l2, dirichlet_energy, integrate, lp_norm
 from .model import DomainSpec, EquilibriumState, ModelParams, conserved_masses, gamma_ratio
 
 __all__ = [
-    "FunctionalSample",
     "RunningIntegrals",
     "entropy",
     "relative_entropy",
@@ -34,7 +34,6 @@ __all__ = [
     "bound_violation",
     "sample",
     "CSV_COLUMNS",
-    "column_values",
     "CKP_PREFACTOR",
     "REL_SLACK",
 ]
@@ -69,44 +68,17 @@ class RunningIntegrals:
         self.fb_prev = fb
 
 
-@dataclass
-class FunctionalSample:
-    """All functionals of one snapshot, at time t."""
-
-    t: float
-    entropy: float
-    e_rel: float
-    dissipation: float
-    m1: float
-    m2: float
-    l1_dist_a: float
-    l1_dist_b: float
-    l1_dist_c: float
-    dev_a2: float
-    dev_b2: float
-    dev_c2: float
-    abc_defect: float
-    ckp_lhs: float
-    diag_norms: dict = field(default_factory=dict)
-
-
-#: timeseries.csv columns in file order: CSV name -> FunctionalSample
-#: attribute, or the diag_norms key of a growth-diagnostic column
-CSV_COLUMNS = {
-    "t": "t", "E": "entropy", "E_rel": "e_rel", "D": "dissipation",
-    "M1": "m1", "M2": "m2",
-    "l1_a": "l1_dist_a", "l1_b": "l1_dist_b", "l1_c": "l1_dist_c",
-    "dev_A2": "dev_a2", "dev_B2": "dev_b2", "dev_C2": "dev_c2",
-    "abc_defect": "abc_defect", "ckp_lhs": "ckp_lhs",
-    "b_l32": "b_l32", "a_l32": "a_l32", "b_lN2": "b_lN2", "c_l3": "c_l3",
-    "int_a2ac": "int_a2ac", "int_b2bc": "int_b2bc",
-}
-
-
-def column_values(s: FunctionalSample) -> list:
-    """The values of one sample in CSV_COLUMNS order."""
-    d = s.diag_norms
-    return [d[src] if src in d else getattr(s, src) for src in CSV_COLUMNS.values()]
+#: the recorded functionals in timeseries.csv column order: the keys of
+#: every sample, and the growth-diagnostic labels of analysis
+CSV_COLUMNS = (
+    "t", "E", "E_rel", "D",
+    "M1", "M2",
+    "l1_a", "l1_b", "l1_c",
+    "dev_A2", "dev_B2", "dev_C2",
+    "abc_defect", "ckp_lhs",
+    "b_l32", "a_l32", "b_lN2", "c_l3",
+    "int_a2ac", "int_b2bc",
+)
 
 
 def _kl_density(u, ref=1.0):
@@ -139,7 +111,7 @@ def relative_entropy(fields, eq: EquilibriumState, grid: Grid) -> float:
             "relative entropy needs strictly positive equilibrium components"
         )
     total = 0.0
-    for (_, u), ref in zip(fields.species(), refs):
+    for u, ref in zip(fields.species(), refs):
         gap = np.sqrt(u) - math.sqrt(ref)
         total += integrate(gamma_ratio(u, ref) * gap * gap, grid)
     return total
@@ -165,7 +137,7 @@ def dissipation(fields, params: ModelParams, grid: Grid) -> float:
     d_b = 0 or d_c = 0 (the vanished gradient term drops out).
     """
     total = 0.0
-    for d, (_, u) in zip(params.diffusivities(), fields.species()):
+    for d, u in zip(params.diffusivities(), fields.species()):
         if d > 0.0:
             total += 4.0 * d * dirichlet_energy(np.sqrt(u), grid)
     total += integrate(reaction_production(fields.a, fields.b, fields.c), grid)
@@ -220,7 +192,7 @@ def dissipation_deviation_bound(fields, params: ModelParams, domain: DomainSpec,
 def _deviations(fields, grid):
     """Squared deviations ||sqrt(u) - avg sqrt(u)||_2^2 of a, b and c, and
     abc_defect = ||sqrt(a b) - sqrt(c)||_2^2."""
-    sqa, sqb, sqc = (np.sqrt(u) for _, u in fields.species())
+    sqa, sqb, sqc = (np.sqrt(u) for u in fields.species())
     devs = [deviation_l2(sq, grid) for sq in (sqa, sqb, sqc)]
     defect = sqa * sqb - sqc
     return [dev * dev for dev in devs], integrate(defect * defect, grid)
@@ -267,8 +239,9 @@ def _excess(small, large, m1, m2, volume):
 
 def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
            domain: DomainSpec, grid: Grid,
-           running: RunningIntegrals | None = None) -> FunctionalSample:
-    """Evaluate every recorded functional of one snapshot.
+           running: RunningIntegrals | None = None) -> dict:
+    """Every recorded functional of one snapshot, keyed by CSV_COLUMNS in
+    that order.
 
     Updates the running time-integrals (trapezoid rule at record times)
     when an accumulator is supplied.  Nothing here checks the result: on
@@ -290,33 +263,28 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
         int_a2ac = 0.0
         int_b2bc = 0.0
 
-    n_half = max(1.0, domain.dimension / 2.0)
-    diag = {
+    l1a = lp_norm(a - eq.a_inf, 1, grid)
+    l1b = lp_norm(b - eq.b_inf, 1, grid)
+    l1c = lp_norm(c - eq.c_inf, 1, grid)
+    return {
+        "t": t,
+        "E": entropy(fields, grid),
+        "E_rel": relative_entropy(fields, eq, grid),
+        "D": dissipation(fields, params, grid),
+        "M1": m1,
+        "M2": m2,
+        "l1_a": l1a,
+        "l1_b": l1b,
+        "l1_c": l1c,
+        "dev_A2": dev_a2,
+        "dev_B2": dev_b2,
+        "dev_C2": dev_c2,
+        "abc_defect": abc_defect,
+        "ckp_lhs": _ckp_from_l1(l1a, l1b, l1c, eq, grid),
         "b_l32": lp_norm(b, 1.5, grid),
         "a_l32": lp_norm(a, 1.5, grid),
-        "b_lN2": lp_norm(b, n_half, grid),
+        "b_lN2": lp_norm(b, max(1.0, domain.dimension / 2.0), grid),
         "c_l3": lp_norm(c, 3.0, grid),
         "int_a2ac": int_a2ac,
         "int_b2bc": int_b2bc,
     }
-
-    l1a = lp_norm(a - eq.a_inf, 1, grid)
-    l1b = lp_norm(b - eq.b_inf, 1, grid)
-    l1c = lp_norm(c - eq.c_inf, 1, grid)
-    return FunctionalSample(
-        t=t,
-        entropy=entropy(fields, grid),
-        e_rel=relative_entropy(fields, eq, grid),
-        dissipation=dissipation(fields, params, grid),
-        m1=m1,
-        m2=m2,
-        l1_dist_a=l1a,
-        l1_dist_b=l1b,
-        l1_dist_c=l1c,
-        dev_a2=dev_a2,
-        dev_b2=dev_b2,
-        dev_c2=dev_c2,
-        abc_defect=abc_defect,
-        ckp_lhs=_ckp_from_l1(l1a, l1b, l1c, eq, grid),
-        diag_norms=diag,
-    )

@@ -100,7 +100,8 @@ class SpeciesFields:
         return cls(np.full(shape, a), np.full(shape, b), np.full(shape, c))
 
     def species(self):
-        return (("a", self.a), ("b", self.b), ("c", self.c))
+        """The fields a, b and c, in that order."""
+        return (self.a, self.b, self.c)
 
 
 def laplacian_neumann(u, grid: Grid) -> np.ndarray:

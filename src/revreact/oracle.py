@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import InvalidArgument, LinSolveFailure, NotPositive
-from .functionals import FunctionalSample, RunningIntegrals
+from .functionals import RunningIntegrals
 from .grid import Grid, laplacian_neumann
 
 __all__ = [
@@ -142,9 +142,8 @@ def diffusion_substep(u, d: float, dt: float, grid: Grid, tol: float = 1e-12,
     return _cg(apply_a, u, u, tol, max_iter)
 
 
-def brute_force_sample(fields, eq, params, domain, grid,
-                       running: RunningIntegrals | None = None,
-                       t: float = 0.0) -> FunctionalSample:
+def brute_force_sample(fields, t: float, eq, params, domain, grid,
+                       running: RunningIntegrals | None = None) -> dict:
     """Naive re-evaluation of every recorded functional (test oracle).
 
     Same contract as functionals.sample, computed with per-cell Python
@@ -214,7 +213,21 @@ def brute_force_sample(fields, eq, params, domain, grid,
     else:
         int_a2ac = int_b2bc = 0.0
 
-    diag = {
+    return {
+        "t": t,
+        "E": ent,
+        "E_rel": e_rel,
+        "D": diss,
+        "M1": m1,
+        "M2": m2,
+        "l1_a": l1a,
+        "l1_b": l1b,
+        "l1_c": l1c,
+        "dev_A2": sqrt_dev2(fields.a),
+        "dev_B2": sqrt_dev2(fields.b),
+        "dev_C2": sqrt_dev2(fields.c),
+        "abc_defect": abc,
+        "ckp_lhs": ckp,
         "b_l32": lp(fields.b, 1.5),
         "a_l32": lp(fields.a, 1.5),
         "b_lN2": lp(fields.b, max(1.0, domain.dimension / 2.0)),
@@ -222,24 +235,6 @@ def brute_force_sample(fields, eq, params, domain, grid,
         "int_a2ac": int_a2ac,
         "int_b2bc": int_b2bc,
     }
-
-    return FunctionalSample(
-        t=t,
-        entropy=ent,
-        e_rel=e_rel,
-        dissipation=diss,
-        m1=m1,
-        m2=m2,
-        l1_dist_a=l1a,
-        l1_dist_b=l1b,
-        l1_dist_c=l1c,
-        dev_a2=sqrt_dev2(fields.a),
-        dev_b2=sqrt_dev2(fields.b),
-        dev_c2=sqrt_dev2(fields.c),
-        abc_defect=abc,
-        ckp_lhs=ckp,
-        diag_norms=diag,
-    )
 
 
 def _loop_dirichlet(u, grid, sqrt=False):

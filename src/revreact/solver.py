@@ -96,9 +96,9 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded functional samples plus the final fields of one run."""
+    """Recorded samples, each a dict keyed by functionals.CSV_COLUMNS, plus
+    the final fields of one run."""
 
-    times: list = field(default_factory=list)
     samples: list = field(default_factory=list)
     final_fields: SpeciesFields | None = None
 
@@ -241,8 +241,10 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
 
     The equilibrium reference is fixed from the initial conserved masses.
     Raises NumericalBlowup (with the offending time) if that reference is
-    not finite with positive components (t = 0), if a recorded state is not
-    finite and positive, or if any value of a recorded sample is not finite.
+    not finite with positive components (t = 0), if a step divides by zero
+    or makes an invalid value (t of the next record), if a recorded state is
+    not finite and positive, or if any value of a recorded sample is not
+    finite.
     """
     stepper = StrangStepper(params, cfg.dt, grid)
     try:
@@ -264,14 +266,20 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
         except (InvalidField, NotPositive) as exc:
             raise NumericalBlowup(f"{exc} at t = {t}", t=t) from exc
         s = functionals.sample(fields, t, eq, params, domain, grid, running)
-        if not all(map(math.isfinite, functionals.column_values(s))):
+        if not all(map(math.isfinite, s.values())):
             raise NumericalBlowup(f"non-finite functional at t = {t}", t=t)
-        traj.times.append(t)
         traj.samples.append(s)
 
     record(0, u)
     for step in range(cfg.record_every, cfg.n_steps + 1, cfg.record_every):
-        u = stepper.advance(u, cfg.record_every)
+        # a 0/0 or inf-inf in a step means the state has left the positive
+        # orthant (a and b rounded to 0 at huge masses): raise, not warn
+        try:
+            with np.errstate(divide="raise", invalid="raise"):
+                u = stepper.advance(u, cfg.record_every)
+        except FloatingPointError as exc:
+            t = step * cfg.dt
+            raise NumericalBlowup(f"{exc} in the steps up to t = {t}", t=t) from exc
         record(step, u)
     traj.final_fields = SpeciesFields(*u)
     return traj

@@ -30,15 +30,9 @@ class PresetRun:
         self.trajectory = run(self.initial, self.params, self.grid, self.domain, solver_cfg)
         self.wall_time = time.perf_counter() - started
 
-    @property
-    def times(self):
-        return np.array(self.trajectory.times)
-
-    def column(self, attr):
-        return np.array([getattr(s, attr) for s in self.trajectory.samples])
-
-    def diag(self, key):
-        return np.array([s.diag_norms[key] for s in self.trajectory.samples])
+    def column(self, name):
+        """The recorded values of one CSV column, one per sample."""
+        return np.array([s[name] for s in self.trajectory.samples])
 
 
 _CACHE = {}

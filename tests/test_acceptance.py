@@ -12,7 +12,12 @@ import pytest
 
 from revreact import analysis, oracle
 from revreact.cli import cmd_run, parse_config, read_timeseries
-from revreact.functionals import bound_violation, ckp_violation, dissipation_deviation_bound
+from revreact.functionals import (
+    CSV_COLUMNS,
+    bound_violation,
+    ckp_violation,
+    dissipation_deviation_bound,
+)
 from revreact.grid import Grid, SpeciesFields, integrate, laplacian_neumann
 from revreact.model import DomainSpec, ModelParams, conserved_masses, equilibrium_state
 from revreact.solver import StrangStepper
@@ -55,8 +60,8 @@ class TestAcceptance:
         ok = True
         for name in STANDARD_1D:
             r = preset_run(name)
-            m1 = r.column("m1")
-            m2 = r.column("m2")
+            m1 = r.column("M1")
+            m2 = r.column("M2")
             drift = max(
                 float(np.max(np.abs(m1 - m1[0]) / m1[0])),
                 float(np.max(np.abs(m2 - m2[0]) / m2[0])),
@@ -112,16 +117,16 @@ class TestAcceptance:
         details = []
         for name in ALL_PRESETS:
             r = preset_run(name)
-            worst_rise = float(np.max(np.diff(r.column("e_rel"))))
+            worst_rise = float(np.max(np.diff(r.column("E_rel"))))
             ok &= worst_rise <= 1e-12
             details.append(f"{name} max rise {worst_rise:.1e}")
         base = preset_run("full_1d")
         resid = analysis.entropy_balance_audit(
-            base.times, base.column("e_rel"), base.column("dissipation")
+            base.column("t"), base.column("E_rel"), base.column("D")
         )
         halved = preset_run("full_1d", dt=base.cfg.dt / 2.0)
         resid_halved = analysis.entropy_balance_audit(
-            halved.times, halved.column("e_rel"), halved.column("dissipation")
+            halved.column("t"), halved.column("E_rel"), halved.column("D")
         )
         improvement = resid / resid_halved
         ok &= resid <= 0.01 and improvement >= 3.0
@@ -138,13 +143,13 @@ class TestAcceptance:
             ds = r.params.diffusivities()
             for s in r.trajectory.samples:
                 n_samples += 1
-                if ckp_violation(s.e_rel, s.ckp_lhs, s.m1, s.m2, r.domain.volume) > 0:
+                if ckp_violation(s["E_rel"], s["ckp_lhs"], s["M1"], s["M2"], r.domain.volume) > 0:
                     ckp_bad += 1
-                rhs = 4.0 * s.abc_defect
-                for d, dev2 in zip(ds, (s.dev_a2, s.dev_b2, s.dev_c2)):
+                rhs = 4.0 * s["abc_defect"]
+                for d, dev2 in zip(ds, (s["dev_A2"], s["dev_B2"], s["dev_C2"])):
                     if d > 0.0:
                         rhs += 4.0 * d / p * dev2
-                if bound_violation(s.dissipation, rhs, s.m1, s.m2, r.domain.volume) > 0:
+                if bound_violation(s["D"], rhs, s["M1"], s["M2"], r.domain.volume) > 0:
                     diss_bad += 1
         # 1000 random positive field ensembles
         dom = DomainSpec.box([1.0])
@@ -181,8 +186,8 @@ class TestAcceptance:
         for name, (mode, dim, threshold) in targets.items():
             r = preset_run(name)
             total_time += r.wall_time
-            t = r.times
-            e = r.column("e_rel")
+            t = r.column("t")
+            e = r.column("E_rel")
             fit = analysis.fit_subexponential(t, e)
             rep = analysis.check_theorem_envelope(fit, mode, dim, t, e)
             assert rep.theoretical_alpha == pytest.approx(threshold, abs=1e-12)
@@ -194,8 +199,8 @@ class TestAcceptance:
 
     def test_7_growth_diagnostics(self, preset_run):
         def growth_diagnostics(r, mode, dim):
-            series = {key: r.diag(key) for key in r.trajectory.samples[0].diag_norms}
-            return analysis.growth_diagnostics_from_series(r.times, series, mode, dim)
+            series = {name: r.column(name) for name in CSV_COLUMNS}
+            return analysis.growth_diagnostics_from_series(series["t"], series, mode, dim)
 
         ok = True
         details = []

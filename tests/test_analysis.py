@@ -6,6 +6,7 @@ import pytest
 from revreact.analysis import (
     EPSILON,
     DecayFit,
+    _diagnostic_plan,
     check_theorem_envelope,
     entropy_balance_audit,
     envelope_holds,
@@ -20,6 +21,7 @@ from revreact.errors import (
     NonDecaying,
     Unsupported,
 )
+from revreact.functionals import CSV_COLUMNS
 
 
 class TestFitSubexponential:
@@ -170,6 +172,13 @@ class TestGrowthDiagnostics:
             shifted = growth_diagnostics_from_series(
                 t + shift, {"b_l32": values}, "db0", 1)[0].fitted_constant
             assert shifted <= base + 1e-15
+
+    @pytest.mark.parametrize("mode", ["full", "db0", "dc0"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_plan_labels_are_csv_columns(self, mode, dim):
+        # analyze looks the labels up among the CSV columns: a label that is
+        # not one would raise MissingDiagnostic on every recorded run
+        assert {label for label, _ in _diagnostic_plan(mode, dim)} <= set(CSV_COLUMNS)
 
     def test_missing_diagnostic(self):
         t = np.linspace(0.0, 1.0, 12)

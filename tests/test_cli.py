@@ -1,9 +1,12 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import revreact
 from revreact.cli import (
     CSV_HEADER,
     cmd_analyze,
@@ -16,6 +19,7 @@ from revreact.cli import (
     write_snapshot,
 )
 from revreact.errors import ConfigError, ParseError
+from revreact.functionals import CSV_COLUMNS
 from revreact.presets import PRESETS, preset_names
 
 EXAMPLE = (
@@ -128,6 +132,9 @@ class TestCmdRun:
             assert len(line.split(",")) == 20
         assert os.path.exists(os.path.join(out, "final_fields.snap"))
         assert os.path.exists(os.path.join(out, "run_meta"))
+
+    def test_header_names_the_csv_columns(self):
+        assert CSV_HEADER.split(",") == list(CSV_COLUMNS)
 
     def test_monotone_e_rel_column(self, tmp_path):
         out = self.run_fast(tmp_path)
@@ -321,6 +328,25 @@ class TestBlowupPath:
             assert "status=blowup" in meta, name
             assert "blowup_t=0" in meta, name
             assert not os.path.exists(os.path.join(out, "timeseries.csv")), name
+
+    def test_reaction_at_huge_masses_is_a_silent_blowup(self, tmp_path):
+        # at masses 2e32 a_inf is below the spacing of doubles near m1: the
+        # first reaction substep rounds a and b to 0 and the next divides
+        # 0 by 0, which must end the run without a numpy warning on stderr
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(FAST.format(out=str(tmp_path / "out")).replace(
+            "init=cosine_bump 0.4", "init=uniform 1e32 1e32 1e32"))
+        path = [os.path.dirname(os.path.dirname(revreact.__file__)), os.environ.get("PYTHONPATH")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "revreact.cli", "run", str(cfg)], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+            timeout=300,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        meta = (tmp_path / "out" / "run_meta").read_text().splitlines()
+        assert "status=blowup" in meta
+        assert "blowup_t=0.10000000000000001" in meta
 
 
 class TestFloatFormat:

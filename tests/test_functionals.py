@@ -199,10 +199,10 @@ class TestDissipationBound:
             rhs_direct.append(dissipation_deviation_bound(f, params, dom, grid)[1])
         P = dom.poincare_constant
         for s, rhs in zip(samples, rhs_direct):
-            dev2 = (s.dev_a2, s.dev_b2, s.dev_c2)
-            assert dissipation_bound_rhs(dev2, s.abc_defect, params.diffusivities(), P) == rhs
-        columns = [np.array([getattr(s, k) for s in samples]) for k in ("dev_a2", "dev_b2", "dev_c2")]
-        defects = np.array([s.abc_defect for s in samples])
+            dev2 = (s["dev_A2"], s["dev_B2"], s["dev_C2"])
+            assert dissipation_bound_rhs(dev2, s["abc_defect"], params.diffusivities(), P) == rhs
+        columns = [np.array([s[k] for s in samples]) for k in ("dev_A2", "dev_B2", "dev_C2")]
+        defects = np.array([s["abc_defect"] for s in samples])
         assert np.array_equal(
             dissipation_bound_rhs(columns, defects, params.diffusivities(), P), rhs_direct)
 
@@ -217,11 +217,11 @@ class TestDissipationBound:
         _, rhs_bump = dissipation_deviation_bound(bumped, params, dom, grid)
         # only the abc defect moves; the deviation sum has no delta_B term
         defect_base = 4.0 * sum(
-            s.abc_defect
+            s["abc_defect"]
             for s in [sample(base, 0.0, equilibrium_state(2, 2), params, dom, grid)]
         )
         defect_bump = 4.0 * sum(
-            s.abc_defect
+            s["abc_defect"]
             for s in [sample(bumped, 0.0, equilibrium_state(2, 2), params, dom, grid)]
         )
         assert rhs_bump - rhs_base == pytest.approx(defect_bump - defect_base, rel=1e-10)
@@ -233,9 +233,9 @@ class TestSample:
         eq = equilibrium_state(2.0, 1.0)
         f = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
         s = sample(f, 0.0, eq, ModelParams(1.0, 0.0, 1.0), dom, grid)
-        for value in (s.e_rel, s.dissipation, s.l1_dist_a, s.l1_dist_b, s.l1_dist_c,
-                      s.dev_a2, s.dev_b2, s.dev_c2, s.ckp_lhs):
-            assert value == pytest.approx(0.0, abs=1e-14)
+        for name in ("E_rel", "D", "l1_a", "l1_b", "l1_c",
+                     "dev_A2", "dev_B2", "dev_C2", "ckp_lhs"):
+            assert s[name] == pytest.approx(0.0, abs=1e-14)
 
     def test_uniform_sample_norms(self):
         dom = DomainSpec.box([2.0])
@@ -244,11 +244,11 @@ class TestSample:
         eq = equilibrium_state(*conserved_masses(f, grid, dom))
         s = sample(f, 0.0, eq, ModelParams(1.0, 1.0, 1.0), dom, grid)
         # deviations of constant fields vanish up to the rounding of the mean
-        for dev in (s.dev_a2, s.dev_b2, s.dev_c2):
-            assert dev <= 1e-30
-        assert s.diag_norms["b_l32"] == pytest.approx(1.5 * 2.0 ** (1 / 1.5), rel=1e-13)
-        assert s.diag_norms["c_l3"] == pytest.approx(0.5 * 2.0 ** (1 / 3.0), rel=1e-13)
-        assert s.m1 == pytest.approx(2.5, rel=1e-14)
+        for name in ("dev_A2", "dev_B2", "dev_C2"):
+            assert s[name] <= 1e-30
+        assert s["b_l32"] == pytest.approx(1.5 * 2.0 ** (1 / 1.5), rel=1e-13)
+        assert s["c_l3"] == pytest.approx(0.5 * 2.0 ** (1 / 3.0), rel=1e-13)
+        assert s["M1"] == pytest.approx(2.5, rel=1e-14)
 
     def test_running_integrals_trapezoid(self):
         dom, grid = unit_setup(4)
@@ -259,8 +259,8 @@ class TestSample:
         for t in (0.0, 0.5, 1.0):
             s = sample(f, t, eq, params, dom, grid, running)
         # constant integrand a^2 + ac = 2 on |Omega| = 1: integral = 2t
-        assert s.diag_norms["int_a2ac"] == pytest.approx(2.0, rel=1e-13)
-        assert s.diag_norms["int_b2bc"] == pytest.approx(2.0, rel=1e-13)
+        assert s["int_a2ac"] == pytest.approx(2.0, rel=1e-13)
+        assert s["int_b2bc"] == pytest.approx(2.0, rel=1e-13)
 
 
 class TestViolationsFailClosed:

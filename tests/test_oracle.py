@@ -5,17 +5,11 @@ import pytest
 
 from revreact import oracle
 from revreact.errors import InvalidArgument
-from revreact.functionals import RunningIntegrals, sample
+from revreact.functionals import CSV_COLUMNS, RunningIntegrals, sample
 from revreact.grid import Grid, SpeciesFields
 from revreact.model import DomainSpec, ModelParams, conserved_masses, equilibrium_state
 
 SQRT2 = math.sqrt(2.0)
-
-SAMPLE_ATTRS = (
-    "entropy", "e_rel", "dissipation", "m1", "m2",
-    "l1_dist_a", "l1_dist_b", "l1_dist_c",
-    "dev_a2", "dev_b2", "dev_c2", "abc_defect", "ckp_lhs",
-)
 
 
 class TestHomogeneousOde:
@@ -67,22 +61,36 @@ class TestBruteForceSample:
             m1, m2 = conserved_masses(f, grid, dom)
             eq = equilibrium_state(m1, m2)
             s_fast = sample(f, 0.0, eq, params, dom, grid)
-            s_slow = oracle.brute_force_sample(f, eq, params, dom, grid)
-            for attr in SAMPLE_ATTRS:
-                x, y = getattr(s_fast, attr), getattr(s_slow, attr)
+            s_slow = oracle.brute_force_sample(f, 0.0, eq, params, dom, grid)
+            for name in CSV_COLUMNS:
+                x, y = s_fast[name], s_slow[name]
                 assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), 1e-30)
-            for key in s_fast.diag_norms:
-                x, y = s_fast.diag_norms[key], s_slow.diag_norms[key]
-                assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), 1e-30)
+
+    @pytest.mark.parametrize("with_running", [False, True])
+    def test_both_samplers_key_the_csv_columns(self, with_running):
+        dom = DomainSpec.box([1.0])
+        grid = Grid.for_domain(dom, [8])
+        f = SpeciesFields.uniform(grid, 2.0, 1.0, 0.4)
+        eq = equilibrium_state(*conserved_masses(f, grid, dom))
+        args = (f, 0.5, eq, ModelParams(1.0, 0.0, 1.0), dom, grid)
+        if with_running:
+            s_fast = sample(*args, RunningIntegrals())
+            s_slow = oracle.brute_force_sample(*args, RunningIntegrals())
+        else:
+            s_fast = sample(*args)
+            s_slow = oracle.brute_force_sample(*args)
+        assert isinstance(CSV_COLUMNS, tuple)
+        assert tuple(s_fast) == CSV_COLUMNS == tuple(s_slow)
+        assert s_fast["t"] == s_slow["t"] == 0.5
 
     def test_equilibrium_gives_zero_distances(self):
         dom = DomainSpec.box([1.0])
         grid = Grid.for_domain(dom, [8])
         eq = equilibrium_state(2.0, 1.0)
         f = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
-        s = oracle.brute_force_sample(f, eq, ModelParams(1.0, 1.0, 1.0), dom, grid)
-        for attr in ("l1_dist_a", "l1_dist_b", "l1_dist_c", "ckp_lhs"):
-            assert getattr(s, attr) == pytest.approx(0.0, abs=1e-14)
+        s = oracle.brute_force_sample(f, 0.0, eq, ModelParams(1.0, 1.0, 1.0), dom, grid)
+        for name in ("l1_a", "l1_b", "l1_c", "ckp_lhs"):
+            assert s[name] == pytest.approx(0.0, abs=1e-14)
 
     def test_standard_preset_initial_sample(self):
         # the standard 1D initial snapshot against the naive quadrature
@@ -95,9 +103,9 @@ class TestBruteForceSample:
         params = ModelParams(cfg.d_a, cfg.d_b, cfg.d_c)
         eq = equilibrium_state(*conserved_masses(f, grid, dom))
         s_fast = sample(f, 0.0, eq, params, dom, grid)
-        s_slow = oracle.brute_force_sample(f, eq, params, dom, grid)
-        for attr in SAMPLE_ATTRS:
-            x, y = getattr(s_fast, attr), getattr(s_slow, attr)
+        s_slow = oracle.brute_force_sample(f, 0.0, eq, params, dom, grid)
+        for name in CSV_COLUMNS:
+            x, y = s_fast[name], s_slow[name]
             assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), 1e-30)
 
     def test_uniform_gives_zero_deviations(self):
@@ -105,9 +113,9 @@ class TestBruteForceSample:
         grid = Grid.for_domain(dom, [8])
         f = SpeciesFields.uniform(grid, 2.0, 1.0, 0.4)
         eq = equilibrium_state(*conserved_masses(f, grid, dom))
-        s = oracle.brute_force_sample(f, eq, ModelParams(1.0, 1.0, 1.0), dom, grid)
-        assert s.dev_a2 <= 1e-30 and s.dev_b2 <= 1e-30 and s.dev_c2 <= 1e-30
+        s = oracle.brute_force_sample(f, 0.0, eq, ModelParams(1.0, 1.0, 1.0), dom, grid)
+        assert s["dev_A2"] <= 1e-30 and s["dev_B2"] <= 1e-30 and s["dev_C2"] <= 1e-30
         # gradient energies vanish; only the reaction term contributes
-        assert s.dissipation == pytest.approx(
+        assert s["D"] == pytest.approx(
             (2.0 * 1.0 - 0.4) * math.log(2.0 * 1.0 / 0.4), rel=1e-13
         )

@@ -352,18 +352,18 @@ class TestRun2D:
         b = (SQRT2 - 1.0) * (2.0 - bump)
         f0 = SpeciesFields(a, b, a * b)
         traj = run(f0, params, grid, dom, cfg)
-        m1 = np.array([s.m1 for s in traj.samples])
-        e_rel = np.array([s.e_rel for s in traj.samples])
+        m1 = np.array([s["M1"] for s in traj.samples])
+        e_rel = np.array([s["E_rel"] for s in traj.samples])
         assert np.max(np.abs(m1 - m1[0]) / m1[0]) <= 1e-9
         assert np.all(np.diff(e_rel) <= 1e-12)
         p = dom.poincare_constant
         for s in traj.samples:
-            assert ckp_violation(s.e_rel, s.ckp_lhs, s.m1, s.m2, dom.volume) == 0.0
-            rhs = 4.0 * s.abc_defect
-            for d, dev2 in zip(params.diffusivities(), (s.dev_a2, s.dev_b2, s.dev_c2)):
+            assert ckp_violation(s["E_rel"], s["ckp_lhs"], s["M1"], s["M2"], dom.volume) == 0.0
+            rhs = 4.0 * s["abc_defect"]
+            for d, dev2 in zip(params.diffusivities(), (s["dev_A2"], s["dev_B2"], s["dev_C2"])):
                 if d > 0.0:
                     rhs += 4.0 * d / p * dev2
-            assert bound_violation(s.dissipation, rhs, s.m1, s.m2, dom.volume) == 0.0
+            assert bound_violation(s["D"], rhs, s["M1"], s["M2"], dom.volume) == 0.0
 
 
 class TestRun:
@@ -380,20 +380,20 @@ class TestRun:
     def test_times_and_samples(self):
         dom, grid, params, cfg, f0 = self.make_run()
         traj = run(f0, params, grid, dom, cfg)
-        t = np.array(traj.times)
+        t = np.array([s["t"] for s in traj.samples])
         assert t[0] == 0.0
         assert np.all(np.diff(t) > 0)
-        assert len(traj.samples) == len(traj.times) == 101
+        assert len(traj.samples) == 101
         assert traj.final_fields is not None
 
     def test_mass_conservation_and_monotonicity(self):
         dom, grid, params, cfg, f0 = self.make_run(t_end=2.0, record_every=20)
         traj = run(f0, params, grid, dom, cfg)
-        m1 = np.array([s.m1 for s in traj.samples])
-        m2 = np.array([s.m2 for s in traj.samples])
+        m1 = np.array([s["M1"] for s in traj.samples])
+        m2 = np.array([s["M2"] for s in traj.samples])
         assert np.max(np.abs(m1 - m1[0]) / m1[0]) <= 1e-9
         assert np.max(np.abs(m2 - m2[0]) / m2[0]) <= 1e-9
-        e_rel = np.array([s.e_rel for s in traj.samples])
+        e_rel = np.array([s["E_rel"] for s in traj.samples])
         assert np.all(np.diff(e_rel) <= 1e-12)
 
     def test_equilibrium_run_stays_flat(self):
@@ -404,8 +404,8 @@ class TestRun:
         f0 = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
         traj = run(f0, params, grid, dom, cfg)
         for s in traj.samples:
-            assert s.e_rel <= 1e-12
-            assert s.dissipation <= 1e-12
+            assert s["E_rel"] <= 1e-12
+            assert s["D"] <= 1e-12
 
     def test_blowup_reported_with_time(self, monkeypatch):
         from revreact import solver as solver_mod
@@ -416,7 +416,7 @@ class TestRun:
         def poisoned(fields, t, *args, **kwargs):
             s = real_sample(fields, t, *args, **kwargs)
             if t > 0.05:
-                s.entropy = float("inf")
+                s["E"] = float("inf")
             return s
 
         monkeypatch.setattr(solver_mod.functionals, "sample", poisoned)
