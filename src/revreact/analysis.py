@@ -21,7 +21,6 @@ from .errors import (
     InvalidSampling,
     MissingDiagnostic,
     NonDecaying,
-    Unsupported,
 )
 
 __all__ = [
@@ -147,20 +146,15 @@ def envelope_holds(fit: DecayFit, times, e_rel_values) -> bool:
 
 
 def theorem_alpha(mode: str, dimension: int) -> float:
-    """Decay exponent target for the given degeneracy mode and dimension.
+    """Decay exponent target for the given degeneracy mode in dimension
+    N <= 3, where it does not depend on N.
 
-    db0: (1-eps)/(N-1) for N >= 4 (reported only; grids stop at N = 3),
-    (1-eps)/6 for N < 4.  dc0: (2-eps)/3 for N <= 3, no statement for
-    N >= 4.  full: 0.95, the exponential-regime consistency target for the
-    non-degenerate system.
+    db0: (1-eps)/6.  dc0: (2-eps)/3.  full: 0.95, the exponential-regime
+    consistency target for the non-degenerate system.
     """
     if mode == "db0":
-        if dimension >= 4:
-            return (1.0 - EPSILON) / (dimension - 1)
         return (1.0 - EPSILON) / 6.0
     if mode == "dc0":
-        if dimension >= 4:
-            raise Unsupported("no decay statement for dc0 in dimension >= 4")
         return (2.0 - EPSILON) / 3.0
     if mode == "full":
         return 0.95

@@ -11,7 +11,8 @@ final_fields.snap line 1: dim, cells per axis, lengths per axis; then one
 run_meta          exact echo of the parsed config plus solver statistics
 
 `analyze` re-reads the CSV (plus the sibling run_meta when present, for
-the dissipation-bound coefficients) and writes report.txt / summary.json.
+the dissipation-bound coefficients, whose run the requested mode and dim
+must match) and writes report.txt / summary.json.
 """
 from __future__ import annotations
 
@@ -384,8 +385,22 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
     meta_path) for the diffusivities and the Poincare constant; without it
     that check is reported as skipped.  The CKP check takes the domain
     volume from the same run_meta; without it volume 1.0 is used, which the
-    report says and summary.json records as volume null.
+    report says and summary.json records as volume null.  A dim outside
+    1-3, or a mode or dim other than that of the run in the run_meta,
+    raises InvalidArgument before anything is written.
     """
+    if dim not in (1, 2, 3):
+        raise InvalidArgument(f"dim must be 1, 2 or 3, got {dim}")
+    meta_path = meta_path or os.path.join(os.path.dirname(csv_path) or ".", "run_meta")
+    meta = _read_meta_config(meta_path)
+    if meta is not None:
+        params = ModelParams(meta.d_a, meta.d_b, meta.d_c)
+        if (mode, dim) != (params.mode, meta.dim):
+            raise InvalidArgument(
+                f"mode {mode} and dim {dim} contradict the run in {meta_path!r} "
+                f"(mode {params.mode}, dim {meta.dim})"
+            )
+        domain = DomainSpec.box(meta.lengths)
     cols = read_timeseries(csv_path)
     t = cols["t"]
     lines = [f"verification report for {csv_path} (mode={mode}, N={dim})"]
@@ -440,18 +455,14 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
         ok &= finite
 
     # inequality suites
-    meta_path = meta_path or os.path.join(os.path.dirname(csv_path) or ".", "run_meta")
-    meta = _read_meta_config(meta_path)
     if meta is not None:
-        volume = summary["volume"] = math.prod(meta.lengths)
+        volume = summary["volume"] = domain.volume
     else:
         volume, summary["volume"] = 1.0, None
         lines.append("domain volume: 1.0 assumed for the CKP check (no run_meta found)")
 
-    ckp_count = sum(
-        1 for row in zip(cols["E_rel"], cols["ckp_lhs"], cols["M1"], cols["M2"])
-        if functionals.ckp_violation(*row, volume) > 0.0
-    )
+    ckp_count = int(np.count_nonzero(functionals.ckp_violation(
+        cols["E_rel"], cols["ckp_lhs"], cols["M1"], cols["M2"], volume)))
     lines.append(f"CKP violations: {ckp_count} ({'PASS' if ckp_count == 0 else 'FAIL'})")
     summary["ckp_violations"] = ckp_count
     ok &= ckp_count == 0
@@ -459,12 +470,10 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
     if meta is not None:
         rhs = functionals.dissipation_bound_rhs(
             [cols[f"dev_{sp}2"] for sp in "ABC"], cols["abc_defect"],
-            (meta.d_a, meta.d_b, meta.d_c), DomainSpec.box(meta.lengths).poincare_constant,
+            params.diffusivities(), domain.poincare_constant,
         )
-        diss_count = sum(
-            1 for row in zip(cols["D"], rhs, cols["M1"], cols["M2"])
-            if functionals.bound_violation(*row, volume) > 0.0
-        )
+        diss_count = int(np.count_nonzero(functionals.bound_violation(
+            cols["D"], rhs, cols["M1"], cols["M2"], volume)))
         lines.append(
             f"dissipation-bound violations: {diss_count} "
             f"({'PASS' if diss_count == 0 else 'FAIL'})"
@@ -518,7 +527,7 @@ def main(argv=None) -> int:
     p_an = sub.add_parser("analyze", help="verify a recorded time series")
     p_an.add_argument("csv", help="path to timeseries.csv")
     p_an.add_argument("--mode", required=True, choices=("full", "db0", "dc0"))
-    p_an.add_argument("--dim", required=True, type=int)
+    p_an.add_argument("--dim", required=True, type=int, choices=(1, 2, 3))
     p_an.add_argument("--meta", default=None, help="path to run_meta (default: sibling)")
 
     sub.add_parser("verify", help="run the built-in property suites")

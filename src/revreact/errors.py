@@ -57,10 +57,6 @@ class MissingDiagnostic(RevReactError):
     """A growth diagnostic requires a norm that was not recorded."""
 
 
-class Unsupported(RevReactError):
-    """Requested mode/dimension combination has no decay statement."""
-
-
 class ConfigError(RevReactError):
     """Malformed run configuration."""
 

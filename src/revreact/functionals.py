@@ -1,12 +1,16 @@
 """Entropy, dissipation, deviation norms and the inequality checks.
 
 All functionals are evaluated on a single field snapshot with midpoint
-quadrature.  sample records them all as one dict keyed by CSV_COLUMNS, the
-names of the timeseries.csv columns, in that order.  The functionals take
-a SpeciesFields, whose constructor has already checked that the fields are
-finite and strictly positive, and do not check it again.  Nonnegativity of the entropy-type quantities is structural:
-the relative entropy is assembled from the entropy ratio function times a
-square, and the reaction production (ab-c)*ln(ab/c) is a product of
+quadrature.  sample is the one evaluator of a snapshot: it records them
+all as one dict keyed by CSV_COLUMNS, the names of the timeseries.csv
+columns, in that order.  ckp_violation and bound_violation, with
+dissipation_bound_rhs, are the one judge of recorded samples.  The
+functionals take a SpeciesFields, whose constructor has already checked
+that the fields are finite and strictly positive, and do not check it
+again.  Nonnegativity of the entropy-type quantities is structural: the
+entropy and the relative entropy integrate one log1p density
+r*((1+x)*log1p(x) - x) with x = (u-r)/r, which is nonnegative for every
+x > -1, and the reaction production (ab-c)*ln(ab/c) is a product of
 same-sign factors.
 """
 from __future__ import annotations
@@ -17,19 +21,16 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateEquilibrium, InvalidMass
+from .errors import DegenerateEquilibrium
 from .grid import Grid, deviation_l2, dirichlet_energy, integrate, lp_norm
-from .model import DomainSpec, EquilibriumState, ModelParams, conserved_masses, gamma_ratio
+from .model import DomainSpec, EquilibriumState, ModelParams, conserved_masses
 
 __all__ = [
     "RunningIntegrals",
     "entropy",
     "relative_entropy",
     "dissipation",
-    "ckp_lower_bound",
-    "dissipation_deviation_bound",
     "dissipation_bound_rhs",
-    "inequality_scale",
     "ckp_violation",
     "bound_violation",
     "sample",
@@ -81,27 +82,27 @@ CSV_COLUMNS = (
 )
 
 
-def _kl_density(u, ref=1.0):
+def _kl_density(u, ref):
     """u*ln(u/ref) - u + ref, evaluated cancellation-free via log1p."""
     delta = (u - ref) / ref
     return ref * ((1.0 + delta) * np.log1p(delta) - delta)
 
 
+def _kl_integral(fields, refs, grid: Grid) -> float:
+    """int sum_u _kl_density(u, ref_u) over a, b and c."""
+    (a, b, c), (ra, rb, rc) = fields.species(), refs
+    return integrate(_kl_density(a, ra) + _kl_density(b, rb) + _kl_density(c, rc), grid)
+
+
 def entropy(fields, grid: Grid) -> float:
-    """Entropy E = int sum_u (u ln u - u + 1); nonnegative."""
-    dens = (
-        _kl_density(fields.a)
-        + _kl_density(fields.b)
-        + _kl_density(fields.c)
-    )
-    return integrate(dens, grid)
+    """Entropy E = int sum_u (u ln u - u + 1), the relative entropy to
+    (1, 1, 1); nonnegative."""
+    return _kl_integral(fields, (1.0, 1.0, 1.0), grid)
 
 
 def relative_entropy(fields, eq: EquilibriumState, grid: Grid) -> float:
-    """Relative entropy sum_u int (u ln(u/u_inf) - u + u_inf).
+    """Relative entropy sum_u int (u ln(u/u_inf) - u + u_inf); nonnegative.
 
-    Assembled as int Gamma(u, u_inf) * (sqrt(u) - sqrt(u_inf))**2 per
-    species, which keeps the result nonnegative down to the rounding floor.
     Equals entropy(fields) - entropy(equilibrium) whenever the conserved
     masses match.
     """
@@ -110,11 +111,7 @@ def relative_entropy(fields, eq: EquilibriumState, grid: Grid) -> float:
         raise DegenerateEquilibrium(
             "relative entropy needs strictly positive equilibrium components"
         )
-    total = 0.0
-    for u, ref in zip(fields.species(), refs):
-        gap = np.sqrt(u) - math.sqrt(ref)
-        total += integrate(gamma_ratio(u, ref) * gap * gap, grid)
-    return total
+    return _kl_integral(fields, refs, grid)
 
 
 def reaction_production(a, b, c):
@@ -144,60 +141,6 @@ def dissipation(fields, params: ModelParams, grid: Grid) -> float:
     return total
 
 
-def ckp_lower_bound(fields, eq: EquilibriumState, grid: Grid) -> float:
-    """Csiszar-Kullback-Pinsker lower bound on the relative entropy.
-
-    kappa * |Omega| * ( ||a-a_inf||_1^2/(2 M1) + ||b-b_inf||_1^2/(2 M2)
-    + ||c-c_inf||_1^2/(M1+M2) ) with kappa = (3+2*sqrt(2))/(9+2*sqrt(2)),
-    mass placement as in the decay theorems.
-    """
-    l1a = lp_norm(fields.a - eq.a_inf, 1, grid)
-    l1b = lp_norm(fields.b - eq.b_inf, 1, grid)
-    l1c = lp_norm(fields.c - eq.c_inf, 1, grid)
-    return _ckp_from_l1(l1a, l1b, l1c, eq, grid)
-
-
-def _ckp_from_l1(l1a, l1b, l1c, eq, grid):
-    """ckp_lower_bound from the L1 distances of a, b and c to equilibrium."""
-    if eq.M1 <= 0.0 or eq.M2 <= 0.0:
-        raise InvalidMass("CKP bound requires strictly positive masses")
-    volume = grid.cell_volume * grid.n_cells
-    return CKP_PREFACTOR * volume * (
-        l1a * l1a / (2.0 * eq.M1)
-        + l1b * l1b / (2.0 * eq.M2)
-        + l1c * l1c / (eq.M1 + eq.M2)
-    )
-
-
-def inequality_scale(lhs: float, rhs: float, m1: float, m2: float, volume: float) -> float:
-    """Reference scale for the inequality suite tolerances.
-
-    max of the two sides and the natural size |Omega|*(1+M1+M2)**2 of the
-    functionals on order-mass fields, so that rounding-floor snapshots are
-    compared against an absolute resolution rather than against noise.
-    """
-    return max(lhs, rhs, volume * (1.0 + m1 + m2) ** 2)
-
-
-def dissipation_deviation_bound(fields, params: ModelParams, domain: DomainSpec,
-                                grid: Grid) -> tuple[float, float]:
-    """Dissipation lower bound pair (lhs, rhs): the dissipation and
-    dissipation_bound_rhs of the snapshot."""
-    dev2, abc_defect = _deviations(fields, grid)
-    rhs = dissipation_bound_rhs(dev2, abc_defect, params.diffusivities(),
-                                domain.poincare_constant)
-    return dissipation(fields, params, grid), rhs
-
-
-def _deviations(fields, grid):
-    """Squared deviations ||sqrt(u) - avg sqrt(u)||_2^2 of a, b and c, and
-    abc_defect = ||sqrt(a b) - sqrt(c)||_2^2."""
-    sqa, sqb, sqc = (np.sqrt(u) for u in fields.species())
-    devs = [deviation_l2(sq, grid) for sq in (sqa, sqb, sqc)]
-    defect = sqa * sqb - sqc
-    return [dev * dev for dev in devs], integrate(defect * defect, grid)
-
-
 def dissipation_bound_rhs(dev2, abc_defect: float, diffusivities,
                           poincare: float) -> float:
     """Right-hand side of the dissipation bound D >= rhs.
@@ -215,26 +158,37 @@ def dissipation_bound_rhs(dev2, abc_defect: float, diffusivities,
     return rhs + 4.0 * abc_defect
 
 
-def ckp_violation(e_rel: float, ckp_lhs: float, m1: float, m2: float,
-                  volume: float) -> float:
-    """Amount by which ckp_lhs <= e_rel fails beyond the allowed slack: 0 if it
-    holds, inf if any input is non-finite (so NaN never passes)."""
+def ckp_violation(e_rel, ckp_lhs, m1, m2, volume):
+    """Per sample, the amount by which ckp_lhs <= e_rel fails beyond the
+    allowed slack: 0 where it holds, inf where an input is not finite (so
+    NaN never passes).  Takes scalars or arrays of samples."""
     return _excess(ckp_lhs, e_rel, m1, m2, volume)
 
 
-def bound_violation(lhs: float, rhs: float, m1: float, m2: float,
-                    volume: float) -> float:
-    """Amount by which lhs >= rhs fails beyond the allowed slack: 0 if it
-    holds, inf if any input is non-finite (so NaN never passes)."""
+def bound_violation(lhs, rhs, m1, m2, volume):
+    """Per sample, the amount by which lhs >= rhs fails beyond the allowed
+    slack: 0 where it holds, inf where an input is not finite (so NaN never
+    passes).  Takes scalars or arrays of samples."""
     return _excess(rhs, lhs, m1, m2, volume)
 
 
 def _excess(small, large, m1, m2, volume):
-    # checked up front: max() and comparisons pass NaN through as 0 or False
-    if not all(math.isfinite(x) for x in (small, large, m1, m2, volume)):
-        return math.inf
-    slack = REL_SLACK * inequality_scale(large, small, m1, m2, volume)
-    return max(0.0, small - large - slack)
+    """max(0, small - large - REL_SLACK * scale) elementwise, inf where an
+    input is not finite; a float for scalar inputs.
+
+    The scale max(large, small, |Omega|*(1+M1+M2)**2) adds to the two sides
+    the natural size of the functionals on order-mass fields, so that
+    rounding-floor snapshots are compared against an absolute resolution
+    rather than against noise.
+    """
+    args = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                 for x in (small, large, m1, m2, volume)))
+    small, large, m1, m2, volume = args
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(np.maximum(large, small), volume * (1.0 + m1 + m2) ** 2)
+        excess = np.maximum(small - large - REL_SLACK * scale, 0.0)
+    excess = np.where(np.all(np.isfinite(args), axis=0), excess, math.inf)
+    return excess if excess.ndim else float(excess)
 
 
 def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
@@ -251,7 +205,9 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
     a, b, c = fields.a, fields.b, fields.c
     m1, m2 = conserved_masses(fields, grid, domain)
 
-    (dev_a2, dev_b2, dev_c2), abc_defect = _deviations(fields, grid)
+    sqa, sqb, sqc = np.sqrt(a), np.sqrt(b), np.sqrt(c)
+    dev_a, dev_b, dev_c = (deviation_l2(sq, grid) for sq in (sqa, sqb, sqc))
+    defect = sqa * sqb - sqc
 
     fa = integrate(a * a + a * c, grid)
     fb = integrate(b * b + b * c, grid)
@@ -266,6 +222,12 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
     l1a = lp_norm(a - eq.a_inf, 1, grid)
     l1b = lp_norm(b - eq.b_inf, 1, grid)
     l1c = lp_norm(c - eq.c_inf, 1, grid)
+    # the CKP bound kappa*|Omega|*(l1_a^2/(2 M1) + l1_b^2/(2 M2) + l1_c^2/(M1+M2))
+    ckp_lhs = CKP_PREFACTOR * (grid.cell_volume * grid.n_cells) * (
+        l1a * l1a / (2.0 * eq.M1)
+        + l1b * l1b / (2.0 * eq.M2)
+        + l1c * l1c / (eq.M1 + eq.M2)
+    )
     return {
         "t": t,
         "E": entropy(fields, grid),
@@ -276,11 +238,11 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
         "l1_a": l1a,
         "l1_b": l1b,
         "l1_c": l1c,
-        "dev_A2": dev_a2,
-        "dev_B2": dev_b2,
-        "dev_C2": dev_c2,
-        "abc_defect": abc_defect,
-        "ckp_lhs": _ckp_from_l1(l1a, l1b, l1c, eq, grid),
+        "dev_A2": dev_a * dev_a,
+        "dev_B2": dev_b * dev_b,
+        "dev_C2": dev_c * dev_c,
+        "abc_defect": integrate(defect * defect, grid),
+        "ckp_lhs": ckp_lhs,
         "b_l32": lp_norm(b, 1.5, grid),
         "a_l32": lp_norm(a, 1.5, grid),
         "b_lN2": lp_norm(b, max(1.0, domain.dimension / 2.0), grid),

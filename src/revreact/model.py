@@ -132,11 +132,15 @@ def equilibrium_state(M1: float, M2: float) -> EquilibriumState:
     2*(r2 - M2) = 1 + M1 - M2 + sq is summed directly when M1 >= M2 and
     otherwise in its conjugate form 4*M2/(sq - 1 - M1 + M2), and likewise
     for r2 - M1.  The difference a_inf = M1 - c_inf would lose every digit
-    of a_inf for large masses (a_inf ~ sqrt(M1) when M1 = M2).
+    of a_inf for large masses (a_inf ~ sqrt(M1) when M1 = M2).  Masses
+    whose squared difference overflows raise InvalidMass.
     """
     if not (math.isfinite(M1) and math.isfinite(M2)) or M1 < 0.0 or M2 < 0.0:
         raise InvalidMass(f"masses must be finite and nonnegative, got ({M1}, {M2})")
-    sq = math.sqrt(1.0 + 2.0 * (M1 + M2) + (M1 - M2) ** 2)
+    try:
+        sq = math.sqrt(1.0 + 2.0 * (M1 + M2) + (M1 - M2) ** 2)
+    except OverflowError:  # |M1 - M2| above about 1.3e154
+        raise InvalidMass(f"masses ({M1}, {M2}) overflow the equilibrium algebra") from None
     twice_r2 = 1.0 + M1 + M2 + sq
     return EquilibriumState(
         a_inf=M1 * _twice_gap(M1, M2, sq) / twice_r2,
@@ -163,6 +167,11 @@ def riccati_roots(m1, m2):
 
 def gamma_ratio(x, y):
     """Entropy ratio (x*ln(x/y) - x + y) / (sqrt(x) - sqrt(y))**2.
+
+    The paper's function Gamma, bounded by C*max(1, ln(x/y)), which carries
+    the entropy method's estimates; the verify suite checks those
+    properties.  Recorded entropies do not use it: they integrate the log1p
+    density of functionals.
 
     Equals 2 on the diagonal x == y and 1 in the limit x -> 0.  Near the
     diagonal (relative sqrt-gap below GAMMA_TAYLOR_THRESHOLD) the second

@@ -241,45 +241,38 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
 
     The equilibrium reference is fixed from the initial conserved masses.
     Raises NumericalBlowup (with the offending time) if that reference is
-    not finite with positive components (t = 0), if a step divides by zero
-    or makes an invalid value (t of the next record), if a recorded state is
-    not finite and positive, or if any value of a recorded sample is not
-    finite.
+    not finite with positive components (t = 0), if evaluating it, a step
+    or a record divides by zero, overflows or makes an invalid value (t of
+    the next record), if a recorded state is not finite and positive, or if
+    any value of a recorded sample is not finite.
     """
     stepper = StrangStepper(params, cfg.dt, grid)
-    try:
-        eq = equilibrium_state(*conserved_masses(initial, grid, domain))
-    except InvalidMass as exc:
-        raise NumericalBlowup(f"{exc} at t = 0", t=0.0) from exc
-    if not all(math.isfinite(r) and r > 0.0 for r in (eq.a_inf, eq.b_inf, eq.c_inf)):
-        raise NumericalBlowup(f"equilibrium ({eq.a_inf}, {eq.b_inf}, {eq.c_inf}) is not "
-                              "finite and positive at t = 0", t=0.0)
     running = functionals.RunningIntegrals()
-
     traj = Trajectory()
     u = np.stack((initial.a, initial.b, initial.c))
 
-    def record(step_index, u):
-        t = step_index * cfg.dt
-        try:
-            fields = SpeciesFields(*u)
-        except (InvalidField, NotPositive) as exc:
-            raise NumericalBlowup(f"{exc} at t = {t}", t=t) from exc
-        s = functionals.sample(fields, t, eq, params, domain, grid, running)
+    def record(t, u):
+        s = functionals.sample(SpeciesFields(*u), t, eq, params, domain, grid, running)
         if not all(map(math.isfinite, s.values())):
             raise NumericalBlowup(f"non-finite functional at t = {t}", t=t)
         traj.samples.append(s)
 
-    record(0, u)
-    for step in range(cfg.record_every, cfg.n_steps + 1, cfg.record_every):
-        # a 0/0 or inf-inf in a step means the state has left the positive
-        # orthant (a and b rounded to 0 at huge masses): raise, not warn
-        try:
-            with np.errstate(divide="raise", invalid="raise"):
+    t = 0.0
+    # a 0/0, inf-inf or overflow means the state has left the positive
+    # orthant (a and b rounded to 0 at huge masses) or the range of doubles
+    # (huge data or a huge box): raise, not warn
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            eq = equilibrium_state(*conserved_masses(initial, grid, domain))
+            if not all(math.isfinite(r) and r > 0.0 for r in (eq.a_inf, eq.b_inf, eq.c_inf)):
+                raise NumericalBlowup(f"equilibrium ({eq.a_inf}, {eq.b_inf}, {eq.c_inf}) is "
+                                      "not finite and positive at t = 0", t=0.0)
+            record(t, u)
+            for step in range(cfg.record_every, cfg.n_steps + 1, cfg.record_every):
+                t = step * cfg.dt
                 u = stepper.advance(u, cfg.record_every)
-        except FloatingPointError as exc:
-            t = step * cfg.dt
-            raise NumericalBlowup(f"{exc} in the steps up to t = {t}", t=t) from exc
-        record(step, u)
+                record(t, u)
+    except (FloatingPointError, InvalidMass, InvalidField, NotPositive) as exc:
+        raise NumericalBlowup(f"{exc} at t = {t}", t=t) from exc
     traj.final_fields = SpeciesFields(*u)
     return traj

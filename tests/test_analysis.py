@@ -19,7 +19,6 @@ from revreact.errors import (
     InvalidSampling,
     MissingDiagnostic,
     NonDecaying,
-    Unsupported,
 )
 from revreact.functionals import CSV_COLUMNS
 
@@ -69,11 +68,8 @@ class TestTheoremEnvelope:
     def test_exponent_targets(self):
         assert theorem_alpha("db0", 1) == pytest.approx((1.0 - EPSILON) / 6.0)
         assert theorem_alpha("db0", 3) == pytest.approx((1.0 - EPSILON) / 6.0)
-        assert theorem_alpha("db0", 5) == pytest.approx((1.0 - EPSILON) / 4.0)
         assert theorem_alpha("dc0", 3) == pytest.approx((2.0 - EPSILON) / 3.0)
         assert theorem_alpha("full", 2) == 0.95
-        with pytest.raises(Unsupported):
-            theorem_alpha("dc0", 4)
 
     def _check(self, alpha, mode, dimension):
         # samples exactly on the fitted envelope exp(-(1+t)**alpha), S1 = S2 = 1

@@ -1,0 +1,40 @@
+"""The names the benchmark in bench/ reaches into revreact by.
+
+bench/tracing.py wraps revreact functions where their callers bind them,
+and bench/run.py times the stepper's kernels through the cli's builders.
+A probe whose target is gone is silently left out of the benchmark's
+metrics, so these tests check from here that every target still exists.
+They read bench/ and do not change it.
+"""
+import os
+import sys
+
+from revreact import cli, functionals, verify
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "bench"))
+
+import run as bench_run  # noqa: E402
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_tracer_installs_every_probe_span():
+    with tracing.Tracer() as tracer:
+        missing = {probe.span for probe in tracing.PROBES} - tracer.installed
+    assert not missing
+
+
+def test_verify_binds_both_inequality_gates():
+    # the functionals.inequality_* metrics are the spans of these two names
+    # as revreact.verify binds them
+    with tracing.Tracer():
+        for name in ("ckp_violation", "bound_violation"):
+            assert getattr(verify, name).__wrapped__ is getattr(functionals, name)
+
+
+def test_kernel_probes_time_both_kernels(tmp_path):
+    workload = workloads.make("full_1d", seed=1, with_reference=False)
+    probes = bench_run.kernel_probes(cli, workload, str(tmp_path))
+    assert set(probes) == {"solver.diffusion_apply_us", "solver.reaction_substep_us"}
+    assert all(value > 0.0 for value in probes.values())

@@ -18,7 +18,7 @@ from revreact.cli import (
     serialize_config,
     write_snapshot,
 )
-from revreact.errors import ConfigError, ParseError
+from revreact.errors import ConfigError, InvalidArgument, ParseError
 from revreact.functionals import CSV_COLUMNS
 from revreact.presets import PRESETS, preset_names
 
@@ -286,6 +286,30 @@ class TestCmdAnalyze:
         with open(os.path.join(out, "report.txt")) as fh:
             assert "assumed" not in fh.read()
 
+    @pytest.mark.parametrize("mode, dim", [("db0", 1), ("full", 1), ("dc0", 3), ("dc0", 2)])
+    def test_mode_or_dim_contradicting_the_run_exits_2(self, tmp_path, capsys, mode, dim):
+        out = str(tmp_path / "run")
+        assert cmd_run(parse_config(FAST.format(out=out))) == 0  # a dc0 run in 1-D
+        csv = os.path.join(out, "timeseries.csv")
+        with pytest.raises(InvalidArgument, match="contradict"):
+            cmd_analyze(csv, mode, dim)
+        assert main(["analyze", csv, "--mode", mode, "--dim", str(dim)]) == 2
+        assert "contradict" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "report.txt"))
+
+    @pytest.mark.parametrize("dim", [0, 4])
+    def test_dim_outside_one_to_three_rejected(self, tmp_path, capsys, dim):
+        t = np.arange(0.0, 20.0001, 0.1)
+        path = str(tmp_path / "timeseries.csv")
+        synthetic_csv(path, t, np.exp(-((1.0 + t) ** 0.9)))
+        with pytest.raises(InvalidArgument, match="dim"):
+            cmd_analyze(path, "db0", dim)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", path, "--mode", "db0", "--dim", str(dim)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "report.txt")
+
 
 class TestBlowupPath:
     def test_blowup_recorded_in_meta_with_nonzero_exit(self, tmp_path, monkeypatch):
@@ -314,14 +338,15 @@ class TestBlowupPath:
             "out_dir={out}\nseed=3"
         )
         cases = {
+            "e155": FAST.replace("init=cosine_bump 0.4", "init=uniform 1e155 1e-3 1e-3"),
             "e160": FAST.replace("init=cosine_bump 0.4", "init=uniform 1e160 1e160 1e160"),
             "e308": FAST.replace("init=cosine_bump 0.4", "init=uniform 1e308 1e308 1e308"),
             "huge_box": huge_box,
         }
         for name, template in cases.items():
             out = str(tmp_path / name)
-            with np.errstate(over="ignore"):
-                rc = cmd_run(parse_config(template.format(out=out)))
+            # no overflow may escape as a warning (an error under this suite)
+            rc = cmd_run(parse_config(template.format(out=out)))
             assert rc == 1, name
             with open(os.path.join(out, "run_meta")) as fh:
                 meta = fh.read().splitlines()

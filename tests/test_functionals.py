@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -7,12 +8,11 @@ from revreact.errors import DegenerateEquilibrium
 from revreact.functionals import (
     CKP_PREFACTOR,
     RunningIntegrals,
+    _kl_density,
     bound_violation,
-    ckp_lower_bound,
     ckp_violation,
     dissipation,
     dissipation_bound_rhs,
-    dissipation_deviation_bound,
     entropy,
     reaction_production,
     relative_entropy,
@@ -35,6 +35,18 @@ def random_fields(rng, grid, lo=0.2, hi=3.0):
         rng.uniform(lo, hi, size=grid.cells),
         rng.uniform(lo, hi, size=grid.cells),
     )
+
+
+def self_sample(f, params, dom, grid):
+    """The sample of f against the equilibrium of its own masses."""
+    return sample(f, 0.0, equilibrium_state(*conserved_masses(f, grid, dom)), params, dom, grid)
+
+
+def bound_sides(s, params, dom):
+    """(D, dissipation_bound_rhs) of one sample."""
+    dev2 = (s["dev_A2"], s["dev_B2"], s["dev_C2"])
+    return s["D"], dissipation_bound_rhs(dev2, s["abc_defect"], params.diffusivities(),
+                                         dom.poincare_constant)
 
 
 class TestEntropy:
@@ -94,6 +106,38 @@ class TestRelativeEntropy:
         with pytest.raises(DegenerateEquilibrium):
             relative_entropy(f, eq, grid)
 
+    @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-4, 1e-6, 1e-8])
+    def test_near_equilibrium_against_decimal_reference(self, rng, eps):
+        # fields within a relative eps of equilibrium: E_rel ~ eps^2 is what
+        # remains of u ln(u/r) - u + r after cancelling to order eps, so its
+        # relative error grows like 1/eps; measured worst 7e-17/eps
+        dom, grid = unit_setup(64)
+        base = equilibrium_state(2.0, 1.0)
+        for _ in range(5):
+            f = SpeciesFields(*(r * (1.0 + eps * rng.uniform(-1.0, 1.0, size=grid.cells))
+                                for r in (base.a_inf, base.b_inf, base.c_inf)))
+            eq = equilibrium_state(*conserved_masses(f, grid, dom))
+            with decimal.localcontext() as ctx:
+                ctx.prec = 50
+                exact = decimal.Decimal(0)
+                for u, r in zip(f.species(), (eq.a_inf, eq.b_inf, eq.c_inf)):
+                    r = decimal.Decimal(r)
+                    for x in map(decimal.Decimal, u.ravel().tolist()):
+                        exact += x * (x / r).ln() - x + r
+                exact = float(exact * decimal.Decimal(grid.cell_volume))
+            got = relative_entropy(f, eq, grid)
+            assert got >= 0.0
+            assert abs(got - exact) <= 1e-15 / eps * exact
+
+
+class TestKlDensity:
+    @pytest.mark.parametrize("ref", [1.0, SQRT2 - 1.0, 3.7e5, 2.2e-7])
+    def test_nonnegative_near_and_far_from_the_reference(self, ref):
+        # u = ref*(1+delta) for |delta| from 1e-20 to 1 (u = 0 excluded)
+        mags = np.logspace(-20.0, 0.0, 200_001)
+        delta = np.concatenate((mags, -mags[:-1]))
+        assert np.all(_kl_density(ref * (1.0 + delta), ref) >= 0.0)
+
 
 class TestDissipation:
     def test_zero_at_homogeneous_equilibrium(self):
@@ -134,17 +178,17 @@ class TestCkp:
         dom, grid = unit_setup(8)
         eq = equilibrium_state(2.0, 1.0)
         f = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
-        assert ckp_lower_bound(f, eq, grid) == pytest.approx(0.0, abs=1e-28)
+        s = sample(f, 0.0, eq, ModelParams(1.0, 1.0, 1.0), dom, grid)
+        assert s["ckp_lhs"] == pytest.approx(0.0, abs=1e-28)
 
     def test_bounded_by_relative_entropy(self, rng):
         dom, grid = unit_setup(64)
-        for _ in range(200):
-            f = random_fields(rng, grid, 0.1, 4.0)
-            m1, m2 = conserved_masses(f, grid, dom)
-            eq = equilibrium_state(m1, m2)
-            e_rel = relative_entropy(f, eq, grid)
-            ckp = ckp_lower_bound(f, eq, grid)
-            assert ckp_violation(e_rel, ckp, m1, m2, dom.volume) == 0.0
+        params = ModelParams(1.0, 1.0, 1.0)
+        samples = [self_sample(random_fields(rng, grid, 0.1, 4.0), params, dom, grid)
+                   for _ in range(200)]
+        e_rel, ckp, m1, m2 = (np.array([s[k] for s in samples])
+                              for k in ("E_rel", "ckp_lhs", "M1", "M2"))
+        assert np.all(ckp_violation(e_rel, ckp, m1, m2, dom.volume) == 0.0)
 
 
 class TestDissipationBound:
@@ -152,7 +196,8 @@ class TestDissipationBound:
         dom, grid = unit_setup(16)
         eq = equilibrium_state(2.0, 1.0)
         f = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
-        lhs, rhs = dissipation_deviation_bound(f, ModelParams(1.0, 0.0, 1.0), dom, grid)
+        params = ModelParams(1.0, 0.0, 1.0)
+        lhs, rhs = bound_sides(sample(f, 0.0, eq, params, dom, grid), params, dom)
         assert lhs == pytest.approx(0.0, abs=1e-12)
         assert rhs == pytest.approx(0.0, abs=1e-12)
 
@@ -164,7 +209,7 @@ class TestDissipationBound:
         for _ in range(100):
             a0, b0, c0 = rng.uniform(0.05, 4.0, size=3)
             f = SpeciesFields.uniform(grid, a0, b0, c0)
-            lhs, rhs = dissipation_deviation_bound(f, params, dom, grid)
+            lhs, rhs = bound_sides(self_sample(f, params, dom, grid), params, dom)
             x, y = a0 * b0, c0
             assert lhs == pytest.approx((x - y) * (math.log(x) - math.log(y)), rel=1e-12, abs=1e-25)
             assert rhs == pytest.approx(4.0 * (math.sqrt(x) - math.sqrt(y)) ** 2, rel=1e-12, abs=1e-25)
@@ -181,30 +226,16 @@ class TestDissipationBound:
         dom, grid = unit_setup(128)
         modes = [ModelParams(1.0, 0.0, 1.0), ModelParams(1.0, 1.0, 0.0), ModelParams(1.0, 0.5, 0.8)]
         for i in range(150):
-            f = random_fields(rng, grid)
-            m1, m2 = conserved_masses(f, grid, dom)
-            lhs, rhs = dissipation_deviation_bound(f, modes[i % 3], dom, grid)
-            assert bound_violation(lhs, rhs, m1, m2, dom.volume) == 0.0
+            s = self_sample(random_fields(rng, grid), modes[i % 3], dom, grid)
+            lhs, rhs = bound_sides(s, modes[i % 3], dom)
+            assert bound_violation(lhs, rhs, s["M1"], s["M2"], dom.volume) == 0.0
 
-    def test_recorded_columns_give_the_same_rhs(self, rng):
-        # analyze rebuilds rhs from the CSV columns; it must equal the
-        # snapshot's rhs exactly, per sample and over an array of samples
-        dom, grid = unit_setup(64)
-        params = ModelParams(1.0, 0.0, 0.7)
-        samples, rhs_direct = [], []
-        for _ in range(5):
-            f = random_fields(rng, grid)
-            eq = equilibrium_state(*conserved_masses(f, grid, dom))
-            samples.append(sample(f, 0.0, eq, params, dom, grid))
-            rhs_direct.append(dissipation_deviation_bound(f, params, dom, grid)[1])
-        P = dom.poincare_constant
-        for s, rhs in zip(samples, rhs_direct):
-            dev2 = (s["dev_A2"], s["dev_B2"], s["dev_C2"])
-            assert dissipation_bound_rhs(dev2, s["abc_defect"], params.diffusivities(), P) == rhs
-        columns = [np.array([s[k] for s in samples]) for k in ("dev_A2", "dev_B2", "dev_C2")]
-        defects = np.array([s["abc_defect"] for s in samples])
-        assert np.array_equal(
-            dissipation_bound_rhs(columns, defects, params.diffusivities(), P), rhs_direct)
+    def test_rhs_array_call_equals_per_sample_calls(self, rng):
+        # analyze and verify evaluate the rhs over columns of samples
+        dev2, defect = rng.uniform(0.0, 2.0, size=(3, 40)), rng.uniform(0.0, 2.0, size=40)
+        for ds in ((1.0, 0.0, 0.7), (1.0, 0.5, 0.0), (0.3, 0.5, 0.8)):
+            per_sample = [dissipation_bound_rhs(dev2[:, i], defect[i], ds, 0.1) for i in range(40)]
+            assert np.array_equal(dissipation_bound_rhs(dev2, defect, ds, 0.1), per_sample)
 
     def test_degenerate_mode_drops_deviation_term(self):
         # d_b = 0: perturbing only b leaves the rhs gradient part unchanged
@@ -213,18 +244,13 @@ class TestDissipationBound:
         base = SpeciesFields.uniform(grid, 1.0, 1.0, 1.0)
         bumped = SpeciesFields(base.a, 1.0 + 0.2 * np.cos(2 * np.pi * x), base.c)
         params = ModelParams(1.0, 0.0, 1.0)
-        _, rhs_base = dissipation_deviation_bound(base, params, dom, grid)
-        _, rhs_bump = dissipation_deviation_bound(bumped, params, dom, grid)
+        s_base, s_bump = (sample(f, 0.0, equilibrium_state(2, 2), params, dom, grid)
+                          for f in (base, bumped))
+        _, rhs_base = bound_sides(s_base, params, dom)
+        _, rhs_bump = bound_sides(s_bump, params, dom)
         # only the abc defect moves; the deviation sum has no delta_B term
-        defect_base = 4.0 * sum(
-            s["abc_defect"]
-            for s in [sample(base, 0.0, equilibrium_state(2, 2), params, dom, grid)]
-        )
-        defect_bump = 4.0 * sum(
-            s["abc_defect"]
-            for s in [sample(bumped, 0.0, equilibrium_state(2, 2), params, dom, grid)]
-        )
-        assert rhs_bump - rhs_base == pytest.approx(defect_bump - defect_base, rel=1e-10)
+        defect_gap = 4.0 * (s_bump["abc_defect"] - s_base["abc_defect"])
+        assert rhs_bump - rhs_base == pytest.approx(defect_gap, rel=1e-10)
 
 
 class TestSample:
@@ -272,6 +298,20 @@ class TestViolationsFailClosed:
             args[i] = bad
             assert ckp_violation(*args) > 0.0
             assert bound_violation(*args) > 0.0
+
+    def test_array_call_equals_per_sample_calls(self, rng):
+        rows = rng.uniform(0.0, 2.0, size=(40, 5))
+        rows[:, 4] = 1.0
+        rows[3, 0] = rows[7, 1] = rows[11, 2] = math.nan
+        rows[5, 1] = rows[13, 3] = math.inf
+        rows[17, 0] = -math.inf
+        for gate in (ckp_violation, bound_violation):
+            scalar = [gate(*map(float, row)) for row in rows]
+            array = gate(*rows[:, :4].T, 1.0)
+            assert isinstance(scalar[0], float) and array.shape == (40,)
+            assert np.array_equal(array, scalar)
+            assert np.all(np.isinf(array[[3, 5, 7, 11, 13, 17]]))
+            assert np.count_nonzero(array) > 6
 
     def test_finite_inputs_unchanged(self):
         assert ckp_violation(0.5, 0.1, 1.0, 1.0, 1.0) == 0.0

@@ -339,8 +339,7 @@ class TestRun2D:
     def test_genuinely_two_dimensional_run(self):
         # cross modes in both axes: conservation, monotonicity and the
         # inequality suite must hold sample by sample
-        from revreact.functionals import bound_violation, ckp_violation
-        from revreact.model import conserved_masses
+        from revreact.functionals import bound_violation, ckp_violation, dissipation_bound_rhs
 
         dom = DomainSpec.box([1.0, 0.45])
         grid = Grid.for_domain(dom, [32, 12])
@@ -352,18 +351,16 @@ class TestRun2D:
         b = (SQRT2 - 1.0) * (2.0 - bump)
         f0 = SpeciesFields(a, b, a * b)
         traj = run(f0, params, grid, dom, cfg)
-        m1 = np.array([s["M1"] for s in traj.samples])
-        e_rel = np.array([s["E_rel"] for s in traj.samples])
+        cols = {k: np.array([s[k] for s in traj.samples]) for k in traj.samples[0]}
+        m1 = cols["M1"]
         assert np.max(np.abs(m1 - m1[0]) / m1[0]) <= 1e-9
-        assert np.all(np.diff(e_rel) <= 1e-12)
-        p = dom.poincare_constant
-        for s in traj.samples:
-            assert ckp_violation(s["E_rel"], s["ckp_lhs"], s["M1"], s["M2"], dom.volume) == 0.0
-            rhs = 4.0 * s["abc_defect"]
-            for d, dev2 in zip(params.diffusivities(), (s["dev_A2"], s["dev_B2"], s["dev_C2"])):
-                if d > 0.0:
-                    rhs += 4.0 * d / p * dev2
-            assert bound_violation(s["D"], rhs, s["M1"], s["M2"], dom.volume) == 0.0
+        assert np.all(np.diff(cols["E_rel"]) <= 1e-12)
+        masses = (cols["M1"], cols["M2"], dom.volume)
+        assert np.all(ckp_violation(cols["E_rel"], cols["ckp_lhs"], *masses) == 0.0)
+        rhs = dissipation_bound_rhs((cols["dev_A2"], cols["dev_B2"], cols["dev_C2"]),
+                                    cols["abc_defect"], params.diffusivities(),
+                                    dom.poincare_constant)
+        assert np.all(bound_violation(cols["D"], rhs, *masses) == 0.0)
 
 
 class TestRun:
