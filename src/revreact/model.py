@@ -56,7 +56,14 @@ class DomainSpec:
         if any(not math.isfinite(x) or x <= 0.0 for x in lengths):
             raise InvalidArgument(f"axis lengths must be positive, got {lengths}")
         volume = math.prod(lengths)
-        p = (max(lengths) / math.pi) ** 2
+        try:
+            p = (max(lengths) / math.pi) ** 2
+        except OverflowError:
+            p = math.inf
+        if not (math.isfinite(volume) and math.isfinite(p)):
+            raise InvalidArgument(
+                f"axis lengths {lengths} give a non-finite volume or Poincare constant"
+            )
         return cls(dimension=n, lengths=lengths, volume=volume, poincare_constant=p)
 
 

@@ -1,8 +1,10 @@
 """Independent reference solutions used by the test-suite and `verify`.
 
 The homogeneous oracle integrates the spatially uniform reaction ODE with
-classical RK4 and also carries the closed-form solution, so the two can be
-cross-validated against each other and against the PDE solver.  The
+classical RK4, one call advancing a whole array of initial states together
+in numpy (bit-identical, member by member, to a plain-float loop over one
+state), and also carries the closed-form solution in scalar floats, so the
+two can be cross-validated against each other and against the PDE solver.  The
 backward-Euler diffusion step, solved matrix-free by conjugate gradients,
 is the reference the exact diffusion semigroup is compared against.  The
 brute-force sampler re-implements every recorded functional with plain
@@ -32,43 +34,77 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OdeState:
-    a: float
-    b: float
-    c: float
+    """State at time t: Python floats for a scalar start, else arrays of its shape."""
+
+    a: float | np.ndarray
+    b: float | np.ndarray
+    c: float | np.ndarray
     t: float
 
 
-def _rhs(a, b, c):
-    w = c - a * b
-    return w, w, -w
-
-
-def homogeneous_ode(a0: float, b0: float, c0: float, t_end: float,
-                    substeps: int) -> OdeState:
+def homogeneous_ode(a0, b0, c0, t_end: float, substeps: int) -> OdeState:
     """RK4 integration of a' = c - ab, b' = c - ab, c' = ab - c.
 
-    Fixed step t_end / substeps.  Raises StepTooLarge-style InvalidArgument
-    if the state leaves the positive orthant by more than 1e-12.
+    a0, b0, c0 are scalars or arrays of one shape; each member (index) is
+    an independent initial state, and all members are advanced together
+    with the fixed step t_end / substeps.  The arithmetic is the plain-float
+    RK4 loop's, operation for operation, so every member is bit-identical
+    to integrating it alone.  A scalar start returns Python floats.
+
+    Raises NotPositive if a member does not start strictly positive, and
+    InvalidArgument (step too large) after the first substep in which a
+    member leaves the positive orthant by more than 1e-12 * max(a, b, c, 1)
+    of its own start or turns NaN; both name the first such member by its
+    flat index.
     """
     if substeps < 1:
         raise InvalidArgument("substeps must be >= 1")
-    if min(a0, b0, c0) <= 0.0:
-        raise NotPositive("oracle initial state must be strictly positive")
+    shape = np.shape(a0)
+    if not shape == np.shape(b0) == np.shape(c0):
+        raise InvalidArgument(
+            f"oracle states must share one shape, got {shape}, {np.shape(b0)}, {np.shape(c0)}"
+        )
+    start = np.array([a0, b0, c0], dtype=float).reshape(3, -1)
+    positive = np.min(start, axis=0) > 0.0
+    if not positive.all():
+        i = int(np.argmin(positive))
+        raise NotPositive(
+            f"oracle initial state must be strictly positive, member {i} is "
+            f"{tuple(start[:, i].tolist())}"
+        )
+    # the orthant tolerance of each member, -1e-12 * max(a0, b0, c0, 1)
+    tol = -1e-12 * np.maximum(np.max(start, axis=0), 1.0)
+    if shape:
+        (a, b, c), tol, all_ = start.reshape(3, *shape), tol.reshape(shape), np.all
+    else:
+        # one state: Python floats run the same loop without numpy's per-scalar cost
+        (a, b, c), tol, all_ = start[:, 0].tolist(), float(tol[0]), bool
     h = t_end / substeps
-    a, b, c = float(a0), float(b0), float(c0)
-    scale = max(a, b, c, 1.0)
-    for _ in range(substeps):
-        k1 = _rhs(a, b, c)
-        k2 = _rhs(a + 0.5 * h * k1[0], b + 0.5 * h * k1[1], c + 0.5 * h * k1[2])
-        k3 = _rhs(a + 0.5 * h * k2[0], b + 0.5 * h * k2[1], c + 0.5 * h * k2[2])
-        k4 = _rhs(a + h * k3[0], b + h * k3[1], c + h * k3[2])
-        a += (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        b += (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        c += (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        if min(a, b, c) < -1e-12 * scale:
-            raise InvalidArgument(
-                f"RK4 step too large: state left the positive orthant at ({a}, {b}, {c})"
-            )
+    half = 0.5 * h
+    sixth = h / 6.0
+    # each stage's rhs is (w, w, -w); c + half * (-w) is c - half * w exactly
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(substeps):
+            w1 = c - a * b
+            x = half * w1
+            w2 = (c - x) - (a + x) * (b + x)
+            x = half * w2
+            w3 = (c - x) - (a + x) * (b + x)
+            x = h * w3
+            w4 = (c - x) - (a + x) * (b + x)
+            step = sixth * (((w1 + 2.0 * w2) + 2.0 * w3) + w4)
+            a = a + step
+            b = b + step
+            c = c - step
+            # NaN fails every comparison, so a member that turned NaN is caught too
+            inside = (a >= tol) & (b >= tol) & (c >= tol)
+            if not all_(inside):
+                i = int(np.argmin(np.ravel(inside)))
+                state = (float(np.ravel(u)[i]) for u in (a, b, c))
+                raise InvalidArgument(
+                    "RK4 step too large: member {} left the positive orthant at "
+                    "({}, {}, {})".format(i, *state)
+                )
     return OdeState(a=a, b=b, c=c, t=t_end)
 
 

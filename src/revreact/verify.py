@@ -118,12 +118,10 @@ def _suite_poincare(rng):
 
 
 def _suite_reaction_oracle(rng):
-    worst = 0.0
-    for _ in range(100):
-        a0, b0, c0 = rng.uniform(0.05, 3.0, size=3)
-        ref = oracle.homogeneous_ode(a0, b0, c0, 0.1, 10_000)
-        got = oracle.reaction_closed_form(a0, b0, c0, 0.1)
-        worst = max(worst, abs(got[0] - ref.a), abs(got[1] - ref.b), abs(got[2] - ref.c))
+    states = rng.uniform(0.05, 3.0, size=(100, 3))
+    ref = oracle.homogeneous_ode(*states.T, 0.1, 10_000)
+    got = np.array([oracle.reaction_closed_form(a0, b0, c0, 0.1) for a0, b0, c0 in states])
+    worst = float(np.max(np.abs(got - np.stack((ref.a, ref.b, ref.c), axis=1))))
     ok = worst <= 1e-10
     return ("reaction closed form vs RK4 oracle (100 states)", ok, f"max diff {worst:.2e}")
 

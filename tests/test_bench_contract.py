@@ -9,7 +9,9 @@ They read bench/ and do not change it.
 import os
 import sys
 
-from revreact import cli, functionals, verify
+import numpy as np
+
+from revreact import cli, functionals, oracle, verify
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "bench"))
@@ -31,6 +33,18 @@ def test_verify_binds_both_inequality_gates():
     with tracing.Tracer():
         for name in ("ckp_violation", "bound_violation"):
             assert getattr(verify, name).__wrapped__ is getattr(functionals, name)
+
+
+def test_verify_reaches_the_tallied_oracle():
+    # oracle.homogeneous_ode_s is this span, and oracle.rk4_substeps the tally of
+    # `substeps` over its calls: one per batched call, not one per state
+    original = oracle.homogeneous_ode
+    with tracing.Tracer() as tracer:
+        assert verify.oracle.homogeneous_ode.__wrapped__ is original
+        verify._suite_reaction_oracle(np.random.default_rng(0))
+    calls, _, _ = tracer.totals()
+    assert calls["oracle.homogeneous_ode"] == 1
+    assert tracer.counts["substeps"] == 10_000
 
 
 def test_kernel_probes_time_both_kernels(tmp_path):

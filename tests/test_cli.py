@@ -78,6 +78,7 @@ class TestParseConfig:
         ("cells=128", "cells=1 2", 2),
         ("lengths=1.0", "lengths=-1", 3),
         ("lengths=1.0", "lengths=nan", 3),
+        ("lengths=1.0", "lengths=1e200", 3),
         ("d_a=1.0", "d_a=0", 4),
         ("d_c=1.0", "d_c=inf", 6),
         ("d_c=1.0", "d_c=0", 5),
@@ -426,6 +427,7 @@ class TestMain:
     @pytest.mark.parametrize("edits", [
         {"t_end=1.0": "t_end=inf"},
         {"init=cosine_bump 0.4": "init=random_positive 0.5 1.0", "seed=3": "seed=-3"},
+        {"lengths=1.0": "lengths=1e200"},
     ])
     def test_crashing_values_exit_2(self, tmp_path, capsys, edits):
         text = FAST.format(out=str(tmp_path / "out"))

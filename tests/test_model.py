@@ -34,6 +34,10 @@ class TestDomainSpec:
             DomainSpec.box([1.0, 1.0, 1.0, 1.0])
         with pytest.raises(InvalidArgument):
             DomainSpec.box([1.0, -2.0])
+        # finite lengths whose volume, or whose Poincare constant, overflows
+        for lengths in ([1e150, 1e150, 1e150], [1e200]):
+            with pytest.raises(InvalidArgument, match="lengths"):
+                DomainSpec.box(lengths)
 
 
 class TestModelParams:

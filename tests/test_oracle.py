@@ -1,15 +1,36 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from revreact import oracle
-from revreact.errors import InvalidArgument
+from revreact.errors import InvalidArgument, NotPositive
 from revreact.functionals import CSV_COLUMNS, RunningIntegrals, sample
 from revreact.grid import Grid, SpeciesFields
 from revreact.model import DomainSpec, ModelParams, conserved_masses, equilibrium_state
 
 SQRT2 = math.sqrt(2.0)
+
+
+def plain_float_rk4(a0, b0, c0, t_end, substeps):
+    """The one-state RK4 loop in Python floats, the batched oracle's reference."""
+
+    def rhs(a, b, c):
+        w = c - a * b
+        return w, w, -w
+
+    h = t_end / substeps
+    a, b, c = float(a0), float(b0), float(c0)
+    for _ in range(substeps):
+        k1 = rhs(a, b, c)
+        k2 = rhs(a + 0.5 * h * k1[0], b + 0.5 * h * k1[1], c + 0.5 * h * k1[2])
+        k3 = rhs(a + 0.5 * h * k2[0], b + 0.5 * h * k2[1], c + 0.5 * h * k2[2])
+        k4 = rhs(a + h * k3[0], b + h * k3[1], c + h * k3[2])
+        a += (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        b += (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        c += (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    return a, b, c
 
 
 class TestHomogeneousOde:
@@ -27,24 +48,69 @@ class TestHomogeneousOde:
         assert state.c == pytest.approx(eq.c_inf, abs=1e-8)
 
     def test_conserves_invariants(self, rng):
-        for _ in range(20):
-            a0, b0, c0 = rng.uniform(0.05, 3.0, size=3)
-            state = oracle.homogeneous_ode(a0, b0, c0, 2.0, 5000)
-            assert state.a + state.c == pytest.approx(a0 + c0, rel=1e-12)
-            assert state.b + state.c == pytest.approx(b0 + c0, rel=1e-12)
+        a0, b0, c0 = rng.uniform(0.05, 3.0, size=(20, 3)).T
+        state = oracle.homogeneous_ode(a0, b0, c0, 2.0, 5000)
+        assert state.a + state.c == pytest.approx(a0 + c0, rel=1e-12)
+        assert state.b + state.c == pytest.approx(b0 + c0, rel=1e-12)
 
     def test_cross_validation_with_closed_form(self, rng):
+        states = rng.uniform(0.05, 3.0, size=(100, 3))
+        ref = oracle.homogeneous_ode(*states.T, 1.0, 10_000)
         worst = 0.0
-        for _ in range(100):
-            a0, b0, c0 = rng.uniform(0.05, 3.0, size=3)
-            ref = oracle.homogeneous_ode(a0, b0, c0, 1.0, 10_000)
+        for (a0, b0, c0), a, b, c in zip(states, ref.a, ref.b, ref.c):
             got = oracle.reaction_closed_form(a0, b0, c0, 1.0)
-            worst = max(worst, abs(got[0] - ref.a), abs(got[1] - ref.b), abs(got[2] - ref.c))
+            worst = max(worst, abs(got[0] - a), abs(got[1] - b), abs(got[2] - c))
         assert worst <= 1e-10
 
     def test_step_too_large(self):
         with pytest.raises(InvalidArgument):
             oracle.homogeneous_ode(0.01, 0.01, 8.0, 10.0, 1)
+
+    def test_batch_is_bit_identical_to_plain_float_loop(self, rng):
+        # eight states with components from e^-8 to e^5, one of them at each end
+        states = np.exp(rng.uniform(-8.0, 5.0, size=(8, 3)))
+        states[0] = np.exp([-8.0, -8.0, -8.0])
+        states[1] = np.exp([5.0, -8.0, 5.0])
+        batch = oracle.homogeneous_ode(*states.T, 0.05, 500)
+        assert batch.a.shape == batch.b.shape == batch.c.shape == (8,)
+        for i, start in enumerate(states):
+            assert (batch.a[i], batch.b[i], batch.c[i]) == plain_float_rk4(*start, 0.05, 500)
+        # any shape, one member per index
+        grid = oracle.homogeneous_ode(*(u.reshape(2, 4) for u in states.T), 0.05, 500)
+        assert np.array_equal(grid.a.ravel(), batch.a) and np.array_equal(grid.c.ravel(), batch.c)
+
+    def test_scalar_call_returns_python_floats(self):
+        state = oracle.homogeneous_ode(2.0, 1.0, 0.01, 0.5, 400)
+        assert all(type(x) is float for x in (state.a, state.b, state.c, state.t))
+        assert (state.a, state.b, state.c) == plain_float_rk4(2.0, 1.0, 0.01, 0.5, 400)
+
+    @pytest.mark.parametrize("bad, error, match", [
+        # leaves the orthant in its first step of h = 10
+        ((0.01, 0.01, 8.0), InvalidArgument, "member 1 left the positive orthant"),
+        # a * b overflows: the state turns to NaN, which must not pass
+        ((1e200, 1e200, 1.0), InvalidArgument, "member 1 left the positive orthant"),
+        ((1.0, 0.0, 1.0), NotPositive, "member 1 is"),
+        ((1.0, 1.0, float("nan")), NotPositive, "member 1 is"),
+    ])
+    def test_guard_is_per_member(self, bad, error, match):
+        # members 0 and 2 are equilibria, which no step size moves
+        a0, b0, c0 = (np.array(u) for u in zip((1.0, 1.0, 1.0), bad, (2.0, 0.5, 1.0)))
+        assert oracle.homogeneous_ode(a0[::2], b0[::2], c0[::2], 10.0, 1).c.tolist() == [1.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(error, match=match):
+                oracle.homogeneous_ode(a0, b0, c0, 10.0, 1)
+
+    def test_orthant_tolerance_is_each_members_own(self):
+        # one step of h = 1 takes member 1's a from 1e-12 to about -2.5e-11:
+        # below its own tolerance -1e-12 * 5, above member 0's -1e-12 * 100
+        a0, b0, c0 = np.array([100.0, 1e-12]), np.array([1.0, 5.0]), np.array([100.0, 1e-14])
+        with pytest.raises(InvalidArgument, match="member 1 left the positive orthant"):
+            oracle.homogeneous_ode(a0, b0, c0, 1.0, 1)
+
+    def test_states_must_share_one_shape(self):
+        with pytest.raises(InvalidArgument, match="one shape"):
+            oracle.homogeneous_ode(np.ones(3), np.ones(3), np.ones(2), 1.0, 10)
 
 
 class TestBruteForceSample:
