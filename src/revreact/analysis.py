@@ -145,9 +145,9 @@ def envelope_holds(fit: DecayFit, times, e_rel_values) -> bool:
     return bool(np.all(e[keep] <= bound * (1.0 + ENVELOPE_SLACK)))
 
 
-def theorem_alpha(mode: str, dimension: int) -> float:
-    """Decay exponent target for the given degeneracy mode in dimension
-    N <= 3, where it does not depend on N.
+def theorem_alpha(mode: str) -> float:
+    """Decay exponent target for the given degeneracy mode, the same in
+    every dimension N <= 3.
 
     db0: (1-eps)/6.  dc0: (2-eps)/3.  full: 0.95, the exponential-regime
     consistency target for the non-degenerate system.
@@ -165,7 +165,7 @@ def check_theorem_envelope(fit: DecayFit, mode: str, dimension: int,
                            times, e_rel_values) -> EnvelopeReport:
     """PASS iff fitted alpha >= theorem alpha and the envelope invariant holds
     on the given samples."""
-    target = theorem_alpha(mode, dimension)
+    target = theorem_alpha(mode)
     env_ok = envelope_holds(fit, times, e_rel_values)
     passed = fit.alpha >= target and env_ok
     lines = [

@@ -143,7 +143,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(msg, line=lines_of[min(named)[1] if named else keys[0]]) from None
 
     domain = build(("dim", "lengths"), DomainSpec.box, nums["lengths"])
-    build(("cells",), Grid.for_domain, domain, nums["cells"])
+    build(("cells", "lengths"), Grid.for_domain, domain, nums["cells"])
     build(("d_a", "d_b", "d_c"), ModelParams, nums["d_a"], nums["d_b"], nums["d_c"])
     build(("dt", "t_end", "record_every"), SolverConfig,
           nums["dt"], nums["t_end"], nums["record_every"])

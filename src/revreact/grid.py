@@ -49,7 +49,16 @@ class Grid:
         if any(n < 1 for n in cells):
             raise InvalidArgument(f"cell counts must be positive, got {cells}")
         spacings = tuple(L / n for L, n in zip(domain.lengths, cells))
-        return cls(cells=cells, spacings=spacings, cell_volume=math.prod(spacings))
+        cell_volume = math.prod(spacings)
+        # h * h > 0 is tested first: 4 / (h * h), the scale of the axis
+        # eigenvalues, raises ZeroDivisionError when h * h underflows to 0
+        if not (cell_volume > 0.0
+                and all(h * h > 0.0 and 4.0 / (h * h) < math.inf for h in spacings)):
+            raise InvalidArgument(
+                f"axis lengths {domain.lengths} over {cells} cells give spacings "
+                f"{spacings} whose cell volume or 4/h^2 is not finite and positive"
+            )
+        return cls(cells=cells, spacings=spacings, cell_volume=cell_volume)
 
     @property
     def n_cells(self) -> int:

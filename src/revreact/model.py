@@ -60,9 +60,10 @@ class DomainSpec:
             p = (max(lengths) / math.pi) ** 2
         except OverflowError:
             p = math.inf
-        if not (math.isfinite(volume) and math.isfinite(p)):
+        if not (0.0 < volume < math.inf and 0.0 < p < math.inf):
             raise InvalidArgument(
-                f"axis lengths {lengths} give a non-finite volume or Poincare constant"
+                f"axis lengths {lengths} give a volume or Poincare constant that is "
+                "not finite and positive"
             )
         return cls(dimension=n, lengths=lengths, volume=volume, poincare_constant=p)
 

@@ -3,13 +3,12 @@
 The homogeneous oracle integrates the spatially uniform reaction ODE with
 classical RK4, one call advancing a whole array of initial states together
 in numpy (bit-identical, member by member, to a plain-float loop over one
-state), and also carries the closed-form solution in scalar floats, so the
-two can be cross-validated against each other and against the PDE solver.  The
-backward-Euler diffusion step, solved matrix-free by conjugate gradients,
-is the reference the exact diffusion semigroup is compared against.  The
-brute-force sampler re-implements every recorded functional with plain
-Python loops and math.fsum, sharing no code path with the production
-functionals module.
+state); the solver's closed-form reaction substep and its runs from
+uniform data are checked against it.  The backward-Euler diffusion step,
+solved matrix-free by conjugate gradients, is the reference the exact
+diffusion semigroup is compared against.  The brute-force sampler
+re-implements every recorded functional with plain Python loops and
+math.fsum, sharing no code path with the production functionals module.
 """
 from __future__ import annotations
 
@@ -26,7 +25,6 @@ from .grid import Grid, laplacian_neumann
 __all__ = [
     "OdeState",
     "homogeneous_ode",
-    "reaction_closed_form",
     "diffusion_substep",
     "brute_force_sample",
 ]
@@ -106,25 +104,6 @@ def homogeneous_ode(a0, b0, c0, t_end: float, substeps: int) -> OdeState:
                     "({}, {}, {})".format(i, *state)
                 )
     return OdeState(a=a, b=b, c=c, t=t_end)
-
-
-def reaction_closed_form(a0: float, b0: float, c0: float, dt: float):
-    """Closed-form reaction flow for one uniform cell (scalar arithmetic).
-
-    Mirrors the solver's factorized Riccati formulas but in plain floats,
-    for cross-validation.
-    """
-    m1 = a0 + c0
-    m2 = b0 + c0
-    s = 1.0 + m1 + m2
-    sq = math.sqrt(1.0 + 2.0 * (m1 + m2) + (m1 - m2) ** 2)
-    r2 = 0.5 * (s + sq)
-    r1 = m1 * m2 / r2
-    if abs(c0 - r1) < 1e-15 * r2:
-        return a0, b0, c0
-    u = (c0 - r1) / (c0 - r2) * math.exp(-sq * dt)
-    c = (r1 - r2 * u) / (1.0 - u)
-    return m1 - c, m2 - c, c
 
 
 def _cg(apply_a, b, x0, tol, max_iter):

@@ -5,7 +5,9 @@ advances a half diffusion step, the exact pointwise reaction flow over the
 full step, then a second half diffusion step.  The reaction substep
 integrates dc/dt = (c - r1)(c - r2) in closed form with the local
 invariants m1 = a + c and m2 = b + c held exactly, so positivity and
-pointwise conservation are structural.
+pointwise conservation are structural.  With G = (c - r1) exp(-sq dt) it
+takes c to r1 + sq G / ((r2 - c) + G), whose denominator is at least
+min(sq, r2 - c) > 0 for every positive state, so no branch guards it.
 
 The diffusion half-steps apply the exact semigroup of the discrete Neumann
 Laplacian.  On a box it factors over the axes,
@@ -47,9 +49,6 @@ __all__ = [
     "run",
     "DiffusionSemigroup",
 ]
-
-#: reaction substep returns its input when |c - r1| < this multiple of r2
-RICCATI_GUARD = 1e-15
 
 #: relative distance of t_end/dt from an integer still taken as a whole step count
 STEP_ROUNDING = 1e-9
@@ -192,10 +191,8 @@ def _react_arrays(a, b, c, dt):
     m1 = a + c
     m2 = b + c
     r1, r2, sq = riccati_roots(m1, m2)
-    at_equilibrium = np.abs(c - r1) < RICCATI_GUARD * r2
-    u0 = (c - r1) / (c - r2)
-    u = u0 * np.exp(-sq * dt)
-    c_new = np.where(at_equilibrium, c, (r1 - r2 * u) / (1.0 - u))
+    g = (c - r1) * np.exp(-sq * dt)
+    c_new = r1 + sq * g / ((r2 - c) + g)
     return m1 - c_new, m2 - c_new, c_new
 
 
@@ -203,10 +200,16 @@ def reaction_substep(fields: SpeciesFields, dt: float) -> SpeciesFields:
     """Exact pointwise integration of the reaction over dt.
 
     Per cell, with m1 = a + c and m2 = b + c frozen, c obeys
-    dc/dt = (c - r1)(c - r2); in u = (c - r1)/(c - r2) the flow is linear,
-    u(dt) = u0 * exp((r1 - r2) dt), giving c = (r1 - r2*u)/(1 - u).
-    c stays between its start value and r1 < min(m1, m2), so a = m1 - c and
-    b = m2 - c stay positive.
+    dc/dt = (c - r1)(c - r2) with r2 - r1 = sq; in u = (c - r1)/(c - r2)
+    the flow is linear, u(dt) = u0 * exp(-sq dt).  Solved for c, with
+    G = (c - r1) exp(-sq dt),
+
+        c(dt) = r1 + sq G / ((r2 - c) + G).
+
+    c < min(m1, m2) < r2, so the denominator is at least r2 - c > 0 when
+    c >= r1, and at least r2 - c + (c - r1) = sq > 0 when c < r1 (then
+    c - r1 <= G < 0).  c(dt) stays between c and r1 < min(m1, m2), so
+    a = m1 - c(dt) and b = m2 - c(dt) stay positive.
     """
     return SpeciesFields(*_react_arrays(fields.a, fields.b, fields.c, dt))
 

@@ -66,10 +66,9 @@ class TestFitSubexponential:
 
 class TestTheoremEnvelope:
     def test_exponent_targets(self):
-        assert theorem_alpha("db0", 1) == pytest.approx((1.0 - EPSILON) / 6.0)
-        assert theorem_alpha("db0", 3) == pytest.approx((1.0 - EPSILON) / 6.0)
-        assert theorem_alpha("dc0", 3) == pytest.approx((2.0 - EPSILON) / 3.0)
-        assert theorem_alpha("full", 2) == 0.95
+        assert theorem_alpha("db0") == pytest.approx((1.0 - EPSILON) / 6.0)
+        assert theorem_alpha("dc0") == pytest.approx((2.0 - EPSILON) / 3.0)
+        assert theorem_alpha("full") == 0.95
 
     def _check(self, alpha, mode, dimension):
         # samples exactly on the fitted envelope exp(-(1+t)**alpha), S1 = S2 = 1

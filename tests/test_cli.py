@@ -79,6 +79,8 @@ class TestParseConfig:
         ("lengths=1.0", "lengths=-1", 3),
         ("lengths=1.0", "lengths=nan", 3),
         ("lengths=1.0", "lengths=1e200", 3),
+        ("lengths=1.0", "lengths=1e-200", 3),
+        ("lengths=1.0", "lengths=1e-158", 3),  # subnormal h * h, so 4/h^2 overflows
         ("d_a=1.0", "d_a=0", 4),
         ("d_c=1.0", "d_c=inf", 6),
         ("d_c=1.0", "d_c=0", 5),
@@ -402,6 +404,21 @@ class TestCmdVerify:
         assert "FAIL" not in out
         assert elapsed < 300.0
 
+    def test_wrong_reaction_fails_closed(self, monkeypatch, capsys):
+        # the solver's reaction integrating over 2 dt must fail the RK4 check
+        # that verify runs on it, and so the command
+        import revreact.solver
+        from revreact import verify
+        from revreact.cli import cmd_verify
+
+        react = revreact.solver._react_arrays
+        monkeypatch.setattr(revreact.solver, "_react_arrays",
+                            lambda a, b, c, dt: react(a, b, c, 2.0 * dt))
+        name, ok, _ = verify._suite_reaction_oracle(np.random.default_rng(0))
+        assert ok is False
+        assert cmd_verify() == 1
+        assert f"FAIL  {name}:" in capsys.readouterr().out
+
 
 class TestMain:
     def test_presets_listing(self, capsys):
@@ -428,6 +445,8 @@ class TestMain:
         {"t_end=1.0": "t_end=inf"},
         {"init=cosine_bump 0.4": "init=random_positive 0.5 1.0", "seed=3": "seed=-3"},
         {"lengths=1.0": "lengths=1e200"},
+        {"lengths=1.0": "lengths=1e-200"},
+        {"lengths=1.0": "lengths=1e-158"},
     ])
     def test_crashing_values_exit_2(self, tmp_path, capsys, edits):
         text = FAST.format(out=str(tmp_path / "out"))

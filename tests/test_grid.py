@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from revreact.errors import InvalidExponent, NotPositive
+from revreact.errors import InvalidArgument, InvalidExponent, NotPositive
 from revreact.grid import (
     Grid,
     SpeciesFields,
@@ -31,6 +31,15 @@ class TestGrid:
         dom = DomainSpec.box([2.0, 1.0])
         grid = Grid.for_domain(dom, [8, 5])
         assert grid.spacings == (0.25, 0.2)
+
+    @pytest.mark.parametrize("lengths, cells", [
+        ([1e-158], [8]),  # h * h subnormal: 4/h^2 overflows
+        ([1e-160], [1000]),  # h * h underflows to 0
+        ([2e-108] * 3, [2, 2, 2]),  # the cell volume underflows to 0
+    ])
+    def test_rejects_unresolvable_spacing(self, lengths, cells):
+        with pytest.raises(InvalidArgument, match="lengths"):
+            Grid.for_domain(DomainSpec.box(lengths), cells)
 
 
 class TestSpeciesFields:

@@ -34,8 +34,9 @@ class TestDomainSpec:
             DomainSpec.box([1.0, 1.0, 1.0, 1.0])
         with pytest.raises(InvalidArgument):
             DomainSpec.box([1.0, -2.0])
-        # finite lengths whose volume, or whose Poincare constant, overflows
-        for lengths in ([1e150, 1e150, 1e150], [1e200]):
+        # finite lengths whose volume, or whose Poincare constant, overflows,
+        # and lengths whose volume underflows to 0
+        for lengths in ([1e150, 1e150, 1e150], [1e200], [1e-150, 1e-150, 1e-150]):
             with pytest.raises(InvalidArgument, match="lengths"):
                 DomainSpec.box(lengths)
 

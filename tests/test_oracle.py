@@ -53,15 +53,6 @@ class TestHomogeneousOde:
         assert state.a + state.c == pytest.approx(a0 + c0, rel=1e-12)
         assert state.b + state.c == pytest.approx(b0 + c0, rel=1e-12)
 
-    def test_cross_validation_with_closed_form(self, rng):
-        states = rng.uniform(0.05, 3.0, size=(100, 3))
-        ref = oracle.homogeneous_ode(*states.T, 1.0, 10_000)
-        worst = 0.0
-        for (a0, b0, c0), a, b, c in zip(states, ref.a, ref.b, ref.c):
-            got = oracle.reaction_closed_form(a0, b0, c0, 1.0)
-            worst = max(worst, abs(got[0] - a), abs(got[1] - b), abs(got[2] - c))
-        assert worst <= 1e-10
-
     def test_step_too_large(self):
         with pytest.raises(InvalidArgument):
             oracle.homogeneous_ode(0.01, 0.01, 8.0, 10.0, 1)
