@@ -252,39 +252,6 @@ def _read_lines(path: str) -> list[str]:
         raise ParseError(f"{path!r} is not UTF-8 text: {exc}")
 
 
-def read_snapshot(path: str):
-    """Read a final_fields.snap file back into (dim, cells, lengths, fields)."""
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError("empty snapshot", line=1)
-    toks = lines[0].split()
-    try:
-        dim = int(toks[0])
-        if len(toks) != 1 + 2 * dim:
-            raise ValueError
-        cells = tuple(int(t) for t in toks[1:1 + dim])
-        lengths = tuple(float(t) for t in toks[1 + dim:])
-        Grid.for_domain(DomainSpec.box(lengths), cells)
-    except (ValueError, IndexError, InvalidArgument):
-        raise ParseError(f"malformed snapshot header {lines[0]!r}", line=1)
-    n = math.prod(cells)
-    if len(lines) - 1 != n:
-        raise ParseError(f"expected {n} cell lines, found {len(lines) - 1}", line=len(lines))
-    data = np.empty((n, 3))
-    for i, line in enumerate(lines[1:], start=2):
-        toks = line.split()
-        if len(toks) != 3:
-            raise ParseError(f"expected 3 values per cell, got {line!r}", line=i)
-        try:
-            data[i - 2] = [float(t) for t in toks]
-        except ValueError:
-            raise ParseError(f"malformed number in {line!r}", line=i)
-    fields = SpeciesFields(
-        data[:, 0].reshape(cells), data[:, 1].reshape(cells), data[:, 2].reshape(cells)
-    )
-    return dim, cells, lengths, fields
-
-
 def cmd_run(cfg: RunConfig) -> int:
     """Run the configured simulation and write its outputs; 0 on success."""
     domain, grid = build_domain(cfg)
@@ -300,7 +267,7 @@ def cmd_run(cfg: RunConfig) -> int:
     started = time.perf_counter()
     error = None
     try:
-        traj = solver_run(initial, params, grid, domain, solver_cfg)
+        traj = solver_run(initial, params, grid, solver_cfg)
     except NumericalBlowup as exc:
         error = exc
         traj = None

@@ -21,10 +21,6 @@ class InvalidArgument(RevReactError):
     """A scalar argument is outside its admissible range."""
 
 
-class InvalidExponent(RevReactError):
-    """Lebesgue exponent p < 1 requested."""
-
-
 class DegenerateEquilibrium(RevReactError):
     """Equilibrium with a zero component where a positive one is required."""
 
@@ -68,7 +64,7 @@ class ConfigError(RevReactError):
 
 
 class ParseError(RevReactError):
-    """Malformed time-series or snapshot file."""
+    """Malformed time-series file."""
 
     def __init__(self, message, line=None):
         if line is not None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateEquilibrium
 from .grid import Grid, deviation_l2, dirichlet_energy, integrate, lp_norm
-from .model import DomainSpec, EquilibriumState, ModelParams, conserved_masses
+from .model import EquilibriumState, ModelParams, conserved_masses
 
 __all__ = [
     "RunningIntegrals",
@@ -191,19 +191,20 @@ def _excess(small, large, m1, m2, volume):
     return excess if excess.ndim else float(excess)
 
 
-def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
-           domain: DomainSpec, grid: Grid,
+def sample(fields, t: float, eq: EquilibriumState, params: ModelParams, grid: Grid,
            running: RunningIntegrals | None = None) -> dict:
     """Every recorded functional of one snapshot, keyed by CSV_COLUMNS in
     that order.
 
-    Updates the running time-integrals (trapezoid rule at record times)
-    when an accumulator is supplied.  Nothing here checks the result: on
-    huge fields a functional may overflow to inf, and the caller that
-    records the sample rejects any non-finite value.
+    The box is grid.domain: its volume |Omega| enters M1, M2 and ckp_lhs,
+    its dimension the exponent of b_lN2.  Updates the running
+    time-integrals (trapezoid rule at record times) when an accumulator is
+    supplied.  Nothing here checks the result: on huge fields a functional
+    may overflow to inf, and the caller that records the sample rejects any
+    non-finite value.
     """
     a, b, c = fields.a, fields.b, fields.c
-    m1, m2 = conserved_masses(fields, grid, domain)
+    m1, m2 = conserved_masses(fields, grid)
 
     sqa, sqb, sqc = np.sqrt(a), np.sqrt(b), np.sqrt(c)
     dev_a, dev_b, dev_c = (deviation_l2(sq, grid) for sq in (sqa, sqb, sqc))
@@ -223,7 +224,7 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
     l1b = lp_norm(b - eq.b_inf, 1, grid)
     l1c = lp_norm(c - eq.c_inf, 1, grid)
     # the CKP bound kappa*|Omega|*(l1_a^2/(2 M1) + l1_b^2/(2 M2) + l1_c^2/(M1+M2))
-    ckp_lhs = CKP_PREFACTOR * (grid.cell_volume * grid.n_cells) * (
+    ckp_lhs = CKP_PREFACTOR * grid.domain.volume * (
         l1a * l1a / (2.0 * eq.M1)
         + l1b * l1b / (2.0 * eq.M2)
         + l1c * l1c / (eq.M1 + eq.M2)
@@ -245,7 +246,7 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams,
         "ckp_lhs": ckp_lhs,
         "b_l32": lp_norm(b, 1.5, grid),
         "a_l32": lp_norm(a, 1.5, grid),
-        "b_lN2": lp_norm(b, max(1.0, domain.dimension / 2.0), grid),
+        "b_lN2": lp_norm(b, max(1.0, grid.domain.dimension / 2.0), grid),
         "c_l3": lp_norm(c, 3.0, grid),
         "int_a2ac": int_a2ac,
         "int_b2bc": int_b2bc,

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidExponent, InvalidField, NotPositive
+from .errors import InvalidArgument, InvalidField, NotPositive
 from .model import DomainSpec
 
 __all__ = [
@@ -33,8 +33,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Structured grid: cells per axis, spacings, and the (uniform) cell volume."""
+    """Structured grid on a box: the DomainSpec it covers, cells per axis,
+    spacings, and the (uniform) cell volume.
 
+    The one geometry object: evaluators read the box (|Omega|, the
+    Poincare constant, the dimension) from grid.domain, so a grid and a
+    box that disagree cannot be passed together.  Build it with
+    for_domain.
+    """
+
+    domain: DomainSpec
     cells: tuple[int, ...]
     spacings: tuple[float, ...]
     cell_volume: float
@@ -58,21 +66,12 @@ class Grid:
                 f"axis lengths {domain.lengths} over {cells} cells give spacings "
                 f"{spacings} whose cell volume or 4/h^2 is not finite and positive"
             )
-        return cls(cells=cells, spacings=spacings, cell_volume=cell_volume)
-
-    @property
-    def n_cells(self) -> int:
-        return math.prod(self.cells)
+        return cls(domain=domain, cells=cells, spacings=spacings, cell_volume=cell_volume)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""
         h = self.spacings[axis]
         return (np.arange(self.cells[axis]) + 0.5) * h
-
-    def mesh(self):
-        """Cell-center coordinate arrays, one per axis, broadcastable to cells."""
-        axes = [self.axis_coordinates(ax) for ax in range(len(self.cells))]
-        return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 
 @dataclass(frozen=True)
@@ -141,14 +140,10 @@ def integrate(u, grid: Grid) -> float:
     return grid.cell_volume * float(np.sum(u))
 
 
-def lp_norm(u, p, grid: Grid) -> float:
-    """Lebesgue norm (cell_volume * sum |u|**p)**(1/p); max|u| for p = inf."""
+def lp_norm(u, p: float, grid: Grid) -> float:
+    """Lebesgue norm (cell_volume * sum |u|**p)**(1/p), for finite p >= 1."""
     u = np.asarray(u, dtype=float)
-    if p == np.inf or p == math.inf:
-        return float(np.max(np.abs(u)))
     p = float(p)
-    if p < 1.0:
-        raise InvalidExponent(f"Lebesgue exponent must satisfy p >= 1, got {p}")
     return float((grid.cell_volume * np.sum(np.abs(u) ** p)) ** (1.0 / p))
 
 

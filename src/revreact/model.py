@@ -113,13 +113,14 @@ class EquilibriumState:
     M2: float
 
 
-def conserved_masses(fields, grid, domain) -> tuple[float, float]:
+def conserved_masses(fields, grid) -> tuple[float, float]:
     """Conserved average densities M1 = avg(a+c), M2 = avg(b+c).
 
-    Computed by cell-volume-weighted summation over the structured grid.
+    Computed by cell-volume-weighted summation over the structured grid,
+    divided by the volume |Omega| of the box grid.domain.
     """
-    m1 = grid.cell_volume * float(np.sum(fields.a + fields.c)) / domain.volume
-    m2 = grid.cell_volume * float(np.sum(fields.b + fields.c)) / domain.volume
+    m1 = grid.cell_volume * float(np.sum(fields.a + fields.c)) / grid.domain.volume
+    m2 = grid.cell_volume * float(np.sum(fields.b + fields.c)) / grid.domain.volume
     return m1, m2
 
 

@@ -157,13 +157,15 @@ def diffusion_substep(u, d: float, dt: float, grid: Grid, tol: float = 1e-12,
     return _cg(apply_a, u, u, tol, max_iter)
 
 
-def brute_force_sample(fields, t: float, eq, params, domain, grid,
+def brute_force_sample(fields, t: float, eq, params, grid,
                        running: RunningIntegrals | None = None) -> dict:
     """Naive re-evaluation of every recorded functional (test oracle).
 
-    Same contract as functionals.sample, computed with per-cell Python
-    loops, math.fsum reductions, and the direct textbook formulas.
+    Same contract as functionals.sample, with the box read from
+    grid.domain too, computed with per-cell Python loops, math.fsum
+    reductions, and the direct textbook formulas.
     """
+    domain = grid.domain
     a = fields.a.ravel()
     b = fields.b.ravel()
     c = fields.c.ravel()
@@ -216,8 +218,6 @@ def brute_force_sample(fields, t: float, eq, params, domain, grid,
     )
 
     def lp(u, p):
-        if p == math.inf:
-            return max(abs(v) for v in u.ravel())
         return (vol * math.fsum(abs(v) ** p for v in u.ravel())) ** (1.0 / p)
 
     fa = vol * math.fsum(a[i] * a[i] + a[i] * c[i] for i in range(n))

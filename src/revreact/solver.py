@@ -39,7 +39,7 @@ import scipy.fft
 from . import functionals
 from .errors import InvalidArgument, InvalidField, InvalidMass, NotPositive, NumericalBlowup
 from .grid import Grid, SpeciesFields
-from .model import DomainSpec, ModelParams, conserved_masses, equilibrium_state, riccati_roots
+from .model import ModelParams, conserved_masses, equilibrium_state, riccati_roots
 
 __all__ = [
     "SolverConfig",
@@ -239,10 +239,12 @@ class StrangStepper:
 
 
 def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
-        domain: DomainSpec, cfg: SolverConfig) -> Trajectory:
+        cfg: SolverConfig) -> Trajectory:
     """Advance from t = 0 to t_end, recording functionals every record_every steps.
 
-    The equilibrium reference is fixed from the initial conserved masses.
+    grid carries the box, whose volume the conserved masses and the
+    recorded functionals use.  The equilibrium reference is fixed from the
+    initial conserved masses.
     Raises NumericalBlowup (with the offending time) if that reference is
     not finite with positive components (t = 0), if evaluating it, a step
     or a record divides by zero, overflows or makes an invalid value (t of
@@ -255,7 +257,7 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
     u = np.stack((initial.a, initial.b, initial.c))
 
     def record(t, u):
-        s = functionals.sample(SpeciesFields(*u), t, eq, params, domain, grid, running)
+        s = functionals.sample(SpeciesFields(*u), t, eq, params, grid, running)
         if not all(map(math.isfinite, s.values())):
             raise NumericalBlowup(f"non-finite functional at t = {t}", t=t)
         traj.samples.append(s)
@@ -266,7 +268,7 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
     # (huge data or a huge box): raise, not warn
     try:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            eq = equilibrium_state(*conserved_masses(initial, grid, domain))
+            eq = equilibrium_state(*conserved_masses(initial, grid))
             if not all(math.isfinite(r) and r > 0.0 for r in (eq.a_inf, eq.b_inf, eq.c_inf)):
                 raise NumericalBlowup(f"equilibrium ({eq.a_inf}, {eq.b_inf}, {eq.c_inf}) is "
                                       "not finite and positive at t = 0", t=0.0)

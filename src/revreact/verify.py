@@ -74,17 +74,15 @@ def _suite_gamma(rng):
 
 
 def _grids():
-    d1 = DomainSpec.box([1.0])
-    d2 = DomainSpec.box([1.0, 0.7])
     return [
-        (d1, Grid.for_domain(d1, [64])),
-        (d2, Grid.for_domain(d2, [24, 16])),
+        Grid.for_domain(DomainSpec.box([1.0]), [64]),
+        Grid.for_domain(DomainSpec.box([1.0, 0.7]), [24, 16]),
     ]
 
 
 def _suite_laplacian(rng):
     worst_cons = worst_sym = worst_sd = 0.0
-    for _, grid in _grids():
+    for grid in _grids():
         for _ in range(40):
             u = rng.uniform(-1.0, 1.0, size=grid.cells)
             v = rng.uniform(-1.0, 1.0, size=grid.cells)
@@ -106,13 +104,13 @@ def _suite_laplacian(rng):
 
 def _suite_poincare(rng):
     worst = -np.inf
-    for domain, grid in _grids():
+    for grid in _grids():
         for _ in range(200):
             u = rng.uniform(0.0, 1.0, size=grid.cells)
             dev = deviation_l2(u, grid)
             energy = dirichlet_energy(u, grid)
             if energy > 0:
-                worst = max(worst, dev * dev / (domain.poincare_constant * energy))
+                worst = max(worst, dev * dev / (grid.domain.poincare_constant * energy))
     ok = worst <= 1.0
     return ("discrete Poincare-Wirtinger on random fields", ok, f"worst ratio {worst:.4f}")
 
@@ -127,16 +125,14 @@ def _suite_reaction_oracle(rng):
 
 
 def _suite_brute_force(rng):
-    domain = DomainSpec.box([1.0])
-    grid = Grid.for_domain(domain, [32])
+    grid = Grid.for_domain(DomainSpec.box([1.0]), [32])
     params = ModelParams(1.0, 0.5, 0.0)
     worst = 0.0
     for _ in range(20):
         f = SpeciesFields(*(rng.uniform(0.2, 3.0, size=grid.cells) for _ in range(3)))
-        m1, m2 = conserved_masses(f, grid, domain)
-        eq = equilibrium_state(m1, m2)
-        s1 = sample(f, 0.0, eq, params, domain, grid)
-        s2 = oracle.brute_force_sample(f, 0.0, eq, params, domain, grid)
+        eq = equilibrium_state(*conserved_masses(f, grid))
+        s1 = sample(f, 0.0, eq, params, grid)
+        s2 = oracle.brute_force_sample(f, 0.0, eq, params, grid)
         for name in CSV_COLUMNS:
             x, y = s1[name], s2[name]
             worst = max(worst, abs(x - y) / max(abs(x), abs(y), 1e-30))
@@ -145,8 +141,8 @@ def _suite_brute_force(rng):
 
 
 def _suite_inequalities(rng):
-    domain = DomainSpec.box([1.0])
-    grid = Grid.for_domain(domain, [128])
+    grid = Grid.for_domain(DomainSpec.box([1.0]), [128])
+    domain = grid.domain
     params_by_mode = {
         "full": ModelParams(1.0, 0.5, 0.8),
         "db0": ModelParams(1.0, 0.0, 1.0),
@@ -156,9 +152,9 @@ def _suite_inequalities(rng):
     rows = np.empty((1000, 6))
     for i in range(1000):
         f = SpeciesFields(*(rng.uniform(0.2, 3.0, size=grid.cells) for _ in range(3)))
-        eq = equilibrium_state(*conserved_masses(f, grid, domain))
+        eq = equilibrium_state(*conserved_masses(f, grid))
         params = list(params_by_mode.values())[i % 3]
-        s = sample(f, 0.0, eq, params, domain, grid)
+        s = sample(f, 0.0, eq, params, grid)
         rhs = dissipation_bound_rhs((s["dev_A2"], s["dev_B2"], s["dev_C2"]), s["abc_defect"],
                                     params.diffusivities(), domain.poincare_constant)
         rows[i] = s["E_rel"], s["ckp_lhs"], s["D"], rhs, s["M1"], s["M2"]
@@ -174,8 +170,7 @@ def _suite_inequalities(rng):
 
 
 def _suite_reaction_conservation(rng):
-    domain = DomainSpec.box([1.0])
-    grid = Grid.for_domain(domain, [64])
+    grid = Grid.for_domain(DomainSpec.box([1.0]), [64])
     worst = 0.0
     for _ in range(50):
         f = SpeciesFields(*(rng.uniform(0.1, 4.0, size=grid.cells) for _ in range(3)))

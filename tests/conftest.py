@@ -27,7 +27,7 @@ class PresetRun:
         self.initial = build_initial(cfg, self.grid, self.domain)
         solver_cfg = SolverConfig(cfg.dt, cfg.t_end, cfg.record_every)
         started = time.perf_counter()
-        self.trajectory = run(self.initial, self.params, self.grid, self.domain, solver_cfg)
+        self.trajectory = run(self.initial, self.params, self.grid, solver_cfg)
         self.wall_time = time.perf_counter() - started
 
     def column(self, name):

@@ -154,8 +154,8 @@ class TestAcceptance:
         by_mode = [[] for _ in modes]
         for i in range(1000):
             f = random_fields(rng, grid)
-            eq = equilibrium_state(*conserved_masses(f, grid, dom))
-            by_mode[i % 3].append(sample(f, 0.0, eq, modes[i % 3], dom, grid))
+            eq = equilibrium_state(*conserved_masses(f, grid))
+            by_mode[i % 3].append(sample(f, 0.0, eq, modes[i % 3], grid))
         for params, samples in zip(modes, by_mode):
             cols = {k: np.array([s[k] for s in samples]) for k in CSV_COLUMNS}
             ckp, diss = violations(cols, params.diffusivities(), dom)

@@ -1,15 +1,19 @@
-"""The names the benchmark in bench/ reaches into revreact by.
+"""The names the benchmark in bench/ reaches into revreact by, and the gate
+it holds the shipped presets' CSVs to.
 
 bench/tracing.py wraps revreact functions where their callers bind them,
 and bench/run.py times the stepper's kernels through the cli's builders.
 A probe whose target is gone is silently left out of the benchmark's
 metrics, so these tests check from here that every target still exists.
+The benchmark also compares the full_1d and dc0_3d CSVs with its recorded
+references; the same comparison runs here on the cached preset runs.
 They read bench/ and do not change it.
 """
 import os
 import sys
 
 import numpy as np
+import pytest
 
 from revreact import cli, functionals, oracle, verify
 
@@ -52,3 +56,11 @@ def test_kernel_probes_time_both_kernels(tmp_path):
     probes = bench_run.kernel_probes(cli, workload, str(tmp_path))
     assert set(probes) == {"solver.diffusion_apply_us", "solver.reaction_substep_us"}
     assert all(value > 0.0 for value in probes.values())
+
+
+@pytest.mark.parametrize("name", ["full_1d", "dc0_3d"])
+def test_preset_csv_passes_the_reference_gate(preset_run, name):
+    r = preset_run(name)
+    text = "\n".join([cli.CSV_HEADER] + [cli._csv_row(s) for s in r.trajectory.samples]) + "\n"
+    reference = workloads.make(name, seed=1).reference
+    assert workloads.check_csv(text, workloads.expected_rows(r.cfg), reference) == []

@@ -1,5 +1,5 @@
-"""Property tests of the output-file readers: final_fields.snap and
-timeseries.csv round trips, and single-line corruption."""
+"""Property tests of the output files: the final_fields.snap text and the
+timeseries.csv round trip, and single-line corruption of the CSV."""
 import math
 import os
 import tempfile
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revreact.cli import CSV_HEADER, _csv_row, read_snapshot, read_timeseries, write_snapshot
+from revreact.cli import CSV_HEADER, _csv_row, read_timeseries, write_snapshot
 from revreact.errors import RevReactError
 from revreact.functionals import CSV_COLUMNS
 from revreact.grid import SpeciesFields
@@ -17,19 +17,15 @@ from revreact.grid import SpeciesFields
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
-#: an integer-valued first cell line could parse as a one-cell header once
-#: the real header is dropped, so corrupted snapshots use non-integer values
-non_integer = st.floats(min_value=1e-3, max_value=1e3).filter(lambda x: not x.is_integer())
-
 
 @st.composite
-def snapshots(draw, values=positive):
+def snapshots(draw):
     dim = draw(st.integers(1, 3))
     cells = tuple(draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim)))
     lengths = tuple(draw(st.lists(st.floats(min_value=1e-3, max_value=1e3),
                                   min_size=dim, max_size=dim)))
     n = math.prod(cells)
-    species = [np.array(draw(st.lists(values, min_size=n, max_size=n))).reshape(cells)
+    species = [np.array(draw(st.lists(positive, min_size=n, max_size=n))).reshape(cells)
                for _ in range(3)]
     return SimpleNamespace(dim=dim, cells=cells, lengths=lengths), SpeciesFields(*species)
 
@@ -66,10 +62,14 @@ def read_bytes(reader, data: bytes):
 @given(snapshots())
 def test_snapshot_round_trip(snap):
     meta, fields = snap
-    dim, cells, lengths, back = read_bytes(read_snapshot, snapshot_text(snap).encode())
-    assert (dim, cells, lengths) == (meta.dim, meta.cells, meta.lengths)
-    for u, v in zip((fields.a, fields.b, fields.c), (back.a, back.b, back.c)):
-        assert np.array_equal(u, v)
+    header, *rows = snapshot_text(snap).splitlines()
+    toks = header.split()
+    assert int(toks[0]) == meta.dim
+    assert tuple(map(int, toks[1:1 + meta.dim])) == meta.cells
+    assert tuple(map(float, toks[1 + meta.dim:])) == meta.lengths
+    values = [[float(tok) for tok in row.split()] for row in rows]
+    assert values == [[a, b, c] for a, b, c in
+                      zip(fields.a.ravel(), fields.b.ravel(), fields.c.ravel())]
 
 
 @settings(max_examples=200, deadline=None)
@@ -81,9 +81,6 @@ def test_csv_round_trip(rows):
         assert np.array_equal(cols[name], [row[j] for row in rows])
 
 
-#: tokens no snapshot position accepts ("" deletes the token, since the
-#: reader splits on runs of whitespace)
-SNAP_BAD = ("", "x", "nan", "inf", "-inf", "1e400", "0", "-1")
 #: tokens no CSV cell or header name accepts
 CSV_BAD = ("", "x", "nan", "inf", "-inf", "1e400")
 
@@ -112,15 +109,6 @@ def corrupt(draw, lines, sep, bad, whole_line_ok):
 
 
 @settings(max_examples=500, deadline=None)
-@given(snapshots(values=non_integer), st.data())
-def test_snapshot_single_line_corruption_raises(snap, data):
-    lines = snapshot_text(snap).splitlines()
-    corrupted = corrupt(data.draw, lines, " ", SNAP_BAD, lambda i: True)
-    with pytest.raises(RevReactError):
-        read_bytes(read_snapshot, corrupted)
-
-
-@settings(max_examples=500, deadline=None)
 @given(csv_rows, st.data())
 def test_csv_single_line_corruption_raises(rows, data):
     # a dropped or repeated data row is still a well-formed file
@@ -131,13 +119,12 @@ def test_csv_single_line_corruption_raises(rows, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(snapshots(), csv_rows, st.data())
-def test_arbitrary_line_never_escapes_as_another_error(snap, rows, data):
-    for reader, text in ((read_snapshot, snapshot_text(snap)), (read_timeseries, csv_text(rows))):
-        lines = text.splitlines()
-        i = data.draw(st.integers(0, len(lines) - 1))
-        lines[i] = data.draw(st.text(max_size=40))
-        try:
-            read_bytes(reader, ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))
-        except RevReactError:
-            pass
+@given(csv_rows, st.data())
+def test_arbitrary_line_never_escapes_as_another_error(rows, data):
+    lines = csv_text(rows).splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i] = data.draw(st.text(max_size=40))
+    try:
+        read_bytes(read_timeseries, ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))
+    except RevReactError:
+        pass

@@ -25,8 +25,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def unit_setup(n=64, L=1.0):
-    dom = DomainSpec.box([L])
-    return dom, Grid.for_domain(dom, [n])
+    return Grid.for_domain(DomainSpec.box([L]), [n])
 
 
 def random_fields(rng, grid, lo=0.2, hi=3.0):
@@ -37,38 +36,38 @@ def random_fields(rng, grid, lo=0.2, hi=3.0):
     )
 
 
-def self_sample(f, params, dom, grid):
+def self_sample(f, params, grid):
     """The sample of f against the equilibrium of its own masses."""
-    return sample(f, 0.0, equilibrium_state(*conserved_masses(f, grid, dom)), params, dom, grid)
+    return sample(f, 0.0, equilibrium_state(*conserved_masses(f, grid)), params, grid)
 
 
-def bound_sides(s, params, dom):
+def bound_sides(s, params, grid):
     """(D, dissipation_bound_rhs) of one sample."""
     dev2 = (s["dev_A2"], s["dev_B2"], s["dev_C2"])
     return s["D"], dissipation_bound_rhs(dev2, s["abc_defect"], params.diffusivities(),
-                                         dom.poincare_constant)
+                                         grid.domain.poincare_constant)
 
 
 class TestEntropy:
     def test_all_ones_is_zero(self):
-        dom, grid = unit_setup(8)
+        grid = unit_setup(8)
         f = SpeciesFields.uniform(grid, 1.0, 1.0, 1.0)
         assert entropy(f, grid) == 0.0
 
     def test_two_one_one(self):
-        dom, grid = unit_setup(16)
+        grid = unit_setup(16)
         f = SpeciesFields.uniform(grid, 2.0, 1.0, 1.0)
         assert entropy(f, grid) == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-13)
 
     def test_nonnegative_random(self, rng):
-        dom, grid = unit_setup(32)
+        grid = unit_setup(32)
         for _ in range(50):
             assert entropy(random_fields(rng, grid, 0.05, 5.0), grid) >= 0.0
 
 
 class TestRelativeEntropy:
     def test_zero_at_equilibrium(self):
-        dom, grid = unit_setup(8)
+        grid = unit_setup(8)
         eq = equilibrium_state(2.0, 1.0)
         f = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
         assert relative_entropy(f, eq, grid) == pytest.approx(0.0, abs=1e-15)
@@ -76,7 +75,7 @@ class TestRelativeEntropy:
     def test_entropy_difference_identity(self):
         # masses of uniform (2,1,1) are (3,2); relative entropy equals the
         # entropy gap to the equilibrium taken as a uniform field
-        dom, grid = unit_setup(32)
+        grid = unit_setup(32)
         f = SpeciesFields.uniform(grid, 2.0, 1.0, 1.0)
         eq = equilibrium_state(3.0, 2.0)
         f_eq = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
@@ -84,23 +83,23 @@ class TestRelativeEntropy:
         assert relative_entropy(f, eq, grid) == pytest.approx(gap, rel=1e-12)
 
     def test_identity_on_random_mass_matched_fields(self, rng):
-        dom, grid = unit_setup(48)
+        grid = unit_setup(48)
         for _ in range(20):
             f = random_fields(rng, grid)
-            m1, m2 = conserved_masses(f, grid, dom)
+            m1, m2 = conserved_masses(f, grid)
             eq = equilibrium_state(m1, m2)
             f_eq = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
             gap = entropy(f, grid) - entropy(f_eq, grid)
             assert relative_entropy(f, eq, grid) == pytest.approx(gap, rel=1e-12)
 
     def test_nonnegative_random(self, rng):
-        dom, grid = unit_setup(32)
+        grid = unit_setup(32)
         eq = equilibrium_state(2.0, 1.5)
         for _ in range(50):
             assert relative_entropy(random_fields(rng, grid), eq, grid) >= 0.0
 
     def test_degenerate_equilibrium_rejected(self):
-        dom, grid = unit_setup(4)
+        grid = unit_setup(4)
         f = SpeciesFields.uniform(grid, 1.0, 1.0, 1.0)
         eq = equilibrium_state(0.0, 5.0)
         with pytest.raises(DegenerateEquilibrium):
@@ -111,12 +110,12 @@ class TestRelativeEntropy:
         # fields within a relative eps of equilibrium: E_rel ~ eps^2 is what
         # remains of u ln(u/r) - u + r after cancelling to order eps, so its
         # relative error grows like 1/eps; measured worst 7e-17/eps
-        dom, grid = unit_setup(64)
+        grid = unit_setup(64)
         base = equilibrium_state(2.0, 1.0)
         for _ in range(5):
             f = SpeciesFields(*(r * (1.0 + eps * rng.uniform(-1.0, 1.0, size=grid.cells))
                                 for r in (base.a_inf, base.b_inf, base.c_inf)))
-            eq = equilibrium_state(*conserved_masses(f, grid, dom))
+            eq = equilibrium_state(*conserved_masses(f, grid))
             with decimal.localcontext() as ctx:
                 ctx.prec = 50
                 exact = decimal.Decimal(0)
@@ -141,7 +140,7 @@ class TestKlDensity:
 
 class TestDissipation:
     def test_zero_at_homogeneous_equilibrium(self):
-        dom, grid = unit_setup(16)
+        grid = unit_setup(16)
         eq = equilibrium_state(2.0, 1.0)
         f = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
         params = ModelParams(1.0, 0.0, 1.0)
@@ -149,7 +148,7 @@ class TestDissipation:
 
     def test_uniform_reaction_only(self):
         # a = b = 1, c = e: reaction term (1-e) ln(1/e) = e - 1
-        dom, grid = unit_setup(16)
+        grid = unit_setup(16)
         f = SpeciesFields.uniform(grid, 1.0, 1.0, math.e)
         for params in (ModelParams(1.0, 0.0, 1.0), ModelParams(2.0, 3.0, 0.0)):
             assert dissipation(f, params, grid) == pytest.approx(math.e - 1.0, rel=1e-13)
@@ -161,7 +160,7 @@ class TestDissipation:
         assert np.all(reaction_production(a, b, c) >= 0.0)
 
     def test_nonnegative_random(self, rng):
-        dom, grid = unit_setup(32)
+        grid = unit_setup(32)
         params = ModelParams(0.7, 1.2, 0.0)
         for _ in range(30):
             assert dissipation(random_fields(rng, grid), params, grid) >= 0.0
@@ -175,41 +174,41 @@ class TestCkp:
         assert CKP_PREFACTOR == pytest.approx(0.4927474349, abs=1e-9)
 
     def test_zero_at_equilibrium(self):
-        dom, grid = unit_setup(8)
+        grid = unit_setup(8)
         eq = equilibrium_state(2.0, 1.0)
         f = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
-        s = sample(f, 0.0, eq, ModelParams(1.0, 1.0, 1.0), dom, grid)
+        s = sample(f, 0.0, eq, ModelParams(1.0, 1.0, 1.0), grid)
         assert s["ckp_lhs"] == pytest.approx(0.0, abs=1e-28)
 
     def test_bounded_by_relative_entropy(self, rng):
-        dom, grid = unit_setup(64)
+        grid = unit_setup(64)
         params = ModelParams(1.0, 1.0, 1.0)
-        samples = [self_sample(random_fields(rng, grid, 0.1, 4.0), params, dom, grid)
+        samples = [self_sample(random_fields(rng, grid, 0.1, 4.0), params, grid)
                    for _ in range(200)]
         e_rel, ckp, m1, m2 = (np.array([s[k] for s in samples])
                               for k in ("E_rel", "ckp_lhs", "M1", "M2"))
-        assert np.all(ckp_violation(e_rel, ckp, m1, m2, dom.volume) == 0.0)
+        assert np.all(ckp_violation(e_rel, ckp, m1, m2, grid.domain.volume) == 0.0)
 
 
 class TestDissipationBound:
     def test_equilibrium_is_zero_pair(self):
-        dom, grid = unit_setup(16)
+        grid = unit_setup(16)
         eq = equilibrium_state(2.0, 1.0)
         f = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
         params = ModelParams(1.0, 0.0, 1.0)
-        lhs, rhs = bound_sides(sample(f, 0.0, eq, params, dom, grid), params, dom)
+        lhs, rhs = bound_sides(sample(f, 0.0, eq, params, grid), params, grid)
         assert lhs == pytest.approx(0.0, abs=1e-12)
         assert rhs == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_fields_reduce_to_algebraic_inequality(self, rng):
         # uniform data: lhs is the reaction term, rhs is 4||AB-C||^2, and the
         # inequality is (x-y)(ln x - ln y) >= 4 (sqrt x - sqrt y)^2 cellwise
-        dom, grid = unit_setup(8)
+        grid = unit_setup(8)
         params = ModelParams(1.0, 1.0, 1.0)
         for _ in range(100):
             a0, b0, c0 = rng.uniform(0.05, 4.0, size=3)
             f = SpeciesFields.uniform(grid, a0, b0, c0)
-            lhs, rhs = bound_sides(self_sample(f, params, dom, grid), params, dom)
+            lhs, rhs = bound_sides(self_sample(f, params, grid), params, grid)
             x, y = a0 * b0, c0
             assert lhs == pytest.approx((x - y) * (math.log(x) - math.log(y)), rel=1e-12, abs=1e-25)
             assert rhs == pytest.approx(4.0 * (math.sqrt(x) - math.sqrt(y)) ** 2, rel=1e-12, abs=1e-25)
@@ -223,12 +222,12 @@ class TestDissipationBound:
         assert np.all(lhs >= rhs - 1e-12 * np.maximum(lhs, 1.0))
 
     def test_random_fields_hold_bound(self, rng):
-        dom, grid = unit_setup(128)
+        grid = unit_setup(128)
         modes = [ModelParams(1.0, 0.0, 1.0), ModelParams(1.0, 1.0, 0.0), ModelParams(1.0, 0.5, 0.8)]
         for i in range(150):
-            s = self_sample(random_fields(rng, grid), modes[i % 3], dom, grid)
-            lhs, rhs = bound_sides(s, modes[i % 3], dom)
-            assert bound_violation(lhs, rhs, s["M1"], s["M2"], dom.volume) == 0.0
+            s = self_sample(random_fields(rng, grid), modes[i % 3], grid)
+            lhs, rhs = bound_sides(s, modes[i % 3], grid)
+            assert bound_violation(lhs, rhs, s["M1"], s["M2"], grid.domain.volume) == 0.0
 
     def test_rhs_array_call_equals_per_sample_calls(self, rng):
         # analyze and verify evaluate the rhs over columns of samples
@@ -239,15 +238,15 @@ class TestDissipationBound:
 
     def test_degenerate_mode_drops_deviation_term(self):
         # d_b = 0: perturbing only b leaves the rhs gradient part unchanged
-        dom, grid = unit_setup(32)
+        grid = unit_setup(32)
         x = grid.axis_coordinates(0)
         base = SpeciesFields.uniform(grid, 1.0, 1.0, 1.0)
         bumped = SpeciesFields(base.a, 1.0 + 0.2 * np.cos(2 * np.pi * x), base.c)
         params = ModelParams(1.0, 0.0, 1.0)
-        s_base, s_bump = (sample(f, 0.0, equilibrium_state(2, 2), params, dom, grid)
+        s_base, s_bump = (sample(f, 0.0, equilibrium_state(2, 2), params, grid)
                           for f in (base, bumped))
-        _, rhs_base = bound_sides(s_base, params, dom)
-        _, rhs_bump = bound_sides(s_bump, params, dom)
+        _, rhs_base = bound_sides(s_base, params, grid)
+        _, rhs_bump = bound_sides(s_bump, params, grid)
         # only the abc defect moves; the deviation sum has no delta_B term
         defect_gap = 4.0 * (s_bump["abc_defect"] - s_base["abc_defect"])
         assert rhs_bump - rhs_base == pytest.approx(defect_gap, rel=1e-10)
@@ -255,20 +254,19 @@ class TestDissipationBound:
 
 class TestSample:
     def test_equilibrium_sample_vanishes(self):
-        dom, grid = unit_setup(16)
+        grid = unit_setup(16)
         eq = equilibrium_state(2.0, 1.0)
         f = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
-        s = sample(f, 0.0, eq, ModelParams(1.0, 0.0, 1.0), dom, grid)
+        s = sample(f, 0.0, eq, ModelParams(1.0, 0.0, 1.0), grid)
         for name in ("E_rel", "D", "l1_a", "l1_b", "l1_c",
                      "dev_A2", "dev_B2", "dev_C2", "ckp_lhs"):
             assert s[name] == pytest.approx(0.0, abs=1e-14)
 
     def test_uniform_sample_norms(self):
-        dom = DomainSpec.box([2.0])
-        grid = Grid.for_domain(dom, [10])
+        grid = unit_setup(10, L=2.0)
         f = SpeciesFields.uniform(grid, 2.0, 1.5, 0.5)
-        eq = equilibrium_state(*conserved_masses(f, grid, dom))
-        s = sample(f, 0.0, eq, ModelParams(1.0, 1.0, 1.0), dom, grid)
+        eq = equilibrium_state(*conserved_masses(f, grid))
+        s = sample(f, 0.0, eq, ModelParams(1.0, 1.0, 1.0), grid)
         # deviations of constant fields vanish up to the rounding of the mean
         for name in ("dev_A2", "dev_B2", "dev_C2"):
             assert s[name] <= 1e-30
@@ -276,14 +274,30 @@ class TestSample:
         assert s["c_l3"] == pytest.approx(0.5 * 2.0 ** (1 / 3.0), rel=1e-13)
         assert s["M1"] == pytest.approx(2.5, rel=1e-14)
 
+    def test_ckp_lhs_takes_the_volume_of_the_box(self, rng):
+        # the cells of this box multiply to a volume that differs from
+        # |Omega| = 0.45 in the last bit; ckp_lhs uses |Omega| itself.  The
+        # last bit does not reach every product, so several fields are drawn
+        dom = DomainSpec.box([1.0, 0.45])
+        grid = Grid.for_domain(dom, [64, 24])
+        assert grid.domain is dom
+        for _ in range(20):
+            s = self_sample(random_fields(rng, grid), ModelParams(1.0, 1.0, 1.0), grid)
+            m1, m2 = s["M1"], s["M2"]
+            assert s["ckp_lhs"] == CKP_PREFACTOR * dom.volume * (
+                s["l1_a"] * s["l1_a"] / (2.0 * m1)
+                + s["l1_b"] * s["l1_b"] / (2.0 * m2)
+                + s["l1_c"] * s["l1_c"] / (m1 + m2)
+            )
+
     def test_running_integrals_trapezoid(self):
-        dom, grid = unit_setup(4)
+        grid = unit_setup(4)
         f = SpeciesFields.uniform(grid, 1.0, 1.0, 1.0)
         eq = equilibrium_state(2.0, 2.0)
         params = ModelParams(1.0, 1.0, 1.0)
         running = RunningIntegrals()
         for t in (0.0, 0.5, 1.0):
-            s = sample(f, t, eq, params, dom, grid, running)
+            s = sample(f, t, eq, params, grid, running)
         # constant integrand a^2 + ac = 2 on |Omega| = 1: integral = 2t
         assert s["int_a2ac"] == pytest.approx(2.0, rel=1e-13)
         assert s["int_b2bc"] == pytest.approx(2.0, rel=1e-13)

@@ -121,10 +121,10 @@ class TestConservedMasses:
         dom = DomainSpec.box([2.0])
         grid = Grid.for_domain(dom, [8])
         f = SpeciesFields.uniform(grid, 1.0, 0.7, 1.0)
-        m1, m2 = conserved_masses(f, grid, dom)
+        m1, m2 = conserved_masses(f, grid)
         assert m1 == pytest.approx(2.0, rel=1e-14)
         f = SpeciesFields.uniform(grid, 2.0, 1.0, 0.5)
-        m1, m2 = conserved_masses(f, grid, dom)
+        m1, m2 = conserved_masses(f, grid)
         assert (m1, m2) == (pytest.approx(2.5, rel=1e-14), pytest.approx(1.5, rel=1e-14))
 
     def test_cosine_mode_integrates_out(self):
@@ -137,7 +137,7 @@ class TestConservedMasses:
         a = 1.0 + 0.5 * np.cos(np.pi * x / L)
         c = 1.0 - 0.5 * np.cos(np.pi * x / L)
         b = np.ones_like(a)
-        m1, m2 = conserved_masses(SpeciesFields(a, b, c), grid, dom)
+        m1, m2 = conserved_masses(SpeciesFields(a, b, c), grid)
         assert m1 == pytest.approx(2.0, abs=1e-13)
 
 

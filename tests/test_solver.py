@@ -129,7 +129,7 @@ class TestThreeDimensional:
         d, tau = 0.7, 0.05
         for cells in ([8, 4, 2], [KERNEL_MAX_CELLS + 8, 4, 2]):
             grid = Grid.for_domain(DomainSpec.box(lengths), cells)
-            x, y, z = grid.mesh()
+            x, y, z = np.ix_(*map(grid.axis_coordinates, range(3)))
             mode = np.cos(3 * np.pi * x) * np.cos(np.pi * y / 0.5) * np.cos(np.pi * z / 0.25)
             lam = sum(discrete_lambda(k, n, L / n) for k, n, L in zip((3, 1, 1), cells, lengths))
             v = DiffusionSemigroup(grid, d, tau).apply(1.0 + 0.1 * mode)
@@ -337,12 +337,12 @@ class TestRun2D:
         grid = Grid.for_domain(dom, [32, 12])
         params = ModelParams(1.0, 0.0, 1.0)
         cfg = SolverConfig(dt=2e-3, t_end=3.0, record_every=50)
-        x, y = grid.mesh()
+        x, y = np.ix_(*map(grid.axis_coordinates, range(2)))
         bump = (1.0 + 0.3 * np.cos(2 * np.pi * x)) * (1.0 + 0.2 * np.cos(np.pi * y / 0.45))
         a = SQRT2 * bump
         b = (SQRT2 - 1.0) * (2.0 - bump)
         f0 = SpeciesFields(a, b, a * b)
-        traj = run(f0, params, grid, dom, cfg)
+        traj = run(f0, params, grid, cfg)
         cols = {k: np.array([s[k] for s in traj.samples]) for k in traj.samples[0]}
         m1 = cols["M1"]
         assert np.max(np.abs(m1 - m1[0]) / m1[0]) <= 1e-9
@@ -357,18 +357,18 @@ class TestRun2D:
 
 class TestRun:
     def make_run(self, t_end=1.0, record_every=10):
-        dom, grid = setup_1d(32)
+        _, grid = setup_1d(32)
         params = ModelParams(1.0, 1.0, 0.0)
         cfg = SolverConfig(dt=1e-3, t_end=t_end, record_every=record_every)
         x = grid.axis_coordinates(0)
         a = SQRT2 * (1.0 + 0.4 * np.cos(2 * np.pi * x))
         b = (SQRT2 - 1.0) * (1.0 - 0.4 * np.cos(2 * np.pi * x))
         f0 = SpeciesFields(a, b, a * b)
-        return dom, grid, params, cfg, f0
+        return grid, params, cfg, f0
 
     def test_times_and_samples(self):
-        dom, grid, params, cfg, f0 = self.make_run()
-        traj = run(f0, params, grid, dom, cfg)
+        grid, params, cfg, f0 = self.make_run()
+        traj = run(f0, params, grid, cfg)
         t = np.array([s["t"] for s in traj.samples])
         assert t[0] == 0.0
         assert np.all(np.diff(t) > 0)
@@ -376,8 +376,8 @@ class TestRun:
         assert traj.final_fields is not None
 
     def test_mass_conservation_and_monotonicity(self):
-        dom, grid, params, cfg, f0 = self.make_run(t_end=2.0, record_every=20)
-        traj = run(f0, params, grid, dom, cfg)
+        grid, params, cfg, f0 = self.make_run(t_end=2.0, record_every=20)
+        traj = run(f0, params, grid, cfg)
         m1 = np.array([s["M1"] for s in traj.samples])
         m2 = np.array([s["M2"] for s in traj.samples])
         assert np.max(np.abs(m1 - m1[0]) / m1[0]) <= 1e-9
@@ -386,12 +386,12 @@ class TestRun:
         assert np.all(np.diff(e_rel) <= 1e-12)
 
     def test_equilibrium_run_stays_flat(self):
-        dom, grid = setup_1d(16)
+        _, grid = setup_1d(16)
         params = ModelParams(1.0, 0.5, 0.5)
         cfg = SolverConfig(dt=1e-2, t_end=1.0, record_every=10)
         eq = equilibrium_state(2.0, 1.0)
         f0 = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
-        traj = run(f0, params, grid, dom, cfg)
+        traj = run(f0, params, grid, cfg)
         for s in traj.samples:
             assert s["E_rel"] <= 1e-12
             assert s["D"] <= 1e-12
@@ -399,7 +399,7 @@ class TestRun:
     def test_blowup_reported_with_time(self, monkeypatch):
         from revreact import solver as solver_mod
 
-        dom, grid, params, cfg, f0 = self.make_run()
+        grid, params, cfg, f0 = self.make_run()
         real_sample = solver_mod.functionals.sample
 
         def poisoned(fields, t, *args, **kwargs):
@@ -410,5 +410,5 @@ class TestRun:
 
         monkeypatch.setattr(solver_mod.functionals, "sample", poisoned)
         with pytest.raises(NumericalBlowup) as exc_info:
-            run(f0, params, grid, dom, cfg)
+            run(f0, params, grid, cfg)
         assert exc_info.value.t is not None and exc_info.value.t > 0.05
