@@ -8,7 +8,10 @@ timeseries.csv    header: the CSV columns functionals.CSV_COLUMNS, which key
                   round trip)
 final_fields.snap line 1: dim, cells per axis, lengths per axis; then one
                   "a b c" line per cell in row-major order
-run_meta          exact echo of the parsed config plus solver statistics
+run_meta          exact echo of the parsed config plus solver statistics:
+                  steps, samples, wall time, and the seconds spent
+                  stepping, recording samples and writing these files,
+                  with the steps per second of stepping
 
 `analyze` re-reads the CSV (plus the sibling run_meta when present, for
 the dissipation-bound coefficients, whose run the requested mode and dim
@@ -276,17 +279,23 @@ def cmd_run(cfg: RunConfig) -> int:
     meta_lines = ["# config", serialize_config(cfg).rstrip("\n"), "# stats"]
     try:
         if traj is not None:
+            started = time.perf_counter()
             rows = [CSV_HEADER] + [_csv_row(s) for s in traj.samples]
             with open(os.path.join(cfg.out_dir, "timeseries.csv"), "w") as fh:
                 fh.write("\n".join(rows) + "\n")
             write_snapshot(
                 os.path.join(cfg.out_dir, "final_fields.snap"), cfg, traj.final_fields
             )
+            write_s = time.perf_counter() - started
             meta_lines += [
                 "status=ok",
                 f"steps={solver_cfg.n_steps}",
                 f"samples={len(traj.samples)}",
                 f"wall_time_s={elapsed:.3f}",
+                f"step_s={traj.step_s:.3f}",
+                f"sample_s={traj.sample_s:.3f}",
+                f"write_s={write_s:.3f}",
+                f"steps_per_s={solver_cfg.n_steps / max(traj.step_s, 1e-9):.0f}",
             ]
         else:
             meta_lines += [
@@ -349,8 +358,8 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
     Exit 0 iff the decay envelope passes, inequality violation counts are
     zero, growth constants are finite and the balance residual is finite.
     The dissipation-bound check needs the run_meta next to the CSV (or via
-    meta_path) for the diffusivities and the Poincare constant; without it
-    that check is reported as skipped.  The CKP check takes the domain
+    meta_path) for the diffusivities and the grid, whose discrete Poincare
+    constant it uses; without it that check is reported as skipped.  The CKP check takes the domain
     volume from the same run_meta; without it volume 1.0 is used, which the
     report says and summary.json records as volume null.  A dim outside
     1-3, or a mode or dim other than that of the run in the run_meta,
@@ -367,7 +376,7 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
                 f"mode {mode} and dim {dim} contradict the run in {meta_path!r} "
                 f"(mode {params.mode}, dim {meta.dim})"
             )
-        domain = DomainSpec.box(meta.lengths)
+        domain, grid = build_domain(meta)
     cols = read_timeseries(csv_path)
     t = cols["t"]
     lines = [f"verification report for {csv_path} (mode={mode}, N={dim})"]
@@ -437,7 +446,7 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
     if meta is not None:
         rhs = functionals.dissipation_bound_rhs(
             [cols[f"dev_{sp}2"] for sp in "ABC"], cols["abc_defect"],
-            params.diffusivities(), domain.poincare_constant,
+            params.diffusivities(), grid.poincare_constant,
         )
         diss_count = int(np.count_nonzero(functionals.bound_violation(
             cols["D"], rhs, cols["M1"], cols["M2"], volume)))

@@ -1,14 +1,22 @@
 """Entropy, dissipation, deviation norms and the inequality checks.
 
-All functionals are evaluated on a single field snapshot with midpoint
-quadrature.  sample is the one evaluator of a snapshot: it records them
-all as one dict keyed by CSV_COLUMNS, the names of the timeseries.csv
-columns, in that order.  ckp_violation and bound_violation, with
-dissipation_bound_rhs, are the one judge of recorded samples.  The
-functionals take a SpeciesFields, whose constructor has already checked
-that the fields are finite and strictly positive, and do not check it
-again.  Nonnegativity of the entropy-type quantities is structural: the
-entropy and the relative entropy integrate one log1p density
+All functionals are evaluated on a single snapshot, the (3, *cells) stack
+of a SpeciesFields, with midpoint quadrature.  sample is the one evaluator
+of a snapshot: it records them all as one dict keyed by CSV_COLUMNS, the
+names of the timeseries.csv columns, in that order.  It makes one pass
+over the stack for each ingredient shared by the three species: the
+masses, the square roots, the deviations, one log1p density pass for both
+entropies, the L1 distances, the Dirichlet energies of the diffusing
+species and the L^(3/2) norms.  Each row is summed over its trailing cell
+axes, the order np.sum takes over that field alone, so every column is
+bit-identical to evaluating the species one at a time.  ckp_violation and
+bound_violation, with dissipation_bound_rhs, are the one judge of
+recorded samples.  The functionals take a SpeciesFields, whose
+constructor has already checked that the fields are finite and strictly
+positive, and do not check it again.
+
+Nonnegativity of the entropy-type quantities is structural: the entropy
+and the relative entropy integrate one log1p density
 r*((1+x)*log1p(x) - x) with x = (u-r)/r, which is nonnegative for every
 x > -1, and the reaction production (ab-c)*ln(ab/c) is a product of
 same-sign factors.
@@ -22,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateEquilibrium
-from .grid import Grid, deviation_l2, dirichlet_energy, integrate, lp_norm
+from .grid import Grid, dirichlet_energies, integrate, lp_norm, row_integrals
 from .model import EquilibriumState, ModelParams, conserved_masses
 
 __all__ = [
@@ -83,21 +91,50 @@ CSV_COLUMNS = (
 
 
 def _kl_density(u, ref):
-    """u*ln(u/ref) - u + ref, evaluated cancellation-free via log1p."""
-    delta = (u - ref) / ref
-    return ref * ((1.0 + delta) * np.log1p(delta) - delta)
+    """u*ln(u/ref) - u + ref, evaluated cancellation-free via log1p as
+    ref*((1+x)*log1p(x) - x) with x = (u-ref)/ref, elementwise over u and
+    ref broadcast together.
+
+    Two work arrays are updated in place, and x is computed twice rather
+    than kept in a third: on a 3-D stack each array is larger than glibc's
+    128 KiB mmap threshold, and with more of them alive at once the freed
+    heap is trimmed and faulted in again on every call.
+    """
+    work = u - ref
+    work /= ref
+    out = np.log1p(work)
+    work += 1.0
+    out *= work
+    np.subtract(u, ref, out=work)
+    work /= ref
+    out -= work
+    out *= ref
+    return out
 
 
-def _kl_integral(fields, refs, grid: Grid) -> float:
-    """int sum_u _kl_density(u, ref_u) over a, b and c."""
-    (a, b, c), (ra, rb, rc) = fields.species(), refs
-    return integrate(_kl_density(a, ra) + _kl_density(b, rb) + _kl_density(c, rc), grid)
+def _kl_integrals(u, refs, grid: Grid) -> list[float]:
+    """int sum_u _kl_density(u, ref_u) over a, b and c, for each row
+    (ref_a, ref_b, ref_c) of refs, in one pass over the stack u."""
+    refs = np.reshape(refs, (-1, 3) + (1,) * (u.ndim - 1))
+    density = _kl_density(u, refs)
+    total = density[:, 0] + density[:, 1]
+    total += density[:, 2]
+    return row_integrals(total, grid)
+
+
+def _equilibrium_refs(eq: EquilibriumState) -> tuple[float, float, float]:
+    refs = (eq.a_inf, eq.b_inf, eq.c_inf)
+    if any(r <= 0.0 for r in refs):
+        raise DegenerateEquilibrium(
+            "relative entropy needs strictly positive equilibrium components"
+        )
+    return refs
 
 
 def entropy(fields, grid: Grid) -> float:
     """Entropy E = int sum_u (u ln u - u + 1), the relative entropy to
     (1, 1, 1); nonnegative."""
-    return _kl_integral(fields, (1.0, 1.0, 1.0), grid)
+    return _kl_integrals(fields.stack, (1.0, 1.0, 1.0), grid)[0]
 
 
 def relative_entropy(fields, eq: EquilibriumState, grid: Grid) -> float:
@@ -106,12 +143,7 @@ def relative_entropy(fields, eq: EquilibriumState, grid: Grid) -> float:
     Equals entropy(fields) - entropy(equilibrium) whenever the conserved
     masses match.
     """
-    refs = (eq.a_inf, eq.b_inf, eq.c_inf)
-    if any(r <= 0.0 for r in refs):
-        raise DegenerateEquilibrium(
-            "relative entropy needs strictly positive equilibrium components"
-        )
-    return _kl_integral(fields, refs, grid)
+    return _kl_integrals(fields.stack, _equilibrium_refs(eq), grid)[0]
 
 
 def reaction_production(a, b, c):
@@ -127,18 +159,23 @@ def reaction_production(a, b, c):
     return safe_w * np.log1p(safe_w / c)
 
 
+def _dissipation(u, sqrt_u, params: ModelParams, grid: Grid) -> float:
+    """dissipation of the species stack u, given its square roots."""
+    diffusing = [(i, d) for i, d in enumerate(params.diffusivities()) if d > 0.0]
+    energies = dirichlet_energies(sqrt_u[[i for i, _ in diffusing]], grid)
+    total = 0.0
+    for (_, d), energy in zip(diffusing, energies):
+        total += 4.0 * d * energy
+    return total + integrate(reaction_production(*u), grid)
+
+
 def dissipation(fields, params: ModelParams, grid: Grid) -> float:
     """Entropy dissipation 4*sum_u d_u*int|grad sqrt(u)|^2 + int (ab-c)ln(ab/c).
 
     Covers the full system and reduces to the two degenerate variants when
     d_b = 0 or d_c = 0 (the vanished gradient term drops out).
     """
-    total = 0.0
-    for d, u in zip(params.diffusivities(), fields.species()):
-        if d > 0.0:
-            total += 4.0 * d * dirichlet_energy(np.sqrt(u), grid)
-    total += integrate(reaction_production(fields.a, fields.b, fields.c), grid)
-    return total
+    return _dissipation(fields.stack, np.sqrt(fields.stack), params, grid)
 
 
 def dissipation_bound_rhs(dev2, abc_defect: float, diffusivities,
@@ -194,7 +231,7 @@ def _excess(small, large, m1, m2, volume):
 def sample(fields, t: float, eq: EquilibriumState, params: ModelParams, grid: Grid,
            running: RunningIntegrals | None = None) -> dict:
     """Every recorded functional of one snapshot, keyed by CSV_COLUMNS in
-    that order.
+    that order, in one pass over the stack of fields.
 
     The box is grid.domain: its volume |Omega| enters M1, M2 and ckp_lhs,
     its dimension the exponent of b_lN2.  Updates the running
@@ -203,15 +240,27 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams, grid: Gr
     may overflow to inf, and the caller that records the sample rejects any
     non-finite value.
     """
-    a, b, c = fields.a, fields.b, fields.c
+    u = fields.stack
+    refs = _equilibrium_refs(eq)
     m1, m2 = conserved_masses(fields, grid)
+    e, e_rel = _kl_integrals(u, ((1.0, 1.0, 1.0), refs), grid)
+    # stacked columns broadcast along the trailing cell axes
+    column = (3,) + (1,) * (u.ndim - 1)
 
-    sqa, sqb, sqc = np.sqrt(a), np.sqrt(b), np.sqrt(c)
-    dev_a, dev_b, dev_c = (deviation_l2(sq, grid) for sq in (sqa, sqb, sqc))
-    defect = sqa * sqb - sqc
+    sqrt_u = np.sqrt(u)
+    # deviation_l2(sqrt(u)) per species; its mean is np.mean's sum / count
+    mean = sqrt_u.reshape(3, -1).sum(axis=-1) / sqrt_u[0].size
+    w = sqrt_u - mean.reshape(column)
+    w *= w
+    dev_a, dev_b, dev_c = (math.sqrt(x) for x in row_integrals(w, grid))
+    w = sqrt_u[0] * sqrt_u[1]
+    w -= sqrt_u[2]
+    w *= w
+    abc_defect = integrate(w, grid)
 
-    fa = integrate(a * a + a * c, grid)
-    fb = integrate(b * b + b * c, grid)
+    w = u[:2] * u[:2]
+    w += u[:2] * u[2]
+    fa, fb = row_integrals(w, grid)
     if running is not None:
         running.update(t, fa, fb)
         int_a2ac = running.int_a2ac
@@ -220,20 +269,23 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams, grid: Gr
         int_a2ac = 0.0
         int_b2bc = 0.0
 
-    l1a = lp_norm(a - eq.a_inf, 1, grid)
-    l1b = lp_norm(b - eq.b_inf, 1, grid)
-    l1c = lp_norm(c - eq.c_inf, 1, grid)
+    w = u - np.reshape(refs, column)
+    np.abs(w, out=w)
+    l1a, l1b, l1c = row_integrals(w, grid)
     # the CKP bound kappa*|Omega|*(l1_a^2/(2 M1) + l1_b^2/(2 M2) + l1_c^2/(M1+M2))
     ckp_lhs = CKP_PREFACTOR * grid.domain.volume * (
         l1a * l1a / (2.0 * eq.M1)
         + l1b * l1b / (2.0 * eq.M2)
         + l1c * l1c / (eq.M1 + eq.M2)
     )
+    # lp_norm of a and b at p = 3/2, the root taken on Python floats as there
+    a_l32, b_l32 = (x ** (1.0 / 1.5) for x in row_integrals(u[:2] ** 1.5, grid))
+    p_n2 = max(1.0, grid.domain.dimension / 2.0)  # 3/2 in three dimensions
     return {
         "t": t,
-        "E": entropy(fields, grid),
-        "E_rel": relative_entropy(fields, eq, grid),
-        "D": dissipation(fields, params, grid),
+        "E": e,
+        "E_rel": e_rel,
+        "D": _dissipation(u, sqrt_u, params, grid),
         "M1": m1,
         "M2": m2,
         "l1_a": l1a,
@@ -242,12 +294,12 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams, grid: Gr
         "dev_A2": dev_a * dev_a,
         "dev_B2": dev_b * dev_b,
         "dev_C2": dev_c * dev_c,
-        "abc_defect": integrate(defect * defect, grid),
+        "abc_defect": abc_defect,
         "ckp_lhs": ckp_lhs,
-        "b_l32": lp_norm(b, 1.5, grid),
-        "a_l32": lp_norm(a, 1.5, grid),
-        "b_lN2": lp_norm(b, max(1.0, grid.domain.dimension / 2.0), grid),
-        "c_l3": lp_norm(c, 3.0, grid),
+        "b_l32": b_l32,
+        "a_l32": a_l32,
+        "b_lN2": b_l32 if p_n2 == 1.5 else lp_norm(u[1], p_n2, grid),
+        "c_l3": lp_norm(u[2], 3.0, grid),
         "int_a2ac": int_a2ac,
         "int_b2bc": int_b2bc,
     }

@@ -25,8 +25,10 @@ __all__ = [
     "SpeciesFields",
     "laplacian_neumann",
     "integrate",
+    "row_integrals",
     "lp_norm",
     "dirichlet_energy",
+    "dirichlet_energies",
     "deviation_l2",
 ]
 
@@ -34,18 +36,28 @@ __all__ = [
 @dataclass(frozen=True)
 class Grid:
     """Structured grid on a box: the DomainSpec it covers, cells per axis,
-    spacings, and the (uniform) cell volume.
+    spacings, the (uniform) cell volume and the discrete Poincare constant.
 
     The one geometry object: evaluators read the box (|Omega|, the
-    Poincare constant, the dimension) from grid.domain, so a grid and a
-    box that disagree cannot be passed together.  Build it with
-    for_domain.
+    dimension) from grid.domain, so a grid and a box that disagree cannot
+    be passed together.  Build it with for_domain.
+
+    poincare_constant is the sharp constant P of the discrete
+    Poincare-Wirtinger inequality deviation_l2(u)**2 <= P *
+    dirichlet_energy(u): 1 / lambda_1, where lambda_1 is the smallest
+    nonzero eigenvalue (4/h**2) sin**2(pi/(2n)) of minus the Neumann
+    Laplacian over the axes of at least 2 cells, attained by the lowest
+    cosine mode of the slowest axis.  It exceeds the continuous box
+    constant domain.poincare_constant = (L_max/pi)**2 by a factor of about
+    1 + pi**2/(12 n**2).  On a grid of single cells every deviation
+    vanishes and it is inf.
     """
 
     domain: DomainSpec
     cells: tuple[int, ...]
     spacings: tuple[float, ...]
     cell_volume: float
+    poincare_constant: float
 
     @classmethod
     def for_domain(cls, domain: DomainSpec, cells) -> "Grid":
@@ -66,7 +78,17 @@ class Grid:
                 f"axis lengths {domain.lengths} over {cells} cells give spacings "
                 f"{spacings} whose cell volume or 4/h^2 is not finite and positive"
             )
-        return cls(domain=domain, cells=cells, spacings=spacings, cell_volume=cell_volume)
+        # the smallest nonzero eigenvalue of each axis of at least 2 cells
+        lam1 = [(4.0 / (h * h)) * math.sin(0.5 * math.pi / n) ** 2
+                for n, h in zip(cells, spacings) if n > 1]
+        poincare = 1.0 / min(lam1) if lam1 and min(lam1) > 0.0 else math.inf
+        if lam1 and poincare == math.inf:
+            raise InvalidArgument(
+                f"axis lengths {domain.lengths} over {cells} cells give a discrete "
+                "Poincare constant that is not finite"
+            )
+        return cls(domain=domain, cells=cells, spacings=spacings, cell_volume=cell_volume,
+                   poincare_constant=poincare)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""
@@ -74,42 +96,84 @@ class Grid:
         return (np.arange(self.cells[axis]) + 0.5) * h
 
 
-@dataclass(frozen=True)
+#: the species in stack order, by the names that errors report
+SPECIES = ("a", "b", "c")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class SpeciesFields:
     """Cell-averaged concentrations of the three species, finite and
-    strictly positive.
+    strictly positive, held as one read-only (3, *cells) stack whose rows
+    are a, b and c.
 
-    The constructor checks each field once and keeps a read-only view of
-    it: attributes cannot be reassigned and the arrays cannot be written
-    through the instance.  A view shares memory with the array passed in,
-    which its owner must therefore leave unchanged.  Functionals of a
-    SpeciesFields do not check it again.
+    The constructor copies a, b and c into a new stack; from_stack wraps
+    an existing stack as a read-only view, which shares memory with it, so
+    its owner must leave it unchanged.  Either way the stack is checked
+    once, by one finiteness and one positivity reduction over all three
+    rows; the error of a failed check names the first offending species.
+    Attributes cannot be reassigned and the arrays cannot be written
+    through the instance.  Functionals of a SpeciesFields do not check it
+    again.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    stack: np.ndarray
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            u = np.asarray(getattr(self, name), dtype=float).view()
-            if not np.all(np.isfinite(u)):
-                raise InvalidField(f"field {name} contains non-finite entries")
-            if np.any(u <= 0.0):
-                raise NotPositive(f"field {name} must be strictly positive")
-            u.flags.writeable = False
-            object.__setattr__(self, name, u)
-        if not (self.a.shape == self.b.shape == self.c.shape):
+    def __init__(self, a, b, c):
+        fields = [np.asarray(u, dtype=float) for u in (a, b, c)]
+        if not (fields[0].shape == fields[1].shape == fields[2].shape):
             raise InvalidArgument("species fields must share one grid shape")
+        _hold(self, np.stack(fields))
+
+    @classmethod
+    def from_stack(cls, u) -> "SpeciesFields":
+        """The fields of the rows of a (3, *cells) stack, without copying it."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim < 2 or u.shape[0] != len(SPECIES):
+            raise InvalidArgument(f"a species stack has shape (3, *cells), got {u.shape}")
+        fields = cls.__new__(cls)
+        _hold(fields, u.view())
+        return fields
 
     @classmethod
     def uniform(cls, grid: Grid, a: float, b: float, c: float) -> "SpeciesFields":
-        shape = grid.cells
-        return cls(np.full(shape, a), np.full(shape, b), np.full(shape, c))
+        u = np.empty((len(SPECIES),) + grid.cells)
+        u[0], u[1], u[2] = a, b, c
+        return cls.from_stack(u)
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.stack[0]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.stack[1]
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.stack[2]
 
     def species(self):
         """The fields a, b and c, in that order."""
-        return (self.a, self.b, self.c)
+        return tuple(self.stack)
+
+
+def _hold(fields: SpeciesFields, u: np.ndarray) -> None:
+    """Check the stack u (a view or array the instance owns) and store it
+    read-only as fields.stack.
+
+    min > 0 fails for a zero, a negative entry or NaN, and max < inf for
+    +inf or NaN, so together they pass exactly the finite, strictly
+    positive stacks; only on failure are the rows checked one by one, to
+    name the first offending species.
+    """
+    if not (u.min() > 0.0 and u.max() < math.inf):
+        for name, row in zip(SPECIES, u):
+            if not np.all(np.isfinite(row)):
+                raise InvalidField(f"field {name} contains non-finite entries")
+            if np.any(row <= 0.0):
+                raise NotPositive(f"field {name} must be strictly positive")
+    u.flags.writeable = False
+    object.__setattr__(fields, "stack", u)
 
 
 def laplacian_neumann(u, grid: Grid) -> np.ndarray:
@@ -147,6 +211,18 @@ def lp_norm(u, p: float, grid: Grid) -> float:
     return float((grid.cell_volume * np.sum(np.abs(u) ** p)) ** (1.0 / p))
 
 
+def row_integrals(u, grid: Grid) -> list[float]:
+    """integrate over each row of a stack u of shape (k, *cells), as
+    Python floats.
+
+    Each row is summed over its trailing axes flattened, which for a
+    C-contiguous stack is the order np.sum takes over that row alone, so
+    entry i equals integrate(u[i], grid) bit for bit.
+    """
+    u = np.asarray(u, dtype=float)
+    return [grid.cell_volume * s for s in u.reshape(len(u), -1).sum(axis=-1).tolist()]
+
+
 def dirichlet_energy(u, grid: Grid) -> float:
     """Face-based discrete Dirichlet energy sum_faces area*h*((u_R-u_L)/h)**2.
 
@@ -154,13 +230,19 @@ def dirichlet_energy(u, grid: Grid) -> float:
     contributes cell_volume * (du/h)**2.  Zero-flux boundary faces contribute
     nothing.
     """
-    u = np.asarray(u, dtype=float)
-    total = 0.0
-    for ax, h in enumerate(grid.spacings):
+    return dirichlet_energies(np.asarray(u, dtype=float)[None], grid)[0]
+
+
+def dirichlet_energies(u, grid: Grid) -> list[float]:
+    """dirichlet_energy of each row of a stack u of shape (k, *cells)."""
+    total = [0.0] * len(u)
+    for ax, h in enumerate(grid.spacings, start=1):
         if u.shape[ax] == 1:
             continue
-        d = np.diff(u, axis=ax) / h
-        total += grid.cell_volume * float(np.sum(d * d))
+        d = np.diff(u, axis=ax)  # (u_R - u_L) per interior face, a new array
+        d /= h
+        d *= d
+        total = [t + e for t, e in zip(total, row_integrals(d, grid))]
     return total
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import math
+import time
 
 import numpy as np
 import scipy.fft
@@ -96,10 +97,13 @@ class SolverConfig:
 @dataclass
 class Trajectory:
     """Recorded samples, each a dict keyed by functionals.CSV_COLUMNS, plus
-    the final fields of one run."""
+    the final fields of one run and the seconds it spent stepping and
+    recording samples."""
 
     samples: list = field(default_factory=list)
     final_fields: SpeciesFields | None = None
+    step_s: float = 0.0
+    sample_s: float = 0.0
 
 
 def neumann_eigenvalues(n: int, h: float) -> np.ndarray:
@@ -211,7 +215,7 @@ def reaction_substep(fields: SpeciesFields, dt: float) -> SpeciesFields:
     c - r1 <= G < 0).  c(dt) stays between c and r1 < min(m1, m2), so
     a = m1 - c(dt) and b = m2 - c(dt) stay positive.
     """
-    return SpeciesFields(*_react_arrays(fields.a, fields.b, fields.c, dt))
+    return SpeciesFields.from_stack(np.stack(_react_arrays(*fields.stack, dt)))
 
 
 class StrangStepper:
@@ -245,6 +249,9 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
     grid carries the box, whose volume the conserved masses and the
     recorded functionals use.  The equilibrium reference is fixed from the
     initial conserved masses.
+    The stack of the state is handed to each record as it is: sampling
+    neither splits nor copies it, and the last recorded fields, those of
+    the state at t_end, are the final fields.
     Raises NumericalBlowup (with the offending time) if that reference is
     not finite with positive components (t = 0), if evaluating it, a step
     or a record divides by zero, overflows or makes an invalid value (t of
@@ -254,13 +261,16 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
     stepper = StrangStepper(params, cfg.dt, grid)
     running = functionals.RunningIntegrals()
     traj = Trajectory()
-    u = np.stack((initial.a, initial.b, initial.c))
 
     def record(t, u):
-        s = functionals.sample(SpeciesFields(*u), t, eq, params, grid, running)
+        started = time.perf_counter()
+        fields = SpeciesFields.from_stack(u)
+        s = functionals.sample(fields, t, eq, params, grid, running)
         if not all(map(math.isfinite, s.values())):
             raise NumericalBlowup(f"non-finite functional at t = {t}", t=t)
         traj.samples.append(s)
+        traj.final_fields = fields
+        traj.sample_s += time.perf_counter() - started
 
     t = 0.0
     # a 0/0, inf-inf or overflow means the state has left the positive
@@ -272,12 +282,14 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
             if not all(math.isfinite(r) and r > 0.0 for r in (eq.a_inf, eq.b_inf, eq.c_inf)):
                 raise NumericalBlowup(f"equilibrium ({eq.a_inf}, {eq.b_inf}, {eq.c_inf}) is "
                                       "not finite and positive at t = 0", t=0.0)
+            u = initial.stack
             record(t, u)
             for step in range(cfg.record_every, cfg.n_steps + 1, cfg.record_every):
                 t = step * cfg.dt
+                started = time.perf_counter()
                 u = stepper.advance(u, cfg.record_every)
+                traj.step_s += time.perf_counter() - started
                 record(t, u)
     except (FloatingPointError, InvalidMass, InvalidField, NotPositive) as exc:
         raise NumericalBlowup(f"{exc} at t = {t}", t=t) from exc
-    traj.final_fields = SpeciesFields(*u)
     return traj

@@ -55,6 +55,42 @@ class TestSpeciesFields:
         with pytest.raises(InvalidField):
             SpeciesFields(np.array([1.0, np.inf]), np.ones(2), np.ones(2))
 
+    @pytest.mark.parametrize("bad, error", [(np.nan, "InvalidField"), (0.0, "NotPositive")])
+    @pytest.mark.parametrize("species", ["a", "b", "c"])
+    def test_stack_check_names_the_offending_species(self, species, bad, error):
+        from revreact import errors
+
+        fields = {name: np.ones((3, 2)) for name in "abc"}
+        fields[species][1, 0] = bad
+        with pytest.raises(getattr(errors, error), match=f"field {species} "):
+            SpeciesFields(**fields)
+        with pytest.raises(getattr(errors, error), match=f"field {species} "):
+            SpeciesFields.from_stack(np.stack([fields[name] for name in "abc"]))
+
+    def test_first_offending_species_is_named(self):
+        from revreact.errors import InvalidField
+
+        # b holds a zero and c a NaN: b is checked first, as a, b, c were
+        # checked one at a time
+        with pytest.raises(NotPositive, match="field b "):
+            SpeciesFields(np.ones(3), np.array([1.0, 0.0, 1.0]), np.array([np.nan, 1.0, 1.0]))
+        with pytest.raises(InvalidField, match="field a "):
+            SpeciesFields(np.array([1.0, -np.inf, 1.0]), np.zeros(3), np.ones(3))
+
+    def test_rows_of_the_stack_are_the_species(self):
+        a, b, c = np.full(4, 1.0), np.full(4, 2.0), np.full(4, 3.0)
+        f = SpeciesFields(a, b, c)
+        assert f.stack.shape == (3, 4)
+        assert np.array_equal(f.a, a) and np.array_equal(f.b, b) and np.array_equal(f.c, c)
+        assert all(np.shares_memory(u, f.stack) for u in f.species())
+        u = np.stack((a, b, c))
+        g = SpeciesFields.from_stack(u)
+        assert np.shares_memory(g.stack, u) and u.flags.writeable
+        with pytest.raises(InvalidArgument, match="shape"):
+            SpeciesFields.from_stack(np.ones((2, 4)))
+        with pytest.raises(InvalidArgument, match="one grid shape"):
+            SpeciesFields(a, b, np.ones(3))
+
     def test_validated_fields_cannot_change(self):
         from dataclasses import FrozenInstanceError
 
@@ -176,6 +212,33 @@ class TestEnergies:
             mean = integrate(u, grid) / dom.volume
             direct = lp_norm(u, 2, grid) ** 2 - mean**2 * dom.volume
             assert dev2 == pytest.approx(direct, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("cells, lengths", [
+        ([16], [1.0]), ([128], [1.0]), ([24, 16], [1.0, 0.7]), ([8, 30], [1.0, 0.7]),
+        ([6, 4, 3], [1.0, 0.6, 0.45]), ([1, 5], [3.0, 1.0]),
+    ])
+    def test_lowest_mode_attains_the_discrete_poincare_constant(self, cells, lengths):
+        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        ratios = []
+        for ax, n in enumerate(cells):
+            if n > 1:
+                shape = [n if i == ax else 1 for i in range(len(cells))]
+                mode = np.cos(np.pi * grid.axis_coordinates(ax) / lengths[ax]).reshape(shape)
+                u = np.broadcast_to(mode, grid.cells)
+                ratios.append(deviation_l2(u, grid) ** 2
+                              / (grid.poincare_constant * dirichlet_energy(u, grid)))
+        assert max(ratios) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 128])
+    def test_discrete_constant_exceeds_the_box_constant(self, n):
+        # by the factor (x / sin x)^2 = 1 + pi^2/(12 n^2) + O(n^-4), x = pi/(2n)
+        dom, grid = unit_grid(n)
+        excess = grid.poincare_constant / dom.poincare_constant - 1.0
+        assert excess == pytest.approx(math.pi ** 2 / (12 * n * n), rel=0.02)
+
+    def test_single_cell_grid_has_no_poincare_constraint(self):
+        grid = Grid.for_domain(DomainSpec.box([1.0, 2.0]), [1, 1])
+        assert grid.poincare_constant == math.inf
 
     def test_discrete_poincare_random(self, rng):
         for cells, lengths in (([64], [1.0]), ([16, 12], [1.0, 0.6])):

@@ -122,6 +122,23 @@ class TestBruteForceSample:
                 x, y = s_fast[name], s_slow[name]
                 assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), 1e-30)
 
+    @pytest.mark.parametrize("diffusivities", [(1.0, 0.5, 0.8), (1.0, 0.0, 0.7),
+                                               (1.0, 1.0, 0.0)], ids=["full", "db0", "dc0"])
+    def test_agrees_with_functionals_in_three_dimensions(self, rng, diffusivities):
+        # the stacked sample reduces over axes 1-3 of its (3, *cells) stack,
+        # one more than a single field: every axis must still count once
+        grid = Grid.for_domain(DomainSpec.box([1.0, 0.6, 0.45]), [6, 4, 3])
+        params = ModelParams(*diffusivities)
+        running_fast, running_slow = RunningIntegrals(), RunningIntegrals()
+        for t in (0.0, 0.5, 1.0):
+            f = SpeciesFields(*(rng.uniform(0.2, 3.0, size=grid.cells) for _ in range(3)))
+            eq = equilibrium_state(*conserved_masses(f, grid))
+            s_fast = sample(f, t, eq, params, grid, running_fast)
+            s_slow = oracle.brute_force_sample(f, t, eq, params, grid, running_slow)
+            for name in CSV_COLUMNS:
+                x, y = s_fast[name], s_slow[name]
+                assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), 1e-30), name
+
     @pytest.mark.parametrize("with_running", [False, True])
     def test_both_samplers_key_the_csv_columns(self, with_running):
         dom = DomainSpec.box([1.0])
