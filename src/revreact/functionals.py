@@ -53,9 +53,6 @@ CKP_PREFACTOR = (3.0 + 2.0 * math.sqrt(2.0)) / (9.0 + 2.0 * math.sqrt(2.0))
 #: relative slack allowed when asserting the inequality suite
 REL_SLACK = 1e-10
 
-#: reaction terms are zeroed when |ab - c| is below this multiple of max(ab, c)
-REACTION_GUARD = 1e-15
-
 
 @dataclass
 class RunningIntegrals:
@@ -147,16 +144,13 @@ def relative_entropy(fields, eq: EquilibriumState, grid: Grid) -> float:
 
 
 def reaction_production(a, b, c):
-    """Pointwise (ab-c)*ln(ab/c) with a guard at rounding-level defects.
+    """Pointwise (ab-c)*ln(ab/c), evaluated as w*log1p(w/c) with w = ab - c.
 
-    Returns 0 where |ab-c| < 1e-15 * max(ab, c); both factors share the sign
-    of ab-c, so the product is nonnegative cellwise.
+    With c > 0, w/c > -1, so the logarithm is finite and shares the sign of
+    w: the product is nonnegative cellwise, and 0 exactly where ab == c.
     """
-    ab = a * b
-    w = ab - c
-    guard = np.abs(w) < REACTION_GUARD * np.maximum(ab, c)
-    safe_w = np.where(guard, 0.0, w)
-    return safe_w * np.log1p(safe_w / c)
+    w = a * b - c
+    return w * np.log1p(w / c)
 
 
 def _dissipation(u, sqrt_u, params: ModelParams, grid: Grid) -> float:

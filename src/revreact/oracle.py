@@ -183,8 +183,6 @@ def brute_force_sample(fields, t: float, eq, params, grid,
     def react(i):
         x = a[i] * b[i]
         y = c[i]
-        if abs(x - y) < 1e-15 * max(x, y):
-            return 0.0
         return (x - y) * math.log(x / y)
 
     diss = vol * math.fsum(react(i) for i in range(n))
