@@ -4,11 +4,12 @@ All functionals are evaluated on a single snapshot, the (3, *cells) stack
 of a SpeciesFields, with midpoint quadrature.  sample is the one evaluator
 of a snapshot: it records them all as one dict keyed by CSV_COLUMNS, the
 names of the timeseries.csv columns, in that order.  It makes one pass
-over the stack for each ingredient shared by the three species: the
-masses, the square roots, the deviations, one log1p density pass for both
-entropies, the L1 distances, the Dirichlet energies of the diffusing
-species and the L^(3/2) norms.  Each row is summed over its trailing cell
-axes, the order np.sum takes over that field alone, so every column is
+over the stack for each ingredient shared by the species: the masses,
+the square roots, the deviations, the L1 distances, the Dirichlet
+energies of the diffusing species and the L^(3/2) norms of a and b; the
+two entropies take one log1p density pass per species, against both
+references at once.  Each row is summed over its trailing cell axes, the
+order np.sum takes over that field alone, so every column is
 bit-identical to evaluating the species one at a time.  ckp_violation and
 bound_violation, with dissipation_bound_rhs, are the one judge of
 recorded samples.  The functionals take a SpeciesFields, whose
@@ -90,32 +91,30 @@ CSV_COLUMNS = (
 def _kl_density(u, ref):
     """u*ln(u/ref) - u + ref, evaluated cancellation-free via log1p as
     ref*((1+x)*log1p(x) - x) with x = (u-ref)/ref, elementwise over u and
-    ref broadcast together.
-
-    Two work arrays are updated in place, and x is computed twice rather
-    than kept in a third: on a 3-D stack each array is larger than glibc's
-    128 KiB mmap threshold, and with more of them alive at once the freed
-    heap is trimmed and faulted in again on every call.
-    """
-    work = u - ref
-    work /= ref
-    out = np.log1p(work)
-    work += 1.0
-    out *= work
-    np.subtract(u, ref, out=work)
-    work /= ref
-    out -= work
+    ref broadcast together; one work array updated in place."""
+    x = u - ref
+    x /= ref
+    out = np.log1p(x)
+    out *= 1.0 + x
+    out -= x
     out *= ref
     return out
 
 
 def _kl_integrals(u, refs, grid: Grid) -> list[float]:
     """int sum_u _kl_density(u, ref_u) over a, b and c, for each row
-    (ref_a, ref_b, ref_c) of refs, in one pass over the stack u."""
+    (ref_a, ref_b, ref_c) of refs.
+
+    One density pass per species evaluates it against every reference at
+    once.  Passes over the whole (refs, 3, *cells) block would be fewer,
+    but on a 3-D stack its work arrays outgrow glibc's 128 KiB mmap
+    threshold: the heap is trimmed and faulted in again on every call,
+    and the peak memory of a record grows by more than they save.
+    """
     refs = np.reshape(refs, (-1, 3) + (1,) * (u.ndim - 1))
-    density = _kl_density(u, refs)
-    total = density[:, 0] + density[:, 1]
-    total += density[:, 2]
+    total = _kl_density(u[0], refs[:, 0])
+    total += _kl_density(u[1], refs[:, 1])
+    total += _kl_density(u[2], refs[:, 2])
     return row_integrals(total, grid)
 
 
@@ -153,14 +152,35 @@ def reaction_production(a, b, c):
     return w * np.log1p(w / c)
 
 
+#: the rows of the species stack that diffuse in each mode, as basic
+#: slices: views of a stack, where a list of rows would copy them
+_DIFFUSING_ROWS = {"full": slice(0, 3), "db0": slice(0, 3, 2), "dc0": slice(0, 2)}
+
+
 def _dissipation(u, sqrt_u, params: ModelParams, grid: Grid) -> float:
     """dissipation of the species stack u, given its square roots."""
-    diffusing = [(i, d) for i, d in enumerate(params.diffusivities()) if d > 0.0]
-    energies = dirichlet_energies(sqrt_u[[i for i, _ in diffusing]], grid)
+    energies = dirichlet_energies(sqrt_u[_DIFFUSING_ROWS[params.mode]], grid)
+    diffusivities = [d for d in params.diffusivities() if d > 0.0]
     total = 0.0
-    for (_, d), energy in zip(diffusing, energies):
+    for d, energy in zip(diffusivities, energies):
         total += 4.0 * d * energy
     return total + integrate(reaction_production(*u), grid)
+
+
+def _sqrt_terms(u, params: ModelParams, grid: Grid):
+    """From one square root of the stack u: the squared deviation_l2 of
+    sqrt(a), sqrt(b) and sqrt(c), the defect ||sqrt(ab) - sqrt(c)||^2 and
+    the dissipation."""
+    sqrt_u = np.sqrt(u)
+    # the mean of each row is np.mean's sum / count
+    mean = sqrt_u.reshape(3, -1).sum(axis=-1) / sqrt_u[0].size
+    w = sqrt_u - mean.reshape((3,) + (1,) * (u.ndim - 1))
+    w *= w
+    devs = [math.sqrt(x) for x in row_integrals(w, grid)]
+    w = sqrt_u[0] * sqrt_u[1]
+    w -= sqrt_u[2]
+    w *= w
+    return [dev * dev for dev in devs], integrate(w, grid), _dissipation(u, sqrt_u, params, grid)
 
 
 def dissipation(fields, params: ModelParams, grid: Grid) -> float:
@@ -238,19 +258,8 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams, grid: Gr
     refs = _equilibrium_refs(eq)
     m1, m2 = conserved_masses(fields, grid)
     e, e_rel = _kl_integrals(u, ((1.0, 1.0, 1.0), refs), grid)
-    # stacked columns broadcast along the trailing cell axes
-    column = (3,) + (1,) * (u.ndim - 1)
 
-    sqrt_u = np.sqrt(u)
-    # deviation_l2(sqrt(u)) per species; its mean is np.mean's sum / count
-    mean = sqrt_u.reshape(3, -1).sum(axis=-1) / sqrt_u[0].size
-    w = sqrt_u - mean.reshape(column)
-    w *= w
-    dev_a, dev_b, dev_c = (math.sqrt(x) for x in row_integrals(w, grid))
-    w = sqrt_u[0] * sqrt_u[1]
-    w -= sqrt_u[2]
-    w *= w
-    abc_defect = integrate(w, grid)
+    (dev_a2, dev_b2, dev_c2), abc_defect, diss = _sqrt_terms(u, params, grid)
 
     w = u[:2] * u[:2]
     w += u[:2] * u[2]
@@ -263,7 +272,7 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams, grid: Gr
         int_a2ac = 0.0
         int_b2bc = 0.0
 
-    w = u - np.reshape(refs, column)
+    w = u - np.reshape(refs, (3,) + (1,) * (u.ndim - 1))
     np.abs(w, out=w)
     l1a, l1b, l1c = row_integrals(w, grid)
     # the CKP bound kappa*|Omega|*(l1_a^2/(2 M1) + l1_b^2/(2 M2) + l1_c^2/(M1+M2))
@@ -279,15 +288,15 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams, grid: Gr
         "t": t,
         "E": e,
         "E_rel": e_rel,
-        "D": _dissipation(u, sqrt_u, params, grid),
+        "D": diss,
         "M1": m1,
         "M2": m2,
         "l1_a": l1a,
         "l1_b": l1b,
         "l1_c": l1c,
-        "dev_A2": dev_a * dev_a,
-        "dev_B2": dev_b * dev_b,
-        "dev_C2": dev_c * dev_c,
+        "dev_A2": dev_a2,
+        "dev_B2": dev_b2,
+        "dev_C2": dev_c2,
         "abc_defect": abc_defect,
         "ckp_lhs": ckp_lhs,
         "b_l32": b_l32,

@@ -243,6 +243,7 @@ def dirichlet_energies(u, grid: Grid) -> list[float]:
         d /= h
         d *= d
         total = [t + e for t, e in zip(total, row_integrals(d, grid))]
+        del d  # before the next axis allocates its own
     return total
 
 
