@@ -31,7 +31,8 @@ import math
 import numpy as np
 
 from .errors import DegenerateEquilibrium
-from .grid import Grid, dirichlet_energies, integrate, lp_norm, row_integrals
+from .grid import (Grid, deviations_l2, dirichlet_energies, integrate, lp_norm, lp_norms,
+                   row_integrals)
 from .model import EquilibriumState, ModelParams, conserved_masses
 
 __all__ = [
@@ -119,6 +120,7 @@ def _kl_integrals(u, refs, grid: Grid) -> list[float]:
 
 
 def _equilibrium_refs(eq: EquilibriumState) -> tuple[float, float, float]:
+    """(a_inf, b_inf, c_inf), the references of the relative entropy."""
     refs = (eq.a_inf, eq.b_inf, eq.c_inf)
     if any(r <= 0.0 for r in refs):
         raise DegenerateEquilibrium(
@@ -172,11 +174,7 @@ def _sqrt_terms(u, params: ModelParams, grid: Grid):
     sqrt(a), sqrt(b) and sqrt(c), the defect ||sqrt(ab) - sqrt(c)||^2 and
     the dissipation."""
     sqrt_u = np.sqrt(u)
-    # the mean of each row is np.mean's sum / count
-    mean = sqrt_u.reshape(3, -1).sum(axis=-1) / sqrt_u[0].size
-    w = sqrt_u - mean.reshape((3,) + (1,) * (u.ndim - 1))
-    w *= w
-    devs = [math.sqrt(x) for x in row_integrals(w, grid)]
+    devs = deviations_l2(sqrt_u, grid)
     w = sqrt_u[0] * sqrt_u[1]
     w -= sqrt_u[2]
     w *= w
@@ -196,8 +194,9 @@ def dissipation_bound_rhs(dev2, abc_defect: float, diffusivities,
                           poincare: float) -> float:
     """Right-hand side of the dissipation bound D >= rhs.
 
-    rhs = sum over diffusing species of (4 d_u / P(Omega)) * dev_u^2 plus
-    4 * abc_defect, where dev_u^2 = ||sqrt(u) - avg sqrt(u)||_2^2 and
+    rhs = sum over diffusing species of (4 d_u / P) * dev_u^2 plus
+    4 * abc_defect, with P the grid's discrete Poincare constant
+    Grid.poincare_constant, where dev_u^2 = ||sqrt(u) - avg sqrt(u)||_2^2 and
     abc_defect = ||sqrt(a b) - sqrt(c)||_2^2, per sample or elementwise over
     arrays of samples.  Deviation terms of non-diffusing species drop out,
     matching the degeneracy mode.
@@ -245,7 +244,8 @@ def _excess(small, large, m1, m2, volume):
 def sample(fields, t: float, eq: EquilibriumState, params: ModelParams, grid: Grid,
            running: RunningIntegrals | None = None) -> dict:
     """Every recorded functional of one snapshot, keyed by CSV_COLUMNS in
-    that order, in one pass over the stack of fields.
+    that order, each evaluated for all species at once over the rows of
+    fields.stack.
 
     The box is grid.domain: its volume |Omega| enters M1, M2 and ckp_lhs,
     its dimension the exponent of b_lN2.  Updates the running
@@ -261,6 +261,7 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams, grid: Gr
 
     (dev_a2, dev_b2, dev_c2), abc_defect, diss = _sqrt_terms(u, params, grid)
 
+    # the integrands a*a + a*c and b*b + b*c of the running integrals
     w = u[:2] * u[:2]
     w += u[:2] * u[2]
     fa, fb = row_integrals(w, grid)
@@ -272,17 +273,14 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams, grid: Gr
         int_a2ac = 0.0
         int_b2bc = 0.0
 
-    w = u - np.reshape(refs, (3,) + (1,) * (u.ndim - 1))
-    np.abs(w, out=w)
-    l1a, l1b, l1c = row_integrals(w, grid)
+    l1a, l1b, l1c = lp_norms(u - np.reshape(refs, (3,) + (1,) * (u.ndim - 1)), 1.0, grid)
     # the CKP bound kappa*|Omega|*(l1_a^2/(2 M1) + l1_b^2/(2 M2) + l1_c^2/(M1+M2))
     ckp_lhs = CKP_PREFACTOR * grid.domain.volume * (
         l1a * l1a / (2.0 * eq.M1)
         + l1b * l1b / (2.0 * eq.M2)
         + l1c * l1c / (eq.M1 + eq.M2)
     )
-    # lp_norm of a and b at p = 3/2, the root taken on Python floats as there
-    a_l32, b_l32 = (x ** (1.0 / 1.5) for x in row_integrals(u[:2] ** 1.5, grid))
+    a_l32, b_l32 = lp_norms(u[:2], 1.5, grid)
     p_n2 = max(1.0, grid.domain.dimension / 2.0)  # 3/2 in three dimensions
     return {
         "t": t,

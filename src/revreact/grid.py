@@ -27,9 +27,11 @@ __all__ = [
     "integrate",
     "row_integrals",
     "lp_norm",
+    "lp_norms",
     "dirichlet_energy",
     "dirichlet_energies",
     "deviation_l2",
+    "deviations_l2",
 ]
 
 
@@ -96,10 +98,6 @@ class Grid:
         return (np.arange(self.cells[axis]) + 0.5) * h
 
 
-#: the species in stack order, by the names that errors report
-SPECIES = ("a", "b", "c")
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class SpeciesFields:
     """Cell-averaged concentrations of the three species, finite and
@@ -128,7 +126,7 @@ class SpeciesFields:
     def from_stack(cls, u) -> "SpeciesFields":
         """The fields of the rows of a (3, *cells) stack, without copying it."""
         u = np.asarray(u, dtype=float)
-        if u.ndim < 2 or u.shape[0] != len(SPECIES):
+        if u.ndim < 2 or u.shape[0] != 3:
             raise InvalidArgument(f"a species stack has shape (3, *cells), got {u.shape}")
         fields = cls.__new__(cls)
         _hold(fields, u.view())
@@ -136,7 +134,7 @@ class SpeciesFields:
 
     @classmethod
     def uniform(cls, grid: Grid, a: float, b: float, c: float) -> "SpeciesFields":
-        u = np.empty((len(SPECIES),) + grid.cells)
+        u = np.empty((3,) + grid.cells)
         u[0], u[1], u[2] = a, b, c
         return cls.from_stack(u)
 
@@ -167,7 +165,7 @@ def _hold(fields: SpeciesFields, u: np.ndarray) -> None:
     name the first offending species.
     """
     if not (u.min() > 0.0 and u.max() < math.inf):
-        for name, row in zip(SPECIES, u):
+        for name, row in zip("abc", u):
             if not np.all(np.isfinite(row)):
                 raise InvalidField(f"field {name} contains non-finite entries")
             if np.any(row <= 0.0):
@@ -204,13 +202,6 @@ def integrate(u, grid: Grid) -> float:
     return grid.cell_volume * float(np.sum(u))
 
 
-def lp_norm(u, p: float, grid: Grid) -> float:
-    """Lebesgue norm (cell_volume * sum |u|**p)**(1/p), for finite p >= 1."""
-    u = np.asarray(u, dtype=float)
-    p = float(p)
-    return float((grid.cell_volume * np.sum(np.abs(u) ** p)) ** (1.0 / p))
-
-
 def row_integrals(u, grid: Grid) -> list[float]:
     """integrate over each row of a stack u of shape (k, *cells), as
     Python floats.
@@ -221,6 +212,17 @@ def row_integrals(u, grid: Grid) -> list[float]:
     """
     u = np.asarray(u, dtype=float)
     return [grid.cell_volume * s for s in u.reshape(len(u), -1).sum(axis=-1).tolist()]
+
+
+def lp_norm(u, p: float, grid: Grid) -> float:
+    """Lebesgue norm (cell_volume * sum |u|**p)**(1/p), for finite p >= 1."""
+    return lp_norms(np.asarray(u, dtype=float)[None], p, grid)[0]
+
+
+def lp_norms(u, p: float, grid: Grid) -> list[float]:
+    """lp_norm of each row of a stack u of shape (k, *cells)."""
+    p = float(p)
+    return [s ** (1.0 / p) for s in row_integrals(np.abs(u) ** p, grid)]
 
 
 def dirichlet_energy(u, grid: Grid) -> float:
@@ -249,6 +251,12 @@ def dirichlet_energies(u, grid: Grid) -> list[float]:
 
 def deviation_l2(u, grid: Grid) -> float:
     """L2 norm of u minus its volume average."""
-    u = np.asarray(u, dtype=float)
-    d = u - np.mean(u)
-    return float(np.sqrt(grid.cell_volume * np.sum(d * d)))
+    return deviations_l2(np.asarray(u, dtype=float)[None], grid)[0]
+
+
+def deviations_l2(u, grid: Grid) -> list[float]:
+    """deviation_l2 of each row of a stack u of shape (k, *cells)."""
+    rows = np.asarray(u, dtype=float).reshape(len(u), -1)
+    d = rows - (rows.sum(axis=-1) / rows.shape[1])[:, None]  # np.mean is sum / count
+    d *= d
+    return [math.sqrt(s) for s in row_integrals(d, grid)]
