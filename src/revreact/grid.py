@@ -237,6 +237,7 @@ def dirichlet_energy(u, grid: Grid) -> float:
 
 def dirichlet_energies(u, grid: Grid) -> list[float]:
     """dirichlet_energy of each row of a stack u of shape (k, *cells)."""
+    u = np.asarray(u, dtype=float)
     total = [0.0] * len(u)
     for ax, h in enumerate(grid.spacings, start=1):
         if u.shape[ax] == 1:
