@@ -126,7 +126,7 @@ class SpeciesFields:
     def from_stack(cls, u) -> "SpeciesFields":
         """The fields of the rows of a (3, *cells) stack, without copying it."""
         u = np.asarray(u, dtype=float)
-        if u.ndim < 2 or u.shape[0] != 3:
+        if u.shape[:1] != (3,):
             raise InvalidArgument(f"a species stack has shape (3, *cells), got {u.shape}")
         fields = cls.__new__(cls)
         _hold(fields, u.view())
