@@ -359,11 +359,12 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
     zero, growth constants are finite and the balance residual is finite.
     The dissipation-bound check needs the run_meta next to the CSV (or via
     meta_path) for the diffusivities and the grid, whose discrete Poincare
-    constant it uses; without it that check is reported as skipped.  The CKP check takes the domain
-    volume from the same run_meta; without it volume 1.0 is used, which the
-    report says and summary.json records as volume null.  A dim outside
-    1-3, or a mode or dim other than that of the run in the run_meta,
-    raises InvalidArgument before anything is written.
+    constant it uses; without it that check is reported as skipped.  The
+    CKP check takes the domain volume from the same run_meta; without it
+    volume 1.0 is used, which the report says and summary.json records as
+    volume null.  A dim outside 1-3, or a mode or dim other than that of
+    the run in the run_meta, raises InvalidArgument before anything is
+    written.
     """
     if dim not in (1, 2, 3):
         raise InvalidArgument(f"dim must be 1, 2 or 3, got {dim}")

@@ -92,7 +92,7 @@ CSV_COLUMNS = (
 def _kl_density(u, ref):
     """u*ln(u/ref) - u + ref, evaluated cancellation-free via log1p as
     ref*((1+x)*log1p(x) - x) with x = (u-ref)/ref, elementwise over u and
-    ref broadcast together; one work array updated in place."""
+    ref broadcast together, updating its work arrays in place."""
     x = u - ref
     x /= ref
     out = np.log1p(x)
