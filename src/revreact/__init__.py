@@ -4,7 +4,9 @@ system A + B <-> C on boxes, with possibly degenerate diffusion.
 Subpackages follow the pipeline: model (equilibrium algebra), grid
 (finite-volume discretization), solver (Strang splitting), functionals
 (entropy / dissipation / inequality checks), analysis (decay-envelope fits
-and audits), oracle (independent test references), cli (batch front end).
+and audits), oracle (independent references: the RK4 reaction ODE and a
+brute-force functional sampler, for the tests and verify), cli (batch
+front end).
 """
 
 __version__ = "0.1.0"

@@ -13,9 +13,11 @@ run_meta          exact echo of the parsed config plus solver statistics:
                   stepping, recording samples and writing these files,
                   with the steps per second of stepping
 
-`analyze` re-reads the CSV (plus the sibling run_meta when present, for
-the dissipation-bound coefficients, whose run the requested mode and dim
-must match) and writes report.txt / summary.json.
+`analyze` re-reads the CSV (plus the run_meta given by --meta, or else
+the sibling run_meta when present, for the dissipation-bound
+coefficients, whose run the requested mode and dim must match) and writes
+report.txt / summary.json.  A run_meta that is given or present but
+cannot be read, or has no config section, is an error.
 """
 from __future__ import annotations
 
@@ -176,24 +178,20 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(init=(kind,) + params, out_dir=raw["out_dir"], **nums)
 
 
+def _config_value(value) -> str:
+    """One config value as text: a tuple (cells, lengths, init) as its
+    values joined by spaces, a float by _fmt, anything else by str."""
+    if isinstance(value, tuple):
+        return " ".join(map(_config_value, value))
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
+
+
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse(serialize(cfg)) == cfg."""
-    init = cfg.init[0] + "".join(" " + _fmt(p) for p in cfg.init[1:])
-    lines = [
-        f"dim={cfg.dim}",
-        "cells=" + " ".join(str(n) for n in cfg.cells),
-        "lengths=" + " ".join(_fmt(x) for x in cfg.lengths),
-        f"d_a={_fmt(cfg.d_a)}",
-        f"d_b={_fmt(cfg.d_b)}",
-        f"d_c={_fmt(cfg.d_c)}",
-        f"init={init}",
-        f"dt={_fmt(cfg.dt)}",
-        f"t_end={_fmt(cfg.t_end)}",
-        f"record_every={cfg.record_every}",
-        f"out_dir={cfg.out_dir}",
-        f"seed={cfg.seed}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Canonical text form, one key=value line per CONFIG_KEYS entry;
+    parse(serialize(cfg)) == cfg."""
+    return "".join(f"{key}={_config_value(getattr(cfg, key))}\n" for key in CONFIG_KEYS)
 
 
 def build_domain(cfg: RunConfig):
@@ -339,16 +337,21 @@ def read_timeseries(path: str):
     return {name: data[:, j] for j, name in enumerate(names)}
 
 
-def _read_meta_config(meta_path: str) -> RunConfig | None:
+def _read_meta_config(meta_path: str, explicit: bool) -> RunConfig | None:
+    """The config echoed in a run_meta; None if it is the sibling (not
+    explicit) and does not exist.  IoError if it cannot be read,
+    ParseError if it has no "# config" ... "# stats" section."""
+    if not explicit and not os.path.lexists(meta_path):
+        return None
     try:
         lines = _read_lines(meta_path)
-    except OSError:
-        return None
+    except OSError as exc:
+        raise IoError(f"cannot read run_meta {meta_path!r}: {exc}")
     try:
         start = lines.index("# config") + 1
         end = lines.index("# stats")
     except ValueError:
-        return None
+        raise ParseError(f"{meta_path!r} has no '# config' ... '# stats' section")
     return parse_config("\n".join(lines[start:end]) + "\n")
 
 
@@ -359,17 +362,21 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
     zero, growth constants are finite and the balance residual is finite.
     The dissipation-bound check needs the run_meta next to the CSV (or via
     meta_path) for the diffusivities and the grid, whose discrete Poincare
-    constant it uses; without it that check is reported as skipped.  The
-    CKP check takes the domain volume from the same run_meta; without it
-    volume 1.0 is used, which the report says and summary.json records as
-    volume null.  A dim outside 1-3, or a mode or dim other than that of
-    the run in the run_meta, raises InvalidArgument before anything is
-    written.
+    constant it uses; when no sibling run_meta exists and meta_path is
+    not given, that check is reported as skipped.  The CKP check takes the
+    domain volume from the same run_meta; without it volume 1.0 is used,
+    which the report says and summary.json records as volume null.  Before
+    anything is written, a dim outside 1-3, or a mode or dim other than
+    that of the run in the run_meta, raises InvalidArgument; a meta_path
+    that cannot be read, or an existing sibling that cannot, raises
+    IoError; and a run_meta without its config section raises ParseError.
     """
     if dim not in (1, 2, 3):
         raise InvalidArgument(f"dim must be 1, 2 or 3, got {dim}")
-    meta_path = meta_path or os.path.join(os.path.dirname(csv_path) or ".", "run_meta")
-    meta = _read_meta_config(meta_path)
+    explicit = meta_path is not None
+    if not explicit:
+        meta_path = os.path.join(os.path.dirname(csv_path) or ".", "run_meta")
+    meta = _read_meta_config(meta_path, explicit)
     if meta is not None:
         params = ModelParams(meta.d_a, meta.d_b, meta.d_c)
         if (mode, dim) != (params.mode, meta.dim):
@@ -518,8 +525,7 @@ def main(argv=None) -> int:
             if args.config.startswith("preset:"):
                 text = presets.preset_text(args.config.split(":", 1)[1])
             else:
-                with open(args.config) as fh:
-                    text = fh.read()
+                text = "\n".join(_read_lines(args.config))
             return cmd_run(parse_config(text))
         if args.command == "analyze":
             return cmd_analyze(args.csv, args.mode, args.dim, args.meta)

@@ -25,10 +25,6 @@ class DegenerateEquilibrium(RevReactError):
     """Equilibrium with a zero component where a positive one is required."""
 
 
-class LinSolveFailure(RevReactError):
-    """Iterative linear solver failed to reach the requested residual."""
-
-
 class NumericalBlowup(RevReactError):
     """A functional evaluated to a non-finite value during time integration."""
 
@@ -64,7 +60,7 @@ class ConfigError(RevReactError):
 
 
 class ParseError(RevReactError):
-    """Malformed time-series file."""
+    """Malformed input file: a time series, a run_meta, or text that is not UTF-8."""
 
     def __init__(self, message, line=None):
         if line is not None:

@@ -37,9 +37,6 @@ from .model import EquilibriumState, ModelParams, conserved_masses
 
 __all__ = [
     "RunningIntegrals",
-    "entropy",
-    "relative_entropy",
-    "dissipation",
     "dissipation_bound_rhs",
     "ckp_violation",
     "bound_violation",
@@ -129,21 +126,6 @@ def _equilibrium_refs(eq: EquilibriumState) -> tuple[float, float, float]:
     return refs
 
 
-def entropy(fields, grid: Grid) -> float:
-    """Entropy E = int sum_u (u ln u - u + 1), the relative entropy to
-    (1, 1, 1); nonnegative."""
-    return _kl_integrals(fields.stack, (1.0, 1.0, 1.0), grid)[0]
-
-
-def relative_entropy(fields, eq: EquilibriumState, grid: Grid) -> float:
-    """Relative entropy sum_u int (u ln(u/u_inf) - u + u_inf); nonnegative.
-
-    Equals entropy(fields) - entropy(equilibrium) whenever the conserved
-    masses match.
-    """
-    return _kl_integrals(fields.stack, _equilibrium_refs(eq), grid)[0]
-
-
 def reaction_production(a, b, c):
     """Pointwise (ab-c)*ln(ab/c), evaluated as w*log1p(w/c) with w = ab - c.
 
@@ -159,35 +141,28 @@ def reaction_production(a, b, c):
 _DIFFUSING_ROWS = {"full": slice(0, 3), "db0": slice(0, 3, 2), "dc0": slice(0, 2)}
 
 
-def _dissipation(u, sqrt_u, params: ModelParams, grid: Grid) -> float:
-    """dissipation of the species stack u, given its square roots."""
-    energies = dirichlet_energies(sqrt_u[_DIFFUSING_ROWS[params.mode]], grid)
-    diffusivities = [d for d in params.diffusivities() if d > 0.0]
-    total = 0.0
-    for d, energy in zip(diffusivities, energies):
-        total += 4.0 * d * energy
-    return total + integrate(reaction_production(*u), grid)
-
-
 def _sqrt_terms(u, params: ModelParams, grid: Grid):
     """From one square root of the stack u: the squared deviation_l2 of
     sqrt(a), sqrt(b) and sqrt(c), the defect ||sqrt(ab) - sqrt(c)||^2 and
-    the dissipation."""
+    the entropy dissipation
+
+        D = 4 sum_u d_u int |grad sqrt(u)|^2 + int (ab - c) ln(ab/c),
+
+    whose gradient term drops out for a species with d_u = 0 (the
+    degenerate modes d_b = 0 and d_c = 0)."""
     sqrt_u = np.sqrt(u)
     devs = deviations_l2(sqrt_u, grid)
     w = sqrt_u[0] * sqrt_u[1]
     w -= sqrt_u[2]
     w *= w
-    return [dev * dev for dev in devs], integrate(w, grid), _dissipation(u, sqrt_u, params, grid)
-
-
-def dissipation(fields, params: ModelParams, grid: Grid) -> float:
-    """Entropy dissipation 4*sum_u d_u*int|grad sqrt(u)|^2 + int (ab-c)ln(ab/c).
-
-    Covers the full system and reduces to the two degenerate variants when
-    d_b = 0 or d_c = 0 (the vanished gradient term drops out).
-    """
-    return _dissipation(fields.stack, np.sqrt(fields.stack), params, grid)
+    abc_defect = integrate(w, grid)
+    energies = dirichlet_energies(sqrt_u[_DIFFUSING_ROWS[params.mode]], grid)
+    diffusivities = [d for d in params.diffusivities() if d > 0.0]
+    diss = 0.0
+    for d, energy in zip(diffusivities, energies):
+        diss += 4.0 * d * energy
+    diss += integrate(reaction_production(*u), grid)
+    return [dev * dev for dev in devs], abc_defect, diss
 
 
 def dissipation_bound_rhs(dev2, abc_defect: float, diffusivities,

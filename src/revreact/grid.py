@@ -24,6 +24,7 @@ __all__ = [
     "Grid",
     "SpeciesFields",
     "laplacian_neumann",
+    "neumann_eigenvalues",
     "integrate",
     "row_integrals",
     "lp_norm",
@@ -81,8 +82,7 @@ class Grid:
                 f"{spacings} whose cell volume or 4/h^2 is not finite and positive"
             )
         # the smallest nonzero eigenvalue of each axis of at least 2 cells
-        lam1 = [(4.0 / (h * h)) * math.sin(0.5 * math.pi / n) ** 2
-                for n, h in zip(cells, spacings) if n > 1]
+        lam1 = [float(_eigenvalue(1, n, h)) for n, h in zip(cells, spacings) if n > 1]
         poincare = 1.0 / min(lam1) if lam1 and min(lam1) > 0.0 else math.inf
         if lam1 and poincare == math.inf:
             raise InvalidArgument(
@@ -194,6 +194,22 @@ def laplacian_neumann(u, grid: Grid) -> np.ndarray:
         out[tuple(lo)] += flux
         out[tuple(hi)] -= flux
     return out
+
+
+def neumann_eigenvalues(n: int, h: float) -> np.ndarray:
+    """Eigenvalues of minus laplacian_neumann on one axis of n cells of
+    width h, in mode order k = 0..n-1.
+
+    Mode k carries (4/h^2) sin^2(k pi / (2 n)); the cosine modes
+    cos(k pi (i+1/2)/n) diagonalize the flux-form stencil exactly.  On a
+    box the modes are products over the axes and their eigenvalues add.
+    """
+    return _eigenvalue(np.arange(n), n, h)
+
+
+def _eigenvalue(k, n: int, h: float):
+    """(4/h^2) sin^2(k pi / (2 n)), for one mode k or an array of modes."""
+    return (4.0 / (h * h)) * np.sin(0.5 * np.pi * k / n) ** 2
 
 
 def integrate(u, grid: Grid) -> float:

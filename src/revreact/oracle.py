@@ -4,9 +4,7 @@ The homogeneous oracle integrates the spatially uniform reaction ODE with
 classical RK4, one call advancing a whole array of initial states together
 in numpy (bit-identical, member by member, to a plain-float loop over one
 state); the solver's closed-form reaction substep and its runs from
-uniform data are checked against it.  The backward-Euler diffusion step,
-solved matrix-free by conjugate gradients, is the reference the exact
-diffusion semigroup is compared against.  The brute-force sampler
+uniform data are checked against it.  The brute-force sampler
 re-implements every recorded functional with plain Python loops and
 math.fsum, sharing no code path with the production functionals module.
 """
@@ -18,14 +16,12 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgument, LinSolveFailure, NotPositive
+from .errors import InvalidArgument, NotPositive
 from .functionals import RunningIntegrals
-from .grid import Grid, laplacian_neumann
 
 __all__ = [
     "OdeState",
     "homogeneous_ode",
-    "diffusion_substep",
     "brute_force_sample",
 ]
 
@@ -104,57 +100,6 @@ def homogeneous_ode(a0, b0, c0, t_end: float, substeps: int) -> OdeState:
                     "({}, {}, {})".format(i, *state)
                 )
     return OdeState(a=a, b=b, c=c, t=t_end)
-
-
-def _cg(apply_a, b, x0, tol, max_iter):
-    """Conjugate gradients for an SPD operator, matrix-free.
-
-    Iterates until ||b - A x||_2 <= tol * ||b||_2; deterministic reduction
-    order (single-threaded numpy sums).
-    """
-    x = x0.copy()
-    r = b - apply_a(x)
-    bnorm = math.sqrt(float(np.sum(b * b)))
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    p = r.copy()
-    rs = float(np.sum(r * r))
-    for _ in range(max_iter):
-        if math.sqrt(rs) <= tol * bnorm:
-            return x
-        ap = apply_a(p)
-        alpha = rs / float(np.sum(p * ap))
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(np.sum(r * r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    if math.sqrt(rs) <= tol * bnorm:
-        return x
-    raise LinSolveFailure(
-        f"CG did not reach relative residual {tol:g} in {max_iter} iterations"
-    )
-
-
-def diffusion_substep(u, d: float, dt: float, grid: Grid, tol: float = 1e-12,
-                      max_iter: int = 50_000):
-    """Backward-Euler diffusion step: solve (I - dt*d*L) v = u.
-
-    Identity for d = 0.  The system matrix is a symmetric M-matrix, so the
-    solution conserves the cell-volume weighted sum (up to the relative
-    residual tol) and preserves positivity.  Raises LinSolveFailure when
-    conjugate gradients miss tol within max_iter iterations.
-    """
-    u = np.asarray(u, dtype=float)
-    if d < 0.0:
-        raise InvalidArgument("diffusivity must be nonnegative")
-    if d == 0.0:
-        return u.copy()
-
-    def apply_a(v):
-        return v - dt * d * laplacian_neumann(v, grid)
-
-    return _cg(apply_a, u, u, tol, max_iter)
 
 
 def brute_force_sample(fields, t: float, eq, params, grid,

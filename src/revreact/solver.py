@@ -12,10 +12,11 @@ min(sq, r2 - c) > 0 for every positive state, so no branch guards it.
 The diffusion half-steps apply the exact semigroup of the discrete Neumann
 Laplacian.  On a box it factors over the axes,
 exp(tau d L) = K_1 x ... x K_N with K = C^T diag(exp(-tau d lam)) C for the
-cosine transform C and eigenvalues lam of one axis, so it is applied one
-axis at a time: an axis of at most KERNEL_MAX_CELLS cells by its dense heat
-kernel K, built once per diffusivity and step length and applied with one
-matmul, a longer axis by the type-II cosine transform along that axis.
+cosine transform C and eigenvalues lam = grid.neumann_eigenvalues of one
+axis, so it is applied one axis at a time: an axis of at most
+KERNEL_MAX_CELLS cells by its dense heat kernel K, built once per
+diffusivity and step length and applied with one matmul, a longer axis by
+the type-II cosine transform along that axis.
 In exact arithmetic each factor is symmetric, nonnegative and doubly
 stochastic, which makes positivity, mass conservation and entropy decay
 structural, and leaves the pure O(dt^2) splitting error as the only
@@ -24,8 +25,7 @@ symmetric, and nonnegative and doubly stochastic to rounding: entries
 whose true value is below rounding can come out as about -6e-17, and row
 sums are 1 to within 2.2e-16 on the shipped presets.  A species with zero
 diffusivity (d_b = 0 or d_c = 0) is skipped by index, so diffusion leaves
-it bit-for-bit unchanged.  No step solves a linear system; the
-backward-Euler diffusion step that tests compare against lives in oracle.
+it bit-for-bit unchanged.  No step solves a linear system.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ import scipy.fft
 
 from . import functionals
 from .errors import InvalidArgument, InvalidField, InvalidMass, NotPositive, NumericalBlowup
-from .grid import Grid, SpeciesFields
+from .grid import Grid, SpeciesFields, neumann_eigenvalues
 from .model import ModelParams, conserved_masses, equilibrium_state, riccati_roots
 
 __all__ = [
@@ -104,18 +104,6 @@ class Trajectory:
     final_fields: SpeciesFields | None = None
     step_s: float = 0.0
     sample_s: float = 0.0
-
-
-def neumann_eigenvalues(n: int, h: float) -> np.ndarray:
-    """Eigenvalues of minus the discrete Neumann Laplacian on one axis of n
-    cells of width h, in mode order k = 0..n-1.
-
-    Mode k carries (4/h^2) sin^2(k pi / (2 n)); the cosine modes
-    cos(k pi (i+1/2)/n) diagonalize the flux-form stencil exactly.  On a
-    box the modes are products over the axes and their eigenvalues add.
-    """
-    k = np.arange(n)
-    return (4.0 / (h * h)) * np.sin(0.5 * np.pi * k / n) ** 2
 
 
 def heat_kernels(n: int, h: float, rates) -> np.ndarray:

@@ -1,10 +1,14 @@
-"""Shared fixtures: cached preset runs and seeded random fields."""
+"""Shared fixtures: cached preset runs, seeded random fields and the exact
+diffusion reference."""
+import math
 import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from revreact.cli import build_domain, build_initial, parse_config
+from revreact.grid import laplacian_neumann
 from revreact.model import ModelParams
 from revreact.presets import PRESETS
 from revreact.solver import SolverConfig, run
@@ -64,3 +68,17 @@ def random_fields(rng, grid, lo=0.2, hi=3.0):
         rng.uniform(lo, hi, size=grid.cells),
         rng.uniform(lo, hi, size=grid.cells),
     )
+
+
+def exact_flow(u, d, tau, grid):
+    """exp(tau d L) u for the field u, by scipy.linalg.expm of the dense
+    matrix of L = laplacian_neumann, assembled column by column from its
+    action on the unit fields.
+
+    It shares no code with the heat kernels or the cosine transforms of
+    the semigroup it checks; build it only on grids of a few hundred cells.
+    """
+    n = math.prod(grid.cells)
+    unit = np.eye(n).reshape((n,) + grid.cells)
+    lap = np.stack([laplacian_neumann(e, grid).ravel() for e in unit], axis=1)
+    return (scipy.linalg.expm(tau * d * lap) @ np.ravel(u)).reshape(np.shape(u))

@@ -112,6 +112,15 @@ class TestParseConfig:
         assert err.value.line == 9
         assert parse_config(text.replace("record_every=100", "record_every=50")).t_end == 0.35
 
+    def test_serialized_preset_text(self):
+        # one key=value line per config key: tuples space-joined, floats
+        # with 17 significant digits, everything else as str
+        assert serialize_config(parse_config(PRESETS["dc0_3d"])) == (
+            "dim=3\ncells=48 12 12\nlengths=1 0.40000000000000002 0.40000000000000002\n"
+            "d_a=1\nd_b=1\nd_c=0\ninit=cosine_bump 0.5\ndt=0.002\nt_end=6\n"
+            "record_every=50\nout_dir=out/dc0_3d\nseed=1\n"
+        )
+
     def test_round_trip_identity(self):
         cfg = parse_config(EXAMPLE)
         assert parse_config(serialize_config(cfg)) == cfg
@@ -339,6 +348,39 @@ class TestCmdAnalyze:
         assert "contradict" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "report.txt"))
 
+    def test_unreadable_explicit_meta_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert cmd_run(parse_config(FAST.format(out=out))) == 0
+        csv = os.path.join(out, "timeseries.csv")
+        missing = str(tmp_path / "nosuch_meta")
+        assert main(["analyze", csv, "--mode", "dc0", "--dim", "1", "--meta", missing]) == 2
+        assert "nosuch_meta" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "report.txt"))
+
+    def test_explicit_meta_without_config_section_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert cmd_run(parse_config(FAST.format(out=out))) == 0
+        csv = os.path.join(out, "timeseries.csv")
+        # the CSV itself is readable, but it is not a run_meta
+        assert main(["analyze", csv, "--mode", "dc0", "--dim", "1", "--meta", csv]) == 2
+        assert "# config" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "report.txt"))
+
+    def test_sibling_meta_without_config_section_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert cmd_run(parse_config(FAST.format(out=out))) == 0
+        meta = os.path.join(out, "run_meta")
+        with open(meta) as fh:
+            stats = fh.read().split("# stats\n", 1)[1]
+        with open(meta, "w") as fh:
+            fh.write(stats)
+        csv = os.path.join(out, "timeseries.csv")
+        with pytest.raises(ParseError, match="# config"):
+            cmd_analyze(csv, "dc0", 1)
+        assert main(["analyze", csv, "--mode", "dc0", "--dim", "1"]) == 2
+        assert "# config" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "report.txt"))
+
     @pytest.mark.parametrize("dim", [0, 4])
     def test_dim_outside_one_to_three_rejected(self, tmp_path, capsys, dim):
         t = np.arange(0.0, 20.0001, 0.1)
@@ -493,6 +535,15 @@ class TestMain:
         bad.write_text("dt=-1\n")
         assert main(["run", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(FAST.format(out=str(tmp_path / "out")).encode() + b"\n\xff\n")
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edits", [
         {"t_end=1.0": "t_end=inf"},

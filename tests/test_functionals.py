@@ -11,11 +11,8 @@ from revreact.functionals import (
     _kl_density,
     bound_violation,
     ckp_violation,
-    dissipation,
     dissipation_bound_rhs,
-    entropy,
     reaction_production,
-    relative_entropy,
     sample,
 )
 from revreact.grid import Grid, SpeciesFields
@@ -41,6 +38,10 @@ def self_sample(f, params, grid):
     return sample(f, 0.0, equilibrium_state(*conserved_masses(f, grid)), params, grid)
 
 
+#: diffusivities of the samples whose D is not under test
+ANY_PARAMS = ModelParams(1.0, 1.0, 1.0)
+
+
 def bound_sides(s, params, grid):
     """(D, dissipation_bound_rhs) of one sample."""
     dev2 = (s["dev_A2"], s["dev_B2"], s["dev_C2"])
@@ -52,17 +53,19 @@ class TestEntropy:
     def test_all_ones_is_zero(self):
         grid = unit_setup(8)
         f = SpeciesFields.uniform(grid, 1.0, 1.0, 1.0)
-        assert entropy(f, grid) == 0.0
+        assert self_sample(f, ANY_PARAMS, grid)["E"] == 0.0
 
     def test_two_one_one(self):
         grid = unit_setup(16)
         f = SpeciesFields.uniform(grid, 2.0, 1.0, 1.0)
-        assert entropy(f, grid) == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-13)
+        e = self_sample(f, ANY_PARAMS, grid)["E"]
+        assert e == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-13)
 
     def test_nonnegative_random(self, rng):
         grid = unit_setup(32)
         for _ in range(50):
-            assert entropy(random_fields(rng, grid, 0.05, 5.0), grid) >= 0.0
+            f = random_fields(rng, grid, 0.05, 5.0)
+            assert self_sample(f, ANY_PARAMS, grid)["E"] >= 0.0
 
 
 class TestRelativeEntropy:
@@ -70,7 +73,7 @@ class TestRelativeEntropy:
         grid = unit_setup(8)
         eq = equilibrium_state(2.0, 1.0)
         f = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
-        assert relative_entropy(f, eq, grid) == pytest.approx(0.0, abs=1e-15)
+        assert sample(f, 0.0, eq, ANY_PARAMS, grid)["E_rel"] == pytest.approx(0.0, abs=1e-15)
 
     def test_entropy_difference_identity(self):
         # masses of uniform (2,1,1) are (3,2); relative entropy equals the
@@ -79,8 +82,8 @@ class TestRelativeEntropy:
         f = SpeciesFields.uniform(grid, 2.0, 1.0, 1.0)
         eq = equilibrium_state(3.0, 2.0)
         f_eq = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
-        gap = entropy(f, grid) - entropy(f_eq, grid)
-        assert relative_entropy(f, eq, grid) == pytest.approx(gap, rel=1e-12)
+        gap = self_sample(f, ANY_PARAMS, grid)["E"] - self_sample(f_eq, ANY_PARAMS, grid)["E"]
+        assert sample(f, 0.0, eq, ANY_PARAMS, grid)["E_rel"] == pytest.approx(gap, rel=1e-12)
 
     def test_identity_on_random_mass_matched_fields(self, rng):
         grid = unit_setup(48)
@@ -89,21 +92,22 @@ class TestRelativeEntropy:
             m1, m2 = conserved_masses(f, grid)
             eq = equilibrium_state(m1, m2)
             f_eq = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
-            gap = entropy(f, grid) - entropy(f_eq, grid)
-            assert relative_entropy(f, eq, grid) == pytest.approx(gap, rel=1e-12)
+            gap = self_sample(f, ANY_PARAMS, grid)["E"] - self_sample(f_eq, ANY_PARAMS, grid)["E"]
+            assert sample(f, 0.0, eq, ANY_PARAMS, grid)["E_rel"] == pytest.approx(gap, rel=1e-12)
 
     def test_nonnegative_random(self, rng):
         grid = unit_setup(32)
         eq = equilibrium_state(2.0, 1.5)
         for _ in range(50):
-            assert relative_entropy(random_fields(rng, grid), eq, grid) >= 0.0
+            f = random_fields(rng, grid)
+            assert sample(f, 0.0, eq, ANY_PARAMS, grid)["E_rel"] >= 0.0
 
     def test_degenerate_equilibrium_rejected(self):
         grid = unit_setup(4)
         f = SpeciesFields.uniform(grid, 1.0, 1.0, 1.0)
         eq = equilibrium_state(0.0, 5.0)
         with pytest.raises(DegenerateEquilibrium):
-            relative_entropy(f, eq, grid)
+            sample(f, 0.0, eq, ANY_PARAMS, grid)
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-4, 1e-6, 1e-8])
     def test_near_equilibrium_against_decimal_reference(self, rng, eps):
@@ -124,7 +128,7 @@ class TestRelativeEntropy:
                     for x in map(decimal.Decimal, u.ravel().tolist()):
                         exact += x * (x / r).ln() - x + r
                 exact = float(exact * decimal.Decimal(grid.cell_volume))
-            got = relative_entropy(f, eq, grid)
+            got = sample(f, 0.0, eq, ANY_PARAMS, grid)["E_rel"]
             assert got >= 0.0
             assert abs(got - exact) <= 1e-15 / eps * exact
 
@@ -144,19 +148,19 @@ class TestDissipation:
         grid = unit_setup(16)
         params = ModelParams(1.0, 0.0, 1.0)
         f = SpeciesFields.uniform(grid, 2.0, 0.5, 1.0)
-        assert dissipation(f, params, grid) == 0.0
+        assert self_sample(f, params, grid)["D"] == 0.0
         # the computed equilibrium of masses (2, 1) misses a * b == c by a
         # rounding error, whose production is at rounding level and not negative
         eq = equilibrium_state(2.0, 1.0)
         f = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
-        assert 0.0 <= dissipation(f, params, grid) <= 1e-30
+        assert 0.0 <= self_sample(f, params, grid)["D"] <= 1e-30
 
     def test_uniform_reaction_only(self):
         # a = b = 1, c = e: reaction term (1-e) ln(1/e) = e - 1
         grid = unit_setup(16)
         f = SpeciesFields.uniform(grid, 1.0, 1.0, math.e)
         for params in (ModelParams(1.0, 0.0, 1.0), ModelParams(2.0, 3.0, 0.0)):
-            assert dissipation(f, params, grid) == pytest.approx(math.e - 1.0, rel=1e-13)
+            assert self_sample(f, params, grid)["D"] == pytest.approx(math.e - 1.0, rel=1e-13)
 
     def test_pointwise_reaction_sign(self, rng):
         a = rng.uniform(0.01, 5.0, size=1000)
@@ -168,7 +172,8 @@ class TestDissipation:
         grid = unit_setup(32)
         params = ModelParams(0.7, 1.2, 0.0)
         for _ in range(30):
-            assert dissipation(random_fields(rng, grid), params, grid) >= 0.0
+            f = random_fields(rng, grid)
+            assert self_sample(f, params, grid)["D"] >= 0.0
 
 
 class TestCkp:

@@ -3,21 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from revreact.errors import InvalidArgument, LinSolveFailure, NumericalBlowup
-from revreact.grid import Grid, SpeciesFields, integrate
+from revreact.errors import InvalidArgument, NumericalBlowup
+from revreact.grid import Grid, SpeciesFields, integrate, neumann_eigenvalues
 from revreact.model import DomainSpec, ModelParams, equilibrium_state
-from revreact.oracle import diffusion_substep
 from revreact.solver import (
     KERNEL_MAX_CELLS,
     DiffusionSemigroup,
     SolverConfig,
     StrangStepper,
     heat_kernels,
-    neumann_eigenvalues,
     reaction_substep,
     run,
 )
 from revreact import oracle
+from conftest import exact_flow
 
 SQRT2 = math.sqrt(2.0)
 
@@ -53,58 +52,20 @@ class TestSolverConfig:
         assert SolverConfig(dt=1e-3, t_end=50.0, record_every=100).n_steps == 50_000
 
 
-class TestDiffusionSubstep:
-    def test_constant_fixed_point(self):
-        dom, grid = setup_1d()
-        u = np.full(64, 2.0)
-        v = diffusion_substep(u, 1.0, 0.1, grid)
-        assert v == pytest.approx(u, rel=1e-12)
-
-    def test_degenerate_identity(self):
-        dom, grid = setup_1d()
-        u = np.linspace(1.0, 2.0, 64)
-        v = diffusion_substep(u, 0.0, 0.1, grid)
-        assert np.array_equal(v, u)
-
-    def test_eigenmode_decay_factor(self):
-        # backward Euler damps the discrete mode by 1/(1 + dt d lambda_h)
-        n, L, d, dt, k = 64, 1.0, 0.7, 0.05, 3
-        dom, grid = setup_1d(n, L)
-        x = grid.axis_coordinates(0)
-        mode = np.cos(k * np.pi * x / L)
-        u = 1.0 + 0.1 * mode
-        lam = discrete_lambda(k, n, L / n)
-        expected = 1.0 + 0.1 / (1.0 + dt * d * lam) * mode
-        v = diffusion_substep(u, d, dt, grid, tol=1e-13)
-        assert np.max(np.abs(v - expected)) <= 1e-10
-
-    def test_conserves_mass_and_positivity(self, rng):
-        dom, grid = setup_1d(48)
-        u = rng.uniform(0.05, 2.0, size=48)
-        v = diffusion_substep(u, 2.0, 0.5, grid)
-        assert integrate(v, grid) == pytest.approx(integrate(u, grid), rel=1e-11)
-        assert np.all(v > 0.0)
-
-    def test_iteration_cap(self):
-        dom, grid = setup_1d(32)
-        u = 1.0 + 0.5 * np.cos(np.pi * grid.axis_coordinates(0))
-        with pytest.raises(LinSolveFailure):
-            diffusion_substep(u, 5.0, 0.1, grid, tol=1e-13, max_iter=1)
-
-
 class TestSemigroup:
-    def test_matches_backward_euler_at_second_order(self):
-        # exp(-z) vs 1/(1+z) differ by z^2/2 + O(z^3) per mode
-        dom, grid = setup_1d(32)
-        u = 1.0 + 0.3 * np.cos(2 * np.pi * grid.axis_coordinates(0))
-        lam = discrete_lambda(2, 32, 1.0 / 32)
-        gaps = []
-        for dt in (1e-5, 5e-6):
-            be = diffusion_substep(u, 1.0, dt, grid, tol=1e-13)
-            sg = DiffusionSemigroup(grid, 1.0, dt).apply(u)
-            gaps.append(np.max(np.abs(be - sg)))
-            assert gaps[-1] == pytest.approx(0.3 * (dt * lam) ** 2 / 2.0, rel=0.01)
-        assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.02)
+    def test_matches_exact_flow_in_1d(self, rng):
+        # 64 kernel-axis cells against expm of the assembled stencil, on
+        # random fields and on a constant field, which the flow fixes; at
+        # d = 0 the flow is the identity, bit for bit
+        dom, grid = setup_1d(64)
+        const = np.full(64, 2.0)
+        for d, tau in ((1.0, 1e-5), (1.0, 5e-6), (0.3, 1e-3), (2.0, 1e-2)):
+            op = DiffusionSemigroup(grid, d, tau)
+            for u in (rng.uniform(0.5, 1.5, size=64), rng.uniform(0.05, 2.0, size=64), const):
+                assert np.max(np.abs(op.apply(u) - exact_flow(u, d, tau, grid))) <= 1e-12
+            assert op.apply(const) == pytest.approx(const, rel=1e-12)
+            u = rng.uniform(0.5, 1.5, size=64)
+            assert np.array_equal(DiffusionSemigroup(grid, 0.0, tau).apply(u), u)
 
     def test_eigenvalue_table(self):
         lam = neumann_eigenvalues(16, 0.125)
@@ -136,15 +97,15 @@ class TestThreeDimensional:
             expected = 1.0 + 0.1 * math.exp(-tau * d * lam) * mode
             assert np.max(np.abs(v - expected)) <= 1e-13, cells
 
-    def test_semigroup_matches_cg_step_in_3d(self, rng):
-        dom = DomainSpec.box([1.0, 0.5, 0.25])
-        grid = Grid.for_domain(dom, [8, 4, 4])
-        u = rng.uniform(0.5, 1.5, size=grid.cells)
-        be = diffusion_substep(u, 1.0, 1e-5, grid, tol=1e-13)
-        sg = DiffusionSemigroup(grid, 1.0, 1e-5).apply(u)
-        # both approximate the same flow; they agree to O((dt*lambda)^2)
-        assert np.max(np.abs(be - sg)) <= 1e-4
-        assert integrate(sg, grid) == pytest.approx(integrate(u, grid), rel=1e-12)
+    def test_matches_exact_flow_in_3d(self, rng):
+        grid = Grid.for_domain(DomainSpec.box([1.0, 0.5, 0.25]), [8, 4, 4])
+        const = np.full(grid.cells, 2.0)
+        for tau in (1e-5, 1e-3, 0.1):
+            op = DiffusionSemigroup(grid, 1.0, tau)
+            for u in (rng.uniform(0.5, 1.5, size=grid.cells), const):
+                v = op.apply(u)
+                assert np.max(np.abs(v - exact_flow(u, 1.0, tau, grid))) <= 1e-12
+                assert integrate(v, grid) == pytest.approx(integrate(u, grid), rel=1e-12)
 
 
 class TestReactionSubstep:
