@@ -70,15 +70,28 @@ def random_fields(rng, grid, lo=0.2, hi=3.0):
     )
 
 
-def exact_flow(u, d, tau, grid):
-    """exp(tau d L) u for the field u, by scipy.linalg.expm of the dense
-    matrix of L = laplacian_neumann, assembled column by column from its
-    action on the unit fields.
-
-    It shares no code with the heat kernels or the cosine transforms of
-    the semigroup it checks; build it only on grids of a few hundred cells.
-    """
+def neumann_matrix(grid):
+    """The dense matrix of L = laplacian_neumann, assembled column by
+    column from its action on the unit fields; only for grids of a few
+    hundred cells."""
     n = math.prod(grid.cells)
     unit = np.eye(n).reshape((n,) + grid.cells)
-    lap = np.stack([laplacian_neumann(e, grid).ravel() for e in unit], axis=1)
+    return np.stack([laplacian_neumann(e, grid).ravel() for e in unit], axis=1)
+
+
+def exact_flow(u, d, tau, grid):
+    """exp(tau d L) u for the field u, by scipy.linalg.expm of the dense
+    matrix of L.
+
+    It shares no code with the heat kernels or the cosine transforms of
+    the semigroup it checks.
+    """
+    lap = neumann_matrix(grid)
     return (scipy.linalg.expm(tau * d * lap) @ np.ravel(u)).reshape(np.shape(u))
+
+
+def backward_euler(u, d, dt, grid):
+    """One backward-Euler step (I - dt d L)^{-1} u, by a dense solve."""
+    lap = neumann_matrix(grid)
+    m = np.eye(lap.shape[0]) - dt * d * lap
+    return np.linalg.solve(m, np.ravel(u)).reshape(np.shape(u))

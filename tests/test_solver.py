@@ -16,7 +16,7 @@ from revreact.solver import (
     run,
 )
 from revreact import oracle
-from conftest import exact_flow
+from conftest import backward_euler, exact_flow
 
 SQRT2 = math.sqrt(2.0)
 
@@ -52,7 +52,54 @@ class TestSolverConfig:
         assert SolverConfig(dt=1e-3, t_end=50.0, record_every=100).n_steps == 50_000
 
 
+class TestDiffusionSubstep:
+    # the diffusion substep of the Strang step is the exact semigroup
+    def test_constant_fixed_point(self):
+        dom, grid = setup_1d()
+        u = np.full(64, 2.0)
+        v = DiffusionSemigroup(grid, 1.0, 0.1).apply(u)
+        assert v == pytest.approx(u, rel=1e-12)
+
+    def test_degenerate_identity(self):
+        dom, grid = setup_1d()
+        u = np.linspace(1.0, 2.0, 64)
+        v = DiffusionSemigroup(grid, 0.0, 0.1).apply(u)
+        assert np.array_equal(v, u)
+
+    def test_eigenmode_decay_factor(self):
+        # the flow damps the discrete mode by exp(-dt d lambda_h)
+        n, L, d, dt, k = 64, 1.0, 0.7, 0.05, 3
+        dom, grid = setup_1d(n, L)
+        x = grid.axis_coordinates(0)
+        mode = np.cos(k * np.pi * x / L)
+        u = 1.0 + 0.1 * mode
+        lam = discrete_lambda(k, n, L / n)
+        expected = 1.0 + 0.1 * math.exp(-dt * d * lam) * mode
+        v = DiffusionSemigroup(grid, d, dt).apply(u)
+        assert np.max(np.abs(v - expected)) <= 1e-10
+
+    def test_conserves_mass_and_positivity(self, rng):
+        dom, grid = setup_1d(48)
+        u = rng.uniform(0.05, 2.0, size=48)
+        v = DiffusionSemigroup(grid, 2.0, 0.5).apply(u)
+        assert integrate(v, grid) == pytest.approx(integrate(u, grid), rel=1e-11)
+        assert np.all(v > 0.0)
+
+
 class TestSemigroup:
+    def test_matches_backward_euler_at_second_order(self):
+        # exp(-z) vs 1/(1+z) differ by z^2/2 + O(z^3) per mode
+        dom, grid = setup_1d(32)
+        u = 1.0 + 0.3 * np.cos(2 * np.pi * grid.axis_coordinates(0))
+        lam = discrete_lambda(2, 32, 1.0 / 32)
+        gaps = []
+        for dt in (1e-5, 5e-6):
+            be = backward_euler(u, 1.0, dt, grid)
+            sg = DiffusionSemigroup(grid, 1.0, dt).apply(u)
+            gaps.append(np.max(np.abs(be - sg)))
+            assert gaps[-1] == pytest.approx(0.3 * (dt * lam) ** 2 / 2.0, rel=0.01)
+        assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.02)
+
     def test_matches_exact_flow_in_1d(self, rng):
         # 64 kernel-axis cells against expm of the assembled stencil, on
         # random fields and on a constant field, which the flow fixes; at
