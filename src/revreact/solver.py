@@ -26,10 +26,19 @@ whose true value is below rounding can come out as about -6e-17, and row
 sums are 1 to within 2.2e-16 on the shipped presets.  A species with zero
 diffusivity (d_b = 0 or d_c = 0) is skipped by index, so diffusion leaves
 it bit-for-bit unchanged.  No step solves a linear system.
+
+StrangStepper.advance returns a new array and never writes its input.  Per
+call it allocates that state and one work block (at most nine fields in
+all) and binds every matmul and ufunc of the step to views of them once,
+so each step only runs those calls, in place: no copy, gather, scatter or
+reshape, and the same operands and operation order as the allocating
+entry points DiffusionSemigroup.apply and reaction_substep, which run the
+same calls on new arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import math
 import time
@@ -40,7 +49,7 @@ import scipy.fft
 from . import functionals
 from .errors import InvalidArgument, InvalidField, InvalidMass, NotPositive, NumericalBlowup
 from .grid import Grid, SpeciesFields, neumann_eigenvalues
-from .model import ModelParams, conserved_masses, equilibrium_state, riccati_roots
+from .model import ModelParams, conserved_masses, equilibrium_state
 
 __all__ = [
     "SolverConfig",
@@ -125,67 +134,155 @@ def heat_kernels(n: int, h: float, rates) -> np.ndarray:
     return np.ascontiguousarray(g[:, abs(i[:, None] - i)] + g[:, i[:, None] + i + 1])
 
 
+def _row_slice(rows: list) -> slice:
+    """The ascending, evenly spaced row indices rows as a basic slice, so
+    that a view of those rows never copies.  Every set of rows of a
+    (3, *cells) stack is evenly spaced."""
+    if not rows:
+        return slice(0, 0)
+    step = rows[1] - rows[0] if len(rows) > 1 else 1
+    if rows != list(range(rows[0], rows[-1] + 1, step)):
+        raise InvalidArgument(f"diffusing entries {rows} are not evenly spaced")
+    return slice(rows[0], rows[-1] + 1, step)
+
+
+def _transform(x, y, factor):
+    """The call that writes the flow of x along its axis 2 into y: the
+    type-II cosine transform along that axis, each mode damped by factor."""
+    def call():
+        coeff = scipy.fft.dct(x, type=2, norm="ortho", axis=2)
+        coeff *= factor
+        np.copyto(y, scipy.fft.idct(coeff, type=2, norm="ortho", axis=2))
+    return call
+
+
 class DiffusionSemigroup:
     """Exact heat flow exp(tau * d * L) of the discrete Neumann Laplacian.
 
     Acts on the last len(grid.cells) axes of its input.  d holds one
     diffusivity per entry of the leading axis; a scalar d acts on a plain
-    field, a stack of one.  Entries with d * tau == 0 are skipped by index
-    and come back bit-for-bit unchanged.
+    field, a stack of one.  Entries with d * tau == 0 are skipped and come
+    back bit-for-bit unchanged.  The others, the moving entries, are one
+    basic slice of the leading axis, so they must be evenly spaced, as
+    every set of rows of a (3, *cells) stack is.
 
     The flow factors over the axes and is applied one axis at a time: by a
     dense heat kernel (one matmul) on an axis of at most KERNEL_MAX_CELLS
     cells, by the type-II cosine transform along a longer axis, whose
     kernel would be slower and hold n^2 doubles.  The kernels are built
-    here, once; entries that share one rate share them.
+    here, once; entries that share one rate share them.  calls binds that
+    chain of axes to the arrays it reads and writes; apply runs it on a
+    new array.
     """
 
     def __init__(self, grid: Grid, d, tau: float):
         rates = -tau * np.atleast_1d(d)
         self.shape = rates.shape + grid.cells
-        self.moving = np.flatnonzero(rates != 0.0)
+        self.moving = _row_slice(np.flatnonzero(rates != 0.0).tolist())
         rates = rates[self.moving]
+        #: the shape of one axis temporary: the moving entries
+        self.work_shape = rates.shape + grid.cells
         # moving entries with one common rate (every preset) share one
         # kernel, broadcast over the stack, instead of holding a copy each
         kernel_rates = rates[:1] if np.all(rates == rates[:1]) else rates
         #: per axis: the (entries, before, along, after) shape it acts on,
-        #: and its kernels (entries or 1, n, n) or, for a long axis, its
-        #: cosine-mode factors shaped to broadcast along it
+        #: and its kernels, which multiply a kernel axis from the left, or,
+        #: where nothing comes after it, its (entries, before, along) rows
+        #: from the right; a long axis has its cosine-mode factors instead,
+        #: shaped to broadcast along it
         self.axes = []
         for ax, (n, h) in enumerate(zip(grid.cells, grid.spacings)):
             shape = (rates.size, math.prod(grid.cells[:ax]), n, math.prod(grid.cells[ax + 1:]))
-            if n <= KERNEL_MAX_CELLS:
-                self.axes.append((shape, heat_kernels(n, h, kernel_rates), None))
-            else:
+            if n > KERNEL_MAX_CELLS:
                 factor = np.exp(np.multiply.outer(rates, neumann_eigenvalues(n, h)))
                 self.axes.append((shape, None, factor[:, None, :, None]))
+            elif shape[3] == 1:
+                self.axes.append((shape[:3], heat_kernels(n, h, kernel_rates), None))
+            else:
+                self.axes.append((shape, heat_kernels(n, h, kernel_rates)[:, None], None))
+
+    def calls(self, src: np.ndarray, dst: np.ndarray, work) -> list:
+        """Calls that write the flow of the moving entries of src into those
+        of dst, with every view they use bound once.
+
+        src and dst are C-contiguous arrays of self.shape, possibly one
+        array; the other entries of dst are not touched.  work[0] and
+        work[1] are C-contiguous arrays of self.work_shape: each axis but
+        the last writes one and the next axis reads it.  Each matmul takes
+        its output as its last argument, as the calls of _reaction do.
+        """
+        if not self.work_shape[0]:
+            return []
+        x, last = src[self.moving], dst[self.moving]
+        outs = [work[i % 2] for i in range(len(self.axes) - 1)]
+        # matmul cannot write its own operand: one axis in place goes
+        # through a temporary, copied back at the end
+        outs.append(work[0] if src is dst and len(self.axes) == 1 else last)
+        calls = []
+        for (shape, kernel, factor), y in zip(self.axes, outs):
+            xv, yv = x.reshape(shape, copy=False), y.reshape(shape, copy=False)
+            if kernel is None:
+                calls.append(_transform(xv, yv, factor))
+            elif len(shape) == 3:  # rows times the symmetric kernel
+                calls.append(partial(np.matmul, xv, kernel, yv))
+            else:
+                calls.append(partial(np.matmul, kernel, xv, yv))
+            x = y
+        if x is not last:
+            calls.append(partial(np.copyto, last, x))
+        return calls
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """A new array holding the flow of every entry of u; u is not modified."""
-        out = np.array(u, dtype=float).reshape(self.shape)
-        if self.moving.size:
-            v = out[self.moving]
-            for shape, kernel, factor in self.axes:
-                v = v.reshape(shape)
-                if kernel is None:
-                    coeff = scipy.fft.dct(v, type=2, norm="ortho", axis=2)
-                    coeff *= factor
-                    v = scipy.fft.idct(coeff, type=2, norm="ortho", axis=2)
-                elif shape[3] == 1:  # last axis: rows times the symmetric kernel
-                    v = v[..., 0] @ kernel
-                else:
-                    v = kernel[:, None] @ v
-            out[self.moving] = v.reshape((self.moving.size,) + self.shape[1:])
+        src = np.ascontiguousarray(u, dtype=float).reshape(self.shape)
+        out = src.copy()
+        for call in self.calls(src, out, np.empty((2,) + self.work_shape)):
+            call()
         return out.reshape(np.shape(u))
 
 
-def _react_arrays(a, b, c, dt):
-    m1 = a + c
-    m2 = b + c
-    r1, r2, sq = riccati_roots(m1, m2)
-    g = (c - r1) * np.exp(-sq * dt)
-    c_new = r1 + sq * g / ((r2 - c) + g)
-    return m1 - c_new, m2 - c_new, c_new
+def _reaction(u: np.ndarray, work: np.ndarray, dt: float) -> list:
+    """The reaction substep over dt as calls that update the (3, *cells)
+    stack u in place, with every view they use bound once; work holds at
+    least four scratch fields of u's cells.
+
+    The calls do the arithmetic of riccati_roots and then of the closed
+    form in reaction_substep, operation for operation, so they round as
+    those expressions do.  Rows 0 and 1 hold m1 and m2 until they become
+    a and b; row 2 holds c, then exp(-sq dt) once c is read for the last
+    time, then c_new.  Each call takes its output as its last argument, by
+    position, which a partial passes on faster than an out= keyword.
+    """
+    m1, m2, c = u[0], u[1], u[2]
+    s, sq, r1, g = work[:4]
+    return [
+        partial(np.add, m1, c, m1),  # m1 = a + c
+        partial(np.add, m2, c, m2),  # m2 = b + c
+        partial(np.add, 1.0, m1, s),
+        partial(np.add, s, m2, s),  # s = 1 + m1 + m2
+        partial(np.add, m1, m2, sq),
+        partial(np.multiply, 2.0, sq, sq),
+        partial(np.add, 1.0, sq, sq),
+        partial(np.subtract, m1, m2, r1),
+        partial(np.square, r1, r1),
+        partial(np.add, sq, r1, sq),
+        partial(np.sqrt, sq, sq),  # sq = r2 - r1
+        partial(np.add, s, sq, s),
+        partial(np.multiply, 0.5, s, s),  # s holds r2 = (s + sq) / 2
+        partial(np.multiply, m1, m2, r1),
+        partial(np.divide, r1, s, r1),  # r1 = m1 m2 / r2
+        partial(np.subtract, c, r1, g),
+        partial(np.subtract, s, c, s),  # s holds r2 - c
+        partial(np.multiply, sq, -dt, c),
+        partial(np.exp, c, c),
+        partial(np.multiply, g, c, g),  # G = (c - r1) exp(-sq dt)
+        partial(np.add, s, g, s),
+        partial(np.multiply, sq, g, g),
+        partial(np.divide, g, s, g),
+        partial(np.add, r1, g, c),  # c_new = r1 + sq G / ((r2 - c) + G)
+        partial(np.subtract, m1, c, m1),  # a = m1 - c_new
+        partial(np.subtract, m2, c, m2),  # b = m2 - c_new
+    ]
 
 
 def reaction_substep(fields: SpeciesFields, dt: float) -> SpeciesFields:
@@ -202,8 +299,14 @@ def reaction_substep(fields: SpeciesFields, dt: float) -> SpeciesFields:
     c >= r1, and at least r2 - c + (c - r1) = sq > 0 when c < r1 (then
     c - r1 <= G < 0).  c(dt) stays between c and r1 < min(m1, m2), so
     a = m1 - c(dt) and b = m2 - c(dt) stay positive.
+
+    Runs the in-place calls of StrangStepper.advance on a copy of the
+    stack.
     """
-    return SpeciesFields.from_stack(np.stack(_react_arrays(*fields.stack, dt)))
+    u = np.array(fields.stack)
+    for call in _reaction(u, np.empty((4,) + u.shape[1:]), dt):
+        call()
+    return SpeciesFields.from_stack(u)
 
 
 class StrangStepper:
@@ -221,13 +324,36 @@ class StrangStepper:
         self.full = DiffusionSemigroup(grid, params.diffusivities(), dt)
 
     def advance(self, u: np.ndarray, n_steps: int) -> np.ndarray:
-        """The stack u after n_steps Strang steps; u itself is not modified."""
-        u = self.half.apply(u)
-        u[0], u[1], u[2] = _react_arrays(*u, self.dt)
-        for _ in range(n_steps - 1):
-            u = self.full.apply(u)
-            u[0], u[1], u[2] = _react_arrays(*u, self.dt)
-        return self.half.apply(u)
+        """The stack u after n_steps Strang steps, as a new array; u is
+        never written.
+
+        Raises ValueError, before anything is written, unless u has the
+        shape (3, *grid.cells).  Each call allocates the state it returns
+        and one work block, and binds every call of the step to views of
+        them once, so a step only runs those calls (an axis longer than
+        KERNEL_MAX_CELLS still allocates its cosine transforms).  The block
+        holds the two axis temporaries, which the reaction also uses as its
+        scratch: at most six fields, at least four.  None of it outlives
+        the call.
+        """
+        u = np.ascontiguousarray(u, dtype=float)
+        if u.shape != self.full.shape:
+            raise ValueError(f"a state has shape {self.full.shape}, got {u.shape}")
+        state = u.copy()
+        moving = self.full.work_shape[0]
+        work = np.empty((max(2 * moving, 4),) + u.shape[1:])
+        temps = work[:moving], work[moving:2 * moving]
+        react = _reaction(state, work, self.dt)
+        for call in self.half.calls(u, state, temps) + react:
+            call()
+        if n_steps > 1:
+            step = self.full.calls(state, state, temps) + react
+            for _ in range(n_steps - 1):
+                for call in step:
+                    call()
+        for call in self.half.calls(state, state, temps):
+            call()
+        return state
 
 
 def run(initial: SpeciesFields, params: ModelParams, grid: Grid,

@@ -499,16 +499,28 @@ class TestCmdVerify:
         name, ok, detail = verify._suite_poincare(np.random.default_rng(0))
         assert ok is False
 
-    def test_wrong_reaction_fails_closed(self, monkeypatch, capsys):
+    def test_wrong_reaction_fails_closed(self, monkeypatch, capsys, tmp_path):
         # the solver's reaction integrating over 2 dt must fail the RK4 check
-        # that verify runs on it, and so the command
+        # that verify runs on it, and so the command; it must also change
+        # what run computes, so verify checks the reaction run executes
         import revreact.solver
         from revreact import verify
         from revreact.cli import cmd_verify
 
-        react = revreact.solver._react_arrays
-        monkeypatch.setattr(revreact.solver, "_react_arrays",
-                            lambda a, b, c, dt: react(a, b, c, 2.0 * dt))
+        cfg = parse_config(FAST.format(out=tmp_path))
+        domain, grid = build_domain(cfg)
+        initial = build_initial(cfg, grid, domain)
+
+        def final_fields():
+            short = SolverConfig(cfg.dt, 10 * cfg.dt, 10)
+            traj = run(initial, ModelParams(cfg.d_a, cfg.d_b, cfg.d_c), grid, short)
+            return traj.final_fields.stack
+
+        right = final_fields()
+        react = revreact.solver._reaction
+        monkeypatch.setattr(revreact.solver, "_reaction",
+                            lambda u, work, dt: react(u, work, 2.0 * dt))
+        assert not np.array_equal(final_fields(), right)
         name, ok, _ = verify._suite_reaction_oracle(np.random.default_rng(0))
         assert ok is False
         assert cmd_verify() == 1

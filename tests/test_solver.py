@@ -212,6 +212,19 @@ class TestReactionSubstep:
         g = reaction_substep(f, 1e3)
         assert np.max(np.abs(g.c - r1)) <= 1e-12
 
+    def test_equals_the_allocating_closed_form_bit_for_bit(self, rng):
+        # the in-place calls round as riccati_roots and the closed form do
+        from revreact.model import riccati_roots
+
+        a, b, c = rng.uniform(0.05, 4.0, size=(3, 8, 16))
+        for dt in (1e-3, 0.37, 50.0):
+            m1, m2 = a + c, b + c
+            r1, r2, sq = riccati_roots(m1, m2)
+            g = (c - r1) * np.exp(-sq * dt)
+            c_new = r1 + sq * g / ((r2 - c) + g)
+            got = reaction_substep(SpeciesFields(a, b, c), dt)
+            assert np.array_equal(got.stack, np.stack((m1 - c_new, m2 - c_new, c_new)))
+
     def test_matches_rk4_oracle(self, rng):
         # 100 states as one (100,)-shaped field, over a short and a long step
         states = rng.uniform(0.05, 3.0, size=(100, 3))
@@ -301,6 +314,14 @@ class TestStackedSemigroup:
         assert np.array_equal(v[1], u[1])
         assert not np.array_equal(v[0], u[0]) and not np.array_equal(v[2], u[2])
 
+    def test_moving_entries_must_be_evenly_spaced(self):
+        # the moving entries are one basic slice; every set of three rows is
+        dom, grid = setup_1d(32)
+        with pytest.raises(InvalidArgument, match="evenly spaced"):
+            DiffusionSemigroup(grid, (1.0, 1.0, 0.0, 1.0), 0.1)
+        for d in ((1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0)):
+            DiffusionSemigroup(grid, d, 0.1)
+
     def test_stack_length_must_match_diffusivities(self):
         dom, grid = setup_1d(32)
         with pytest.raises(ValueError):
@@ -313,6 +334,87 @@ class TestStackedSemigroup:
         v = StrangStepper(ModelParams(1.0, 0.0, 1.0), 0.01, grid).advance(u, 3)
         assert np.array_equal(u, kept)
         assert v.shape == u.shape and not np.array_equal(v, u)
+
+
+def preset_stepper(name):
+    """The stepper and grid of a shipped preset."""
+    from revreact.cli import build_domain, parse_config
+    from revreact.presets import PRESETS
+
+    cfg = parse_config(PRESETS[name])
+    _, grid = build_domain(cfg)
+    return StrangStepper(ModelParams(cfg.d_a, cfg.d_b, cfg.d_c), cfg.dt, grid), grid
+
+
+def composed_steps(stepper, u, k):
+    """k Strang steps as the step-by-step composition of the allocating
+    entry points: D(h/2) R [D(h) R]^(k-1) D(h/2)."""
+    def react(v):
+        return reaction_substep(SpeciesFields.from_stack(v), stepper.dt).stack
+
+    v = react(stepper.half.apply(u))
+    for _ in range(k - 1):
+        v = react(stepper.full.apply(v))
+    return stepper.half.apply(v)
+
+
+class TestAdvance:
+    @pytest.mark.parametrize("name", ["db0_1d", "dc0_2d", "dc0_3d", "full_1d", "long_axis"])
+    def test_equals_step_by_step_composition_bit_for_bit(self, rng, name):
+        # db0_1d moves the rows [0, 2], a strided slice; long_axis takes the
+        # cosine-transform branch on its first axis
+        if name == "long_axis":
+            grid = Grid.for_domain(DomainSpec.box([1.0, 0.3]), [KERNEL_MAX_CELLS + 108, 6])
+            stepper = StrangStepper(ModelParams(1.0, 0.0, 0.7), 1e-3, grid)
+        else:
+            stepper, grid = preset_stepper(name)
+        u = rng.uniform(0.5, 1.5, size=(3, *grid.cells))
+        for k in (1, 3):
+            assert np.array_equal(stepper.advance(u, k), composed_steps(stepper, u, k)), k
+
+    def test_results_are_not_aliased(self, rng):
+        stepper, grid = preset_stepper("dc0_2d")
+        u = rng.uniform(0.5, 1.5, size=(3, *grid.cells))
+        first = stepper.advance(u, 3)
+        kept = first.copy()
+        second = stepper.advance(first, 3)
+        assert np.array_equal(first, kept)
+        # a reused stepper and a new one give the same results
+        assert np.array_equal(stepper.advance(u, 3), kept)
+        assert np.array_equal(stepper.advance(first, 3), second)
+        assert np.array_equal(preset_stepper("dc0_2d")[0].advance(u, 3), kept)
+
+    @pytest.mark.parametrize("lengths, cells", [([1.0], [32]), ([1.0, 0.5, 0.25], [8, 4, 4])])
+    def test_rejects_a_stack_of_another_shape(self, rng, lengths, cells):
+        # a stack of one, or one whose last axis would broadcast, must not
+        # be written into the three rows of the state
+        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        stepper = StrangStepper(ModelParams(1.0, 0.0, 1.0), 0.01, grid)
+        for shape in ((1, *cells), (3, *cells[:-1], 1), (4, *cells), tuple(cells)):
+            u = rng.uniform(0.5, 1.5, size=shape)
+            kept = u.copy()
+            with pytest.raises(ValueError):
+                stepper.advance(u, 2)
+            assert np.array_equal(u, kept)
+
+    def test_memory_on_the_dc0_3d_grid(self, rng):
+        # the work arrays of one call peak within 12 fields, the allocating
+        # step's peak, and none of them outlives the call
+        import tracemalloc
+
+        stepper, grid = preset_stepper("dc0_3d")
+        u = rng.uniform(0.5, 1.5, size=(3, *grid.cells))
+        field_bytes = u[0].nbytes
+        stepper.advance(u, 2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            v = stepper.advance(u, 50)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 12 * field_bytes
+        assert v.nbytes <= after - before <= v.nbytes + 1024
 
 
 class TestStrangStep:
