@@ -75,7 +75,6 @@ class GrowthDiagnostic:
 @dataclass
 class EnvelopeReport:
     theoretical_alpha: float
-    envelope_ok: bool
     passed: bool
     lines: list = field(default_factory=list)
 
@@ -178,7 +177,6 @@ def check_theorem_envelope(fit: DecayFit, mode: str, dimension: int,
     ]
     return EnvelopeReport(
         theoretical_alpha=target,
-        envelope_ok=env_ok,
         passed=passed,
         lines=lines,
     )

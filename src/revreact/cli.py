@@ -166,13 +166,17 @@ def parse_config(text: str) -> RunConfig:
         params = tuple(float(tok) for tok in toks[1:])
     except ValueError:
         raise ConfigError(f"malformed number in init={raw['init']!r}", line=line)
+    if not all(map(math.isfinite, params)):
+        raise ConfigError(f"init parameters must be finite, got {raw['init']!r}", line=line)
     if kind == "uniform" and (len(params) != 3 or min(params) <= 0):
         raise ConfigError("init uniform needs three positive values", line=line)
     if kind == "cosine_bump" and (len(params) != 1 or not 0 < params[0] < 1):
         raise ConfigError("init cosine_bump needs amplitude in (0,1)", line=line)
-    if kind == "random_positive" and (len(params) != 2 or params[0] <= 0 or params[1] < 0):
+    if kind == "random_positive" and (len(params) != 2 or params[0] <= 0 or params[1] < 0
+                                      or not math.isfinite(params[0] + params[1])):
         raise ConfigError(
-            "init random_positive needs positive floor and nonnegative amp", line=line
+            "init random_positive needs positive floor and nonnegative amp with a finite sum",
+            line=line,
         )
 
     return RunConfig(init=(kind,) + params, out_dir=raw["out_dir"], **nums)

@@ -51,9 +51,8 @@ class Grid:
     nonzero eigenvalue (4/h**2) sin**2(pi/(2n)) of minus the Neumann
     Laplacian over the axes of at least 2 cells, attained by the lowest
     cosine mode of the slowest axis.  It exceeds the continuous box
-    constant domain.poincare_constant = (L_max/pi)**2 by a factor of about
-    1 + pi**2/(12 n**2).  On a grid of single cells every deviation
-    vanishes and it is inf.
+    constant (L_max/pi)**2 by a factor of about 1 + pi**2/(12 n**2).  On
+    a grid of single cells every deviation vanishes and it is inf.
     """
 
     domain: DomainSpec

@@ -1,4 +1,4 @@
-"""Domain description, equilibrium algebra and the entropy ratio function.
+"""Domain description and equilibrium algebra.
 
 The reversible reaction A + B <-> C conserves the spatial averages
 M1 = avg(a + c) and M2 = avg(b + c).  The unique nonnegative homogeneous
@@ -26,26 +26,16 @@ __all__ = [
     "EquilibriumState",
     "conserved_masses",
     "equilibrium_state",
-    "gamma_ratio",
 ]
-
-#: relative width |sqrt(x)-sqrt(y)| / sqrt(y) below which the Taylor branch
-#: of gamma_ratio is used to avoid 0/0 cancellation
-GAMMA_TAYLOR_THRESHOLD = 1e-7
 
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Axis-aligned box domain in dimension N <= 3.
-
-    ``poincare_constant`` is the analytic Neumann Poincare-Wirtinger
-    constant (L_max / pi)**2 of the box for the squared L2 deviation norm.
-    """
+    """Axis-aligned box domain in dimension N <= 3."""
 
     dimension: int
     lengths: tuple[float, ...]
     volume: float
-    poincare_constant: float
 
     @classmethod
     def box(cls, lengths) -> "DomainSpec":
@@ -56,16 +46,11 @@ class DomainSpec:
         if any(not math.isfinite(x) or x <= 0.0 for x in lengths):
             raise InvalidArgument(f"axis lengths must be positive, got {lengths}")
         volume = math.prod(lengths)
-        try:
-            p = (max(lengths) / math.pi) ** 2
-        except OverflowError:
-            p = math.inf
-        if not (0.0 < volume < math.inf and 0.0 < p < math.inf):
+        if not 0.0 < volume < math.inf:
             raise InvalidArgument(
-                f"axis lengths {lengths} give a volume or Poincare constant that is "
-                "not finite and positive"
+                f"axis lengths {lengths} give a volume that is not finite and positive"
             )
-        return cls(dimension=n, lengths=lengths, volume=volume, poincare_constant=p)
+        return cls(dimension=n, lengths=lengths, volume=volume)
 
 
 @dataclass(frozen=True)
@@ -176,46 +161,3 @@ def riccati_roots(m1, m2):
     r1 = m1 * m2 / r2
     return r1, r2, sq
 
-
-def gamma_ratio(x, y):
-    """Entropy ratio (x*ln(x/y) - x + y) / (sqrt(x) - sqrt(y))**2.
-
-    The paper's function Gamma, bounded by C*max(1, ln(x/y)), which carries
-    the entropy method's estimates; the verify suite checks those
-    properties.  Recorded entropies do not use it: they integrate the log1p
-    density of functionals.
-
-    Equals 2 on the diagonal x == y and 1 in the limit x -> 0.  Near the
-    diagonal (relative sqrt-gap below GAMMA_TAYLOR_THRESHOLD) the second
-    order expansion 2 + (2/3)e - (1/6)e**2 in e = (sqrt(x)-sqrt(y))/sqrt(y)
-    is used to avoid 0/0 cancellation.  Accepts scalars or arrays.
-    """
-    scalar = np.isscalar(x) and np.isscalar(y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(~np.isfinite(y)) or np.any(y <= 0.0):
-        raise InvalidArgument("gamma_ratio requires y > 0")
-    if np.any(~np.isfinite(x)) or np.any(x < 0.0):
-        raise InvalidArgument("gamma_ratio requires x >= 0")
-    x, y = np.broadcast_arrays(x, y)
-    sx = np.sqrt(x)
-    sy = np.sqrt(y)
-    e = (sx - sy) / sy
-    out = np.empty_like(e)
-
-    near = np.abs(e) < GAMMA_TAYLOR_THRESHOLD
-    en = e[near]
-    out[near] = 2.0 + (2.0 / 3.0) * en - (1.0 / 6.0) * en * en
-
-    far = ~near
-    if np.any(far):
-        xf = x[far]
-        yf = y[far]
-        d = xf - yf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num = xf * np.log1p(d / yf) - d
-        num = np.where(xf == 0.0, yf, num)  # continuous limit x -> 0
-        den = (sx[far] - sy[far]) ** 2
-        out[far] = num / den
-
-    return float(out) if scalar else out

@@ -5,8 +5,6 @@ command is deterministic.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import oracle
@@ -30,7 +28,6 @@ from .model import (
     ModelParams,
     conserved_masses,
     equilibrium_state,
-    gamma_ratio,
 )
 from .solver import reaction_substep
 
@@ -51,26 +48,6 @@ def _suite_equilibrium(rng):
         )
     ok = worst <= 1e-12
     return ("equilibrium algebra (1000 random masses)", ok, f"worst residual {worst:.2e}")
-
-
-def _suite_gamma(rng):
-    xs = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), size=4000))
-    ys = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), size=4000))
-    g = gamma_ratio(xs, ys)
-    nonneg = bool(np.all(g >= 0.0))
-    bound_const = float(np.max(g / np.maximum(1.0, np.log(xs / ys))))
-    # continuity across the Taylor switch
-    y = 1.0
-    jump = 0.0
-    for side in (1 - 1.2e-7, 1 - 0.8e-7, 1 + 0.8e-7, 1 + 1.2e-7):
-        x = (side) ** 2 * y
-        jump = max(jump, abs(gamma_ratio(x, y) - 2.0))
-    ok = nonneg and math.isfinite(bound_const) and jump < 1e-6
-    return (
-        "entropy ratio function (nonneg, bounded, continuous switch)",
-        ok,
-        f"fitted C_Gamma {bound_const:.4g}, switch gap {jump:.1e}",
-    )
 
 
 def _grids():
@@ -211,7 +188,6 @@ def run_property_suites():
     rng = np.random.default_rng(20260809)
     suites = (
         _suite_equilibrium,
-        _suite_gamma,
         _suite_laplacian,
         _suite_poincare,
         _suite_reaction_oracle,

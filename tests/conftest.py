@@ -70,6 +70,13 @@ def random_fields(rng, grid, lo=0.2, hi=3.0):
     )
 
 
+def box_poincare_constant(lengths):
+    """The continuous Neumann Poincare-Wirtinger constant (L_max/pi)**2 of a
+    box, below the grid's discrete constant: a stricter reference for the
+    dissipation bound on data away from the lowest mode."""
+    return (max(lengths) / math.pi) ** 2
+
+
 def neumann_matrix(grid):
     """The dense matrix of L = laplacian_neumann, assembled column by
     column from its action on the unit fields; only for grids of a few

@@ -23,6 +23,7 @@ from revreact.functionals import CSV_COLUMNS
 from revreact.model import ModelParams
 from revreact.presets import PRESETS, preset_names
 from revreact.solver import SolverConfig, run
+from conftest import box_poincare_constant
 
 EXAMPLE = (
     "dim=1\ncells=128\nlengths=1.0\nd_a=1.0\nd_b=0\nd_c=1.0\n"
@@ -35,6 +36,9 @@ FAST = (
     "init=cosine_bump 0.4\ndt=0.002\nt_end=1.0\nrecord_every=50\n"
     "linsolve_tol=1e-12\nout_dir={out}\nseed=3"
 )
+
+#: FAST over one cell of a length whose box Poincare constant (L/pi)^2 overflows
+ONE_CELL_BOX = FAST.replace("cells=24", "cells=1").replace("lengths=1.0", "lengths=1e200")
 
 
 class TestParseConfig:
@@ -86,6 +90,11 @@ class TestParseConfig:
         ("d_a=1.0", "d_a=0", 4),
         ("d_c=1.0", "d_c=inf", 6),
         ("d_c=1.0", "d_c=0", 5),
+        ("init=cosine_bump 0.5", "init=uniform 1 1 nan", 7),
+        ("init=cosine_bump 0.5", "init=uniform inf 1 1", 7),
+        ("init=cosine_bump 0.5", "init=random_positive nan 1", 7),
+        ("init=cosine_bump 0.5", "init=random_positive 1 inf", 7),
+        ("init=cosine_bump 0.5", "init=random_positive 1e308 1e308", 7),  # floor + amp overflows
         ("dt=0.001", "dt=nan", 8),
         ("t_end=50", "t_end=inf", 9),
         ("t_end=50", "t_end=50.05", 9),
@@ -426,6 +435,8 @@ class TestBlowupPath:
             "e160": FAST.replace("init=cosine_bump 0.4", "init=uniform 1e160 1e160 1e160"),
             "e308": FAST.replace("init=cosine_bump 0.4", "init=uniform 1e308 1e308 1e308"),
             "huge_box": huge_box,
+            # one cell has no Poincare constraint, whatever its length
+            "one_cell_box": ONE_CELL_BOX.replace("init=cosine_bump 0.4", "init=uniform 2 1 0.5"),
         }
         for name, template in cases.items():
             out = str(tmp_path / name)
@@ -437,6 +448,13 @@ class TestBlowupPath:
             assert "status=blowup" in meta, name
             assert "blowup_t=0" in meta, name
             assert not os.path.exists(os.path.join(out, "timeseries.csv")), name
+
+    def test_one_cell_huge_box_runs_as_the_ode(self, tmp_path, capsys):
+        text = ONE_CELL_BOX.format(out=str(tmp_path / "out"))
+        rc = cmd_run(parse_config(text.replace("init=cosine_bump 0.4", "init=uniform 1 1 1")))
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert "status=ok" in (tmp_path / "out" / "run_meta").read_text().splitlines()
 
     def test_reaction_at_huge_masses_is_a_silent_blowup(self, tmp_path):
         # at masses 2e32 a_inf is below the spacing of doubles near m1: the
@@ -494,7 +512,7 @@ class TestCmdVerify:
 
         grids = verify._grids()
         monkeypatch.setattr(verify, "_grids", lambda: [
-            dataclasses.replace(g, poincare_constant=g.domain.poincare_constant)
+            dataclasses.replace(g, poincare_constant=box_poincare_constant(g.domain.lengths))
             for g in grids])
         name, ok, detail = verify._suite_poincare(np.random.default_rng(0))
         assert ok is False
@@ -563,6 +581,11 @@ class TestMain:
         {"lengths=1.0": "lengths=1e200"},
         {"lengths=1.0": "lengths=1e-200"},
         {"lengths=1.0": "lengths=1e-158"},
+        {"init=cosine_bump 0.4": "init=uniform 1 1 nan"},
+        {"init=cosine_bump 0.4": "init=uniform inf 1 1"},
+        {"init=cosine_bump 0.4": "init=random_positive nan 1"},
+        {"init=cosine_bump 0.4": "init=random_positive 1 inf"},
+        {"init=cosine_bump 0.4": "init=random_positive 1e308 1e308"},
     ])
     def test_crashing_values_exit_2(self, tmp_path, capsys, edits):
         text = FAST.format(out=str(tmp_path / "out"))
@@ -571,7 +594,9 @@ class TestMain:
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
         assert main(["run", str(bad)]) == 2
-        assert "error: line " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: line " in err
+        assert "Warning" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [["presets", "nosuch"], ["run", "preset:nosuch"]])

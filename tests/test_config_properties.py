@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from revreact.cli import CONFIG_KEYS, RunConfig, parse_config, serialize_config
 from revreact.errors import ConfigError
@@ -81,22 +81,39 @@ def test_single_line_corruption_raises_config_error(cfg, data):
         parse_config("\n".join(corrupted) + "\n")
 
 
+#: a valid config, the base of the explicit examples below
+BASE = RunConfig(dim=1, cells=(8,), lengths=(1.0,), d_a=1.0, d_b=1.0, d_c=1.0,
+                 init=("uniform", 1.0, 1.0, 1.0), dt=0.125, t_end=1.0, record_every=4,
+                 out_dir="out", seed=0)
+INIT_LINE = CONFIG_KEYS.index("init")
+
+
 @settings(max_examples=500, deadline=None)
-@given(run_configs(), st.data())
-def test_arbitrary_line_never_escapes_as_another_error(cfg, data):
-    lines = serialize_config(cfg).splitlines()
-    i = data.draw(st.integers(0, len(lines) - 1))
-    key = lines[i].split("=", 1)[0]
-    value = data.draw(st.one_of(
+@given(
+    run_configs(),
+    st.integers(0, len(CONFIG_KEYS) - 1),
+    st.one_of(
         st.text(max_size=30).filter(lambda v: "\n" not in v and "\r" not in v),
         st.lists(st.sampled_from(["1", "-1", "0", "1e308", "1e-308", "nan", "inf", "1.5",
                                   "uniform", "cosine_bump", "random_positive"]),
                  max_size=5).map(" ".join),
-    ))
+    ),
+)
+@example(BASE, INIT_LINE, "uniform 1 1 nan")
+@example(BASE, INIT_LINE, "uniform inf 1 1")
+@example(BASE, INIT_LINE, "random_positive nan 1")
+@example(BASE, INIT_LINE, "random_positive 1 inf")
+@example(BASE, INIT_LINE, "random_positive 1e308 1e308")
+def test_arbitrary_line_never_escapes_as_another_error(cfg, i, value):
+    lines = serialize_config(cfg).splitlines()
+    key = lines[i].split("=", 1)[0]
     lines[i] = f"{key}={value}"
     try:
         parsed = parse_config("\n".join(lines) + "\n")
     except ConfigError:
         return
     assert isinstance(parsed, RunConfig)
-    assert all(math.isfinite(x) for x in (parsed.dt, parsed.t_end) + parsed.lengths)
+    assert all(math.isfinite(x)
+               for x in (parsed.dt, parsed.t_end) + parsed.lengths + parsed.init[1:])
+    if parsed.init[0] == "random_positive":
+        assert math.isfinite(parsed.init[1] + parsed.init[2])

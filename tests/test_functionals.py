@@ -17,6 +17,7 @@ from revreact.functionals import (
 )
 from revreact.grid import Grid, SpeciesFields
 from revreact.model import DomainSpec, ModelParams, conserved_masses, equilibrium_state
+from conftest import box_poincare_constant
 
 SQRT2 = math.sqrt(2.0)
 
@@ -46,7 +47,7 @@ def bound_sides(s, params, grid):
     """(D, dissipation_bound_rhs) of one sample."""
     dev2 = (s["dev_A2"], s["dev_B2"], s["dev_C2"])
     return s["D"], dissipation_bound_rhs(dev2, s["abc_defect"], params.diffusivities(),
-                                         grid.domain.poincare_constant)
+                                         box_poincare_constant(grid.domain.lengths))
 
 
 class TestEntropy:

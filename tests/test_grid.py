@@ -14,6 +14,7 @@ from revreact.grid import (
     lp_norm,
 )
 from revreact.model import DomainSpec
+from conftest import box_poincare_constant
 
 
 def unit_grid(n, L=1.0):
@@ -233,7 +234,7 @@ class TestEnergies:
     def test_discrete_constant_exceeds_the_box_constant(self, n):
         # by the factor (x / sin x)^2 = 1 + pi^2/(12 n^2) + O(n^-4), x = pi/(2n)
         dom, grid = unit_grid(n)
-        excess = grid.poincare_constant / dom.poincare_constant - 1.0
+        excess = grid.poincare_constant / box_poincare_constant(dom.lengths) - 1.0
         assert excess == pytest.approx(math.pi ** 2 / (12 * n * n), rel=0.02)
 
     def test_single_cell_grid_has_no_poincare_constraint(self):
@@ -247,4 +248,4 @@ class TestEnergies:
             for _ in range(100):
                 u = rng.uniform(0.0, 1.0, size=grid.cells)
                 dev2 = deviation_l2(u, grid) ** 2
-                assert dev2 <= dom.poincare_constant * dirichlet_energy(u, grid)
+                assert dev2 <= box_poincare_constant(lengths) * dirichlet_energy(u, grid)

@@ -16,7 +16,7 @@ from revreact.solver import (
     run,
 )
 from revreact import oracle
-from conftest import backward_euler, exact_flow
+from conftest import backward_euler, box_poincare_constant, exact_flow
 
 SQRT2 = math.sqrt(2.0)
 
@@ -461,7 +461,7 @@ class TestRun2D:
         assert np.all(ckp_violation(cols["E_rel"], cols["ckp_lhs"], *masses) == 0.0)
         rhs = dissipation_bound_rhs((cols["dev_A2"], cols["dev_B2"], cols["dev_C2"]),
                                     cols["abc_defect"], params.diffusivities(),
-                                    dom.poincare_constant)
+                                    box_poincare_constant(dom.lengths))
         assert np.all(bound_violation(cols["D"], rhs, *masses) == 0.0)
 
 
