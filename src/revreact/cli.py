@@ -13,17 +13,18 @@ run_meta          exact echo of the parsed config plus solver statistics:
                   stepping, recording samples and writing these files,
                   with the steps per second of stepping
 
-`analyze` re-reads the CSV (plus the run_meta given by --meta, or else
-the sibling run_meta when present, for the dissipation-bound
-coefficients, whose run the requested mode and dim must match) and writes
-report.txt / summary.json.  A run_meta that is given or present but
-cannot be read, or has no config section, is an error.
+`analyze` re-reads the CSV and the run_meta of its run (given by --meta,
+else the sibling), whose mode and dim must be the requested ones and
+which supplies the domain volume and the dissipation-bound coefficients,
+and writes report.txt / summary.json.  A run_meta that cannot be read, or
+has no config section, is an error.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -86,9 +87,6 @@ class RunConfig:
 #: the config keys, in canonical order: one per RunConfig field
 CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
-#: keys of older configs that are accepted and ignored
-LEGACY_KEYS = ("linsolve_tol",)
-
 #: number type of each key but init and out_dir; dim comes first, because
 #: cells and lengths take one value per axis (the others take exactly one)
 _NUMBER_KEYS = {
@@ -114,7 +112,7 @@ def parse_config(text: str) -> RunConfig:
         key, value = stripped.split("=", 1)
         key = key.strip()
         value = value.strip()
-        if key not in CONFIG_KEYS + LEGACY_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         if key in raw:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
@@ -249,12 +247,16 @@ def write_snapshot(path: str, cfg: RunConfig, fields: SpeciesFields) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_lines(path: str, what: str) -> list[str]:
+    """The lines of the file at path.  IoError, naming it as `what`, if it
+    cannot be read; ParseError if it is not UTF-8 text."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path!r} is not UTF-8 text: {exc}")
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path!r}: {exc}")
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -300,6 +302,10 @@ def cmd_run(cfg: RunConfig) -> int:
                 f"steps_per_s={solver_cfg.n_steps / max(traj.step_s, 1e-9):.0f}",
             ]
         else:
+            # a blowup leaves no outputs of an earlier run to be judged as its own
+            for name in ("timeseries.csv", "final_fields.snap"):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(os.path.join(cfg.out_dir, name))
             meta_lines += [
                 "status=blowup",
                 f"error={error}",
@@ -315,7 +321,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
 def read_timeseries(path: str):
     """Parse a timeseries.csv into a dict of column arrays; every cell must be finite."""
-    lines = _read_lines(path)
+    lines = _read_lines(path, "CSV")
     if not lines:
         raise ParseError("empty CSV", line=1)
     if lines[0] != CSV_HEADER:
@@ -341,16 +347,10 @@ def read_timeseries(path: str):
     return {name: data[:, j] for j, name in enumerate(names)}
 
 
-def _read_meta_config(meta_path: str, explicit: bool) -> RunConfig | None:
-    """The config echoed in a run_meta; None if it is the sibling (not
-    explicit) and does not exist.  IoError if it cannot be read,
+def _read_meta_config(meta_path: str) -> RunConfig:
+    """The config echoed in a run_meta.  IoError if it cannot be read,
     ParseError if it has no "# config" ... "# stats" section."""
-    if not explicit and not os.path.lexists(meta_path):
-        return None
-    try:
-        lines = _read_lines(meta_path)
-    except OSError as exc:
-        raise IoError(f"cannot read run_meta {meta_path!r}: {exc}")
+    lines = _read_lines(meta_path, "run_meta")
     try:
         start = lines.index("# config") + 1
         end = lines.index("# stats")
@@ -364,31 +364,24 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
 
     Exit 0 iff the decay envelope passes, inequality violation counts are
     zero, growth constants are finite and the balance residual is finite.
-    The dissipation-bound check needs the run_meta next to the CSV (or via
-    meta_path) for the diffusivities and the grid, whose discrete Poincare
-    constant it uses; when no sibling run_meta exists and meta_path is
-    not given, that check is reported as skipped.  The CKP check takes the
-    domain volume from the same run_meta; without it volume 1.0 is used,
-    which the report says and summary.json records as volume null.  Before
-    anything is written, a dim outside 1-3, or a mode or dim other than
-    that of the run in the run_meta, raises InvalidArgument; a meta_path
-    that cannot be read, or an existing sibling that cannot, raises
-    IoError; and a run_meta without its config section raises ParseError.
+    The run_meta at meta_path (default: next to the CSV) supplies the
+    domain volume of the CKP check, and the diffusivities and the grid,
+    whose discrete Poincare constant it uses, of the dissipation-bound
+    check.  Before anything is written, a run_meta or CSV that cannot be
+    read raises IoError, a run_meta without its config section raises
+    ParseError, and a mode or dim other than that of its run raises
+    InvalidArgument.
     """
-    if dim not in (1, 2, 3):
-        raise InvalidArgument(f"dim must be 1, 2 or 3, got {dim}")
-    explicit = meta_path is not None
-    if not explicit:
+    if meta_path is None:
         meta_path = os.path.join(os.path.dirname(csv_path) or ".", "run_meta")
-    meta = _read_meta_config(meta_path, explicit)
-    if meta is not None:
-        params = ModelParams(meta.d_a, meta.d_b, meta.d_c)
-        if (mode, dim) != (params.mode, meta.dim):
-            raise InvalidArgument(
-                f"mode {mode} and dim {dim} contradict the run in {meta_path!r} "
-                f"(mode {params.mode}, dim {meta.dim})"
-            )
-        domain, grid = build_domain(meta)
+    meta = _read_meta_config(meta_path)
+    params = ModelParams(meta.d_a, meta.d_b, meta.d_c)
+    if (mode, dim) != (params.mode, meta.dim):
+        raise InvalidArgument(
+            f"mode {mode} and dim {dim} contradict the run in {meta_path!r} "
+            f"(mode {params.mode}, dim {meta.dim})"
+        )
+    domain, grid = build_domain(meta)
     cols = read_timeseries(csv_path)
     t = cols["t"]
     lines = [f"verification report for {csv_path} (mode={mode}, N={dim})"]
@@ -443,34 +436,25 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
         ok &= finite
 
     # inequality suites
-    if meta is not None:
-        volume = summary["volume"] = domain.volume
-    else:
-        volume, summary["volume"] = 1.0, None
-        lines.append("domain volume: 1.0 assumed for the CKP check (no run_meta found)")
-
+    volume = summary["volume"] = domain.volume
     ckp_count = int(np.count_nonzero(functionals.ckp_violation(
         cols["E_rel"], cols["ckp_lhs"], cols["M1"], cols["M2"], volume)))
     lines.append(f"CKP violations: {ckp_count} ({'PASS' if ckp_count == 0 else 'FAIL'})")
     summary["ckp_violations"] = ckp_count
     ok &= ckp_count == 0
 
-    if meta is not None:
-        rhs = functionals.dissipation_bound_rhs(
-            [cols[f"dev_{sp}2"] for sp in "ABC"], cols["abc_defect"],
-            params.diffusivities(), grid.poincare_constant,
-        )
-        diss_count = int(np.count_nonzero(functionals.bound_violation(
-            cols["D"], rhs, cols["M1"], cols["M2"], volume)))
-        lines.append(
-            f"dissipation-bound violations: {diss_count} "
-            f"({'PASS' if diss_count == 0 else 'FAIL'})"
-        )
-        summary["dissipation_violations"] = diss_count
-        ok &= diss_count == 0
-    else:
-        lines.append("dissipation-bound check: skipped (no run_meta found)")
-        summary["dissipation_violations"] = None
+    rhs = functionals.dissipation_bound_rhs(
+        [cols[f"dev_{sp}2"] for sp in "ABC"], cols["abc_defect"],
+        params.diffusivities(), grid.poincare_constant,
+    )
+    diss_count = int(np.count_nonzero(functionals.bound_violation(
+        cols["D"], rhs, cols["M1"], cols["M2"], volume)))
+    lines.append(
+        f"dissipation-bound violations: {diss_count} "
+        f"({'PASS' if diss_count == 0 else 'FAIL'})"
+    )
+    summary["dissipation_violations"] = diss_count
+    ok &= diss_count == 0
 
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
     summary["passed"] = bool(ok)
@@ -516,7 +500,8 @@ def main(argv=None) -> int:
     p_an.add_argument("csv", help="path to timeseries.csv")
     p_an.add_argument("--mode", required=True, choices=("full", "db0", "dc0"))
     p_an.add_argument("--dim", required=True, type=int, choices=(1, 2, 3))
-    p_an.add_argument("--meta", default=None, help="path to run_meta (default: sibling)")
+    p_an.add_argument("--meta", default=None,
+                      help="path to the run's run_meta (default: the one next to the CSV)")
 
     sub.add_parser("verify", help="run the built-in property suites")
 
@@ -529,7 +514,7 @@ def main(argv=None) -> int:
             if args.config.startswith("preset:"):
                 text = presets.preset_text(args.config.split(":", 1)[1])
             else:
-                text = "\n".join(_read_lines(args.config))
+                text = "\n".join(_read_lines(args.config, "config"))
             return cmd_run(parse_config(text))
         if args.command == "analyze":
             return cmd_analyze(args.csv, args.mode, args.dim, args.meta)

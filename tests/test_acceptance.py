@@ -261,7 +261,7 @@ class TestAcceptance:
         text = (
             "dim=1\ncells=64\nlengths=1.0\nd_a=1.0\nd_b=0\nd_c=1.0\n"
             "init=cosine_bump 0.5\ndt=0.001\nt_end=2.0\nrecord_every=100\n"
-            "linsolve_tol=1e-12\nout_dir={out}\nseed=11"
+            "out_dir={out}\nseed=11"
         )
         blobs = []
         for sub in ("first", "second"):

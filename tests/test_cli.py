@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -18,7 +19,7 @@ from revreact.cli import (
     read_timeseries,
     serialize_config,
 )
-from revreact.errors import ConfigError, InvalidArgument, ParseError
+from revreact.errors import ConfigError, InvalidArgument, IoError, ParseError
 from revreact.functionals import CSV_COLUMNS
 from revreact.model import ModelParams
 from revreact.presets import PRESETS, preset_names
@@ -28,13 +29,13 @@ from conftest import box_poincare_constant
 EXAMPLE = (
     "dim=1\ncells=128\nlengths=1.0\nd_a=1.0\nd_b=0\nd_c=1.0\n"
     "init=cosine_bump 0.5\ndt=0.001\nt_end=50\nrecord_every=100\n"
-    "linsolve_tol=1e-12\nout_dir=out\nseed=7"
+    "out_dir=out\nseed=7"
 )
 
 FAST = (
     "dim=1\ncells=24\nlengths=1.0\nd_a=1.0\nd_b=1.0\nd_c=0\n"
     "init=cosine_bump 0.4\ndt=0.002\nt_end=1.0\nrecord_every=50\n"
-    "linsolve_tol=1e-12\nout_dir={out}\nseed=3"
+    "out_dir={out}\nseed=3"
 )
 
 #: FAST over one cell of a length whose box Poincare constant (L/pi)^2 overflows
@@ -58,7 +59,7 @@ class TestParseConfig:
         bad = EXAMPLE + "\nbogus=1"
         with pytest.raises(ConfigError) as err:
             parse_config(bad)
-        assert err.value.line == 14
+        assert err.value.line == 13
 
     def test_malformed_number(self):
         with pytest.raises(ConfigError):
@@ -72,12 +73,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(EXAMPLE.replace("d_c=1.0", "d_c=0"))
 
-    def test_legacy_linsolve_tol_accepted_and_ignored(self):
-        without = "\n".join(
-            line for line in EXAMPLE.splitlines() if not line.startswith("linsolve_tol")
-        )
-        assert parse_config(EXAMPLE) == parse_config(without)
-        assert "linsolve_tol" not in serialize_config(parse_config(EXAMPLE))
+    def test_legacy_linsolve_tol_rejected(self):
+        # no step solves a linear system, so no config takes a solver tolerance
+        with pytest.raises(ConfigError, match="unknown key 'linsolve_tol'") as err:
+            parse_config(EXAMPLE.replace("out_dir=out", "linsolve_tol=1e-12\nout_dir=out"))
+        assert err.value.line == 11
 
     @pytest.mark.parametrize("old, new, line", [
         ("cells=128", "cells=0", 2),
@@ -99,7 +99,7 @@ class TestParseConfig:
         ("t_end=50", "t_end=inf", 9),
         ("t_end=50", "t_end=50.05", 9),
         ("record_every=100", "record_every=0", 10),
-        ("seed=7", "seed=-3", 13),
+        ("seed=7", "seed=-3", 12),
     ])
     def test_range_errors_carry_line_numbers(self, old, new, line):
         with pytest.raises(ConfigError) as err:
@@ -214,7 +214,10 @@ class TestCmdRun:
 
 
 def synthetic_csv(path, t, e_rel, d=None, ckp=None):
-    """Write a schema-complete CSV with consistent trivia columns."""
+    """Write a schema-complete CSV with consistent trivia columns, and next
+    to it the run_meta of a db0 run in 1-D on the unit interval."""
+    with open(os.path.join(os.path.dirname(path), "run_meta"), "w") as fh:
+        fh.write("# config\n" + serialize_config(parse_config(EXAMPLE)) + "# stats\n")
     n = t.size
     if d is None:
         d = np.abs(np.gradient(e_rel, t)) + 1e-16
@@ -244,20 +247,31 @@ class TestCmdAnalyze:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert os.path.exists(tmp_path / "report.txt")
-        assert os.path.exists(tmp_path / "summary.json")
+        with open(tmp_path / "summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["volume"] == 1.0
+        assert summary["dissipation_violations"] == 0
 
-    def test_missing_run_meta_reports_assumed_volume(self, tmp_path, capsys):
-        import json
-
+    def test_missing_run_meta_exits_2_before_writing(self, tmp_path, capsys):
         t = np.arange(0.0, 20.0001, 0.1)
         path = str(tmp_path / "timeseries.csv")
         synthetic_csv(path, t, np.exp(-((1.0 + t) ** 0.9)))
-        cmd_analyze(path, "db0", 1)
-        assert "domain volume: 1.0 assumed" in capsys.readouterr().out
-        with open(tmp_path / "report.txt") as fh:
-            assert "domain volume: 1.0 assumed" in fh.read()
-        with open(tmp_path / "summary.json") as fh:
-            assert json.load(fh)["volume"] is None
+        os.remove(tmp_path / "run_meta")
+        with pytest.raises(IoError, match="cannot read run_meta"):
+            cmd_analyze(path, "db0", 1)
+        assert main(["analyze", path, "--mode", "db0", "--dim", "1"]) == 2
+        assert "cannot read run_meta" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "report.txt")
+        assert not os.path.exists(tmp_path / "summary.json")
+
+    def test_missing_csv_is_an_io_error(self, tmp_path):
+        t = np.arange(0.0, 20.0001, 0.1)
+        path = str(tmp_path / "timeseries.csv")
+        synthetic_csv(path, t, np.exp(-((1.0 + t) ** 0.9)))
+        os.remove(path)
+        with pytest.raises(IoError, match="cannot read CSV"):
+            cmd_analyze(path, "db0", 1)
+        assert not os.path.exists(tmp_path / "report.txt")
 
     def test_ckp_violation_detected(self, tmp_path):
         t = np.arange(0.0, 20.0001, 0.1)
@@ -268,8 +282,6 @@ class TestCmdAnalyze:
         synthetic_csv(path, t, e, ckp=ckp)
         rc = cmd_analyze(path, "db0", 1)
         assert rc != 0
-        import json
-
         with open(tmp_path / "summary.json") as fh:
             summary = json.load(fh)
         assert summary["ckp_violations"] == 1
@@ -313,8 +325,6 @@ class TestCmdAnalyze:
         assert cmd_run(parse_config(text)) == 0
         rc = cmd_analyze(os.path.join(out, "timeseries.csv"), "dc0", 1)
         assert rc == 0
-        import json
-
         with open(os.path.join(out, "summary.json")) as fh:
             summary = json.load(fh)
         assert summary["dissipation_violations"] == 0
@@ -332,8 +342,6 @@ class TestCmdAnalyze:
         # (L/pi)^2 this run counted 244 violations.  The decay envelope
         # still fails here (fitted alpha 0.86 against the full mode's
         # 0.95), so the count is asserted, not the exit code.
-        import json
-
         out = str(tmp_path / "run")
         text = (PRESETS["full_1d"].replace("cells=128", "cells=16")
                 .replace("init=cosine_bump 0.5", "init=random_positive 0.5 1.0")
@@ -448,6 +456,18 @@ class TestBlowupPath:
             assert "status=blowup" in meta, name
             assert "blowup_t=0" in meta, name
             assert not os.path.exists(os.path.join(out, "timeseries.csv")), name
+
+    def test_blowup_removes_the_outputs_of_an_earlier_run(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert cmd_run(parse_config(FAST.format(out=out))) == 0
+        blowup = FAST.replace("init=cosine_bump 0.4", "init=uniform 1e308 1e308 1e308")
+        assert cmd_run(parse_config(blowup.format(out=out))) == 1
+        assert "status=blowup" in (tmp_path / "out" / "run_meta").read_text().splitlines()
+        csv = os.path.join(out, "timeseries.csv")
+        assert not os.path.exists(csv)
+        assert not os.path.exists(os.path.join(out, "final_fields.snap"))
+        assert main(["analyze", csv, "--mode", "dc0", "--dim", "1"]) == 2
+        assert "overall: PASS" not in capsys.readouterr().out
 
     def test_one_cell_huge_box_runs_as_the_ode(self, tmp_path, capsys):
         text = ONE_CELL_BOX.format(out=str(tmp_path / "out"))

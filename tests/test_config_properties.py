@@ -64,7 +64,7 @@ def _corruptions(draw, lines):
         return lines[:i + 1] + lines[i:]
     if kind == "rename":
         new_key = draw(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12))
-        if new_key in CONFIG_KEYS + ("linsolve_tol",):
+        if new_key in CONFIG_KEYS:
             new_key += "_x"
         return lines[:i] + [f"{new_key}={value}"] + lines[i + 1:]
     if kind == "no_equals":
