@@ -302,8 +302,9 @@ def cmd_run(cfg: RunConfig) -> int:
                 f"steps_per_s={solver_cfg.n_steps / max(traj.step_s, 1e-9):.0f}",
             ]
         else:
-            # a blowup leaves no outputs of an earlier run to be judged as its own
-            for name in ("timeseries.csv", "final_fields.snap"):
+            # a blowup leaves no outputs of an earlier run, nor an analyze
+            # report of them, to be judged as its own
+            for name in ("timeseries.csv", "final_fields.snap", "report.txt", "summary.json"):
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(os.path.join(cfg.out_dir, name))
             meta_lines += [

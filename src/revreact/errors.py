@@ -21,10 +21,6 @@ class InvalidArgument(RevReactError):
     """A scalar argument is outside its admissible range."""
 
 
-class DegenerateEquilibrium(RevReactError):
-    """Equilibrium with a zero component where a positive one is required."""
-
-
 class NumericalBlowup(RevReactError):
     """A functional evaluated to a non-finite value during time integration."""
 
@@ -70,4 +66,5 @@ class ParseError(RevReactError):
 
 
 class IoError(RevReactError):
-    """Output files could not be written."""
+    """A file could not be read or written: an output, or an input CSV,
+    run_meta or config file."""

@@ -30,7 +30,6 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateEquilibrium
 from .grid import (Grid, deviations_l2, dirichlet_energies, integrate, lp_norm, lp_norms,
                    row_integrals)
 from .model import EquilibriumState, ModelParams, conserved_masses
@@ -114,16 +113,6 @@ def _kl_integrals(u, refs, grid: Grid) -> list[float]:
     total += _kl_density(u[1], refs[:, 1])
     total += _kl_density(u[2], refs[:, 2])
     return row_integrals(total, grid)
-
-
-def _equilibrium_refs(eq: EquilibriumState) -> tuple[float, float, float]:
-    """(a_inf, b_inf, c_inf), the references of the relative entropy."""
-    refs = (eq.a_inf, eq.b_inf, eq.c_inf)
-    if any(r <= 0.0 for r in refs):
-        raise DegenerateEquilibrium(
-            "relative entropy needs strictly positive equilibrium components"
-        )
-    return refs
 
 
 def reaction_production(a, b, c):
@@ -225,12 +214,13 @@ def sample(fields, t: float, eq: EquilibriumState, params: ModelParams, grid: Gr
     The box is grid.domain: its volume |Omega| enters M1, M2 and ckp_lhs,
     its dimension the exponent of b_lN2.  Updates the running
     time-integrals (trapezoid rule at record times) when an accumulator is
-    supplied.  Nothing here checks the result: on huge fields a functional
+    supplied.  The components of eq must be positive, as run checks at
+    t = 0.  Nothing here checks the result: on huge fields a functional
     may overflow to inf, and the caller that records the sample rejects any
     non-finite value.
     """
     u = fields.stack
-    refs = _equilibrium_refs(eq)
+    refs = (eq.a_inf, eq.b_inf, eq.c_inf)
     m1, m2 = conserved_masses(fields, grid)
     e, e_rel = _kl_integrals(u, ((1.0, 1.0, 1.0), refs), grid)
 

@@ -1,9 +1,12 @@
 """Cell-centered finite volumes on boxes with Neumann boundaries.
 
-Uniform spacing per axis; midpoint quadrature.  The flux-form Laplacian is
-conservative by construction (zero-flux boundary faces), symmetric and
-negative semidefinite with respect to the cell-volume weighted inner
-product.
+Uniform spacing per axis; midpoint quadrature.  The discrete Neumann
+Laplacian L is the one whose form -<Lu, u> in the cell-volume weighted
+inner product is dirichlet_energy(u), summed over the interior faces
+(zero-flux boundary faces contribute nothing).  On one axis its
+eigenvectors are the cosine modes and its eigenvalues neumann_eigenvalues;
+the solver applies its exact heat flow from those, so nothing in the
+package evaluates L itself.
 
 SpeciesFields is the one check that a state is finite and strictly
 positive.  The grid operators do not check their input: on non-finite data
@@ -23,7 +26,6 @@ from .model import DomainSpec
 __all__ = [
     "Grid",
     "SpeciesFields",
-    "laplacian_neumann",
     "neumann_eigenvalues",
     "integrate",
     "row_integrals",
@@ -173,35 +175,15 @@ def _hold(fields: SpeciesFields, u: np.ndarray) -> None:
     object.__setattr__(fields, "stack", u)
 
 
-def laplacian_neumann(u, grid: Grid) -> np.ndarray:
-    """Flux-form second-order Neumann Laplacian.
-
-    Per cell: sum over faces of (neighbor - self)/h**2, boundary faces
-    contributing zero flux.  The cell-volume weighted sum of the output
-    vanishes identically (each interior face contributes +/- the same flux).
-    """
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    for ax, h in enumerate(grid.spacings):
-        if u.shape[ax] == 1:
-            continue
-        flux = np.diff(u, axis=ax) / (h * h)  # (u_R - u_L)/h^2 per interior face
-        lo = [slice(None)] * u.ndim
-        hi = [slice(None)] * u.ndim
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        out[tuple(lo)] += flux
-        out[tuple(hi)] -= flux
-    return out
-
-
 def neumann_eigenvalues(n: int, h: float) -> np.ndarray:
-    """Eigenvalues of minus laplacian_neumann on one axis of n cells of
-    width h, in mode order k = 0..n-1.
+    """Eigenvalues of minus the discrete Neumann Laplacian on one axis of
+    n cells of width h, in mode order k = 0..n-1.
 
     Mode k carries (4/h^2) sin^2(k pi / (2 n)); the cosine modes
-    cos(k pi (i+1/2)/n) diagonalize the flux-form stencil exactly.  On a
-    box the modes are products over the axes and their eigenvalues add.
+    cos(k pi (i+1/2)/n) are its eigenvectors exactly, so this is also the
+    Rayleigh quotient dirichlet_energy(m) / integrate(m * m) of mode k.
+    On a box the modes are products over the axes and their eigenvalues
+    add.
     """
     return _eigenvalue(np.arange(n), n, h)
 

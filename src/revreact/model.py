@@ -146,18 +146,3 @@ def equilibrium_state(M1: float, M2: float) -> EquilibriumState:
         M1=M1,
         M2=M2,
     )
-
-
-def riccati_roots(m1, m2):
-    """Roots r1 <= r2 of c**2 - (1+m1+m2)c + m1*m2 (vectorized).
-
-    r1 is the pointwise reaction equilibrium; the flow dc/dt = (c-r1)(c-r2)
-    relaxes c toward r1.  Always real: the discriminant equals
-    1 + 2(m1+m2) + (m1-m2)**2 > 0.
-    """
-    s = 1.0 + m1 + m2
-    sq = np.sqrt(1.0 + 2.0 * (m1 + m2) + (m1 - m2) ** 2)
-    r2 = 0.5 * (s + sq)
-    r1 = m1 * m2 / r2
-    return r1, r2, sq
-

@@ -23,9 +23,11 @@ structural, and leaves the pure O(dt^2) splitting error as the only
 time-discretization error.  In floating point the kernels are exactly
 symmetric, and nonnegative and doubly stochastic to rounding: entries
 whose true value is below rounding can come out as about -6e-17, and row
-sums are 1 to within 2.2e-16 on the shipped presets.  A species with zero
-diffusivity (d_b = 0 or d_c = 0) is skipped by index, so diffusion leaves
-it bit-for-bit unchanged.  No step solves a linear system.
+sums are 1 to within a few 1e-16; verify checks both, with the semigroup
+property and the decay of cosine modes, on the kernels a StrangStepper
+builds.  A species with zero diffusivity (d_b = 0 or d_c = 0) is skipped
+by index, so diffusion leaves it bit-for-bit unchanged.  No step solves a
+linear system.
 
 StrangStepper.advance returns a new array and never writes its input.  Per
 call it allocates that state and one work block (at most nine fields in
@@ -246,12 +248,14 @@ def _reaction(u: np.ndarray, work: np.ndarray, dt: float) -> list:
     stack u in place, with every view they use bound once; work holds at
     least four scratch fields of u's cells.
 
-    The calls do the arithmetic of riccati_roots and then of the closed
-    form in reaction_substep, operation for operation, so they round as
-    those expressions do.  Rows 0 and 1 hold m1 and m2 until they become
-    a and b; row 2 holds c, then exp(-sq dt) once c is read for the last
-    time, then c_new.  Each call takes its output as its last argument, by
-    position, which a partial passes on faster than an out= keyword.
+    The calls evaluate the roots r1 <= r2 of c**2 - (1 + m1 + m2) c + m1 m2
+    as sq = sqrt(1 + 2 (m1 + m2) + (m1 - m2)**2), r2 = (1 + m1 + m2 + sq)/2
+    and r1 = m1 m2 / r2, then the closed form in reaction_substep,
+    operation for operation, so they round as those expressions do.  Rows
+    0 and 1 hold m1 and m2 until they become a and b; row 2 holds c, then
+    exp(-sq dt) once c is read for the last time, then c_new.  Each call
+    takes its output as its last argument, by position, which a partial
+    passes on faster than an out= keyword.
     """
     m1, m2, c = u[0], u[1], u[2]
     s, sq, r1, g = work[:4]

@@ -21,7 +21,6 @@ from .grid import (
     deviation_l2,
     dirichlet_energy,
     integrate,
-    laplacian_neumann,
 )
 from .model import (
     DomainSpec,
@@ -29,7 +28,7 @@ from .model import (
     conserved_masses,
     equilibrium_state,
 )
-from .solver import reaction_substep
+from .solver import StrangStepper, reaction_substep
 
 __all__ = ["run_property_suites"]
 
@@ -57,25 +56,50 @@ def _grids():
     ]
 
 
-def _suite_laplacian(rng):
-    worst_cons = worst_sym = worst_sd = 0.0
-    for grid in _grids():
-        for _ in range(40):
-            u = rng.uniform(-1.0, 1.0, size=grid.cells)
-            v = rng.uniform(-1.0, 1.0, size=grid.cells)
-            lu = laplacian_neumann(u, grid)
-            lv = laplacian_neumann(v, grid)
-            scale = float(np.max(np.abs(lu))) + 1e-30
-            worst_cons = max(worst_cons, abs(integrate(lu, grid)) / scale)
-            ip_uv = integrate(lu * v, grid)
-            ip_vu = integrate(lv * u, grid)
-            worst_sym = max(worst_sym, abs(ip_uv - ip_vu) / (abs(ip_uv) + 1e-30))
-            worst_sd = max(worst_sd, integrate(lu * u, grid))
-    ok = worst_cons <= 1e-13 and worst_sym <= 1e-12 and worst_sd <= 0.0
+def _axis_mode(grid, ax, k):
+    """The cosine mode cos(k pi x / L) along axis ax, sampled at the cell
+    centers and constant along the other axes."""
+    shape = [1] * len(grid.cells)
+    shape[ax] = grid.cells[ax]
+    mode = np.cos(k * np.pi * grid.axis_coordinates(ax) / grid.domain.lengths[ax])
+    return np.broadcast_to(mode.reshape(shape), grid.cells)
+
+
+def _suite_diffusion(rng):
+    """The heat kernels of the half and full diffusion steps, as a Strang
+    stepper of the presets' step builds them, and the decay of cosine
+    modes under the full step against the Rayleigh quotient of the
+    Dirichlet form that sample records.  Draws nothing from rng."""
+    dt = 1e-3
+    grids = _grids() + [Grid.for_domain(DomainSpec.box([1.0, 0.8, 0.6]), [8, 6, 5])]
+    sym = rows = low = square = decay = 0.0
+    for grid in grids:
+        for params in (ModelParams(1.0, 0.0, 1.0), ModelParams(1.0, 0.5, 0.8)):
+            d = np.array(params.diffusivities())
+            stepper = StrangStepper(params, dt, grid)
+            for ax, n in enumerate(grid.cells):
+                half, full = (sg.axes[ax][1].reshape(-1, n, n)
+                              for sg in (stepper.half, stepper.full))
+                for kernel in (half, full):
+                    sym = max(sym, float(np.max(np.abs(kernel - kernel.swapaxes(1, 2)))))
+                    rows = max(rows, float(np.max(np.abs(kernel.sum(axis=-1) - 1.0))))
+                    low = min(low, float(np.min(kernel)))
+                square = max(square, float(np.max(np.abs(half @ half - full))))
+                for mode in {1, 2, n // 2, n - 1}:
+                    m = _axis_mode(grid, ax, mode)
+                    lam = dirichlet_energy(m, grid) / integrate(m * m, grid)
+                    got = stepper.full.apply(np.broadcast_to(m, (3,) + grid.cells))
+                    want = np.multiply.outer(np.exp(-dt * lam * d), m)
+                    decay = max(decay, float(np.max(np.abs(got - want))))
+    # measured: sym 0, row sums 3.3e-16, min entry -3.3e-17, K(t)^2 - K(2t)
+    # 3.3e-16, mode decay 6.1e-15; eigenvalues 1e-9 too large read a mode
+    # decay of 3.7e-10, kernels without their g(i + j + 1) term row sums 0.43
+    ok = sym == 0.0 and rows <= 2e-15 and low >= -2e-16 and square <= 2e-15 and decay <= 5e-14
     return (
-        "Neumann Laplacian (conservative, symmetric, semidefinite)",
+        "heat kernels of the Strang step (symmetric, stochastic, semigroup, mode decay)",
         ok,
-        f"cons {worst_cons:.1e}, sym {worst_sym:.1e}, max<Lu,u> {worst_sd:.1e}",
+        f"sym {sym:.1e}, row sums 1 +- {rows:.1e}, min entry {low:.1e}, "
+        f"K(t)^2 - K(2t) {square:.1e}, mode decay {decay:.1e}",
     )
 
 
@@ -83,11 +107,9 @@ def _axis_modes(grid):
     """The lowest nonconstant Neumann mode cos(pi x / L) along each axis of
     at least 2 cells, sampled at the cell centers; the one along the slowest
     axis attains the discrete Poincare constant."""
-    ones = [1] * len(grid.cells)
     for ax, n in enumerate(grid.cells):
         if n > 1:
-            mode = np.cos(np.pi * grid.axis_coordinates(ax) / grid.domain.lengths[ax])
-            yield np.broadcast_to(mode.reshape(ones[:ax] + [n] + ones[ax + 1:]), grid.cells)
+            yield _axis_mode(grid, ax, 1)
 
 
 def _poincare_ratio(u, grid):
@@ -188,7 +210,7 @@ def run_property_suites():
     rng = np.random.default_rng(20260809)
     suites = (
         _suite_equilibrium,
-        _suite_laplacian,
+        _suite_diffusion,
         _suite_poincare,
         _suite_reaction_oracle,
         _suite_brute_force,

@@ -1,5 +1,7 @@
-"""Shared fixtures: cached preset runs, seeded random fields and the exact
-diffusion reference."""
+"""Shared fixtures: cached preset runs, seeded random fields, the exact
+diffusion reference and the references it and the reaction tests rest on:
+the flux-form Neumann Laplacian and the roots of the reaction's Riccati
+equation."""
 import math
 import time
 
@@ -8,7 +10,6 @@ import pytest
 import scipy.linalg
 
 from revreact.cli import build_domain, build_initial, parse_config
-from revreact.grid import laplacian_neumann
 from revreact.model import ModelParams
 from revreact.presets import PRESETS
 from revreact.solver import SolverConfig, run
@@ -75,6 +76,44 @@ def box_poincare_constant(lengths):
     box, below the grid's discrete constant: a stricter reference for the
     dissipation bound on data away from the lowest mode."""
     return (max(lengths) / math.pi) ** 2
+
+
+def laplacian_neumann(u, grid):
+    """Flux-form second-order Neumann Laplacian.
+
+    Per cell: sum over faces of (neighbor - self)/h**2, boundary faces
+    contributing zero flux.  The cell-volume weighted sum of the output
+    vanishes identically (each interior face contributes +/- the same flux).
+    Its eigenvalues on one axis are minus grid.neumann_eigenvalues.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    for ax, h in enumerate(grid.spacings):
+        if u.shape[ax] == 1:
+            continue
+        flux = np.diff(u, axis=ax) / (h * h)  # (u_R - u_L)/h^2 per interior face
+        lo = [slice(None)] * u.ndim
+        hi = [slice(None)] * u.ndim
+        lo[ax] = slice(0, -1)
+        hi[ax] = slice(1, None)
+        out[tuple(lo)] += flux
+        out[tuple(hi)] -= flux
+    return out
+
+
+def riccati_roots(m1, m2):
+    """Roots r1 <= r2 of c**2 - (1+m1+m2)c + m1*m2 (vectorized), with
+    sq = r2 - r1, by the expressions the solver's reaction substep rounds as.
+
+    r1 is the pointwise reaction equilibrium; the flow dc/dt = (c-r1)(c-r2)
+    relaxes c toward r1.  Always real: the discriminant equals
+    1 + 2(m1+m2) + (m1-m2)**2 > 0.
+    """
+    s = 1.0 + m1 + m2
+    sq = np.sqrt(1.0 + 2.0 * (m1 + m2) + (m1 - m2) ** 2)
+    r2 = 0.5 * (s + sq)
+    r1 = m1 * m2 / r2
+    return r1, r2, sq
 
 
 def neumann_matrix(grid):

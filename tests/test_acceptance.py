@@ -19,10 +19,10 @@ from revreact.functionals import (
     dissipation_bound_rhs,
     sample,
 )
-from revreact.grid import Grid, SpeciesFields, integrate, laplacian_neumann
+from revreact.grid import Grid, SpeciesFields, integrate
 from revreact.model import DomainSpec, ModelParams, conserved_masses, equilibrium_state
 from revreact.solver import StrangStepper
-from conftest import box_poincare_constant, random_fields
+from conftest import box_poincare_constant, laplacian_neumann, random_fields
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)

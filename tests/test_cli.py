@@ -459,14 +459,19 @@ class TestBlowupPath:
             assert not os.path.exists(os.path.join(out, "timeseries.csv")), name
 
     def test_blowup_removes_the_outputs_of_an_earlier_run(self, tmp_path, capsys):
+        # FAST runs to t = 6, where analyze passes it: the stale report
+        # would read overall: PASS next to status=blowup
         out = str(tmp_path / "out")
-        assert cmd_run(parse_config(FAST.format(out=out))) == 0
-        blowup = FAST.replace("init=cosine_bump 0.4", "init=uniform 1e308 1e308 1e308")
+        csv = os.path.join(out, "timeseries.csv")
+        passing = FAST.replace("t_end=1.0", "t_end=6.0")
+        assert cmd_run(parse_config(passing.format(out=out))) == 0
+        assert main(["analyze", csv, "--mode", "dc0", "--dim", "1"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+        blowup = passing.replace("init=cosine_bump 0.4", "init=uniform 1e308 1e308 1e308")
         assert cmd_run(parse_config(blowup.format(out=out))) == 1
         assert "status=blowup" in (tmp_path / "out" / "run_meta").read_text().splitlines()
-        csv = os.path.join(out, "timeseries.csv")
-        assert not os.path.exists(csv)
-        assert not os.path.exists(os.path.join(out, "final_fields.snap"))
+        for name in ("timeseries.csv", "final_fields.snap", "report.txt", "summary.json"):
+            assert not os.path.exists(os.path.join(out, name))
         assert main(["analyze", csv, "--mode", "dc0", "--dim", "1"]) == 2
         assert "overall: PASS" not in capsys.readouterr().out
 
@@ -546,24 +551,43 @@ class TestCmdVerify:
         from revreact import verify
         from revreact.cli import cmd_verify
 
-        cfg = parse_config(FAST.format(out=tmp_path))
-        domain, grid = build_domain(cfg)
-        initial = build_initial(cfg, grid, domain)
-
-        def final_fields():
-            short = SolverConfig(cfg.dt, 10 * cfg.dt, 10)
-            traj = run(initial, ModelParams(cfg.d_a, cfg.d_b, cfg.d_c), grid, short)
-            return traj.final_fields.stack
-
-        right = final_fields()
+        right = _short_run(tmp_path)
         react = revreact.solver._reaction
         monkeypatch.setattr(revreact.solver, "_reaction",
                             lambda u, work, dt: react(u, work, 2.0 * dt))
-        assert not np.array_equal(final_fields(), right)
+        assert not np.array_equal(_short_run(tmp_path), right)
         name, ok, _ = verify._suite_reaction_oracle(np.random.default_rng(0))
         assert ok is False
         assert cmd_verify() == 1
         assert f"FAIL  {name}:" in capsys.readouterr().out
+
+    def test_wrong_kernel_fails_closed(self, monkeypatch, capsys, tmp_path):
+        # heat kernels built from eigenvalues 1e-6 too large stay symmetric,
+        # stochastic and a semigroup, but the mode decay of the diffusion
+        # suite must expose them, and so fail the command; they must also
+        # change what run computes, so verify checks the kernels run executes
+        import revreact.solver
+        from revreact import verify
+        from revreact.cli import cmd_verify
+
+        right = _short_run(tmp_path)
+        eigenvalues = revreact.solver.neumann_eigenvalues
+        monkeypatch.setattr(revreact.solver, "neumann_eigenvalues",
+                            lambda n, h: (1.0 + 1e-6) * eigenvalues(n, h))
+        assert not np.array_equal(_short_run(tmp_path), right)
+        name, ok, _ = verify._suite_diffusion(np.random.default_rng(0))
+        assert ok is False
+        assert cmd_verify() == 1
+        assert f"FAIL  {name}:" in capsys.readouterr().out
+
+
+def _short_run(tmp_path):
+    """The final fields of FAST after ten steps."""
+    cfg = parse_config(FAST.format(out=tmp_path))
+    domain, grid = build_domain(cfg)
+    initial = build_initial(cfg, grid, domain)
+    short = SolverConfig(cfg.dt, 10 * cfg.dt, 10)
+    return run(initial, ModelParams(cfg.d_a, cfg.d_b, cfg.d_c), grid, short).final_fields.stack
 
 
 class TestMain:

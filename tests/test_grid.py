@@ -10,11 +10,10 @@ from revreact.grid import (
     deviation_l2,
     dirichlet_energy,
     integrate,
-    laplacian_neumann,
     lp_norm,
 )
 from revreact.model import DomainSpec
-from conftest import box_poincare_constant
+from conftest import box_poincare_constant, laplacian_neumann
 
 
 def unit_grid(n, L=1.0):

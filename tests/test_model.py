@@ -10,8 +10,8 @@ from revreact.model import (
     ModelParams,
     conserved_masses,
     equilibrium_state,
-    riccati_roots,
 )
+from conftest import riccati_roots
 
 SQRT5 = math.sqrt(5.0)
 SQRT2 = math.sqrt(2.0)
