@@ -9,7 +9,8 @@ timeseries.csv    header: the CSV columns functionals.CSV_COLUMNS, which key
 final_fields.snap line 1: dim, cells per axis, lengths per axis; then one
                   "a b c" line per cell in row-major order
 run_meta          exact echo of the parsed config plus solver statistics:
-                  steps, samples, wall time, and the seconds spent
+                  steps, samples, the functionals.sample calls that
+                  recorded them, wall time, and the seconds spent
                   stepping, recording samples and writing these files,
                   with the steps per second of stepping
 
@@ -235,8 +236,14 @@ def build_initial(cfg: RunConfig, grid: Grid, domain: DomainSpec) -> SpeciesFiel
     raise ConfigError(f"unknown init kind {kind!r}")
 
 
-def _csv_row(s: dict) -> str:
-    return ",".join(_fmt(v) for v in s.values())
+def _csv_lines(columns: dict):
+    """The lines of timeseries.csv, each ending in a newline, for the
+    columns, one array per name of CSV_HEADER: the header, then one line
+    per record, its values in column order.  A generator, so that a
+    writer holds one line of text at a time, not the whole file."""
+    yield CSV_HEADER + "\n"
+    for row in zip(*(columns[name].tolist() for name in functionals.CSV_COLUMNS)):
+        yield ",".join(map(_fmt, row)) + "\n"
 
 
 def write_snapshot(path: str, cfg: RunConfig, fields: SpeciesFields) -> None:
@@ -284,9 +291,8 @@ def cmd_run(cfg: RunConfig) -> int:
     try:
         if traj is not None:
             started = time.perf_counter()
-            rows = [CSV_HEADER] + [_csv_row(s) for s in traj.samples]
             with open(os.path.join(cfg.out_dir, "timeseries.csv"), "w") as fh:
-                fh.write("\n".join(rows) + "\n")
+                fh.writelines(_csv_lines(traj.columns))
             write_snapshot(
                 os.path.join(cfg.out_dir, "final_fields.snap"), cfg, traj.final_fields
             )
@@ -294,7 +300,8 @@ def cmd_run(cfg: RunConfig) -> int:
             meta_lines += [
                 "status=ok",
                 f"steps={solver_cfg.n_steps}",
-                f"samples={len(traj.samples)}",
+                f"samples={len(traj.columns['t'])}",
+                f"sample_calls={traj.sample_calls}",
                 f"wall_time_s={elapsed:.3f}",
                 f"step_s={traj.step_s:.3f}",
                 f"sample_s={traj.sample_s:.3f}",

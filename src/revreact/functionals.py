@@ -1,20 +1,27 @@
 """Entropy, dissipation, deviation norms and the inequality checks.
 
-All functionals are evaluated on a single snapshot, the (3, *cells) stack
-of a SpeciesFields, with midpoint quadrature.  sample is the one evaluator
-of a snapshot: it records them all as one dict keyed by CSV_COLUMNS, the
-names of the timeseries.csv columns, in that order.  It makes one pass
-over the stack for each ingredient shared by the species: the masses,
-the square roots, the deviations, the L1 distances, the Dirichlet
-energies of the diffusing species and the L^(3/2) norms of a and b; the
-two entropies take one log1p density pass per species, against both
-references at once.  Each row is summed over its trailing cell axes, the
-order np.sum takes over that field alone, so every column is
-bit-identical to evaluating the species one at a time.  ckp_violation and
-bound_violation, with dissipation_bound_rhs, are the one judge of
-recorded samples.  The functionals take a SpeciesFields, whose
-constructor has already checked that the fields are finite and strictly
-positive, and do not check it again.
+The functionals are evaluated on a block of record states, a
+(B, 3, *cells) array of stacked snapshots, with midpoint quadrature.
+sample is the one evaluator: it records them all as one dict keyed by
+CSV_COLUMNS, the names of the timeseries.csv columns, in that order, with
+one float64 array per column and one entry per record.  A single
+snapshot, the (3, *cells) stack of a SpeciesFields, is the block of one
+record and runs the same calls; its columns are Python floats.  sample
+makes one pass over the block for each ingredient shared by the species:
+the masses, the square roots, the deviations, the L1 distances, the
+Dirichlet energies of the diffusing species and the L^(3/2) norms of a
+and b; the two entropies take one log1p density pass per species,
+against both references at once.  What follows the passes (M1 and M2,
+D, ckp_lhs, the squared deviations, the running integrals) is scalar
+arithmetic, done one record at a time on Python floats.  Each row is
+summed over its trailing cell axes, the order np.sum takes over that
+field alone, and every Lp root is Python's pow of one value, so every
+column of a block is bit-identical to evaluating its records, and their
+species, one at a time.  ckp_violation and bound_violation, with
+dissipation_bound_rhs, are the one judge of recorded samples.  The
+functionals take states already checked to be finite and strictly
+positive, by the SpeciesFields constructor or by run's check of a block,
+and do not check them again.
 
 Nonnegativity of the entropy-type quantities is structural: the entropy
 and the relative entropy integrate one log1p density
@@ -30,9 +37,9 @@ import math
 
 import numpy as np
 
-from .grid import (Grid, deviations_l2, dirichlet_energies, integrate, lp_norm, lp_norms,
+from .grid import (Grid, SpeciesFields, deviations_l2, dirichlet_energies, lp_norms,
                    row_integrals)
-from .model import EquilibriumState, ModelParams, conserved_masses
+from .model import EquilibriumState, ModelParams
 
 __all__ = [
     "RunningIntegrals",
@@ -98,20 +105,21 @@ def _kl_density(u, ref):
     return out
 
 
-def _kl_integrals(u, refs, grid: Grid) -> list[float]:
-    """int sum_u _kl_density(u, ref_u) over a, b and c, for each row
-    (ref_a, ref_b, ref_c) of refs.
+def _kl_integrals(u, refs, grid: Grid) -> np.ndarray:
+    """int sum_u _kl_density(u, ref_u) over a, b and c, for each state of
+    the (B, 3, *cells) block u and each row (ref_a, ref_b, ref_c) of refs:
+    a (B, len(refs)) array.
 
     One density pass per species evaluates it against every reference at
-    once.  Passes over the whole (refs, 3, *cells) block would be fewer,
-    but on a 3-D stack its work arrays outgrow glibc's 128 KiB mmap
-    threshold: the heap is trimmed and faulted in again on every call,
-    and the peak memory of a record grows by more than they save.
+    once.  Passes over the whole (B, refs, 3, *cells) block would be
+    fewer, but on a 3-D stack their work arrays outgrow glibc's 128 KiB
+    mmap threshold: the heap is trimmed and faulted in again on every
+    call, and the peak memory of a record grows by more than they save.
     """
-    refs = np.reshape(refs, (-1, 3) + (1,) * (u.ndim - 1))
-    total = _kl_density(u[0], refs[:, 0])
-    total += _kl_density(u[1], refs[:, 1])
-    total += _kl_density(u[2], refs[:, 2])
+    refs = np.reshape(refs, (-1, 3) + (1,) * len(grid.cells))
+    total = _kl_density(u[:, None, 0], refs[:, 0])
+    total += _kl_density(u[:, None, 1], refs[:, 1])
+    total += _kl_density(u[:, None, 2], refs[:, 2])
     return row_integrals(total, grid)
 
 
@@ -131,27 +139,23 @@ _DIFFUSING_ROWS = {"full": slice(0, 3), "db0": slice(0, 3, 2), "dc0": slice(0, 2
 
 
 def _sqrt_terms(u, params: ModelParams, grid: Grid):
-    """From one square root of the stack u: the squared deviation_l2 of
-    sqrt(a), sqrt(b) and sqrt(c), the defect ||sqrt(ab) - sqrt(c)||^2 and
-    the entropy dissipation
+    """From one square root of the (B, 3, *cells) block u, as lists of
+    Python floats with one entry per state: the deviation_l2 of sqrt(a),
+    sqrt(b) and sqrt(c), the defect ||sqrt(ab) - sqrt(c)||^2, and the two
+    parts of the entropy dissipation
 
-        D = 4 sum_u d_u int |grad sqrt(u)|^2 + int (ab - c) ln(ab/c),
+        D = 4 sum_u d_u int |grad sqrt(u)|^2 + int (ab - c) ln(ab/c):
 
-    whose gradient term drops out for a species with d_u = 0 (the
-    degenerate modes d_b = 0 and d_c = 0)."""
+    the Dirichlet energies of sqrt(u) for the species with d_u > 0 (the
+    gradient term drops out in the degenerate modes d_b = 0 and d_c = 0)
+    and the reaction production."""
     sqrt_u = np.sqrt(u)
-    devs = deviations_l2(sqrt_u, grid)
-    w = sqrt_u[0] * sqrt_u[1]
-    w -= sqrt_u[2]
+    w = sqrt_u[:, 0] * sqrt_u[:, 1]
+    w -= sqrt_u[:, 2]
     w *= w
-    abc_defect = integrate(w, grid)
-    energies = dirichlet_energies(sqrt_u[_DIFFUSING_ROWS[params.mode]], grid)
-    diffusivities = [d for d in params.diffusivities() if d > 0.0]
-    diss = 0.0
-    for d, energy in zip(diffusivities, energies):
-        diss += 4.0 * d * energy
-    diss += integrate(reaction_production(*u), grid)
-    return [dev * dev for dev in devs], abc_defect, diss
+    return (deviations_l2(sqrt_u, grid).tolist(), row_integrals(w, grid).tolist(),
+            dirichlet_energies(sqrt_u[:, _DIFFUSING_ROWS[params.mode]], grid).tolist(),
+            row_integrals(reaction_production(u[:, 0], u[:, 1], u[:, 2]), grid).tolist())
 
 
 def dissipation_bound_rhs(dev2, abc_defect: float, diffusivities,
@@ -205,67 +209,76 @@ def _excess(small, large, m1, m2, volume):
     return excess if excess.ndim else float(excess)
 
 
-def sample(fields, t: float, eq: EquilibriumState, params: ModelParams, grid: Grid,
+def sample(states, t, eq: EquilibriumState, params: ModelParams, grid: Grid,
            running: RunningIntegrals | None = None) -> dict:
-    """Every recorded functional of one snapshot, keyed by CSV_COLUMNS in
-    that order, each evaluated for all species at once over the rows of
-    fields.stack.
+    """Every recorded functional of a block of states, keyed by
+    CSV_COLUMNS in that order, each evaluated for all records and species
+    at once.
+
+    states is a (B, 3, *cells) array of B checked states at the B times t,
+    in time order, or the SpeciesFields of one snapshot at the time t.
+    Each column holds one value per record: a float64 array for a block,
+    a Python float for the scalar t of one snapshot.
 
     The box is grid.domain: its volume |Omega| enters M1, M2 and ckp_lhs,
     its dimension the exponent of b_lN2.  Updates the running
-    time-integrals (trapezoid rule at record times) when an accumulator is
-    supplied.  The components of eq must be positive, as run checks at
-    t = 0.  Nothing here checks the result: on huge fields a functional
-    may overflow to inf, and the caller that records the sample rejects any
-    non-finite value.
+    time-integrals (trapezoid rule at record times) record by record when
+    an accumulator is supplied.  The components of eq must be positive, as
+    run checks at t = 0.  Nothing here checks the result: on huge fields a
+    functional may overflow to inf, and the caller that records the sample
+    rejects any non-finite value.
     """
-    u = fields.stack
+    t = np.asarray(t, dtype=float)
+    if isinstance(states, SpeciesFields):
+        states = states.stack
+    u = states.reshape((t.size, 3) + grid.cells)
     refs = (eq.a_inf, eq.b_inf, eq.c_inf)
-    m1, m2 = conserved_masses(fields, grid)
-    e, e_rel = _kl_integrals(u, ((1.0, 1.0, 1.0), refs), grid)
-
-    (dev_a2, dev_b2, dev_c2), abc_defect, diss = _sqrt_terms(u, params, grid)
-
-    # the integrands a*a + a*c and b*b + b*c of the running integrals
-    w = u[:2] * u[:2]
-    w += u[:2] * u[2]
-    fa, fb = row_integrals(w, grid)
-    if running is not None:
-        running.update(t, fa, fb)
-        int_a2ac = running.int_a2ac
-        int_b2bc = running.int_b2bc
-    else:
-        int_a2ac = 0.0
-        int_b2bc = 0.0
-
-    l1a, l1b, l1c = lp_norms(u - np.reshape(refs, (3,) + (1,) * (u.ndim - 1)), 1.0, grid)
-    # the CKP bound kappa*|Omega|*(l1_a^2/(2 M1) + l1_b^2/(2 M2) + l1_c^2/(M1+M2))
-    ckp_lhs = CKP_PREFACTOR * grid.domain.volume * (
-        l1a * l1a / (2.0 * eq.M1)
-        + l1b * l1b / (2.0 * eq.M2)
-        + l1c * l1c / (eq.M1 + eq.M2)
-    )
-    a_l32, b_l32 = lp_norms(u[:2], 1.5, grid)
+    # one pass over the block per ingredient, read back as one row of
+    # Python floats per record: the integrals of a + c and b + c, of the
+    # two entropy densities and of the integrands a*a + a*c and b*b + b*c
+    # of the running integrals, and the L1 distances and Lp norms
+    masses = row_integrals(u[:, :2] + u[:, 2:], grid).tolist()
+    entropies = _kl_integrals(u, ((1.0, 1.0, 1.0), refs), grid).tolist()
+    devs, defects, energies, productions = _sqrt_terms(u, params, grid)
+    w = u[:, :2] * u[:, :2]
+    w += u[:, :2] * u[:, 2:]
+    integrands = row_integrals(w, grid).tolist()
+    l1 = lp_norms(u - np.reshape(refs, (3,) + (1,) * len(grid.cells)), 1.0, grid).tolist()
+    l32 = lp_norms(u[:, :2], 1.5, grid).tolist()
     p_n2 = max(1.0, grid.domain.dimension / 2.0)  # 3/2 in three dimensions
-    return {
-        "t": t,
-        "E": e,
-        "E_rel": e_rel,
-        "D": diss,
-        "M1": m1,
-        "M2": m2,
-        "l1_a": l1a,
-        "l1_b": l1b,
-        "l1_c": l1c,
-        "dev_A2": dev_a2,
-        "dev_B2": dev_b2,
-        "dev_C2": dev_c2,
-        "abc_defect": abc_defect,
-        "ckp_lhs": ckp_lhs,
-        "b_l32": b_l32,
-        "a_l32": a_l32,
-        "b_lN2": b_l32 if p_n2 == 1.5 else lp_norm(u[1], p_n2, grid),
-        "c_l3": lp_norm(u[2], 3.0, grid),
-        "int_a2ac": int_a2ac,
-        "int_b2bc": int_b2bc,
-    }
+    b_ln2 = [b for _, b in l32] if p_n2 == 1.5 else lp_norms(u[:, 1], p_n2, grid).tolist()
+    c_l3 = lp_norms(u[:, 2], 3.0, grid).tolist()
+
+    # the scalar arithmetic, one record at a time on Python floats, into
+    # one row of CSV_COLUMNS values per record
+    diffusivities = [d for d in params.diffusivities() if d > 0.0]
+    rows = []
+    for i, time in enumerate(t.ravel().tolist()):
+        m1, m2 = (s / grid.domain.volume for s in masses[i])  # as model.conserved_masses
+        diss = 0.0
+        for d, energy in zip(diffusivities, energies[i]):
+            diss += 4.0 * d * energy
+        diss += productions[i]
+        if running is not None:
+            running.update(time, *integrands[i])
+            int_a2ac, int_b2bc = running.int_a2ac, running.int_b2bc
+        else:
+            int_a2ac = int_b2bc = 0.0
+        l1a, l1b, l1c = l1[i]
+        # the CKP bound kappa*|Omega|*(l1_a^2/(2 M1) + l1_b^2/(2 M2) + l1_c^2/(M1+M2))
+        ckp_lhs = CKP_PREFACTOR * grid.domain.volume * (
+            l1a * l1a / (2.0 * eq.M1)
+            + l1b * l1b / (2.0 * eq.M2)
+            + l1c * l1c / (eq.M1 + eq.M2)
+        )
+        a_l32, b_l32 = l32[i]
+        dev_a, dev_b, dev_c = devs[i]
+        e, e_rel = entropies[i]
+        rows.append((
+            time, e, e_rel, diss, m1, m2, l1a, l1b, l1c,
+            dev_a * dev_a, dev_b * dev_b, dev_c * dev_c, defects[i], ckp_lhs,
+            b_l32, a_l32, b_ln2[i], c_l3[i], int_a2ac, int_b2bc,
+        ))
+    if t.ndim == 0:
+        return dict(zip(CSV_COLUMNS, rows[0]))
+    return dict(zip(CSV_COLUMNS, np.array(rows).T))

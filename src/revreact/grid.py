@@ -199,27 +199,38 @@ def integrate(u, grid: Grid) -> float:
     return grid.cell_volume * float(np.sum(u))
 
 
-def row_integrals(u, grid: Grid) -> list[float]:
-    """integrate over each row of a stack u of shape (k, *cells), as
-    Python floats.
+def _leading(u: np.ndarray, grid: Grid) -> tuple[int, ...]:
+    """The shape of u before its trailing len(grid.cells) cell axes."""
+    return u.shape[:u.ndim - len(grid.cells)]
 
-    Each row is summed over its trailing axes flattened, which for a
+
+def row_integrals(u, grid: Grid) -> np.ndarray:
+    """integrate over each row of a stack u of shape (..., *cells): a
+    float64 array of the leading shape of u.
+
+    Each row is summed over its cell axes flattened, which for a
     C-contiguous stack is the order np.sum takes over that row alone, so
     entry i equals integrate(u[i], grid) bit for bit.
     """
     u = np.asarray(u, dtype=float)
-    return [grid.cell_volume * s for s in u.reshape(len(u), -1).sum(axis=-1).tolist()]
+    return grid.cell_volume * np.add.reduce(u.reshape(_leading(u, grid) + (-1,)), axis=-1)
 
 
 def lp_norm(u, p: float, grid: Grid) -> float:
     """Lebesgue norm (cell_volume * sum |u|**p)**(1/p), for finite p >= 1."""
-    return lp_norms(np.asarray(u, dtype=float)[None], p, grid)[0]
+    return float(lp_norms(u, p, grid))
 
 
-def lp_norms(u, p: float, grid: Grid) -> list[float]:
-    """lp_norm of each row of a stack u of shape (k, *cells)."""
+def lp_norms(u, p: float, grid: Grid) -> np.ndarray:
+    """lp_norm of each row of a stack u of shape (..., *cells).
+
+    The root s**(1/p) is Python's pow, one value at a time: np.power
+    rounds differently from the C library's pow on some inputs, and the
+    rows of a block must equal the rows of one snapshot.
+    """
     p = float(p)
-    return [s ** (1.0 / p) for s in row_integrals(np.abs(u) ** p, grid)]
+    sums = row_integrals(np.abs(u) ** p, grid)
+    return np.array([s ** (1.0 / p) for s in sums.ravel().tolist()]).reshape(sums.shape)
 
 
 def dirichlet_energy(u, grid: Grid) -> float:
@@ -229,32 +240,36 @@ def dirichlet_energy(u, grid: Grid) -> float:
     contributes cell_volume * (du/h)**2.  Zero-flux boundary faces contribute
     nothing.
     """
-    return dirichlet_energies(np.asarray(u, dtype=float)[None], grid)[0]
+    return float(dirichlet_energies(u, grid))
 
 
-def dirichlet_energies(u, grid: Grid) -> list[float]:
-    """dirichlet_energy of each row of a stack u of shape (k, *cells)."""
+def dirichlet_energies(u, grid: Grid) -> np.ndarray:
+    """dirichlet_energy of each row of a stack u of shape (..., *cells)."""
     u = np.asarray(u, dtype=float)
-    total = [0.0] * len(u)
-    for ax, h in enumerate(grid.spacings, start=1):
+    lead = _leading(u, grid)
+    total = np.zeros(lead)
+    for ax, h in enumerate(grid.spacings, start=len(lead)):
         if u.shape[ax] == 1:
             continue
         d = np.diff(u, axis=ax)  # (u_R - u_L) per interior face, a new array
         d /= h
         d *= d
-        total = [t + e for t, e in zip(total, row_integrals(d, grid))]
+        total += row_integrals(d, grid)
         del d  # before the next axis allocates its own
     return total
 
 
 def deviation_l2(u, grid: Grid) -> float:
     """L2 norm of u minus its volume average."""
-    return deviations_l2(np.asarray(u, dtype=float)[None], grid)[0]
+    return float(deviations_l2(u, grid))
 
 
-def deviations_l2(u, grid: Grid) -> list[float]:
-    """deviation_l2 of each row of a stack u of shape (k, *cells)."""
-    rows = np.asarray(u, dtype=float).reshape(len(u), -1)
-    d = rows - (rows.sum(axis=-1) / rows.shape[1])[:, None]  # np.mean is sum / count
+def deviations_l2(u, grid: Grid) -> np.ndarray:
+    """deviation_l2 of each row of a stack u of shape (..., *cells)."""
+    u = np.asarray(u, dtype=float)
+    lead = _leading(u, grid)
+    n = math.prod(grid.cells)
+    mean = u.reshape(lead + (-1,)).sum(axis=-1) / n  # np.mean is sum / count
+    d = u - mean.reshape(lead + (1,) * len(grid.cells))
     d *= d
-    return [math.sqrt(s) for s in row_integrals(d, grid)]
+    return np.sqrt(row_integrals(d, grid))  # correctly rounded, as math.sqrt is

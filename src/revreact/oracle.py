@@ -104,11 +104,14 @@ def homogeneous_ode(a0, b0, c0, t_end: float, substeps: int) -> OdeState:
 
 def brute_force_sample(fields, t: float, eq, params, grid,
                        running: RunningIntegrals | None = None) -> dict:
-    """Naive re-evaluation of every recorded functional (test oracle).
+    """Naive re-evaluation of every recorded functional of one snapshot
+    (test oracle).
 
-    Same contract as functionals.sample, with the box read from
-    grid.domain too, computed with per-cell Python loops, math.fsum
-    reductions, and the direct textbook formulas.
+    The contract of functionals.sample for the SpeciesFields of one
+    snapshot at a scalar t, with Python floats for its values and the box
+    read from grid.domain too; it takes no block of records.  Computed
+    with per-cell Python loops, math.fsum reductions, and the direct
+    textbook formulas.
     """
     domain = grid.domain
     a = fields.a.ravel()

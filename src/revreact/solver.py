@@ -29,19 +29,29 @@ builds.  A species with zero diffusivity (d_b = 0 or d_c = 0) is skipped
 by index, so diffusion leaves it bit-for-bit unchanged.  No step solves a
 linear system.
 
-StrangStepper.advance returns a new array and never writes its input.  Per
-call it allocates that state and one work block (at most nine fields in
-all) and binds every matmul and ufunc of the step to views of them once,
-so each step only runs those calls, in place: no copy, gather, scatter or
-reshape, and the same operands and operation order as the allocating
-entry points DiffusionSemigroup.apply and reaction_substep, which run the
-same calls on new arrays.
+StrangStepper.records never writes its input.  Each iterator allocates
+one state and one work block (at most nine fields in all) and binds
+every matmul and ufunc of the step to views of them once, so each step
+only runs those calls, in place: no gather, scatter or reshape, and the
+same operands and operation order as the allocating entry points
+DiffusionSemigroup.apply and reaction_substep, which run the same calls
+on new arrays.  advance is the first state of such an iterator.
+
+run records in blocks (block_records).  Its arrays live as follows: the
+(B, 3, *cells) block of record states for the whole run, reused by every
+block; the state and work block of one records iterator while it fills
+one block, freed before that block is sampled; the work arrays of one
+functionals.sample call, each at most about the size of the block; the
+columns of the Trajectory, preallocated, one float64 per record each;
+and the final fields, a copy of the last state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
+import contextlib
+import dataclasses
 import math
 import time
 
@@ -58,6 +68,7 @@ __all__ = [
     "Trajectory",
     "reaction_substep",
     "StrangStepper",
+    "block_records",
     "run",
     "DiffusionSemigroup",
 ]
@@ -70,6 +81,16 @@ STEP_ROUNDING = 1e-9
 #: the two on a (3, n) stack; a kernel also holds 8 n^2 bytes per
 #: diffusivity and step length
 KERNEL_MAX_CELLS = 192
+
+#: bytes of record states that run steps and samples as one block.  The
+#: work arrays of sampling a block are at most about this size, below
+#: glibc's 128 KiB mmap threshold (functionals._kl_integrals), so they
+#: come from the heap; a larger state, as on the dc0_3d preset, is a
+#: block of one.  Set by measurement on a 2-vCPU x86 host with numpy
+#: 2.4: a 128-cell run recording each of 5000 steps took 0.61, 0.45, 0.34
+#: and 0.31 s with blocks of 16, 32, 64 and 128 KiB, where a block's
+#: largest work arrays reach the threshold
+BLOCK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -107,14 +128,16 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded samples, each a dict keyed by functionals.CSV_COLUMNS, plus
-    the final fields of one run and the seconds it spent stepping and
-    recording samples."""
+    """The recorded samples of one run, one float64 array per CSV column
+    (keyed by functionals.CSV_COLUMNS, one entry per record), its final
+    fields, the seconds it spent stepping and recording samples, and the
+    number of functionals.sample calls that recorded them."""
 
-    samples: list = field(default_factory=list)
+    columns: dict
     final_fields: SpeciesFields | None = None
     step_s: float = 0.0
     sample_s: float = 0.0
+    sample_calls: int = 0
 
 
 def heat_kernels(n: int, h: float, rates) -> np.ndarray:
@@ -317,9 +340,10 @@ class StrangStepper:
     """Strang steps of a stacked (3, *cells) array of a, b and c, with the
     half- and full-step semigroups built once.
 
-    Consecutive Strang steps share a diffusion half-step, so a block of k
-    steps is composed as D(h/2) [R D(h)]^(k-1) R D(h/2), identical to the
-    step-by-step composition because the discrete semigroup is exact.
+    Consecutive Strang steps share a diffusion half-step, so the k steps
+    from one record to the next are composed as D(h/2) [R D(h)]^(k-1) R
+    D(h/2), identical to the step-by-step composition because the
+    discrete semigroup is exact.
     """
 
     def __init__(self, params: ModelParams, dt: float, grid: Grid):
@@ -329,16 +353,25 @@ class StrangStepper:
 
     def advance(self, u: np.ndarray, n_steps: int) -> np.ndarray:
         """The stack u after n_steps Strang steps, as a new array; u is
-        never written.
+        never written.  The first state of records(u, n_steps), whose
+        work arrays are freed when it returns."""
+        return next(self.records(u, n_steps))
 
-        Raises ValueError, before anything is written, unless u has the
-        shape (3, *grid.cells).  Each call allocates the state it returns
-        and one work block, and binds every call of the step to views of
-        them once, so a step only runs those calls (an axis longer than
-        KERNEL_MAX_CELLS still allocates its cosine transforms).  The block
-        holds the two axis temporaries, which the reaction also uses as its
-        scratch: at most six fields, at least four.  None of it outlives
-        the call.
+    def records(self, u: np.ndarray, n_steps: int):
+        """Iterator over the states n_steps, 2 n_steps, 3 n_steps, ...
+        Strang steps after the stack u, without end; u is never written.
+
+        Each state is yielded in the one state array the iterator owns,
+        which the next iteration overwrites: copy what is to be kept.  The
+        first iteration raises ValueError, before anything is written,
+        unless u has the shape (3, *grid.cells).  It copies u into the
+        state, allocates one work block and binds every call of the step
+        to views of the two once, so each iteration only runs those calls,
+        in place (an axis longer than KERNEL_MAX_CELLS still allocates its
+        cosine transforms).  The work block holds the two axis
+        temporaries, which the reaction also uses as its scratch: at most
+        six fields, at least four.  The state and the work block live as
+        long as the iterator.
         """
         u = np.ascontiguousarray(u, dtype=float)
         if u.shape != self.full.shape:
@@ -347,17 +380,25 @@ class StrangStepper:
         moving = self.full.work_shape[0]
         work = np.empty((max(2 * moving, 4),) + u.shape[1:])
         temps = work[:moving], work[moving:2 * moving]
+        half = self.half.calls(state, state, temps)
         react = _reaction(state, work, self.dt)
-        for call in self.half.calls(u, state, temps) + react:
-            call()
-        if n_steps > 1:
-            step = self.full.calls(state, state, temps) + react
+        first = half + react
+        step = self.full.calls(state, state, temps) + react
+        while True:
+            for call in first:
+                call()
             for _ in range(n_steps - 1):
                 for call in step:
                     call()
-        for call in self.half.calls(state, state, temps):
-            call()
-        return state
+            for call in half:
+                call()
+            yield state
+
+
+def block_records(grid: Grid) -> int:
+    """Records per block on grid: as many (3, *cells) states as fit in
+    BLOCK_BYTES, at least one."""
+    return max(1, BLOCK_BYTES // (3 * 8 * math.prod(grid.cells)))
 
 
 def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
@@ -367,28 +408,57 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
     grid carries the box, whose volume the conserved masses and the
     recorded functionals use.  The equilibrium reference is fixed from the
     initial conserved masses.
-    The stack of the state is handed to each record as it is: sampling
-    neither splits nor copies it, and the last recorded fields, those of
-    the state at t_end, are the final fields.
+
+    The records are taken in blocks of block_records(grid) states, the
+    first of which starts with the initial state.  One
+    StrangStepper.records iterator per block, its calls bound once, fills
+    the (B, 3, *cells) block array that every block reuses; one min and
+    one max reduction check the block, and one functionals.sample call
+    evaluates it into the columns of the trajectory.  While a block is
+    sampled, the iterator's state and work block are freed.  The final
+    fields are a copy of the last state.
+
     Raises NumericalBlowup (with the offending time) if that reference is
     not finite with positive components (t = 0), if evaluating it, a step
     or a record divides by zero, overflows or makes an invalid value (t of
     the next record), if a recorded state is not finite and positive, or if
-    any value of a recorded sample is not finite.
+    any value of a recorded sample is not finite.  The records a block
+    holds before a step that raises are recorded first.  A block that
+    fails its check or its sample is evaluated again one record at a
+    time, in time order, each as a SpeciesFields and a sample of its own,
+    so the earliest failure is the one reported.
     """
     stepper = StrangStepper(params, cfg.dt, grid)
     running = functionals.RunningIntegrals()
-    traj = Trajectory()
+    times = [step * cfg.dt for step in range(0, cfg.n_steps + 1, cfg.record_every)]
+    traj = Trajectory({name: np.empty(len(times)) for name in functionals.CSV_COLUMNS})
+    block = np.empty((min(block_records(grid), len(times)),) + initial.stack.shape)
 
-    def record(t, u):
-        started = time.perf_counter()
-        fields = SpeciesFields.from_stack(u)
-        s = functionals.sample(fields, t, eq, params, grid, running)
-        if not all(map(math.isfinite, s.values())):
-            raise NumericalBlowup(f"non-finite functional at t = {t}", t=t)
-        traj.samples.append(s)
-        traj.final_fields = fields
-        traj.sample_s += time.perf_counter() - started
+    def store(start, s):
+        stop = start + np.size(s["t"])
+        for name, column in traj.columns.items():
+            column[start:stop] = s[name]
+
+    def record(start, u):
+        """Sample the states u, the records from index start on, in one
+        call; if the block fails, one record at a time."""
+        nonlocal running, t
+        kept = dataclasses.replace(running)
+        with contextlib.suppress(FloatingPointError):
+            if u.min() > 0.0 and u.max() < math.inf:
+                traj.sample_calls += 1
+                s = functionals.sample(u, times[start:start + len(u)], eq, params, grid, running)
+                if np.isfinite(list(s.values())).all():
+                    store(start, s)
+                    return
+        running = kept
+        for i, state in enumerate(u, start):
+            t = times[i]
+            traj.sample_calls += 1
+            s = functionals.sample(SpeciesFields.from_stack(state), t, eq, params, grid, running)
+            if not all(map(math.isfinite, s.values())):
+                raise NumericalBlowup(f"non-finite functional at t = {t}", t=t)
+            store(i, s)
 
     t = 0.0
     # a 0/0, inf-inf or overflow means the state has left the positive
@@ -400,14 +470,32 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
             if not all(math.isfinite(r) and r > 0.0 for r in (eq.a_inf, eq.b_inf, eq.c_inf)):
                 raise NumericalBlowup(f"equilibrium ({eq.a_inf}, {eq.b_inf}, {eq.c_inf}) is "
                                       "not finite and positive at t = 0", t=0.0)
-            u = initial.stack
-            record(t, u)
-            for step in range(cfg.record_every, cfg.n_steps + 1, cfg.record_every):
-                t = step * cfg.dt
+            block[0] = initial.stack
+            done, filled = 0, 1  # records sampled; rows of the block already filled
+            while done < len(times):
+                rows = block[:min(len(block), len(times) - done)]
+                error = None
                 started = time.perf_counter()
-                u = stepper.advance(u, cfg.record_every)
+                # the last state sampled is the last row of the previous,
+                # full block, or the initial state in row 0
+                states = stepper.records(block[filled - 1], cfg.record_every)
+                for i in range(filled, len(rows)):
+                    try:
+                        rows[i] = next(states)
+                    except FloatingPointError as exc:
+                        error, rows = exc, rows[:i]
+                        break
+                del states  # its state and work block, before the block is sampled
                 traj.step_s += time.perf_counter() - started
-                record(t, u)
+                if len(rows):
+                    started = time.perf_counter()
+                    record(done, rows)
+                    traj.sample_s += time.perf_counter() - started
+                done, filled = done + len(rows), 0
+                if error is not None:
+                    t = times[done]
+                    raise error
     except (FloatingPointError, InvalidMass, InvalidField, NotPositive) as exc:
         raise NumericalBlowup(f"{exc} at t = {t}", t=t) from exc
+    traj.final_fields = SpeciesFields.from_stack(rows[-1].copy())
     return traj

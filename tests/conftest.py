@@ -37,7 +37,7 @@ class PresetRun:
 
     def column(self, name):
         """The recorded values of one CSV column, one per sample."""
-        return np.array([s[name] for s in self.trajectory.samples])
+        return self.trajectory.columns[name]
 
 
 _CACHE = {}

@@ -141,7 +141,7 @@ class TestAcceptance:
         n_samples = 0
         for name in ALL_PRESETS:
             r = preset_run(name)
-            n_samples += len(r.trajectory.samples)
+            n_samples += len(r.column("t"))
             cols = {k: r.column(k) for k in CSV_COLUMNS}
             ckp, diss = violations(cols, r.params.diffusivities(), r.domain)
             ckp_bad += ckp

@@ -169,6 +169,8 @@ class TestCmdRun:
         # stepping and sampling happen inside the run's wall time (each
         # printed to 1 ms)
         assert timers["step_s"] + timers["sample_s"] <= timers["wall_time_s"] + 0.002
+        # records are sampled in blocks: at least one call, at most one per sample
+        assert 1 <= int(stats["sample_calls"]) <= int(stats["samples"])
 
     def test_header_names_the_csv_columns(self):
         assert CSV_HEADER.split(",") == list(CSV_COLUMNS)

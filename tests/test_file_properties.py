@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revreact.cli import CSV_HEADER, _csv_row, read_timeseries, write_snapshot
+from revreact.cli import _csv_lines, read_timeseries, write_snapshot
 from revreact.errors import RevReactError
 from revreact.functionals import CSV_COLUMNS
 from revreact.grid import SpeciesFields
@@ -32,8 +32,7 @@ def snapshots(draw):
 
 def csv_text(rows):
     """timeseries.csv text of rows of CSV_COLUMNS values, written as cmd_run writes it."""
-    samples = [dict(zip(CSV_COLUMNS, row)) for row in rows]
-    return "\n".join([CSV_HEADER] + [_csv_row(s) for s in samples]) + "\n"
+    return "".join(_csv_lines(dict(zip(CSV_COLUMNS, np.array(rows).T))))
 
 
 csv_rows = st.lists(st.lists(finite, min_size=len(CSV_COLUMNS), max_size=len(CSV_COLUMNS)),

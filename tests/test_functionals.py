@@ -6,6 +6,7 @@ import pytest
 
 from revreact.functionals import (
     CKP_PREFACTOR,
+    CSV_COLUMNS,
     RunningIntegrals,
     _kl_density,
     bound_violation,
@@ -304,6 +305,39 @@ class TestSample:
         # constant integrand a^2 + ac = 2 on |Omega| = 1: integral = 2t
         assert s["int_a2ac"] == pytest.approx(2.0, rel=1e-13)
         assert s["int_b2bc"] == pytest.approx(2.0, rel=1e-13)
+
+
+class TestBlockSample:
+    # run samples a block of record states in one call: each record must
+    # come out as it does on its own, a block of one
+    @pytest.mark.parametrize("cells, lengths", [
+        ([128], [1.0]), ([24, 16], [1.0, 0.7]), ([12, 6, 6], [1.0, 0.5, 0.5])],
+        ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("d", [(1.0, 0.5, 0.8), (1.0, 0.0, 0.7), (1.0, 1.0, 0.0)],
+                             ids=["full", "db0", "dc0"])
+    def test_block_equals_each_record_alone_bit_for_bit(self, rng, cells, lengths, d):
+        # b_lN2 is the L1 norm of b in 1-D and 2-D and reuses the L^(3/2)
+        # norm in 3-D, so the three grids cover both of its branches
+        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        params = ModelParams(*d)
+        u = rng.uniform(0.2, 3.0, size=(16, 3, *grid.cells))
+        t = np.cumsum(rng.uniform(0.01, 0.1, size=len(u)))
+        eq = equilibrium_state(*conserved_masses(SpeciesFields.from_stack(u[0]), grid))
+        block_running, alone_running = RunningIntegrals(), RunningIntegrals()
+        block = sample(u, t, eq, params, grid, block_running)
+        assert tuple(block) == CSV_COLUMNS
+        for i in range(len(u)):
+            alone = sample(SpeciesFields.from_stack(u[i]), t[i], eq, params, grid, alone_running)
+            for name in CSV_COLUMNS:
+                assert block[name].shape == t.shape and isinstance(alone[name], float)
+                assert block[name][i].tobytes() == np.float64(alone[name]).tobytes(), (i, name)
+            # each Lp root is Python's pow of one value; np.power rounds
+            # differently on about 5% of values
+            for name, row, p in (("a_l32", 0, 1.5), ("b_l32", 1, 1.5), ("c_l3", 2, 3.0),
+                                 ("b_lN2", 1, max(1.0, len(cells) / 2.0))):
+                s = float(grid.cell_volume * np.sum(np.abs(u[i, row]) ** p))
+                assert alone[name] == s ** (1.0 / p), (i, name)
+        assert block_running == alone_running
 
 
 class TestViolationsFailClosed:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from revreact.errors import InvalidArgument, NumericalBlowup
-from revreact.functionals import CSV_COLUMNS
+from revreact.functionals import CSV_COLUMNS, RunningIntegrals, sample
 from revreact.grid import Grid, SpeciesFields, integrate, neumann_eigenvalues
-from revreact.model import DomainSpec, ModelParams, equilibrium_state
+from revreact.model import DomainSpec, ModelParams, conserved_masses, equilibrium_state
 from revreact.solver import (
     KERNEL_MAX_CELLS,
     DiffusionSemigroup,
@@ -451,7 +451,7 @@ class TestRun2D:
         b = (SQRT2 - 1.0) * (2.0 - bump)
         f0 = SpeciesFields(a, b, a * b)
         traj = run(f0, params, grid, cfg)
-        cols = {k: np.array([s[k] for s in traj.samples]) for k in traj.samples[0]}
+        cols = traj.columns
         m1 = cols["M1"]
         assert np.max(np.abs(m1 - m1[0]) / m1[0]) <= 1e-9
         assert np.all(np.diff(cols["E_rel"]) <= 1e-12)
@@ -491,8 +491,8 @@ class TestSpeciesSymmetry:
         for name in CSV_COLUMNS:
             if name == "b_lN2":
                 continue
-            xs = np.array([s[name] for s in x.samples])
-            ys = np.array([s[AB_TWINS.get(name, name)] for s in y.samples])
+            xs = x.columns[name]
+            ys = y.columns[AB_TWINS.get(name, name)]
             assert np.all(np.abs(xs - ys) <= 1e-14 * (np.abs(xs) + abs(xs[0]))), name
 
 
@@ -510,20 +510,20 @@ class TestRun:
     def test_times_and_samples(self):
         grid, params, cfg, f0 = self.make_run()
         traj = run(f0, params, grid, cfg)
-        t = np.array([s["t"] for s in traj.samples])
+        t = traj.columns["t"]
         assert t[0] == 0.0
         assert np.all(np.diff(t) > 0)
-        assert len(traj.samples) == 101
+        assert len(t) == 101
         assert traj.final_fields is not None
 
     def test_mass_conservation_and_monotonicity(self):
         grid, params, cfg, f0 = self.make_run(t_end=2.0, record_every=20)
         traj = run(f0, params, grid, cfg)
-        m1 = np.array([s["M1"] for s in traj.samples])
-        m2 = np.array([s["M2"] for s in traj.samples])
+        m1 = traj.columns["M1"]
+        m2 = traj.columns["M2"]
         assert np.max(np.abs(m1 - m1[0]) / m1[0]) <= 1e-9
         assert np.max(np.abs(m2 - m2[0]) / m2[0]) <= 1e-9
-        e_rel = np.array([s["E_rel"] for s in traj.samples])
+        e_rel = traj.columns["E_rel"]
         assert np.all(np.diff(e_rel) <= 1e-12)
 
     def test_equilibrium_run_stays_flat(self):
@@ -533,9 +533,82 @@ class TestRun:
         eq = equilibrium_state(2.0, 1.0)
         f0 = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
         traj = run(f0, params, grid, cfg)
-        for s in traj.samples:
-            assert s["E_rel"] <= 1e-12
-            assert s["D"] <= 1e-12
+        for e_rel, diss in zip(traj.columns["E_rel"], traj.columns["D"]):
+            assert e_rel <= 1e-12
+            assert diss <= 1e-12
+
+    @pytest.mark.parametrize("block_bytes", [None, 4 * 3 * 8 * 32], ids=["default", "four"])
+    def test_blocks_equal_the_record_by_record_composition(self, monkeypatch, block_bytes):
+        # 201 records: more than one block, and a multiple neither of the 85
+        # records per block of the 32-cell grid nor of 4
+        from revreact import solver as solver_mod
+
+        if block_bytes is not None:
+            monkeypatch.setattr(solver_mod, "BLOCK_BYTES", block_bytes)
+        grid, params, cfg, f0 = self.make_run(t_end=0.4, record_every=2)
+        traj = run(f0, params, grid, cfg)
+        n_records = len(traj.columns["t"])
+        assert n_records == 201 and n_records % solver_mod.block_records(grid) != 0
+        assert solver_mod.block_records(grid) < n_records
+        stepper = StrangStepper(params, cfg.dt, grid)
+        eq = equilibrium_state(*conserved_masses(f0, grid))
+        running = RunningIntegrals()
+        u = f0.stack
+        for i in range(n_records):
+            if i:
+                u = stepper.advance(u, cfg.record_every)
+            s = sample(SpeciesFields.from_stack(u), i * cfg.record_every * cfg.dt, eq, params,
+                       grid, running)
+            for name in CSV_COLUMNS:
+                assert traj.columns[name][i].tobytes() == np.float64(s[name]).tobytes(), (i, name)
+        assert np.array_equal(traj.final_fields.stack, u)
+        # the final fields hold their own state, not a row of the block
+        # buffer the run reused
+        owner = traj.final_fields.stack
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == u.nbytes
+
+    @pytest.mark.parametrize("bad, step_fails", [
+        ("sample", False), ("sample", True), ("state", False), ("state", True), (None, True)])
+    def test_blowup_inside_a_block_reports_the_earliest_failure(self, monkeypatch, bad,
+                                                                 step_fails):
+        # make_run's 101 records fill a block of 85 and one of 16: record 40
+        # is bad, and the step to record 60, in the same block, raises
+        from revreact import solver as solver_mod
+
+        grid, params, cfg, f0 = self.make_run()
+        assert solver_mod.block_records(grid) > 60
+        t_bad, t_step = (i * cfg.record_every * cfg.dt for i in (40, 60))
+        real_sample = solver_mod.functionals.sample
+        real_records = StrangStepper.records
+        made = []
+
+        def poisoned_sample(states, t, *args, **kwargs):
+            s = real_sample(states, t, *args, **kwargs)
+            if bad == "sample":
+                s["D"] = np.where(s["t"] == t_bad, np.nan, s["D"])
+            return s
+
+        def poisoned_records(stepper, u, n_steps):
+            for state in real_records(stepper, u, n_steps):
+                made.append(state)
+                if step_fails and len(made) == 60:
+                    raise FloatingPointError("overflow encountered in multiply")
+                if bad == "state" and len(made) == 40:
+                    state = state.copy()
+                    state[1, 5] = -1.0
+                yield state
+
+        monkeypatch.setattr(solver_mod.functionals, "sample", poisoned_sample)
+        monkeypatch.setattr(StrangStepper, "records", poisoned_records)
+        with pytest.raises(NumericalBlowup) as exc_info:
+            run(f0, params, grid, cfg)
+        expected = {"sample": f"non-finite functional at t = {t_bad}",
+                    "state": f"field b must be strictly positive at t = {t_bad}",
+                    None: f"overflow encountered in multiply at t = {t_step}"}[bad]
+        assert exc_info.value.t == (t_step if bad is None else t_bad)
+        assert str(exc_info.value) == expected
 
     def test_blowup_reported_with_time(self, monkeypatch):
         from revreact import solver as solver_mod
@@ -543,10 +616,9 @@ class TestRun:
         grid, params, cfg, f0 = self.make_run()
         real_sample = solver_mod.functionals.sample
 
-        def poisoned(fields, t, *args, **kwargs):
-            s = real_sample(fields, t, *args, **kwargs)
-            if t > 0.05:
-                s["E"] = float("inf")
+        def poisoned(states, t, *args, **kwargs):
+            s = real_sample(states, t, *args, **kwargs)
+            s["E"] = np.where(s["t"] > 0.05, np.inf, s["E"])
             return s
 
         monkeypatch.setattr(solver_mod.functionals, "sample", poisoned)
