@@ -11,13 +11,14 @@ makes one pass over the block for each ingredient shared by the species:
 the masses, the square roots, the deviations, the L1 distances, the
 Dirichlet energies of the diffusing species and the L^(3/2) norms of a
 and b; the two entropies take one log1p density pass per species,
-against both references at once.  What follows the passes (M1 and M2,
-D, ckp_lhs, the squared deviations, the running integrals) is scalar
-arithmetic, done one record at a time on Python floats.  Each row is
-summed over its trailing cell axes, the order np.sum takes over that
-field alone, and every Lp root is Python's pow of one value, so every
-column of a block is bit-identical to evaluating its records, and their
-species, one at a time.  ckp_violation and bound_violation, with
+against both references at once; M1 and M2 are model.conserved_masses
+of the block.  What follows the passes (D, ckp_lhs, the squared
+deviations, the running integrals) is scalar arithmetic, done one
+record at a time on Python floats.  Each row is summed over its
+trailing cell axes, the order np.sum takes over that field alone, and
+every Lp root is Python's pow of one value, so every column of a block
+is bit-identical to evaluating its records, and their species, one at a
+time.  ckp_violation and bound_violation, with
 dissipation_bound_rhs, are the one judge of recorded samples.  The
 functionals take states already checked to be finite and strictly
 positive, by the SpeciesFields constructor or by run's check of a block,
@@ -39,7 +40,7 @@ import numpy as np
 
 from .grid import (Grid, SpeciesFields, deviations_l2, dirichlet_energies, lp_norms,
                    row_integrals)
-from .model import EquilibriumState, ModelParams
+from .model import EquilibriumState, ModelParams, conserved_masses
 
 __all__ = [
     "RunningIntegrals",
@@ -234,10 +235,10 @@ def sample(states, t, eq: EquilibriumState, params: ModelParams, grid: Grid,
     u = states.reshape((t.size, 3) + grid.cells)
     refs = (eq.a_inf, eq.b_inf, eq.c_inf)
     # one pass over the block per ingredient, read back as one row of
-    # Python floats per record: the integrals of a + c and b + c, of the
+    # Python floats per record: the conserved masses, the integrals of the
     # two entropy densities and of the integrands a*a + a*c and b*b + b*c
     # of the running integrals, and the L1 distances and Lp norms
-    masses = row_integrals(u[:, :2] + u[:, 2:], grid).tolist()
+    masses = conserved_masses(u, grid).tolist()
     entropies = _kl_integrals(u, ((1.0, 1.0, 1.0), refs), grid).tolist()
     devs, defects, energies, productions = _sqrt_terms(u, params, grid)
     w = u[:, :2] * u[:, :2]
@@ -254,7 +255,7 @@ def sample(states, t, eq: EquilibriumState, params: ModelParams, grid: Grid,
     diffusivities = [d for d in params.diffusivities() if d > 0.0]
     rows = []
     for i, time in enumerate(t.ravel().tolist()):
-        m1, m2 = (s / grid.domain.volume for s in masses[i])  # as model.conserved_masses
+        m1, m2 = masses[i]
         diss = 0.0
         for d, energy in zip(diffusivities, energies[i]):
             diss += 4.0 * d * energy
@@ -274,11 +275,12 @@ def sample(states, t, eq: EquilibriumState, params: ModelParams, grid: Grid,
         a_l32, b_l32 = l32[i]
         dev_a, dev_b, dev_c = devs[i]
         e, e_rel = entropies[i]
-        rows.append((
+        # a list: a freed tuple of 20 items is never reused (cli._csv_lines)
+        rows.append([
             time, e, e_rel, diss, m1, m2, l1a, l1b, l1c,
             dev_a * dev_a, dev_b * dev_b, dev_c * dev_c, defects[i], ckp_lhs,
             b_l32, a_l32, b_ln2[i], c_l3[i], int_a2ac, int_b2bc,
-        ))
+        ])
     if t.ndim == 0:
         return dict(zip(CSV_COLUMNS, rows[0]))
     return dict(zip(CSV_COLUMNS, np.array(rows).T))

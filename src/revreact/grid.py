@@ -29,7 +29,6 @@ __all__ = [
     "neumann_eigenvalues",
     "integrate",
     "row_integrals",
-    "lp_norm",
     "lp_norms",
     "dirichlet_energy",
     "dirichlet_energies",
@@ -216,20 +215,18 @@ def row_integrals(u, grid: Grid) -> np.ndarray:
     return grid.cell_volume * np.add.reduce(u.reshape(_leading(u, grid) + (-1,)), axis=-1)
 
 
-def lp_norm(u, p: float, grid: Grid) -> float:
-    """Lebesgue norm (cell_volume * sum |u|**p)**(1/p), for finite p >= 1."""
-    return float(lp_norms(u, p, grid))
-
-
 def lp_norms(u, p: float, grid: Grid) -> np.ndarray:
-    """lp_norm of each row of a stack u of shape (..., *cells).
+    """Lebesgue norm (cell_volume * sum |u|**p)**(1/p), for finite p >= 1,
+    of each row of a stack u of shape (..., *cells).
 
     The root s**(1/p) is Python's pow, one value at a time: np.power
     rounds differently from the C library's pow on some inputs, and the
     rows of a block must equal the rows of one snapshot.
     """
     p = float(p)
-    sums = row_integrals(np.abs(u) ** p, grid)
+    powers = np.abs(u)
+    powers **= p  # in place: the fast paths of ** apply to **= as well
+    sums = row_integrals(powers, grid)
     return np.array([s ** (1.0 / p) for s in sums.ravel().tolist()]).reshape(sums.shape)
 
 

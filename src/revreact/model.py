@@ -98,18 +98,24 @@ class EquilibriumState:
     M2: float
 
 
-def conserved_masses(fields, grid) -> tuple[float, float]:
-    """Conserved average densities M1 = avg(a+c), M2 = avg(b+c).
+def conserved_masses(states, grid):
+    """Conserved average densities M1 = avg(a+c), M2 = avg(b+c): two
+    floats for the SpeciesFields of one snapshot, or, for an array of
+    (3, *cells) stacks of shape (..., 3, *cells), an array (..., 2) of
+    (M1, M2) per stack.
 
     Computed by cell-volume-weighted summation over the structured grid,
     divided by the volume |Omega| of the box grid.domain, in one pass over
-    the rows a and b of the species stack (each row summed as np.sum sums
-    it alone).
+    the rows a and b of each stack (each row summed over its cells as
+    np.sum sums it alone, as grid.row_integrals does), so a stack of a
+    block gives the masses of its snapshot bit for bit.
     """
-    u = fields.stack
-    sums = (u[:2] + u[2]).reshape(2, -1).sum(axis=-1).tolist()
-    m1, m2 = (grid.cell_volume * s / grid.domain.volume for s in sums)
-    return m1, m2
+    snapshot = hasattr(states, "stack")
+    u = np.asarray(states.stack if snapshot else states, dtype=float)
+    u = u.reshape(u.shape[:u.ndim - len(grid.cells)] + (-1,))
+    sums = np.add.reduce(u[..., :2, :] + u[..., 2:, :], axis=-1)
+    masses = grid.cell_volume * sums / grid.domain.volume
+    return tuple(masses.tolist()) if snapshot else masses
 
 
 def _twice_gap(m: float, other: float, sq: float) -> float:

@@ -41,9 +41,9 @@ run records in blocks (block_records).  Its arrays live as follows: the
 (B, 3, *cells) block of record states for the whole run, reused by every
 block; the state and work block of one records iterator while it fills
 one block, freed before that block is sampled; the work arrays of one
-functionals.sample call, each at most about the size of the block; the
-columns of the Trajectory, preallocated, one float64 per record each;
-and the final fields, a copy of the last state.
+functionals.sample call, each at most about the size of the block,
+about three at once; the columns of the Trajectory, preallocated, one
+float64 per record each; and the final fields, a copy of the last state.
 """
 from __future__ import annotations
 
@@ -82,15 +82,18 @@ STEP_ROUNDING = 1e-9
 #: diffusivity and step length
 KERNEL_MAX_CELLS = 192
 
-#: bytes of record states that run steps and samples as one block.  The
-#: work arrays of sampling a block are at most about this size, below
-#: glibc's 128 KiB mmap threshold (functionals._kl_integrals), so they
-#: come from the heap; a larger state, as on the dc0_3d preset, is a
-#: block of one.  Set by measurement on a 2-vCPU x86 host with numpy
-#: 2.4: a 128-cell run recording each of 5000 steps took 0.61, 0.45, 0.34
-#: and 0.31 s with blocks of 16, 32, 64 and 128 KiB, where a block's
-#: largest work arrays reach the threshold
-BLOCK_BYTES = 64 * 1024
+#: bytes of record states that run steps and samples as one block; a
+#: larger state, as on the dc0_3d preset, is a block of one.  Sampling a
+#: block holds about three block-sized work arrays at once, and they come
+#: from the heap (glibc raises its mmap threshold past them once a larger
+#: array has been freed), whose pages stay resident.  Set by measurement
+#: on a 2-vCPU x86 host with CPython 3.11 and numpy 2.4: an operation of
+#: the bench's dense_record workload (128 cells, each of 5000 steps
+#: recorded; 1.5 s one record at a time) took 0.8, 0.7 and 0.6 s with
+#: blocks of 16, 32 and 64 KiB, and after three full_1d operations the
+#: heap was as large as one record at a time left it with 16 and 32 KiB,
+#: 130 KB larger with 64 KiB
+BLOCK_BYTES = 32 * 1024
 
 
 @dataclass(frozen=True)

@@ -539,7 +539,7 @@ class TestRun:
 
     @pytest.mark.parametrize("block_bytes", [None, 4 * 3 * 8 * 32], ids=["default", "four"])
     def test_blocks_equal_the_record_by_record_composition(self, monkeypatch, block_bytes):
-        # 201 records: more than one block, and a multiple neither of the 85
+        # 201 records: more than one block, and a multiple neither of the 42
         # records per block of the 32-cell grid nor of 4
         from revreact import solver as solver_mod
 
@@ -577,6 +577,7 @@ class TestRun:
         # is bad, and the step to record 60, in the same block, raises
         from revreact import solver as solver_mod
 
+        monkeypatch.setattr(solver_mod, "BLOCK_BYTES", 85 * 3 * 8 * 32)
         grid, params, cfg, f0 = self.make_run()
         assert solver_mod.block_records(grid) > 60
         t_bad, t_step = (i * cfg.record_every * cfg.dt for i in (40, 60))
