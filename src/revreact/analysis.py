@@ -21,6 +21,7 @@ from .errors import (
     InvalidSampling,
     MissingDiagnostic,
     NonDecaying,
+    UnresolvedFit,
 )
 
 __all__ = [
@@ -86,7 +87,9 @@ def fit_subexponential(times, e_rel_values) -> DecayFit:
     least 10 must remain.  For each alpha on [0.05, 1.5] step 0.01 the
     straight line ln E = ln S1 - S2 * (1+t)**alpha is fitted; the alpha
     with the smallest rms residual and S2 > 0 wins.  S1 is then inflated
-    so the envelope holds at every fitted sample.
+    so the envelope holds at every fitted sample.  A winner at the lower
+    edge 0.05, where a power law or too short a window puts it, raises
+    UnresolvedFit: it is no fitted exponent.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(e_rel_values, dtype=float)
@@ -122,6 +125,9 @@ def fit_subexponential(times, e_rel_values) -> DecayFit:
     if best is None:
         raise NonDecaying("no decaying envelope found (best fit has S2 <= 0)")
     rms, alpha, intercept, slope = best
+    if alpha == _ALPHA_GRID[0]:
+        raise UnresolvedFit(f"fit unresolved: the best exponent alpha = {alpha} is the lower "
+                            f"edge of the searched range [{alpha}, {_ALPHA_GRID[-1]}]")
     s2 = -slope
     z = (1.0 + t) ** alpha
     s1 = float(np.max(e * np.exp(s2 * z)))  # envelope property by construction

@@ -37,6 +37,10 @@ class NonDecaying(RevReactError):
     """Decay fit requested but the series does not decay."""
 
 
+class UnresolvedFit(RevReactError):
+    """Decay fit requested but its best exponent is the lowest one searched."""
+
+
 class InvalidSampling(RevReactError):
     """Trajectory samples are not uniformly spaced in time."""
 

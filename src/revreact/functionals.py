@@ -71,10 +71,11 @@ class RunningIntegrals:
     int_b2bc: float = 0.0
 
     def update(self, t: float, fa: float, fb: float) -> None:
-        if self.t_prev is not None:
-            dt = t - self.t_prev
-            self.int_a2ac += 0.5 * dt * (self.fa_prev + fa)
-            self.int_b2bc += 0.5 * dt * (self.fb_prev + fb)
+        # the first sample adds a trapezoid of width 0: 0 for a finite
+        # integrand, NaN for an overflowed one, as later samples show it
+        dt = 0.0 if self.t_prev is None else t - self.t_prev
+        self.int_a2ac += 0.5 * dt * (self.fa_prev + fa)
+        self.int_b2bc += 0.5 * dt * (self.fb_prev + fb)
         self.t_prev = t
         self.fa_prev = fa
         self.fb_prev = fb

@@ -8,8 +8,9 @@ eigenvectors are the cosine modes and its eigenvalues neumann_eigenvalues;
 the solver applies its exact heat flow from those, so nothing in the
 package evaluates L itself.
 
-SpeciesFields is the one check that a state is finite and strictly
-positive.  The grid operators do not check their input: on non-finite data
+positive_stacks is the one rule that a state is finite and strictly
+positive; SpeciesFields and run's check of a block of record states both
+apply it.  The grid operators do not check their input: on non-finite data
 they return non-finite results, which the caller that records them checks.
 """
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .model import DomainSpec
 __all__ = [
     "Grid",
     "SpeciesFields",
+    "positive_stacks",
     "neumann_eigenvalues",
     "integrate",
     "row_integrals",
@@ -107,8 +109,8 @@ class SpeciesFields:
     The constructor copies a, b and c into a new stack; from_stack wraps
     an existing stack as a read-only view, which shares memory with it, so
     its owner must leave it unchanged.  Either way the stack is checked
-    once, by one finiteness and one positivity reduction over all three
-    rows; the error of a failed check names the first offending species.
+    once, by positive_stacks; the error of a failed check names the first
+    offending species.
     Attributes cannot be reassigned and the arrays cannot be written
     through the instance.  Functionals of a SpeciesFields do not check it
     again.
@@ -156,15 +158,10 @@ class SpeciesFields:
 
 
 def _hold(fields: SpeciesFields, u: np.ndarray) -> None:
-    """Check the stack u (a view or array the instance owns) and store it
-    read-only as fields.stack.
-
-    min > 0 fails for a zero, a negative entry or NaN, and max < inf for
-    +inf or NaN, so together they pass exactly the finite, strictly
-    positive stacks; only on failure are the rows checked one by one, to
-    name the first offending species.
-    """
-    if not (u.min() > 0.0 and u.max() < math.inf):
+    """Check the stack u (a view or array the instance owns) by
+    positive_stacks and store it read-only as fields.stack; only on failure
+    are the rows checked one by one, to name the first offending species."""
+    if not positive_stacks(u):
         for name, row in zip("abc", u):
             if not np.all(np.isfinite(row)):
                 raise InvalidField(f"field {name} contains non-finite entries")
@@ -172,6 +169,15 @@ def _hold(fields: SpeciesFields, u: np.ndarray) -> None:
                 raise NotPositive(f"field {name} must be strictly positive")
     u.flags.writeable = False
     object.__setattr__(fields, "stack", u)
+
+
+def positive_stacks(u: np.ndarray, lead: int = 0):
+    """Whether each (3, *cells) stack of the (*leading, 3, *cells) array u,
+    with lead leading axes, is finite and strictly positive, as a bool array
+    of the leading shape: min > 0 fails for a zero, a negative entry or
+    NaN, and max < inf for +inf or NaN."""
+    stack = tuple(range(lead, u.ndim))
+    return (u.min(axis=stack) > 0.0) & (u.max(axis=stack) < math.inf)
 
 
 def neumann_eigenvalues(n: int, h: float) -> np.ndarray:

@@ -37,21 +37,23 @@ same operands and operation order as the allocating entry points
 DiffusionSemigroup.apply and reaction_substep, which run the same calls
 on new arrays.  advance is the first state of such an iterator.
 
-run records in blocks (block_records).  Its arrays live as follows: the
-(B, 3, *cells) block of record states for the whole run, reused by every
-block; the state and work block of one records iterator while it fills
-one block, freed before that block is sampled; the work arrays of one
-functionals.sample call, each at most about the size of the block,
-about three at once; the columns of the Trajectory, preallocated, one
-float64 per record each; and the final fields, a copy of the last state.
+run records in blocks (block_records), stepping and sampling under
+np.errstate(all="ignore"): a step or a sample that overflows or divides
+0 by 0 leaves a NaN, an inf or a non-positive value in its record, which
+grid.positive_stacks or the finiteness check of the sample finds.  Its
+arrays live as follows: the (B, 3, *cells) block of record states
+for the whole run, reused by every block; the state and work block of
+one records iterator while it fills one block, freed before that block
+is sampled; the work arrays of one functionals.sample call, each at most
+about the size of the block, about three at once; the columns of the
+Trajectory, preallocated, one float64 per record each; and the final
+fields, a copy of the last state.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
 
-import contextlib
-import dataclasses
 import math
 import time
 
@@ -60,7 +62,7 @@ import scipy.fft
 
 from . import functionals
 from .errors import InvalidArgument, InvalidField, InvalidMass, NotPositive, NumericalBlowup
-from .grid import Grid, SpeciesFields, neumann_eigenvalues
+from .grid import Grid, SpeciesFields, neumann_eigenvalues, positive_stacks
 from .model import ModelParams, conserved_masses, equilibrium_state
 
 __all__ = [
@@ -398,6 +400,11 @@ class StrangStepper:
             yield state
 
 
+def _leading_true(flags: np.ndarray) -> int:
+    """The number of True entries of the 1-d flags before its first False."""
+    return int(np.argmin(np.append(flags, False)))
+
+
 def block_records(grid: Grid) -> int:
     """Records per block on grid: as many (3, *cells) states as fit in
     BLOCK_BYTES, at least one."""
@@ -415,60 +422,29 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
     The records are taken in blocks of block_records(grid) states, the
     first of which starts with the initial state.  One
     StrangStepper.records iterator per block, its calls bound once, fills
-    the (B, 3, *cells) block array that every block reuses; one min and
-    one max reduction check the block, and one functionals.sample call
-    evaluates it into the columns of the trajectory.  While a block is
-    sampled, the iterator's state and work block are freed.  The final
-    fields are a copy of the last state.
+    the (B, 3, *cells) block array that every block reuses; one
+    grid.positive_stacks call checks the block's states, and one
+    functionals.sample call evaluates those before the first that fails
+    into the columns of the trajectory.  While a block is sampled, the
+    iterator's state and work block are freed.  The final fields are a
+    copy of the last state.
 
-    Raises NumericalBlowup (with the offending time) if that reference is
-    not finite with positive components (t = 0), if evaluating it, a step
-    or a record divides by zero, overflows or makes an invalid value (t of
-    the next record), if a recorded state is not finite and positive, or if
-    any value of a recorded sample is not finite.  The records a block
-    holds before a step that raises are recorded first.  A block that
-    fails its check or its sample is evaluated again one record at a
-    time, in time order, each as a SpeciesFields and a sample of its own,
-    so the earliest failure is the one reported.
+    numpy's floating-point errors are ignored: a reference, state or
+    sample that leaves the positive orthant (a and b rounded to 0 at huge
+    masses) or the range of doubles holds a NaN, an inf or a non-positive
+    value.  Raises NumericalBlowup (with the offending time) if the
+    reference's masses or components are not finite and positive (t = 0),
+    or at the earliest record whose state fails positive_stacks (naming
+    the species) or, before it, whose sample has a non-finite value.
     """
     stepper = StrangStepper(params, cfg.dt, grid)
     running = functionals.RunningIntegrals()
     times = [step * cfg.dt for step in range(0, cfg.n_steps + 1, cfg.record_every)]
     traj = Trajectory({name: np.empty(len(times)) for name in functionals.CSV_COLUMNS})
     block = np.empty((min(block_records(grid), len(times)),) + initial.stack.shape)
-
-    def store(start, s):
-        stop = start + np.size(s["t"])
-        for name, column in traj.columns.items():
-            column[start:stop] = s[name]
-
-    def record(start, u):
-        """Sample the states u, the records from index start on, in one
-        call; if the block fails, one record at a time."""
-        nonlocal running, t
-        kept = dataclasses.replace(running)
-        with contextlib.suppress(FloatingPointError):
-            if u.min() > 0.0 and u.max() < math.inf:
-                traj.sample_calls += 1
-                s = functionals.sample(u, times[start:start + len(u)], eq, params, grid, running)
-                if np.isfinite(list(s.values())).all():
-                    store(start, s)
-                    return
-        running = kept
-        for i, state in enumerate(u, start):
-            t = times[i]
-            traj.sample_calls += 1
-            s = functionals.sample(SpeciesFields.from_stack(state), t, eq, params, grid, running)
-            if not all(map(math.isfinite, s.values())):
-                raise NumericalBlowup(f"non-finite functional at t = {t}", t=t)
-            store(i, s)
-
     t = 0.0
-    # a 0/0, inf-inf or overflow means the state has left the positive
-    # orthant (a and b rounded to 0 at huge masses) or the range of doubles
-    # (huge data or a huge box): raise, not warn
     try:
-        with np.errstate(divide="raise", invalid="raise", over="raise"):
+        with np.errstate(all="ignore"):
             eq = equilibrium_state(*conserved_masses(initial, grid))
             if not all(math.isfinite(r) and r > 0.0 for r in (eq.a_inf, eq.b_inf, eq.c_inf)):
                 raise NumericalBlowup(f"equilibrium ({eq.a_inf}, {eq.b_inf}, {eq.c_inf}) is "
@@ -477,28 +453,33 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
             done, filled = 0, 1  # records sampled; rows of the block already filled
             while done < len(times):
                 rows = block[:min(len(block), len(times) - done)]
-                error = None
                 started = time.perf_counter()
                 # the last state sampled is the last row of the previous,
                 # full block, or the initial state in row 0
                 states = stepper.records(block[filled - 1], cfg.record_every)
                 for i in range(filled, len(rows)):
-                    try:
-                        rows[i] = next(states)
-                    except FloatingPointError as exc:
-                        error, rows = exc, rows[:i]
-                        break
+                    rows[i] = next(states)
                 del states  # its state and work block, before the block is sampled
                 traj.step_s += time.perf_counter() - started
-                if len(rows):
-                    started = time.perf_counter()
-                    record(done, rows)
-                    traj.sample_s += time.perf_counter() - started
+                started = time.perf_counter()
+                good = _leading_true(positive_stacks(rows, 1))
+                if good:
+                    traj.sample_calls += 1
+                    s = functionals.sample(rows[:good], times[done:done + good], eq, params,
+                                           grid, running)
+                    finite = _leading_true(np.isfinite(list(s.values())).all(axis=0))
+                    if finite < good:
+                        t = times[done + finite]
+                        raise NumericalBlowup(f"non-finite functional at t = {t}", t=t)
+                    for name, column in traj.columns.items():
+                        column[done:done + good] = s[name]
+                traj.sample_s += time.perf_counter() - started
+                if good < len(rows):
+                    t = times[done + good]
+                    SpeciesFields.from_stack(rows[good])  # raises, naming the species
                 done, filled = done + len(rows), 0
-                if error is not None:
-                    t = times[done]
-                    raise error
-    except (FloatingPointError, InvalidMass, InvalidField, NotPositive) as exc:
+    except (InvalidMass, InvalidField, NotPositive) as exc:
         raise NumericalBlowup(f"{exc} at t = {t}", t=t) from exc
     traj.final_fields = SpeciesFields.from_stack(rows[-1].copy())
     return traj
+

@@ -19,6 +19,7 @@ from revreact.errors import (
     InvalidSampling,
     MissingDiagnostic,
     NonDecaying,
+    UnresolvedFit,
 )
 from revreact.functionals import CSV_COLUMNS
 
@@ -45,6 +46,13 @@ class TestFitSubexponential:
         t = np.linspace(0.0, 5.0, 60)
         with pytest.raises(NonDecaying):
             fit_subexponential(t, np.full(60, 0.25))
+
+    def test_power_law_is_unresolved(self):
+        # (1+t)**-2 is the alpha -> 0 limit of the envelope family: the best
+        # alpha is the lowest one searched, which is no fitted exponent
+        t = np.linspace(0.0, 20.0, 201)
+        with pytest.raises(UnresolvedFit, match="alpha = 0.05 is the lower edge"):
+            fit_subexponential(t, (1.0 + t) ** -2.0)
 
     def test_floor_series_already_converged(self):
         t = np.linspace(0.0, 5.0, 60)

@@ -357,6 +357,20 @@ class TestCmdAnalyze:
         with open(os.path.join(out, "summary.json")) as fh:
             assert json.load(fh)["dissipation_violations"] == 0
 
+    def test_short_run_fit_is_unresolved_not_a_fitted_exponent(self, tmp_path, capsys):
+        # over t in [0, 1], (1+t)**0.05 spans 1 to 1.035: the best alpha is
+        # the lowest searched, which the report gives as no fit at all
+        out = str(tmp_path / "run")
+        assert cmd_run(parse_config(FAST.format(out=out))) == 0
+        assert main(["analyze", os.path.join(out, "timeseries.csv"), "--mode", "dc0",
+                     "--dim", "1"]) == 1
+        report = capsys.readouterr().out
+        assert "decay fit: FAIL (fit unresolved: the best exponent alpha = 0.05 is" in report
+        assert "decay fit: alpha" not in report
+        assert "overall: FAIL" in report
+        with open(os.path.join(out, "summary.json")) as fh:
+            assert "unresolved" in json.load(fh)["fit"]["error"]
+
     @pytest.mark.parametrize("mode, dim", [("db0", 1), ("full", 1), ("dc0", 3), ("dc0", 2)])
     def test_mode_or_dim_contradicting_the_run_exits_2(self, tmp_path, capsys, mode, dim):
         out = str(tmp_path / "run")

@@ -5,7 +5,7 @@ import pytest
 
 from revreact.errors import InvalidArgument, NumericalBlowup
 from revreact.functionals import CSV_COLUMNS, RunningIntegrals, sample
-from revreact.grid import Grid, SpeciesFields, integrate, neumann_eigenvalues
+from revreact.grid import Grid, SpeciesFields, integrate, neumann_eigenvalues, positive_stacks
 from revreact.model import DomainSpec, ModelParams, conserved_masses, equilibrium_state
 from revreact.solver import (
     KERNEL_MAX_CELLS,
@@ -570,17 +570,20 @@ class TestRun:
         assert owner.nbytes == u.nbytes
 
     @pytest.mark.parametrize("bad, step_fails", [
-        ("sample", False), ("sample", True), ("state", False), ("state", True), (None, True)])
+        ("sample", False), ("sample", True), ("state", False), ("state", True), (None, True),
+        ("block_start", False)])
     def test_blowup_inside_a_block_reports_the_earliest_failure(self, monkeypatch, bad,
                                                                  step_fails):
         # make_run's 101 records fill a block of 85 and one of 16: record 40
-        # is bad, and the step to record 60, in the same block, raises
+        # is bad, and the step to record 60, in the same block, leaves a NaN;
+        # record 85, bad in the block_start case, is row 0 of the second
+        # block, so no record of that block comes before it
         from revreact import solver as solver_mod
 
         monkeypatch.setattr(solver_mod, "BLOCK_BYTES", 85 * 3 * 8 * 32)
         grid, params, cfg, f0 = self.make_run()
         assert solver_mod.block_records(grid) > 60
-        t_bad, t_step = (i * cfg.record_every * cfg.dt for i in (40, 60))
+        t_bad, t_step, t_start = (i * cfg.record_every * cfg.dt for i in (40, 60, 85))
         real_sample = solver_mod.functionals.sample
         real_records = StrangStepper.records
         made = []
@@ -595,8 +598,9 @@ class TestRun:
             for state in real_records(stepper, u, n_steps):
                 made.append(state)
                 if step_fails and len(made) == 60:
-                    raise FloatingPointError("overflow encountered in multiply")
-                if bad == "state" and len(made) == 40:
+                    state = state.copy()
+                    state[1, 5] = np.nan
+                if bad == "state" and len(made) == 40 or bad == "block_start" and len(made) == 85:
                     state = state.copy()
                     state[1, 5] = -1.0
                 yield state
@@ -607,9 +611,37 @@ class TestRun:
             run(f0, params, grid, cfg)
         expected = {"sample": f"non-finite functional at t = {t_bad}",
                     "state": f"field b must be strictly positive at t = {t_bad}",
-                    None: f"overflow encountered in multiply at t = {t_step}"}[bad]
-        assert exc_info.value.t == (t_step if bad is None else t_bad)
+                    "block_start": f"field b must be strictly positive at t = {t_start}",
+                    None: f"field b contains non-finite entries at t = {t_step}"}[bad]
+        assert exc_info.value.t == {"block_start": t_start, None: t_step}.get(bad, t_bad)
         assert str(exc_info.value) == expected
+
+    def test_floating_point_settings_are_left_as_found(self):
+        # run ignores numpy's floating-point errors only while it runs, both
+        # when it returns and when it raises at t = 0 (masses 1e308 overflow)
+        # or later (a and b round to 0 at masses 1e32)
+        grid, params, cfg, f0 = self.make_run(t_end=0.1)
+        settings = {"divide": "raise", "over": "warn", "under": "ignore", "invalid": "print"}
+        with np.errstate(**settings):
+            run(f0, params, grid, cfg)
+            assert np.geterr() == settings
+            for huge, t in ((1e308, 0.0), (1e32, 0.01)):
+                with pytest.raises(NumericalBlowup) as exc_info:
+                    run(SpeciesFields.uniform(grid, huge, huge, huge), params, grid, cfg)
+                assert exc_info.value.t == t
+                assert np.geterr() == settings
+
+    def test_an_overflowing_first_integrand_is_a_blowup_at_t0(self):
+        # a * a overflows where a peaks above 1.34e154, and at t = 0 only in
+        # the integrand of int_a2ac: the first record's trapezoid of width 0
+        # turns it into a NaN there, so the run ends at the first record
+        grid, params, cfg, _ = self.make_run(t_end=0.1)
+        a = 8e153 * (1.0 + 0.9 * np.cos(2 * np.pi * grid.axis_coordinates(0)))
+        f0 = SpeciesFields(a, np.full_like(a, 1e-3), np.full_like(a, 1e-3))
+        with pytest.raises(NumericalBlowup) as exc_info:
+            run(f0, params, grid, cfg)
+        assert exc_info.value.t == 0.0
+        assert str(exc_info.value) == "non-finite functional at t = 0.0"
 
     def test_blowup_reported_with_time(self, monkeypatch):
         from revreact import solver as solver_mod
@@ -626,3 +658,73 @@ class TestRun:
         with pytest.raises(NumericalBlowup) as exc_info:
             run(f0, params, grid, cfg)
         assert exc_info.value.t is not None and exc_info.value.t > 0.05
+
+
+class TestFailurePremise:
+    """run finds every failure from the values it records, with numpy's
+    floating-point errors ignored.  That rests on two facts, checked here
+    on seeded states of extreme magnitude, where numpy's traps on division
+    by zero, overflow and invalid values fire: steps that trap leave a
+    record state that fails the positivity rule, and a sample that traps
+    on a record leaves a non-finite value in its row.
+    The converse of the second fact need not hold, and run needs it not:
+    ckp_lhs is Python float arithmetic, which overflows without a trap,
+    and the running integrals carry a non-finite value to later rows."""
+
+    TRAPS = {"divide": "raise", "over": "raise", "invalid": "raise", "under": "ignore"}
+
+    @staticmethod
+    def extreme(rng, shape, n_cells, low, high, spread):
+        """Positive states of shape (..., 3, *cells): each state at a scale
+        of 10**low to 10**high, each species within spread decades of it
+        and each cell within three decades of its species."""
+        lead = shape[:len(shape) - n_cells - 1]
+        scale = 10.0 ** (rng.uniform(low, high, size=lead + (1,))
+                         + rng.uniform(-spread, spread, size=lead + (3,)))
+        return scale.reshape(lead + (3,) + (1,) * n_cells) * 10.0 ** rng.uniform(
+            -3.0, 3.0, size=shape)
+
+    @pytest.mark.parametrize("cells, lengths", [
+        ((24,), (1.0,)), ((KERNEL_MAX_CELLS + 8,), (3.0,)), ((6, 5), (1.0, 0.5)),
+        ((4, 3, 3), (2.0, 1.0, 1.0))], ids=["1d", "1d_long", "2d", "3d"])
+    @pytest.mark.parametrize("d", [(1.0, 1.0, 0.0), (1.0, 0.0, 1.0), (0.3, 0.7, 0.2)],
+                             ids=["dc0", "db0", "full"])
+    def test_a_trap_leaves_a_value_the_run_rejects(self, cells, lengths, d):
+        rng = np.random.default_rng(7)
+        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        params = ModelParams(*d)
+        seen = {"trapped": 0, "valid": 0}
+        for dt in (1e-3, 0.3):
+            stepper = StrangStepper(params, dt, grid)
+            for _ in range(15):
+                u = self.extreme(rng, (3,) + cells, len(cells), -20.0, 30.0, 130.0)
+                k = int(rng.integers(1, 4))
+                with np.errstate(all="ignore"):
+                    valid = bool(positive_stacks(stepper.advance(u, k)))
+                try:
+                    with np.errstate(**self.TRAPS):
+                        stepper.advance(u, k)
+                except FloatingPointError:
+                    assert not valid, (dt, k)
+                    seen["trapped"] += 1
+                seen["valid"] += valid
+        assert min(seen.values()) > 0, seen
+
+        seen = {"trapped": 0, "finite": 0}
+        times = np.arange(4) * 0.1
+        for _ in range(6):
+            block = self.extreme(rng, (4, 3) + cells, len(cells), -5.0, 150.0, 3.0)
+            eq = equilibrium_state(*(10.0 ** rng.uniform(-3.0, 3.0, size=2)).tolist())
+            with np.errstate(all="ignore"):
+                s = sample(block, times, eq, params, grid, RunningIntegrals())
+            finite = np.isfinite(list(s.values())).all(axis=0)
+            for i in range(len(block)):
+                try:
+                    with np.errstate(**self.TRAPS):
+                        sample(block[i:i + 1], times[i:i + 1], eq, params, grid,
+                               RunningIntegrals())
+                except FloatingPointError:
+                    assert not finite[i], i
+                    seen["trapped"] += 1
+            seen["finite"] += int(finite.sum())
+        assert min(seen.values()) > 0, seen
