@@ -6,7 +6,10 @@ sample is the one evaluator: it records them all as one dict keyed by
 CSV_COLUMNS, the names of the timeseries.csv columns, in that order, with
 one float64 array per column and one entry per record.  A single
 snapshot, the (3, *cells) stack of a SpeciesFields, is the block of one
-record and runs the same calls; its columns are Python floats.  sample
+record and runs the same calls; its columns are Python floats.  The
+equilibrium reference is one per block (the records of a run) or one
+per record (an ensemble of fields, each against its own masses), and
+one reference is the broadcast case of one per record.  sample
 makes one pass over the block for each ingredient shared by the species:
 the masses, the square roots, the deviations, the L1 distances, the
 Dirichlet energies of the diffusing species and the L^(3/2) norms of a
@@ -21,8 +24,9 @@ is bit-identical to evaluating its records, and their species, one at a
 time.  ckp_violation and bound_violation, with
 dissipation_bound_rhs, are the one judge of recorded samples.  The
 functionals take states already checked to be finite and strictly
-positive, by the SpeciesFields constructor or by run's check of a block,
-and do not check them again.
+positive, by the SpeciesFields constructor or by positive_stacks on a
+block (run's records, verify's random fields), and do not check them
+again.
 
 Nonnegativity of the entropy-type quantities is structural: the entropy
 and the relative entropy integrate one log1p density
@@ -32,12 +36,14 @@ same-sign factors.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import math
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .grid import (Grid, SpeciesFields, deviations_l2, dirichlet_energies, lp_norms,
                    row_integrals)
 from .model import EquilibriumState, ModelParams, conserved_masses
@@ -94,13 +100,26 @@ CSV_COLUMNS = (
 )
 
 
+#: -(1 - 2**-53), the double next above -1: its log1p is ln(2**-53), about
+#: -36.7, where log1p(-1) is -inf and a division by zero
+_ABOVE_MINUS_ONE = math.nextafter(-1.0, 0.0)
+
+
 def _kl_density(u, ref):
     """u*ln(u/ref) - u + ref, evaluated cancellation-free via log1p as
     ref*((1+x)*log1p(x) - x) with x = (u-ref)/ref, elementwise over u and
-    ref broadcast together, updating its work arrays in place."""
+    ref broadcast together, updating its work arrays in place.
+
+    Where u is below about 1e-16 of ref, x rounds to -1, where
+    (1+x)*log1p(x) would be 0*(-inf) = NaN; the density there is ref
+    within u*ln(ref/u) < 4e-15*ref.  Taking log1p of max(x, _ABOVE_MINUS_ONE)
+    gives exactly those cells ref, with no division by zero, and leaves
+    every other x, each at least _ABOVE_MINUS_ONE, and an overflowed u
+    (x = inf, a NaN density) as they are."""
     x = u - ref
     x /= ref
-    out = np.log1p(x)
+    out = np.maximum(x, _ABOVE_MINUS_ONE)
+    np.log1p(out, out=out)
     out *= 1.0 + x
     out -= x
     out *= ref
@@ -109,8 +128,9 @@ def _kl_density(u, ref):
 
 def _kl_integrals(u, refs, grid: Grid) -> np.ndarray:
     """int sum_u _kl_density(u, ref_u) over a, b and c, for each state of
-    the (B, 3, *cells) block u and each row (ref_a, ref_b, ref_c) of refs:
-    a (B, len(refs)) array.
+    the (B, 3, *cells) block u and each row (ref_a, ref_b, ref_c) of its
+    references refs, a (B or 1, R, 3) array whose leading axis is
+    broadcast against the block: a (B, R) array.
 
     One density pass per species evaluates it against every reference at
     once.  Passes over the whole (B, refs, 3, *cells) block would be
@@ -118,21 +138,28 @@ def _kl_integrals(u, refs, grid: Grid) -> np.ndarray:
     mmap threshold: the heap is trimmed and faulted in again on every
     call, and the peak memory of a record grows by more than they save.
     """
-    refs = np.reshape(refs, (-1, 3) + (1,) * len(grid.cells))
-    total = _kl_density(u[:, None, 0], refs[:, 0])
-    total += _kl_density(u[:, None, 1], refs[:, 1])
-    total += _kl_density(u[:, None, 2], refs[:, 2])
+    refs = np.reshape(refs, refs.shape + (1,) * len(grid.cells))
+    total = _kl_density(u[:, None, 0], refs[:, :, 0])
+    total += _kl_density(u[:, None, 1], refs[:, :, 1])
+    total += _kl_density(u[:, None, 2], refs[:, :, 2])
     return row_integrals(total, grid)
 
 
 def reaction_production(a, b, c):
     """Pointwise (ab-c)*ln(ab/c), evaluated as w*log1p(w/c) with w = ab - c.
 
-    With c > 0, w/c > -1, so the logarithm is finite and shares the sign of
-    w: the product is nonnegative cellwise, and 0 exactly where ab == c.
+    With c > 0, w/c > -1, so the logarithm shares the sign of w: the
+    product is nonnegative cellwise, and 0 exactly where ab == c.  Where ab
+    is below about 1e-16 of c, w/c rounds to -1, whose log1p is -inf,
+    although ln(ab/c) is finite; those cells, and only those, take it as
+    ln(a) + ln(b) - ln(c), which neither underflows nor overflows.
     """
     w = a * b - c
-    return w * np.log1p(w / c)
+    ratio = w / c
+    if np.min(ratio) > -1.0:
+        return w * np.log1p(ratio)
+    return w * np.where(ratio == -1.0, np.log(a) + np.log(b) - np.log(c),
+                        np.log1p(np.maximum(ratio, _ABOVE_MINUS_ONE)))
 
 
 #: the rows of the species stack that diffuse in each mode, as basic
@@ -211,8 +238,8 @@ def _excess(small, large, m1, m2, volume):
     return excess if excess.ndim else float(excess)
 
 
-def sample(states, t, eq: EquilibriumState, params: ModelParams, grid: Grid,
-           running: RunningIntegrals | None = None) -> dict:
+def sample(states, t, eq: EquilibriumState | Sequence[EquilibriumState], params: ModelParams,
+           grid: Grid, running: RunningIntegrals | None = None) -> dict:
     """Every recorded functional of a block of states, keyed by
     CSV_COLUMNS in that order, each evaluated for all records and species
     at once.
@@ -220,7 +247,13 @@ def sample(states, t, eq: EquilibriumState, params: ModelParams, grid: Grid,
     states is a (B, 3, *cells) array of B checked states at the B times t,
     in time order, or the SpeciesFields of one snapshot at the time t.
     Each column holds one value per record: a float64 array for a block,
-    a Python float for the scalar t of one snapshot.
+    a Python float for the scalar t of one snapshot.  eq is the
+    equilibrium reference of E_rel, the L1 distances and ckp_lhs: one
+    EquilibriumState for the whole block, or a sequence of B of them, one
+    per record, as for an ensemble of fields each against the equilibrium
+    of its own masses; a sequence of another length raises
+    InvalidArgument.  Either way record i comes out bit for bit as it does
+    sampled alone against its reference.
 
     The box is grid.domain: its volume |Omega| enters M1, M2 and ckp_lhs,
     its dimension the exponent of b_lN2.  Updates the running
@@ -234,18 +267,28 @@ def sample(states, t, eq: EquilibriumState, params: ModelParams, grid: Grid,
     if isinstance(states, SpeciesFields):
         states = states.stack
     u = states.reshape((t.size, 3) + grid.cells)
-    refs = (eq.a_inf, eq.b_inf, eq.c_inf)
+    if isinstance(eq, EquilibriumState):
+        eqs = [eq]
+    else:
+        eqs = list(eq)
+        if len(eqs) != t.size:
+            raise InvalidArgument(f"{len(eqs)} equilibrium references for {t.size} records")
+    # the references of each record, a (B or 1, 2, 3) array: (1, 1, 1) for
+    # E and (a_inf, b_inf, c_inf) for E_rel and the L1 distances; one
+    # reference for the block is its broadcast case
+    refs = np.array([((1.0, 1.0, 1.0), (e.a_inf, e.b_inf, e.c_inf)) for e in eqs])
     # one pass over the block per ingredient, read back as one row of
     # Python floats per record: the conserved masses, the integrals of the
     # two entropy densities and of the integrands a*a + a*c and b*b + b*c
     # of the running integrals, and the L1 distances and Lp norms
     masses = conserved_masses(u, grid).tolist()
-    entropies = _kl_integrals(u, ((1.0, 1.0, 1.0), refs), grid).tolist()
+    entropies = _kl_integrals(u, refs, grid).tolist()
     devs, defects, energies, productions = _sqrt_terms(u, params, grid)
     w = u[:, :2] * u[:, :2]
     w += u[:, :2] * u[:, 2:]
     integrands = row_integrals(w, grid).tolist()
-    l1 = lp_norms(u - np.reshape(refs, (3,) + (1,) * len(grid.cells)), 1.0, grid).tolist()
+    l1 = lp_norms(u - np.reshape(refs[:, 1], (-1, 3) + (1,) * len(grid.cells)), 1.0,
+                  grid).tolist()
     l32 = lp_norms(u[:, :2], 1.5, grid).tolist()
     p_n2 = max(1.0, grid.domain.dimension / 2.0)  # 3/2 in three dimensions
     b_ln2 = [b for _, b in l32] if p_n2 == 1.5 else lp_norms(u[:, 1], p_n2, grid).tolist()
@@ -255,7 +298,8 @@ def sample(states, t, eq: EquilibriumState, params: ModelParams, grid: Grid,
     # one row of CSV_COLUMNS values per record
     diffusivities = [d for d in params.diffusivities() if d > 0.0]
     rows = []
-    for i, time in enumerate(t.ravel().tolist()):
+    for i, (time, ref) in enumerate(zip(t.ravel().tolist(),
+                                        eqs if len(eqs) == t.size else eqs * t.size)):
         m1, m2 = masses[i]
         diss = 0.0
         for d, energy in zip(diffusivities, energies[i]):
@@ -269,9 +313,9 @@ def sample(states, t, eq: EquilibriumState, params: ModelParams, grid: Grid,
         l1a, l1b, l1c = l1[i]
         # the CKP bound kappa*|Omega|*(l1_a^2/(2 M1) + l1_b^2/(2 M2) + l1_c^2/(M1+M2))
         ckp_lhs = CKP_PREFACTOR * grid.domain.volume * (
-            l1a * l1a / (2.0 * eq.M1)
-            + l1b * l1b / (2.0 * eq.M2)
-            + l1c * l1c / (eq.M1 + eq.M2)
+            l1a * l1a / (2.0 * ref.M1)
+            + l1b * l1b / (2.0 * ref.M2)
+            + l1c * l1c / (ref.M1 + ref.M2)
         )
         a_l32, b_l32 = l32[i]
         dev_a, dev_b, dev_c = devs[i]

@@ -141,3 +141,24 @@ def backward_euler(u, d, dt, grid):
     lap = neumann_matrix(grid)
     m = np.eye(lap.shape[0]) - dt * d * lap
     return np.linalg.solve(m, np.ravel(u)).reshape(np.shape(u))
+
+
+def inequality_rows_per_field(rng, grid, modes):
+    """The rows (E_rel, ckp_lhs, D, rhs, M1, M2) of verify's inequality
+    ensemble as one loop computes them, field by field: a, b and c drawn
+    one after another, each field checked by SpeciesFields and sampled
+    alone against the equilibrium of its own masses, in mode i % 3."""
+    from revreact.functionals import dissipation_bound_rhs, sample
+    from revreact.grid import SpeciesFields
+    from revreact.model import conserved_masses, equilibrium_state
+
+    rows = np.empty((1000, 6))
+    for i in range(1000):
+        f = SpeciesFields(*(rng.uniform(0.2, 3.0, size=grid.cells) for _ in range(3)))
+        eq = equilibrium_state(*conserved_masses(f, grid))
+        params = modes[i % 3]
+        s = sample(f, 0.0, eq, params, grid)
+        rhs = dissipation_bound_rhs((s["dev_A2"], s["dev_B2"], s["dev_C2"]), s["abc_defect"],
+                                    params.diffusivities(), grid.poincare_constant)
+        rows[i] = s["E_rel"], s["ckp_lhs"], s["D"], rhs, s["M1"], s["M2"]
+    return rows

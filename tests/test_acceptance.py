@@ -19,10 +19,10 @@ from revreact.functionals import (
     dissipation_bound_rhs,
     sample,
 )
-from revreact.grid import Grid, SpeciesFields, integrate
+from revreact.grid import Grid, SpeciesFields, integrate, positive_stacks
 from revreact.model import DomainSpec, ModelParams, conserved_masses, equilibrium_state
 from revreact.solver import StrangStepper
-from conftest import box_poincare_constant, laplacian_neumann, random_fields
+from conftest import box_poincare_constant, laplacian_neumann
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -146,18 +146,20 @@ class TestAcceptance:
             ckp, diss = violations(cols, r.params.diffusivities(), r.domain)
             ckp_bad += ckp
             diss_bad += diss
-        # 1000 random positive field ensembles, 333 or 334 per mode
+        # 1000 random positive field ensembles, 333 or 334 per mode: the
+        # fields conftest.random_fields draws one by one, drawn as one
+        # block, each sampled against the equilibrium of its own masses,
+        # with one sample call per mode
         dom = DomainSpec.box([1.0])
         grid = Grid.for_domain(dom, [128])
         modes = (ModelParams(1.0, 0.0, 1.0), ModelParams(1.0, 1.0, 0.0),
                  ModelParams(1.0, 0.5, 0.8))
-        by_mode = [[] for _ in modes]
-        for i in range(1000):
-            f = random_fields(rng, grid)
-            eq = equilibrium_state(*conserved_masses(f, grid))
-            by_mode[i % 3].append(sample(f, 0.0, eq, modes[i % 3], grid))
-        for params, samples in zip(modes, by_mode):
-            cols = {k: np.array([s[k] for s in samples]) for k in CSV_COLUMNS}
+        u = rng.uniform(0.2, 3.0, size=(1000, 3) + grid.cells)
+        assert positive_stacks(u, 1).all()
+        eqs = [equilibrium_state(m1, m2) for m1, m2 in conserved_masses(u, grid).tolist()]
+        for k, params in enumerate(modes):
+            members = slice(k, None, len(modes))
+            cols = sample(u[members], np.zeros(len(eqs[members])), eqs[members], params, grid)
             ckp, diss = violations(cols, params.diffusivities(), dom)
             ckp_bad += ckp
             diss_bad += diss

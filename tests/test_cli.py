@@ -24,7 +24,7 @@ from revreact.functionals import CSV_COLUMNS
 from revreact.model import ModelParams
 from revreact.presets import PRESETS, preset_names
 from revreact.solver import SolverConfig, run
-from conftest import box_poincare_constant
+from conftest import box_poincare_constant, inequality_rows_per_field
 
 #: the blank line 12 is skipped but counted, so seed sits on line 13
 EXAMPLE = (
@@ -491,6 +491,16 @@ class TestBlowupPath:
         assert main(["analyze", csv, "--mode", "dc0", "--dim", "1"]) == 2
         assert "overall: PASS" not in capsys.readouterr().out
 
+    def test_a_species_far_below_its_reference_runs(self, tmp_path, capsys):
+        # a = 1e-20 is below the rounding of its reference: its entropy
+        # density and the reaction production take their values there, not
+        # NaN and inf, so the run is not a blowup
+        out = tmp_path / "out"
+        text = FAST.format(out=str(out)).replace("init=cosine_bump 0.4", "init=uniform 1e-20 1 1")
+        assert cmd_run(parse_config(text)) == 0
+        assert capsys.readouterr().err == ""
+        assert "status=ok" in (out / "run_meta").read_text().splitlines()
+
     def test_one_cell_huge_box_runs_as_the_ode(self, tmp_path, capsys):
         text = ONE_CELL_BOX.format(out=str(tmp_path / "out"))
         rc = cmd_run(parse_config(text.replace("init=cosine_bump 0.4", "init=uniform 1 1 1")))
@@ -544,6 +554,39 @@ class TestCmdVerify:
         assert rc == 0
         assert "FAIL" not in out
         assert elapsed < 300.0
+
+    def test_inequality_ensemble_is_sampled_in_blocks(self, monkeypatch):
+        # the suites sample the 1000 fields of the inequality ensemble in
+        # blocks, one call per mode and block, and its rows are those of
+        # the field-by-field loop, bit for bit
+        from revreact import verify
+
+        calls = []  # the records of each sample call
+        real_sample = verify.sample
+
+        def counting(states, t, *args, **kwargs):
+            calls.append(np.size(t))
+            return real_sample(states, t, *args, **kwargs)
+
+        seen = {}
+        real_rows = verify._inequality_rows
+
+        def capturing(rng, grid):
+            seen["state"], seen["grid"] = rng.bit_generator.state, grid
+            seen["rows"] = real_rows(rng, grid)
+            return seen["rows"]
+
+        monkeypatch.setattr(verify, "sample", counting)
+        monkeypatch.setattr(verify, "_inequality_rows", capturing)
+        assert all(ok for _, ok, _ in verify.run_property_suites())
+        # the 20 snapshots of the brute-force suite, then 34 blocks of at
+        # most 30 fields in three modes (1000 single snapshots before)
+        assert len(calls) <= 20 + 34 * 3 and sum(calls) == 20 + 1000
+        monkeypatch.undo()
+        rng = np.random.default_rng()
+        rng.bit_generator.state = seen["state"]
+        per_field = inequality_rows_per_field(rng, seen["grid"], verify._ENSEMBLE_MODES)
+        assert per_field.tobytes() == seen["rows"].tobytes()
 
     def test_box_poincare_constant_fails_the_poincare_suite(self, monkeypatch):
         # the continuous constant (L_max/pi)^2 is below the discrete one: the

@@ -15,8 +15,10 @@ from revreact.functionals import (
     reaction_production,
     sample,
 )
+from revreact.errors import InvalidArgument
 from revreact.grid import Grid, SpeciesFields
 from revreact.model import DomainSpec, ModelParams, conserved_masses, equilibrium_state
+from revreact.oracle import brute_force_sample
 from conftest import box_poincare_constant
 
 SQRT2 = math.sqrt(2.0)
@@ -338,6 +340,89 @@ class TestBlockSample:
                 s = float(grid.cell_volume * np.sum(np.abs(u[i, row]) ** p))
                 assert alone[name] == s ** (1.0 / p), (i, name)
         assert block_running == alone_running
+
+    @pytest.mark.parametrize("cells, lengths", [
+        ([128], [1.0]), ([24, 16], [1.0, 0.7]), ([12, 6, 6], [1.0, 0.5, 0.5])],
+        ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("d", [(1.0, 0.5, 0.8), (1.0, 0.0, 0.7), (1.0, 1.0, 0.0)],
+                             ids=["full", "db0", "dc0"])
+    def test_per_member_references_equal_each_record_alone(self, rng, cells, lengths, d):
+        # an ensemble: each member against the equilibrium of its own
+        # masses, as verify samples its random fields
+        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        params = ModelParams(*d)
+        u = rng.uniform(0.2, 3.0, size=(9, 3, *grid.cells))
+        t = np.zeros(len(u))
+        eqs = [equilibrium_state(*m) for m in conserved_masses(u, grid).tolist()]
+        block = sample(u, t, eqs, params, grid)
+        assert tuple(block) == CSV_COLUMNS
+        for i in range(len(u)):
+            alone = sample(SpeciesFields.from_stack(u[i]), 0.0, eqs[i], params, grid)
+            for name in CSV_COLUMNS:
+                assert block[name].shape == t.shape
+                assert block[name][i].tobytes() == np.float64(alone[name]).tobytes(), (i, name)
+        # the references matter: one shared reference changes E_rel and ckp_lhs
+        shared = sample(u, t, eqs[0], params, grid)
+        for name in ("E_rel", "l1_a", "ckp_lhs"):
+            assert shared[name][0] == block[name][0]
+            assert not np.array_equal(shared[name][1:], block[name][1:]), name
+
+    def test_reference_sequence_of_another_length_is_an_error(self, rng, monkeypatch, capsys):
+        grid = unit_setup(16)
+        u = rng.uniform(0.2, 3.0, size=(4, 3, *grid.cells))
+        eqs = [equilibrium_state(*m) for m in conserved_masses(u, grid).tolist()]
+        for refs in (eqs[:3], eqs + eqs[:1], eqs[:1], []):
+            with pytest.raises(InvalidArgument, match=f"{len(refs)} equilibrium references "
+                                                      "for 4 records"):
+                sample(u, np.zeros(4), refs, ANY_PARAMS, grid)
+        # a RevReactError: the CLI reports it with exit code 2
+        from revreact import cli
+
+        monkeypatch.setattr(cli, "cmd_verify",
+                            lambda: sample(u, np.zeros(4), eqs[:3], ANY_PARAMS, grid))
+        assert cli.main(["verify"]) == 2
+        assert capsys.readouterr().err == "error: 3 equilibrium references for 4 records\n"
+
+
+class TestSpeciesFarBelowItsReference:
+    # a species below about 1e-16 of its reference rounds x = (u - ref)/ref
+    # in the entropy densities, and w/c in the reaction production, to -1
+    @pytest.mark.parametrize("a", [1e-17, 1e-20, 1e-300])
+    @pytest.mark.parametrize("d", [(1.0, 0.5, 0.8), (1.0, 0.0, 0.7), (1.0, 1.0, 0.0)],
+                             ids=["full", "db0", "dc0"])
+    def test_sample_matches_the_brute_force_sampler(self, a, d):
+        grid = unit_setup(16)
+        params = ModelParams(*d)
+        f = SpeciesFields.uniform(grid, a, 1.0, 1.0)
+        eq = equilibrium_state(*conserved_masses(f, grid))
+        got = sample(f, 0.0, eq, params, grid)
+        want = brute_force_sample(f, 0.0, eq, params, grid)
+        for name in CSV_COLUMNS:
+            assert math.isfinite(got[name]), name
+            assert got[name] == pytest.approx(want[name], rel=1e-12, abs=1e-300), name
+
+    def test_only_the_rounded_cells_change(self, rng):
+        # every other cell keeps the log1p form bit for bit
+        a = rng.uniform(0.2, 3.0, size=64)
+        b, c = rng.uniform(0.2, 3.0, size=(2, 64))
+        a[[3, 17, 40]] = 1e-17, 1e-20, 1e-300
+        density = _kl_density(a, 1.5)
+        production = reaction_production(a, b, c)
+        keep = np.ones(64, bool)
+        keep[[3, 17, 40]] = False
+        x = (a - 1.5) / 1.5
+        w = a * b - c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.array_equal(density[keep], (1.5 * ((1 + x) * np.log1p(x) - x))[keep])
+            assert np.array_equal(production[keep], (w * np.log1p(w / c))[keep])
+        assert np.array_equal(density[~keep], [1.5, 1.5, 1.5])
+        assert np.allclose(production[~keep], (w * np.log(a * b / c))[~keep],
+                           rtol=1e-14, atol=0.0)
+
+    def test_overflow_still_fails_closed(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(_kl_density(np.array([np.inf]), 1.0)).all()
+            assert np.isinf(reaction_production(np.array([1e200]), np.array([1e200]), 1.0)).all()
 
 
 class TestViolationsFailClosed:
