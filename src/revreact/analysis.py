@@ -15,14 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    AlreadyConverged,
-    InvalidArgument,
-    InvalidSampling,
-    MissingDiagnostic,
-    NonDecaying,
-    UnresolvedFit,
-)
+from .errors import InvalidArgument, UnresolvedFit
 
 __all__ = [
     "DecayFit",
@@ -87,9 +80,11 @@ def fit_subexponential(times, e_rel_values) -> DecayFit:
     least 10 must remain.  For each alpha on [0.05, 1.5] step 0.01 the
     straight line ln E = ln S1 - S2 * (1+t)**alpha is fitted; the alpha
     with the smallest rms residual and S2 > 0 wins.  S1 is then inflated
-    so the envelope holds at every fitted sample.  A winner at the lower
-    edge 0.05, where a power law or too short a window puts it, raises
-    UnresolvedFit: it is no fitted exponent.
+    so the envelope holds at every fitted sample.  A fit that resolves no
+    exponent raises UnresolvedFit, its message naming why: fewer than 10
+    samples above the floor (the run has already converged), no alpha
+    with S2 > 0 (the series does not decay), or a winner at the lower
+    edge 0.05, where a power law or too short a window puts it.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(e_rel_values, dtype=float)
@@ -99,7 +94,7 @@ def fit_subexponential(times, e_rel_values) -> DecayFit:
     t = t[keep]
     e = e[keep]
     if t.size < 10:
-        raise AlreadyConverged(
+        raise UnresolvedFit(
             f"only {t.size} samples above the {FIT_FLOOR:g} floor; nothing to fit"
         )
     ln_e = np.log(e)
@@ -123,7 +118,7 @@ def fit_subexponential(times, e_rel_values) -> DecayFit:
                 best = (rms, alpha, intercept, slope)
 
     if best is None:
-        raise NonDecaying("no decaying envelope found (best fit has S2 <= 0)")
+        raise UnresolvedFit("no decaying envelope found (best fit has S2 <= 0)")
     rms, alpha, intercept, slope = best
     if alpha == _ALPHA_GRID[0]:
         raise UnresolvedFit(f"fit unresolved: the best exponent alpha = {alpha} is the lower "
@@ -192,17 +187,18 @@ def entropy_balance_audit(times, e_rel_values, dissipation_values) -> float:
     """Max relative residual of dE_rel/dt = -D over interior sample times.
 
     Central differences at uniform sample spacing; the residual at each
-    interior sample is |dE/dt + D| / max(D, 1e-14).
+    interior sample is |dE/dt + D| / max(D, 1e-14).  Fewer than 3 samples,
+    or spacing that is not uniform, raise InvalidArgument.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(e_rel_values, dtype=float)
     d = np.asarray(dissipation_values, dtype=float)
     if t.size < 3:
-        raise InvalidSampling("need at least 3 samples for the balance audit")
+        raise InvalidArgument("need at least 3 samples for the balance audit")
     steps = np.diff(t)
     dt = steps[0]
     if dt <= 0.0 or np.any(np.abs(steps - dt) > 1e-9 * dt):
-        raise InvalidSampling("balance audit requires uniform record spacing")
+        raise InvalidArgument("balance audit requires uniform record spacing")
     dedt = (e[2:] - e[:-2]) / (2.0 * dt)
     resid = np.abs(dedt + d[1:-1]) / np.maximum(d[1:-1], 1e-14)
     return float(np.max(resid))
@@ -230,13 +226,14 @@ def _diagnostic_plan(mode: str, dimension: int):
 def growth_diagnostics_from_series(times, series, mode: str,
                                    dimension: int) -> list[GrowthDiagnostic]:
     """Smallest constant K per applicable polynomial growth bound, from
-    explicit arrays (label -> value series)."""
+    explicit arrays (label -> value series); a label of the mode's plan
+    missing from series raises InvalidArgument."""
     times = np.asarray(times, dtype=float)
     series = {k: np.asarray(v, dtype=float) for k, v in series.items()}
     out = []
     for label, exponent in _diagnostic_plan(mode, dimension):
         if label not in series:
-            raise MissingDiagnostic(f"diagnostic {label!r} was not recorded")
+            raise InvalidArgument(f"diagnostic {label!r} was not recorded")
         ratio = series[label] / (1.0 + times) ** exponent
         i = int(np.argmax(ratio))
         out.append(

@@ -412,7 +412,7 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
             "passed": report.passed,
         }
         ok &= report.passed
-    except (analysis.AlreadyConverged, analysis.NonDecaying, analysis.UnresolvedFit) as exc:
+    except analysis.UnresolvedFit as exc:
         lines.append(f"decay fit: FAIL ({exc})")
         summary["fit"] = {"error": str(exc)}
         ok = False

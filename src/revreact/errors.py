@@ -1,24 +1,26 @@
-"""Exception hierarchy for the revreact toolkit."""
+"""Exception hierarchy for the revreact toolkit: one class per outcome that
+a caller acts on.
+
+Every class is a RevReactError, which the command line reports on stderr
+with exit code 2, but for those that a caller tells apart: solver.run
+turns an InvalidState met while stepping into a NumericalBlowup, which
+the run command records as status=blowup with exit code 1, and analyze
+reports an UnresolvedFit as a `decay fit: FAIL` line of its report.
+"""
 
 
 class RevReactError(Exception):
     """Base class for all toolkit errors."""
 
 
-class InvalidField(RevReactError):
-    """A concentration field contains non-finite entries."""
-
-
-class NotPositive(RevReactError):
-    """An operation requiring strictly positive data received a nonpositive entry."""
-
-
-class InvalidMass(RevReactError):
-    """A conserved mass is negative or zero where positivity is required."""
-
-
 class InvalidArgument(RevReactError):
-    """A scalar argument is outside its admissible range."""
+    """An argument is outside its admissible range."""
+
+
+class InvalidState(RevReactError):
+    """An inadmissible state: a concentration field that is not finite and
+    strictly positive, or conserved masses that are not finite and
+    nonnegative."""
 
 
 class NumericalBlowup(RevReactError):
@@ -29,44 +31,28 @@ class NumericalBlowup(RevReactError):
         self.t = t
 
 
-class AlreadyConverged(RevReactError):
-    """Decay fit requested but all samples sit at the floating-point floor."""
-
-
-class NonDecaying(RevReactError):
-    """Decay fit requested but the series does not decay."""
-
-
 class UnresolvedFit(RevReactError):
-    """Decay fit requested but its best exponent is the lowest one searched."""
+    """A decay fit resolved no exponent: too few samples above the floor,
+    no decaying envelope, or a best exponent at the lowest one searched."""
 
 
-class InvalidSampling(RevReactError):
-    """Trajectory samples are not uniformly spaced in time."""
+class _LineError(RevReactError):
+    """An error in a line of an input, its message prefixed with `line N:`
+    when the line is known."""
+
+    def __init__(self, message, line=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
-class MissingDiagnostic(RevReactError):
-    """A growth diagnostic requires a norm that was not recorded."""
-
-
-class ConfigError(RevReactError):
+class ConfigError(_LineError):
     """Malformed run configuration."""
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
-
-class ParseError(RevReactError):
+class ParseError(_LineError):
     """Malformed input file: a time series, a run_meta, or text that is not UTF-8."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class IoError(RevReactError):

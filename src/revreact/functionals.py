@@ -162,11 +162,6 @@ def reaction_production(a, b, c):
                         np.log1p(np.maximum(ratio, _ABOVE_MINUS_ONE)))
 
 
-#: the rows of the species stack that diffuse in each mode, as basic
-#: slices: views of a stack, where a list of rows would copy them
-_DIFFUSING_ROWS = {"full": slice(0, 3), "db0": slice(0, 3, 2), "dc0": slice(0, 2)}
-
-
 def _sqrt_terms(u, params: ModelParams, grid: Grid):
     """From one square root of the (B, 3, *cells) block u, as lists of
     Python floats with one entry per state: the deviation_l2 of sqrt(a),
@@ -175,15 +170,15 @@ def _sqrt_terms(u, params: ModelParams, grid: Grid):
 
         D = 4 sum_u d_u int |grad sqrt(u)|^2 + int (ab - c) ln(ab/c):
 
-    the Dirichlet energies of sqrt(u) for the species with d_u > 0 (the
-    gradient term drops out in the degenerate modes d_b = 0 and d_c = 0)
-    and the reaction production."""
+    the Dirichlet energies of sqrt(u) for the species with d_u > 0, the
+    rows params.diffusing (the gradient term drops out in the degenerate
+    modes d_b = 0 and d_c = 0), and the reaction production."""
     sqrt_u = np.sqrt(u)
     w = sqrt_u[:, 0] * sqrt_u[:, 1]
     w -= sqrt_u[:, 2]
     w *= w
     return (deviations_l2(sqrt_u, grid).tolist(), row_integrals(w, grid).tolist(),
-            dirichlet_energies(sqrt_u[:, _DIFFUSING_ROWS[params.mode]], grid).tolist(),
+            dirichlet_energies(sqrt_u[:, params.diffusing], grid).tolist(),
             row_integrals(reaction_production(u[:, 0], u[:, 1], u[:, 2]), grid).tolist())
 
 
@@ -296,7 +291,7 @@ def sample(states, t, eq: EquilibriumState | Sequence[EquilibriumState], params:
 
     # the scalar arithmetic, one record at a time on Python floats, into
     # one row of CSV_COLUMNS values per record
-    diffusivities = [d for d in params.diffusivities() if d > 0.0]
+    diffusivities = params.diffusivities()[params.diffusing]
     rows = []
     for i, (time, ref) in enumerate(zip(t.ravel().tolist(),
                                         eqs if len(eqs) == t.size else eqs * t.size)):

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidField, NotPositive
+from .errors import InvalidArgument, InvalidState
 from .model import DomainSpec
 
 __all__ = [
@@ -164,9 +164,9 @@ def _hold(fields: SpeciesFields, u: np.ndarray) -> None:
     if not positive_stacks(u):
         for name, row in zip("abc", u):
             if not np.all(np.isfinite(row)):
-                raise InvalidField(f"field {name} contains non-finite entries")
+                raise InvalidState(f"field {name} contains non-finite entries")
             if np.any(row <= 0.0):
-                raise NotPositive(f"field {name} must be strictly positive")
+                raise InvalidState(f"field {name} must be strictly positive")
     u.flags.writeable = False
     object.__setattr__(fields, "stack", u)
 

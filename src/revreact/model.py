@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidMass
+from .errors import InvalidArgument, InvalidState
 
 __all__ = [
     "DomainSpec",
@@ -86,6 +86,13 @@ class ModelParams:
     def diffusivities(self) -> tuple[float, float, float]:
         return (self.d_a, self.d_b, self.d_c)
 
+    @property
+    def diffusing(self) -> slice:
+        """The species with d > 0, the case split of the mode, as a basic
+        slice of the rows (a, b, c) of a stack: a view, where a list of rows
+        would copy them."""
+        return {"full": slice(0, 3), "db0": slice(0, 3, 2), "dc0": slice(0, 2)}[self.mode]
+
 
 @dataclass(frozen=True)
 class EquilibriumState:
@@ -118,6 +125,12 @@ def conserved_masses(states, grid):
     return tuple(masses.tolist()) if snapshot else masses
 
 
+def _scaled(x: float, y: float, z: float) -> float:
+    """x * y / z, divided first, as x * (y / z), only where x * y overflows."""
+    xy = x * y
+    return xy / z if xy < math.inf else x * (y / z)
+
+
 def _twice_gap(m: float, other: float, sq: float) -> float:
     """2*(r2 - other) = 1 + m - other + sq, as a sum of nonnegative terms."""
     if m >= other:
@@ -135,20 +148,23 @@ def equilibrium_state(M1: float, M2: float) -> EquilibriumState:
     2*(r2 - M2) = 1 + M1 - M2 + sq is summed directly when M1 >= M2 and
     otherwise in its conjugate form 4*M2/(sq - 1 - M1 + M2), and likewise
     for r2 - M1.  The difference a_inf = M1 - c_inf would lose every digit
-    of a_inf for large masses (a_inf ~ sqrt(M1) when M1 = M2).  Masses
-    whose squared difference overflows raise InvalidMass.
+    of a_inf for large masses (a_inf ~ sqrt(M1) when M1 = M2).  Each
+    numerator product is divided by 2*r2 after it is formed, or before
+    where the product alone overflows (a mass above about 1e154), so a
+    component that fits in a double is finite.  Masses whose squared
+    difference overflows raise InvalidState.
     """
     if not (math.isfinite(M1) and math.isfinite(M2)) or M1 < 0.0 or M2 < 0.0:
-        raise InvalidMass(f"masses must be finite and nonnegative, got ({M1}, {M2})")
+        raise InvalidState(f"masses must be finite and nonnegative, got ({M1}, {M2})")
     try:
         sq = math.sqrt(1.0 + 2.0 * (M1 + M2) + (M1 - M2) ** 2)
     except OverflowError:  # |M1 - M2| above about 1.3e154
-        raise InvalidMass(f"masses ({M1}, {M2}) overflow the equilibrium algebra") from None
+        raise InvalidState(f"masses ({M1}, {M2}) overflow the equilibrium algebra") from None
     twice_r2 = 1.0 + M1 + M2 + sq
     return EquilibriumState(
-        a_inf=M1 * _twice_gap(M1, M2, sq) / twice_r2,
-        b_inf=M2 * _twice_gap(M2, M1, sq) / twice_r2,
-        c_inf=2.0 * M1 * M2 / twice_r2,
+        a_inf=_scaled(M1, _twice_gap(M1, M2, sq), twice_r2),
+        b_inf=_scaled(M2, _twice_gap(M2, M1, sq), twice_r2),
+        c_inf=_scaled(2.0 * M1, M2, twice_r2),
         M1=M1,
         M2=M2,
     )

@@ -6,7 +6,9 @@ in numpy (bit-identical, member by member, to a plain-float loop over one
 state); the solver's closed-form reaction substep and its runs from
 uniform data are checked against it.  The brute-force sampler
 re-implements every recorded functional with plain Python loops and
-math.fsum, sharing no code path with the production functionals module.
+math.fsum, sharing no code path with the production functionals module:
+of it, it takes only the RunningIntegrals accumulator, whose fields it
+advances by its own trapezoid rule.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgument, NotPositive
+from .errors import InvalidArgument, InvalidState
 from .functionals import RunningIntegrals
 
 __all__ = [
@@ -45,7 +47,7 @@ def homogeneous_ode(a0, b0, c0, t_end: float, substeps: int) -> OdeState:
     RK4 loop's, operation for operation, so every member is bit-identical
     to integrating it alone.  A scalar start returns Python floats.
 
-    Raises NotPositive if a member does not start strictly positive, and
+    Raises InvalidState if a member does not start strictly positive, and
     InvalidArgument (step too large) after the first substep in which a
     member leaves the positive orthant by more than 1e-12 * max(a, b, c, 1)
     of its own start or turns NaN; both name the first such member by its
@@ -62,7 +64,7 @@ def homogeneous_ode(a0, b0, c0, t_end: float, substeps: int) -> OdeState:
     positive = np.min(start, axis=0) > 0.0
     if not positive.all():
         i = int(np.argmin(positive))
-        raise NotPositive(
+        raise InvalidState(
             f"oracle initial state must be strictly positive, member {i} is "
             f"{tuple(start[:, i].tolist())}"
         )
@@ -111,7 +113,8 @@ def brute_force_sample(fields, t: float, eq, params, grid,
     snapshot at a scalar t, with Python floats for its values and the box
     read from grid.domain too; it takes no block of records.  Computed
     with per-cell Python loops, math.fsum reductions, and the direct
-    textbook formulas.
+    textbook formulas; a running accumulator is advanced by the trapezoid
+    rule written out here.
     """
     domain = grid.domain
     a = fields.a.ravel()
@@ -169,7 +172,13 @@ def brute_force_sample(fields, t: float, eq, params, grid,
     fa = vol * math.fsum(a[i] * a[i] + a[i] * c[i] for i in range(n))
     fb = vol * math.fsum(b[i] * b[i] + b[i] * c[i] for i in range(n))
     if running is not None:
-        running.update(t, fa, fb)
+        # the trapezoid of the last record gap, added here to the
+        # accumulator's fields rather than by RunningIntegrals.update, the
+        # rule under test; the first record's gap has width 0
+        width = 0.0 if running.t_prev is None else t - running.t_prev
+        running.int_a2ac += width * (running.fa_prev + fa) / 2.0
+        running.int_b2bc += width * (running.fb_prev + fb) / 2.0
+        running.t_prev, running.fa_prev, running.fb_prev = t, fa, fb
         int_a2ac, int_b2bc = running.int_a2ac, running.int_b2bc
     else:
         int_a2ac = int_b2bc = 0.0

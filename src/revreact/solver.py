@@ -61,7 +61,7 @@ import numpy as np
 import scipy.fft
 
 from . import functionals
-from .errors import InvalidArgument, InvalidField, InvalidMass, NotPositive, NumericalBlowup
+from .errors import InvalidArgument, InvalidState, NumericalBlowup
 from .grid import Grid, SpeciesFields, neumann_eigenvalues, positive_stacks
 from .model import ModelParams, conserved_masses, equilibrium_state
 
@@ -478,7 +478,7 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
                     t = times[done + good]
                     SpeciesFields.from_stack(rows[good])  # raises, naming the species
                 done, filled = done + len(rows), 0
-    except (InvalidMass, InvalidField, NotPositive) as exc:
+    except InvalidState as exc:
         raise NumericalBlowup(f"{exc} at t = {t}", t=t) from exc
     traj.final_fields = SpeciesFields.from_stack(rows[-1].copy())
     return traj

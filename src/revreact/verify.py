@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import oracle
-from .errors import NotPositive
+from .errors import InvalidState
 from .functionals import (
     CSV_COLUMNS,
     bound_violation,
@@ -30,7 +30,7 @@ from .model import (
     conserved_masses,
     equilibrium_state,
 )
-from .solver import StrangStepper, reaction_substep
+from .solver import StrangStepper, block_records, reaction_substep
 
 __all__ = ["run_property_suites"]
 
@@ -168,35 +168,27 @@ def _suite_brute_force(rng):
 _ENSEMBLE_MODES = (ModelParams(1.0, 0.5, 0.8), ModelParams(1.0, 0.0, 1.0),
                    ModelParams(1.0, 1.0, 0.0))
 
-#: fields of the inequality ensemble drawn, checked and sampled per block, a
-#: multiple of 3 so that each block starts at mode 0.  Measured with
-#: bench/run.py --workload verify (2-vCPU Xeon, Python 3.11, numpy 2.4;
-#: medians of 10 runs of 28 s): blocks of 30 fields took 0.42 s and 15
-#: fields 0.45 s, against 0.61 s one field at a time, with peak memory
-#: within the spread of runs (+0.06 and +0.02 MB, 0.14 MB between the
-#: quartiles); in 4 shorter runs 60 fields took 0.41 s at +0.17 MB and 99
-#: fields 0.40 s at +0.36 MB
-_ENSEMBLE_BLOCK = 30
-
-
 def _inequality_rows(rng, grid):
     """One row (E_rel, ckp_lhs, D, rhs, M1, M2) for each of 1000 random
     fields, each against the equilibrium of its own masses, with rhs the
     dissipation bound of its mode.
 
-    The fields are drawn in blocks of _ENSEMBLE_BLOCK from one uniform
-    call, which fills in C order: each field, and so each row, is the one a
-    loop drawing a, b and c field by field gives, bit for bit.  Each block
-    is checked by positive_stacks, takes its masses from one
-    conserved_masses call and samples the members of each mode with one
-    sample call, one reference per member.
+    The fields are drawn in blocks of 3 * block_records(grid) (30 on 128
+    cells), so that each mode's sample call takes as many states as one of
+    run's blocks.  Each block comes from one uniform call, which fills in C
+    order: each field, and so each row, is the one a loop drawing a, b and
+    c field by field gives, bit for bit.  Each block starts at mode 0, is
+    checked by positive_stacks, takes its masses from one conserved_masses
+    call and samples the members of each mode with one sample call, one
+    reference per member.
     """
     rows = np.empty((1000, 6))
-    for start in range(0, len(rows), _ENSEMBLE_BLOCK):
-        block = rows[start:start + _ENSEMBLE_BLOCK]
+    size = len(_ENSEMBLE_MODES) * block_records(grid)
+    for start in range(0, len(rows), size):
+        block = rows[start:start + size]
         u = rng.uniform(0.2, 3.0, size=(len(block), 3) + grid.cells)
         if not positive_stacks(u, 1).all():
-            raise NotPositive("a random field of the inequality ensemble is not positive")
+            raise InvalidState("a random field of the inequality ensemble is not positive")
         eqs = [equilibrium_state(m1, m2) for m1, m2 in conserved_masses(u, grid).tolist()]
         for k, params in enumerate(_ENSEMBLE_MODES):
             members = slice(k, None, len(_ENSEMBLE_MODES))

@@ -14,13 +14,7 @@ from revreact.analysis import (
     growth_diagnostics_from_series,
     theorem_alpha,
 )
-from revreact.errors import (
-    AlreadyConverged,
-    InvalidSampling,
-    MissingDiagnostic,
-    NonDecaying,
-    UnresolvedFit,
-)
+from revreact.errors import InvalidArgument, UnresolvedFit
 from revreact.functionals import CSV_COLUMNS
 
 
@@ -44,7 +38,7 @@ class TestFitSubexponential:
 
     def test_constant_series_is_nondecaying(self):
         t = np.linspace(0.0, 5.0, 60)
-        with pytest.raises(NonDecaying):
+        with pytest.raises(UnresolvedFit, match="no decaying envelope found"):
             fit_subexponential(t, np.full(60, 0.25))
 
     def test_power_law_is_unresolved(self):
@@ -56,7 +50,7 @@ class TestFitSubexponential:
 
     def test_floor_series_already_converged(self):
         t = np.linspace(0.0, 5.0, 60)
-        with pytest.raises(AlreadyConverged):
+        with pytest.raises(UnresolvedFit, match="only 0 samples above the 1e-14 floor"):
             fit_subexponential(t, np.full(60, 1e-16))
 
     def test_floor_samples_excluded(self):
@@ -124,11 +118,11 @@ class TestBalanceAudit:
     def test_non_uniform_spacing_rejected(self):
         t = np.array([0.0, 0.1, 0.25, 0.3])
         e = np.exp(-t)
-        with pytest.raises(InvalidSampling):
+        with pytest.raises(InvalidArgument, match="requires uniform record spacing"):
             entropy_balance_audit(t, e, e)
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(InvalidSampling):
+        with pytest.raises(InvalidArgument, match="need at least 3 samples"):
             entropy_balance_audit(np.array([0.0, 0.1]), np.ones(2), np.ones(2))
 
 
@@ -180,10 +174,10 @@ class TestGrowthDiagnostics:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_plan_labels_are_csv_columns(self, mode, dim):
         # analyze looks the labels up among the CSV columns: a label that is
-        # not one would raise MissingDiagnostic on every recorded run
+        # not one would raise InvalidArgument on every recorded run
         assert {label for label, _ in _diagnostic_plan(mode, dim)} <= set(CSV_COLUMNS)
 
     def test_missing_diagnostic(self):
         t = np.linspace(0.0, 1.0, 12)
-        with pytest.raises(MissingDiagnostic):
+        with pytest.raises(InvalidArgument, match="diagnostic 'a_l32' was not recorded"):
             growth_diagnostics_from_series(t, {"b_l32": np.ones(12)}, "dc0", 1)

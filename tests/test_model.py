@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from revreact.errors import InvalidArgument, InvalidMass
+from revreact.errors import InvalidArgument, InvalidState
 from revreact.grid import Grid, SpeciesFields
 from revreact.model import (
     DomainSpec,
@@ -45,6 +45,16 @@ class TestModelParams:
         assert ModelParams(1.0, 1.0, 0.0).mode == "dc0"
         assert ModelParams(1.0, 0.5, 0.8).mode == "full"
 
+    @pytest.mark.parametrize("d", [(1.0, 0.5, 0.8), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)])
+    def test_diffusing_rows_are_the_species_with_positive_d(self, d):
+        params = ModelParams(*d)
+        rows = np.arange(3)[params.diffusing]
+        assert rows.tolist() == [i for i in range(3) if d[i] > 0.0]
+        # a basic slice: the rows of a stack are a view, not a copy
+        stack = np.ones((3, 4))
+        assert np.shares_memory(stack[params.diffusing], stack)
+        assert params.diffusivities()[params.diffusing] == tuple(x for x in d if x > 0.0)
+
     def test_rejects_double_degeneracy_and_zero_da(self):
         with pytest.raises(InvalidArgument):
             ModelParams(1.0, 0.0, 0.0)
@@ -71,7 +81,7 @@ class TestEquilibrium:
         assert (eq.a_inf, eq.b_inf, eq.c_inf) == (0.0, 5.0, 0.0)
 
     def test_negative_mass_rejected(self):
-        with pytest.raises(InvalidMass):
+        with pytest.raises(InvalidState, match="masses must be finite and nonnegative"):
             equilibrium_state(-0.1, 1.0)
 
     def test_random_identities(self, rng):
@@ -98,6 +108,30 @@ class TestEquilibrium:
         eq = equilibrium_state(m1, m2)
         for got, want in zip((eq.a_inf, eq.b_inf, eq.c_inf), exact):
             assert abs(Decimal(got) - want) <= Decimal("1e-14") * want
+
+    @pytest.mark.parametrize("m1, m2", [(9.6e153, 2e-3), (2e-3, 1.2e154), (1e154, 1e154)])
+    def test_a_component_whose_numerator_overflows_is_finite(self, m1, m2):
+        # M1 * 2*(r2 - M2), M2 * 2*(r2 - M1) and 2*M1*M2 pass the largest
+        # double although a_inf, b_inf and c_inf do not
+        eq = equilibrium_state(m1, m2)
+        a, b, c = eq.a_inf, eq.b_inf, eq.c_inf
+        assert all(math.isfinite(x) and x > 0.0 for x in (a, b, c))
+        assert a + c == pytest.approx(m1, rel=1e-15)
+        assert b + c == pytest.approx(m2, rel=1e-15)
+        assert a * b == pytest.approx(c, rel=1e-15)
+
+    def test_finite_products_are_formed_before_they_are_divided(self, rng):
+        # dividing first everywhere would move the last bit of a_inf for about
+        # a third of these masses, and with it every recorded E_rel
+        from revreact.model import _twice_gap
+
+        for m1, m2 in rng.uniform(0.0, 10.0, size=(200, 2)):
+            eq = equilibrium_state(m1, m2)
+            sq = math.sqrt(1.0 + 2.0 * (m1 + m2) + (m1 - m2) ** 2)
+            twice_r2 = 1.0 + m1 + m2 + sq
+            assert eq.a_inf == m1 * _twice_gap(m1, m2, sq) / twice_r2
+            assert eq.b_inf == m2 * _twice_gap(m2, m1, sq) / twice_r2
+            assert eq.c_inf == 2.0 * m1 * m2 / twice_r2
 
     def test_discriminant_identity_positive(self, rng):
         for m1, m2 in rng.uniform(0.0, 10.0, size=(200, 2)):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from revreact import oracle
-from revreact.errors import InvalidArgument, NotPositive
+from revreact.errors import InvalidArgument, InvalidState
 from revreact.functionals import CSV_COLUMNS, RunningIntegrals, sample
 from revreact.grid import Grid, SpeciesFields
 from revreact.model import DomainSpec, ModelParams, conserved_masses, equilibrium_state
@@ -80,8 +80,8 @@ class TestHomogeneousOde:
         ((0.01, 0.01, 8.0), InvalidArgument, "member 1 left the positive orthant"),
         # a * b overflows: the state turns to NaN, which must not pass
         ((1e200, 1e200, 1.0), InvalidArgument, "member 1 left the positive orthant"),
-        ((1.0, 0.0, 1.0), NotPositive, "member 1 is"),
-        ((1.0, 1.0, float("nan")), NotPositive, "member 1 is"),
+        ((1.0, 0.0, 1.0), InvalidState, "must be strictly positive, member 1 is"),
+        ((1.0, 1.0, float("nan")), InvalidState, "must be strictly positive, member 1 is"),
     ])
     def test_guard_is_per_member(self, bad, error, match):
         # members 0 and 2 are equilibria, which no step size moves
@@ -138,6 +138,27 @@ class TestBruteForceSample:
             for name in CSV_COLUMNS:
                 x, y = s_fast[name], s_slow[name]
                 assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), 1e-30), name
+
+    def test_running_integrals_are_not_the_rule_under_test(self, rng, monkeypatch):
+        # with RunningIntegrals.update patched to a left Riemann sum, sample
+        # follows it and the oracle keeps the trapezoid rule: they disagree
+        def left_riemann(self, t, fa, fb):
+            dt = 0.0 if self.t_prev is None else t - self.t_prev
+            self.int_a2ac += dt * self.fa_prev
+            self.int_b2bc += dt * self.fb_prev
+            self.t_prev, self.fa_prev, self.fb_prev = t, fa, fb
+
+        grid = Grid.for_domain(DomainSpec.box([1.0]), [8])
+        params = ModelParams(1.0, 0.0, 1.0)
+        monkeypatch.setattr(RunningIntegrals, "update", left_riemann)
+        running_fast, running_slow = RunningIntegrals(), RunningIntegrals()
+        for t in (0.0, 0.5, 1.0):
+            f = SpeciesFields(*(rng.uniform(0.2, 3.0, size=grid.cells) for _ in range(3)))
+            eq = equilibrium_state(*conserved_masses(f, grid))
+            s_fast = sample(f, t, eq, params, grid, running_fast)
+            s_slow = oracle.brute_force_sample(f, t, eq, params, grid, running_slow)
+        for name in ("int_a2ac", "int_b2bc"):
+            assert abs(s_fast[name] - s_slow[name]) > 1e-3 * s_slow[name], name
 
     @pytest.mark.parametrize("with_running", [False, True])
     def test_both_samplers_key_the_csv_columns(self, with_running):

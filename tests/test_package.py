@@ -1,5 +1,6 @@
-"""Package-level checks: every module's public names are real, and every
-name a module imports is used."""
+"""Package-level checks: every module's public names are real, every name
+a module imports is used, and each except clause of the package catches
+one error class, each of which is raised."""
 import ast
 import importlib
 import pathlib
@@ -54,3 +55,51 @@ def test_an_unused_import_is_found():
     source = ("from __future__ import annotations\nimport os.path\nimport math as m\n"
               "from x import a, b\n__all__ = ['b']\nprint(os.sep)\n")
     assert unused_imports(source) == [(3, "m"), (4, "a")]
+
+
+def error_classes(source: str) -> list:
+    """The classes that the module source defines at its top level, in order."""
+    return [node.name for node in ast.parse(source).body if isinstance(node, ast.ClassDef)]
+
+
+def _last_name(node):
+    """The name that a Name or an attribute chain ends in; None for any other node."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def error_contract_faults(errors_source: str, sources: dict) -> list:
+    """Where the modules sources (name -> source) split an outcome over the
+    classes of the errors module errors_source: (module, line) of each
+    except clause naming two or more of its classes, then ("errors", name)
+    of each class that no module raises, but for RevReactError and a
+    private base."""
+    classes = error_classes(errors_source)
+    faults, raised = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if len({_last_name(t) for t in caught} & set(classes)) >= 2:
+                    faults.append((module, node.lineno))
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc
+                raised.add(_last_name(exc.func if isinstance(exc, ast.Call) else exc))
+    return faults + [("errors", name) for name in classes
+                     if name not in raised and name != "RevReactError"
+                     and not name.startswith("_")]
+
+
+def test_each_outcome_has_one_error_class():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    faults = error_contract_faults(sources["errors"], sources)
+    assert not faults, f"except clauses naming several error classes, or unraised classes: {faults}"
+
+
+def test_a_split_outcome_is_found():
+    errors = ("class RevReactError(Exception): pass\nclass _Base(RevReactError): pass\n"
+              "class A(_Base): pass\nclass B(RevReactError): pass\nclass C(_Base): pass\n")
+    source = ("from . import errors\nfrom .errors import A\ntry:\n    raise A('x')\n"
+              "except (A, errors.B):\n    raise errors.B\nexcept (A, OSError):\n    pass\n")
+    assert error_contract_faults(errors, {"m": source}) == [("m", 5), ("errors", "C")]
