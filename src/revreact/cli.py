@@ -251,11 +251,14 @@ def _csv_lines(columns: dict):
 
 
 def write_snapshot(path: str, cfg: RunConfig, fields: SpeciesFields) -> None:
-    lines = [" ".join([str(cfg.dim), *map(str, cfg.cells), *map(_fmt, cfg.lengths)])]
+    """Write final_fields.snap: a header line of dim, cells and lengths,
+    then one line of a, b and c per cell, in C order.  The lines are
+    written as they are formatted, so at most one is held as text."""
+    header = " ".join([str(cfg.dim), *map(str, cfg.cells), *map(_fmt, cfg.lengths)])
     flat = zip(fields.a.ravel(), fields.b.ravel(), fields.c.ravel())
-    lines.extend(f"{_fmt(a)} {_fmt(b)} {_fmt(c)}" for a, b, c in flat)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(f"{_fmt(a)} {_fmt(b)} {_fmt(c)}\n" for a, b, c in flat)
 
 
 def _read_lines(path: str, what: str) -> list[str]:
@@ -332,27 +335,28 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def read_timeseries(path: str):
-    """Parse a timeseries.csv into a dict of column arrays; every cell must be finite."""
+    """Parse a timeseries.csv into a dict of column arrays; every cell must
+    be finite.  Each line is parsed into its row of one preallocated
+    array, so the floats of one line at a time are held as Python objects."""
     lines = _read_lines(path, "CSV")
     if not lines:
         raise ParseError("empty CSV", line=1)
     if lines[0] != CSV_HEADER:
         raise ParseError(f"unexpected header {lines[0]!r}", line=1)
+    if len(lines) == 1:
+        raise ParseError("CSV has no data rows", line=1)
     names = functionals.CSV_COLUMNS
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        toks = line.split(",")
+    data = np.empty((len(lines) - 1, len(names)))
+    for i in range(1, len(lines)):
+        toks = lines[i].split(",")
         if len(toks) != len(names):
             raise ParseError(
-                f"expected {len(names)} columns, got {len(toks)}: {line!r}", line=i
+                f"expected {len(names)} columns, got {len(toks)}: {lines[i]!r}", line=i + 1
             )
         try:
-            rows.append([float(t) for t in toks])
+            data[i - 1] = [float(t) for t in toks]
         except ValueError:
-            raise ParseError(f"malformed number in {line!r}", line=i)
-    if not rows:
-        raise ParseError("CSV has no data rows", line=1)
-    data = np.asarray(rows)
+            raise ParseError(f"malformed number in {lines[i]!r}", line=i + 1)
     bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
     if bad.size:
         raise ParseError(f"non-finite value in {lines[bad[0] + 1]!r}", line=int(bad[0]) + 2)

@@ -248,7 +248,8 @@ def sample(states, t, eq: EquilibriumState | Sequence[EquilibriumState], params:
     per record, as for an ensemble of fields each against the equilibrium
     of its own masses; a sequence of another length raises
     InvalidArgument.  Either way record i comes out bit for bit as it does
-    sampled alone against its reference.
+    sampled alone against its reference.  An empty block (t of size 0)
+    gives empty columns and leaves the running integrals as they are.
 
     The box is grid.domain: its volume |Omega| enters M1, M2 and ckp_lhs,
     its dimension the exponent of b_lN2.  Updates the running
@@ -268,6 +269,8 @@ def sample(states, t, eq: EquilibriumState | Sequence[EquilibriumState], params:
         eqs = list(eq)
         if len(eqs) != t.size:
             raise InvalidArgument(f"{len(eqs)} equilibrium references for {t.size} records")
+    if not t.size:
+        return {name: np.empty(0) for name in CSV_COLUMNS}
     # the references of each record, a (B or 1, 2, 3) array: (1, 1, 1) for
     # E and (a_inf, b_inf, c_inf) for E_rel and the L1 distances; one
     # reference for the block is its broadcast case

@@ -383,6 +383,16 @@ class TestBlockSample:
         assert cli.main(["verify"]) == 2
         assert capsys.readouterr().err == "error: 3 equilibrium references for 4 records\n"
 
+    def test_empty_block_gives_empty_columns(self):
+        grid = unit_setup(16)
+        eq = equilibrium_state(1.5, 1.2)
+        running = RunningIntegrals()
+        for refs in (eq, []):
+            cols = sample(np.empty((0, 3, 16)), np.empty(0), refs, ANY_PARAMS, grid, running)
+            assert tuple(cols) == CSV_COLUMNS
+            assert all(col.shape == (0,) and col.dtype == float for col in cols.values())
+        assert running == RunningIntegrals()
+
 
 class TestSpeciesFarBelowItsReference:
     # a species below about 1e-16 of its reference rounds x = (u - ref)/ref

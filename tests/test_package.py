@@ -1,10 +1,15 @@
 """Package-level checks: every module's public names are real, every name
-a module imports is used, and each except clause of the package catches
-one error class, each of which is raised."""
+a module imports is used, each except clause of the package catches one
+error class, each of which is raised, and a run loads no transform
+library."""
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -103,3 +108,27 @@ def test_a_split_outcome_is_found():
     source = ("from . import errors\nfrom .errors import A\ntry:\n    raise A('x')\n"
               "except (A, errors.B):\n    raise errors.B\nexcept (A, OSError):\n    pass\n")
     assert error_contract_faults(errors, {"m": source}) == [("m", 5), ("errors", "C")]
+
+
+def test_a_run_loads_neither_scipy_nor_numpy_fft(tmp_path):
+    # the heat kernels are summed directly, and numpy.fft is loaded only for
+    # an axis longer than KERNEL_MAX_CELLS (numpy before 2.0 loads it itself)
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy
+        numpy_loaded = set(sys.modules)
+        from revreact import cli, verify
+        cfg = cli.parse_config(
+            "dim=1\\ncells=32\\nlengths=1.0\\nd_a=1.0\\nd_b=0.0\\nd_c=0.5\\n"
+            "init=cosine_bump 0.5\\ndt=0.001\\nt_end=0.1\\nrecord_every=10\\n"
+            "out_dir={tmp_path}\\nseed=1\\n")
+        assert cli.cmd_run(cfg) == 0
+        print([m for m in sys.modules if m.startswith("scipy")
+               or m.startswith("numpy.fft") and m not in numpy_loaded])
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(revreact.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "timeseries.csv").exists()
