@@ -461,7 +461,7 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
 
     rhs = functionals.dissipation_bound_rhs(
         [cols[f"dev_{sp}2"] for sp in "ABC"], cols["abc_defect"],
-        params.diffusivities(), grid.poincare_constant,
+        params, grid.poincare_constant,
     )
     diss_count = int(np.count_nonzero(functionals.bound_violation(
         cols["D"], rhs, cols["M1"], cols["M2"], volume)))

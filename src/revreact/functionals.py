@@ -182,21 +182,21 @@ def _sqrt_terms(u, params: ModelParams, grid: Grid):
             row_integrals(reaction_production(u[:, 0], u[:, 1], u[:, 2]), grid).tolist())
 
 
-def dissipation_bound_rhs(dev2, abc_defect: float, diffusivities,
+def dissipation_bound_rhs(dev2, abc_defect: float, params: ModelParams,
                           poincare: float) -> float:
     """Right-hand side of the dissipation bound D >= rhs.
 
-    rhs = sum over diffusing species of (4 d_u / P) * dev_u^2 plus
-    4 * abc_defect, with P the grid's discrete Poincare constant
-    Grid.poincare_constant, where dev_u^2 = ||sqrt(u) - avg sqrt(u)||_2^2 and
-    abc_defect = ||sqrt(a b) - sqrt(c)||_2^2, per sample or elementwise over
-    arrays of samples.  Deviation terms of non-diffusing species drop out,
-    matching the degeneracy mode.
+    rhs = sum over the species params.diffusing of (4 d_u / P) * dev_u^2
+    plus 4 * abc_defect, with P the grid's discrete Poincare constant
+    Grid.poincare_constant, where dev2 = (dev_A2, dev_B2, dev_C2),
+    dev_u^2 = ||sqrt(u) - avg sqrt(u)||_2^2 and abc_defect =
+    ||sqrt(a b) - sqrt(c)||_2^2, per sample or elementwise over arrays of
+    samples.  Deviation terms of non-diffusing species drop out, matching
+    the degeneracy mode.
     """
     rhs = 0.0
-    for d, dev2_u in zip(diffusivities, dev2):
-        if d > 0.0:
-            rhs += 4.0 * d / poincare * dev2_u
+    for d, dev2_u in zip(params.diffusivities()[params.diffusing], dev2[params.diffusing]):
+        rhs += 4.0 * d / poincare * dev2_u
     return rhs + 4.0 * abc_defect
 
 

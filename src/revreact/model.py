@@ -152,15 +152,19 @@ def equilibrium_state(M1: float, M2: float) -> EquilibriumState:
     numerator product is divided by 2*r2 after it is formed, or before
     where the product alone overflows (a mass above about 1e154), so a
     component that fits in a double is finite.  Masses whose squared
-    difference overflows raise InvalidState.
+    difference or doubled sum overflows raise InvalidState.
     """
     if not (math.isfinite(M1) and math.isfinite(M2)) or M1 < 0.0 or M2 < 0.0:
         raise InvalidState(f"masses must be finite and nonnegative, got ({M1}, {M2})")
     try:
         sq = math.sqrt(1.0 + 2.0 * (M1 + M2) + (M1 - M2) ** 2)
     except OverflowError:  # |M1 - M2| above about 1.3e154
-        raise InvalidState(f"masses ({M1}, {M2}) overflow the equilibrium algebra") from None
+        sq = math.inf
     twice_r2 = 1.0 + M1 + M2 + sq
+    # inf where sq is, and where M1 + M2 passes about 9e307: math.sqrt takes
+    # an overflowed 2 * (M1 + M2) without raising
+    if twice_r2 == math.inf:
+        raise InvalidState(f"masses ({M1}, {M2}) overflow the equilibrium algebra")
     return EquilibriumState(
         a_inf=_scaled(M1, _twice_gap(M1, M2, sq), twice_r2),
         b_inf=_scaled(M2, _twice_gap(M2, M1, sq), twice_r2),

@@ -159,6 +159,6 @@ def inequality_rows_per_field(rng, grid, modes):
         params = modes[i % 3]
         s = sample(f, 0.0, eq, params, grid)
         rhs = dissipation_bound_rhs((s["dev_A2"], s["dev_B2"], s["dev_C2"]), s["abc_defect"],
-                                    params.diffusivities(), grid.poincare_constant)
+                                    params, grid.poincare_constant)
         rows[i] = s["E_rel"], s["ckp_lhs"], s["D"], rhs, s["M1"], s["M2"]
     return rows

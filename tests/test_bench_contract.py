@@ -48,7 +48,7 @@ def test_verify_reaches_the_tallied_oracle():
         verify._suite_reaction_oracle(np.random.default_rng(0))
     calls, _, _ = tracer.totals()
     assert calls["oracle.homogeneous_ode"] == 1
-    assert tracer.counts["substeps"] == 10_000
+    assert tracer.counts["substeps"] == 1_000
 
 
 def test_kernel_probes_time_both_kernels(tmp_path):

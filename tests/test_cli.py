@@ -620,6 +620,24 @@ class TestCmdVerify:
         assert cmd_verify() == 1
         assert f"FAIL  {name}:" in capsys.readouterr().out
 
+    def test_reaction_step_off_by_1e11_fails_closed(self, monkeypatch, capsys, tmp_path):
+        # a reaction over dt (1 + 1e-11) reads about 3.6e-12 against the RK4
+        # oracle, below 1e-10 but above verify's 1e-12 gate, which must fail it
+        import revreact.solver
+        from revreact import verify
+        from revreact.cli import cmd_verify
+
+        right = _short_run(tmp_path)
+        react = revreact.solver._reaction
+        monkeypatch.setattr(revreact.solver, "_reaction",
+                            lambda u, work, dt: react(u, work, (1.0 + 1e-11) * dt))
+        assert not np.array_equal(_short_run(tmp_path), right)
+        name, ok, detail = verify._suite_reaction_oracle(np.random.default_rng(0))
+        assert ok is False
+        assert 1e-12 < float(detail.rsplit(" ", 1)[1]) < 1e-11
+        assert cmd_verify() == 1
+        assert f"FAIL  {name}:" in capsys.readouterr().out
+
     def test_wrong_kernel_fails_closed(self, monkeypatch, capsys, tmp_path):
         # heat kernels built from eigenvalues 1e-6 too large stay symmetric,
         # stochastic and a semigroup, but the mode decay of the diffusion

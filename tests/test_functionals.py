@@ -48,7 +48,7 @@ ANY_PARAMS = ModelParams(1.0, 1.0, 1.0)
 def bound_sides(s, params, grid):
     """(D, dissipation_bound_rhs) of one sample."""
     dev2 = (s["dev_A2"], s["dev_B2"], s["dev_C2"])
-    return s["D"], dissipation_bound_rhs(dev2, s["abc_defect"], params.diffusivities(),
+    return s["D"], dissipation_bound_rhs(dev2, s["abc_defect"], params,
                                          box_poincare_constant(grid.domain.lengths))
 
 
@@ -238,9 +238,11 @@ class TestDissipationBound:
     def test_rhs_array_call_equals_per_sample_calls(self, rng):
         # analyze and verify evaluate the rhs over columns of samples
         dev2, defect = rng.uniform(0.0, 2.0, size=(3, 40)), rng.uniform(0.0, 2.0, size=40)
-        for ds in ((1.0, 0.0, 0.7), (1.0, 0.5, 0.0), (0.3, 0.5, 0.8)):
-            per_sample = [dissipation_bound_rhs(dev2[:, i], defect[i], ds, 0.1) for i in range(40)]
-            assert np.array_equal(dissipation_bound_rhs(dev2, defect, ds, 0.1), per_sample)
+        for params in (ModelParams(1.0, 0.0, 0.7), ModelParams(1.0, 0.5, 0.0),
+                       ModelParams(0.3, 0.5, 0.8)):
+            per_sample = [dissipation_bound_rhs(dev2[:, i], defect[i], params, 0.1)
+                          for i in range(40)]
+            assert np.array_equal(dissipation_bound_rhs(dev2, defect, params, 0.1), per_sample)
 
     def test_degenerate_mode_drops_deviation_term(self):
         # d_b = 0: perturbing only b leaves the rhs gradient part unchanged

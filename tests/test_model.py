@@ -109,16 +109,25 @@ class TestEquilibrium:
         for got, want in zip((eq.a_inf, eq.b_inf, eq.c_inf), exact):
             assert abs(Decimal(got) - want) <= Decimal("1e-14") * want
 
-    @pytest.mark.parametrize("m1, m2", [(9.6e153, 2e-3), (2e-3, 1.2e154), (1e154, 1e154)])
+    @pytest.mark.parametrize("m1, m2", [(9.6e153, 2e-3), (2e-3, 1.2e154), (1e154, 1e154),
+                                        (4e307, 4e307)])
     def test_a_component_whose_numerator_overflows_is_finite(self, m1, m2):
         # M1 * 2*(r2 - M2), M2 * 2*(r2 - M1) and 2*M1*M2 pass the largest
-        # double although a_inf, b_inf and c_inf do not
+        # double although a_inf, b_inf and c_inf do not; at 4e307, 2*(M1 + M2)
+        # is just below it
         eq = equilibrium_state(m1, m2)
         a, b, c = eq.a_inf, eq.b_inf, eq.c_inf
         assert all(math.isfinite(x) and x > 0.0 for x in (a, b, c))
         assert a + c == pytest.approx(m1, rel=1e-15)
         assert b + c == pytest.approx(m2, rel=1e-15)
         assert a * b == pytest.approx(c, rel=1e-15)
+
+    @pytest.mark.parametrize("m1, m2", [(5e307, 5e307), (1e308, 0.0), (2e154, 1.0)])
+    def test_masses_that_overflow_the_algebra_raise(self, m1, m2):
+        # 2 * (M1 + M2) overflows in the first two, which math.sqrt takes
+        # without raising, and (M1 - M2)**2 in the third
+        with pytest.raises(InvalidState, match="overflow the equilibrium algebra"):
+            equilibrium_state(m1, m2)
 
     def test_finite_products_are_formed_before_they_are_divided(self, rng):
         # dividing first everywhere would move the last bit of a_inf for about

@@ -1,14 +1,16 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from revreact import oracle
+from revreact import oracle, verify
 from revreact.errors import InvalidArgument, InvalidState
 from revreact.functionals import CSV_COLUMNS, RunningIntegrals, sample
 from revreact.grid import Grid, SpeciesFields
 from revreact.model import DomainSpec, ModelParams, conserved_masses, equilibrium_state
+from revreact.solver import reaction_substep
 
 SQRT2 = math.sqrt(2.0)
 
@@ -31,6 +33,23 @@ def plain_float_rk4(a0, b0, c0, t_end, substeps):
         b += (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         c += (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
     return a, b, c
+
+
+def exact_reaction(states, dt):
+    """The reaction flow over dt of each row (a, b, c) of states, in the
+    closed form c(dt) = r1 + sq G / ((r2 - c) + G), G = (c - r1) exp(-sq dt),
+    evaluated in 50-digit mpmath and rounded to doubles."""
+    out = np.empty_like(states)
+    with mpmath.workdps(50):
+        for row, (a, b, c) in zip(out, states.tolist()):
+            a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+            m1, m2 = a + c, b + c
+            sq = mpmath.sqrt((1 + m1 + m2) ** 2 - 4 * m1 * m2)
+            r1, r2 = (1 + m1 + m2 - sq) / 2, (1 + m1 + m2 + sq) / 2
+            g = (c - r1) * mpmath.exp(-sq * dt)
+            c_new = r1 + sq * g / ((r2 - c) + g)
+            row[:] = [float(m1 - c_new), float(m2 - c_new), float(c_new)]
+    return out
 
 
 class TestHomogeneousOde:
@@ -102,6 +121,26 @@ class TestHomogeneousOde:
     def test_states_must_share_one_shape(self):
         with pytest.raises(InvalidArgument, match="one shape"):
             oracle.homogeneous_ode(np.ones(3), np.ones(3), np.ones(2), 1.0, 10)
+
+    def test_verify_oracle_and_reaction_match_the_exact_flow(self, monkeypatch):
+        # verify's states and substep count, read off its own oracle call:
+        # measured 1.07e-14 for RK4 at 1000 substeps (3.55e-14 at 10000) and
+        # 4.4e-16 for the reaction the solver runs
+        calls, homogeneous_ode = [], oracle.homogeneous_ode
+
+        def spy(a0, b0, c0, t_end, substeps):
+            calls.append((np.stack((a0, b0, c0), axis=-1), t_end, substeps))
+            return homogeneous_ode(a0, b0, c0, t_end, substeps)
+
+        monkeypatch.setattr(oracle, "homogeneous_ode", spy)
+        verify.run_property_suites()
+        [(states, dt, substeps)] = calls
+        assert states.shape == (100, 3)
+        exact = exact_reaction(states, dt)
+        ref = homogeneous_ode(*states.T, dt, substeps)
+        assert np.max(np.abs(np.stack((ref.a, ref.b, ref.c), axis=-1) - exact)) <= 2e-14
+        got = reaction_substep(SpeciesFields(*states.T), dt)
+        assert np.max(np.abs(got.stack.T - exact)) <= 1e-15
 
 
 class TestBruteForceSample:

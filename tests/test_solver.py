@@ -227,10 +227,13 @@ class TestReactionSubstep:
             assert np.array_equal(got.stack, np.stack((m1 - c_new, m2 - c_new, c_new)))
 
     def test_matches_rk4_oracle(self, rng):
-        # 100 states as one (100,)-shaped field, over a short and a long step
+        # 100 states as one (100,)-shaped field, over a short and a long step;
+        # on verify's states RK4 is 1.07e-14 off the exact flow at 1000
+        # substeps over 0.1, and 1.87e-14 at 3000 over 1.0 (2.35e-14 at 10000,
+        # where rounding outgrows truncation, and 2.14e-13 at 1000)
         states = rng.uniform(0.05, 3.0, size=(100, 3))
-        for dt in (0.1, 1.0):
-            ref = oracle.homogeneous_ode(*states.T, dt, 10_000)
+        for dt, substeps in ((0.1, 1_000), (1.0, 3_000)):
+            ref = oracle.homogeneous_ode(*states.T, dt, substeps)
             g = reaction_substep(SpeciesFields(*states.T), dt)
             assert np.max(np.abs(np.stack(g.species()) - np.stack((ref.a, ref.b, ref.c)))) <= 1e-10
 
@@ -519,7 +522,7 @@ class TestRun2D:
         masses = (cols["M1"], cols["M2"], dom.volume)
         assert np.all(ckp_violation(cols["E_rel"], cols["ckp_lhs"], *masses) == 0.0)
         rhs = dissipation_bound_rhs((cols["dev_A2"], cols["dev_B2"], cols["dev_C2"]),
-                                    cols["abc_defect"], params.diffusivities(),
+                                    cols["abc_defect"], params,
                                     box_poincare_constant(dom.lengths))
         assert np.all(bound_violation(cols["D"], rhs, *masses) == 0.0)
 
