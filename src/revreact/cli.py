@@ -19,6 +19,12 @@ else the sibling), whose mode and dim must be the requested ones and
 which supplies the domain volume and the dissipation-bound coefficients,
 and writes report.txt / summary.json.  A run_meta that cannot be read, or
 has no config section, is an error.
+
+Both data files are written, and timeseries.csv is read back, in blocks
+of BLOCK_LINES lines: a block is written as the bytes of one %-format of
+a row template over its values, and read by one numpy cast of its
+tokens.  So the text and the Python floats of one block at a time are
+held, never those of the whole series.
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -63,6 +70,11 @@ __all__ = [
 CSV_HEADER = ",".join(functionals.CSV_COLUMNS)
 
 INIT_KINDS = ("uniform", "cosine_bump", "random_positive")
+
+
+#: lines of timeseries.csv and final_fields.snap formatted, and of
+#: timeseries.csv parsed, as one block
+BLOCK_LINES = 256
 
 
 def _fmt(x: float) -> str:
@@ -236,29 +248,37 @@ def build_initial(cfg: RunConfig, grid: Grid, domain: DomainSpec) -> SpeciesFiel
     raise ConfigError(f"unknown init kind {kind!r}")
 
 
-def _csv_lines(columns: dict):
-    """The lines of timeseries.csv, each ending in a newline, for the
-    columns, one array per name of CSV_HEADER: the header, then one line
-    per record, its values in column order.  A generator, so that a
-    writer holds one line of text at a time, not the whole file.  A row
-    is a list, not a zip of the columns: CPython 3.11 keeps every freed
-    tuple of 20 items, one per CSV column, on a free list that never hands
-    one out again, up to 2000 of them (about 400 KB)."""
-    yield CSV_HEADER + "\n"
-    values = [columns[name].tolist() for name in functionals.CSV_COLUMNS]
-    for i in range(len(values[0])):
-        yield ",".join([_fmt(column[i]) for column in values]) + "\n"
+def _line_blocks(columns: list, sep: bytes):
+    """Lines of the values of the 1-d columns, line i holding value i of
+    each, joined by sep and each written as _fmt writes it, as UTF-8
+    bytes, one bytes object per block of BLOCK_LINES lines.  A block is
+    formatted by one % of a template of "%.17g" fields, which formats as
+    _fmt does.  Bytes written to a binary file are not copied again to be
+    encoded; through a text file that extra copy of each block left the
+    heap of a process looping full_1d runs about 0.2 MB larger (CPython
+    3.11, glibc malloc)."""
+    template = sep.join([b"%.17g"] * len(columns)) + b"\n"
+    for start in range(0, len(columns[0]), BLOCK_LINES):
+        block = np.stack([column[start:start + BLOCK_LINES] for column in columns], axis=1)
+        yield (template * len(block)) % tuple(block.ravel().tolist())
+
+
+def _csv_blocks(columns: dict):
+    """The bytes of timeseries.csv for the columns, one array per name of
+    CSV_HEADER: the header line, then one bytes object per block of
+    records, one line per record with its values in column order."""
+    yield CSV_HEADER.encode() + b"\n"
+    yield from _line_blocks([columns[name] for name in functionals.CSV_COLUMNS], b",")
 
 
 def write_snapshot(path: str, cfg: RunConfig, fields: SpeciesFields) -> None:
     """Write final_fields.snap: a header line of dim, cells and lengths,
-    then one line of a, b and c per cell, in C order.  The lines are
-    written as they are formatted, so at most one is held as text."""
+    then one line of a, b and c per cell, in C order, written one block of
+    lines at a time."""
     header = " ".join([str(cfg.dim), *map(str, cfg.cells), *map(_fmt, cfg.lengths)])
-    flat = zip(fields.a.ravel(), fields.b.ravel(), fields.c.ravel())
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.writelines(f"{_fmt(a)} {_fmt(b)} {_fmt(c)}\n" for a, b, c in flat)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        fh.writelines(_line_blocks([fields.a.ravel(), fields.b.ravel(), fields.c.ravel()], b" "))
 
 
 def _read_lines(path: str, what: str) -> list[str]:
@@ -268,9 +288,13 @@ def _read_lines(path: str, what: str) -> list[str]:
         with open(path, encoding="utf-8") as fh:
             return fh.read().splitlines()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path!r} is not UTF-8 text: {exc}")
+        raise _not_utf8(path, exc)
     except OSError as exc:
         raise IoError(f"cannot read {what} {path!r}: {exc}")
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{path!r} is not UTF-8 text: {exc}")
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -298,8 +322,8 @@ def cmd_run(cfg: RunConfig) -> int:
     try:
         if traj is not None:
             started = time.perf_counter()
-            with open(os.path.join(cfg.out_dir, "timeseries.csv"), "w") as fh:
-                fh.writelines(_csv_lines(traj.columns))
+            with open(os.path.join(cfg.out_dir, "timeseries.csv"), "wb") as fh:
+                fh.writelines(_csv_blocks(traj.columns))
             write_snapshot(
                 os.path.join(cfg.out_dir, "final_fields.snap"), cfg, traj.final_fields
             )
@@ -336,31 +360,90 @@ def cmd_run(cfg: RunConfig) -> int:
 
 def read_timeseries(path: str):
     """Parse a timeseries.csv into a dict of column arrays; every cell must
-    be finite.  Each line is parsed into its row of one preallocated
-    array, so the floats of one line at a time are held as Python objects."""
-    lines = _read_lines(path, "CSV")
+    be finite.
+
+    The file is read BLOCK_LINES lines at a time, and the tokens of a
+    block are converted by one numpy cast, which accepts and rejects what
+    float() does, so the text and the Python objects of one block at a
+    time are held.  The errors and their line numbers are those of
+    parsing the whole text line by line, as str.splitlines splits it:
+    IoError if the file cannot be read, then ParseError if it is not
+    UTF-8 text anywhere, then ParseError for the first line whose header,
+    column count or number is wrong, and only then for the first line
+    with a non-finite value.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                return _parse_timeseries(fh)
+            except ParseError:
+                for _ in fh:  # a byte that is not UTF-8 is reported first
+                    pass
+                raise
+    except UnicodeDecodeError as exc:
+        # its position counts from the chunk it was decoded in: decoding
+        # the whole file names the byte's position in the file
+        _read_lines(path, "CSV")
+        raise _not_utf8(path, exc)
+    except OSError as exc:
+        raise IoError(f"cannot read CSV {path!r}: {exc}")
+
+
+def _parse_timeseries(fh) -> dict:
+    """The columns of the timeseries.csv text read from fh, a block of
+    lines at a time; str.splitlines splits more line breaks than file
+    iteration (\\v, \\f, \\x1c-\\x1e, \\x85, \\u2028, \\u2029), so it splits
+    each block."""
+    blocks = iter(lambda: "".join(itertools.islice(fh, BLOCK_LINES)).splitlines(), [])
+    lines = next(blocks, [])
     if not lines:
         raise ParseError("empty CSV", line=1)
     if lines[0] != CSV_HEADER:
         raise ParseError(f"unexpected header {lines[0]!r}", line=1)
-    if len(lines) == 1:
+    data, non_finite = [], None
+    lineno = 2  # of the first line of the block
+    for lines in itertools.chain([lines[1:]], blocks):
+        rows = _csv_rows(lines, lineno)
+        finite = np.all(np.isfinite(rows), axis=1)
+        if non_finite is None and not finite.all():
+            i = int(np.argmin(finite))
+            non_finite = ParseError(f"non-finite value in {lines[i]!r}", line=lineno + i)
+        data.append(rows)
+        lineno += len(lines)
+    if lineno == 2:
         raise ParseError("CSV has no data rows", line=1)
-    names = functionals.CSV_COLUMNS
-    data = np.empty((len(lines) - 1, len(names)))
-    for i in range(1, len(lines)):
-        toks = lines[i].split(",")
-        if len(toks) != len(names):
-            raise ParseError(
-                f"expected {len(names)} columns, got {len(toks)}: {lines[i]!r}", line=i + 1
-            )
+    if non_finite is not None:
+        raise non_finite
+    data = np.concatenate(data)
+    return {name: data[:, j] for j, name in enumerate(functionals.CSV_COLUMNS)}
+
+
+def _csv_rows(lines: list, lineno: int) -> np.ndarray:
+    """The values of the CSV data lines, the first of which is line lineno
+    of the file, as a (len(lines), columns) array, converted by one cast.
+    Where a line has the wrong column count or the cast fails, the lines
+    are parsed again one at a time, as float() parses them, to raise the
+    ParseError of the first bad one."""
+    n = len(functionals.CSV_COLUMNS)
+    tokens = []
+    for line in lines:
+        toks = line.split(",")
+        if len(toks) != n:
+            break
+        tokens += toks
+    else:
+        with contextlib.suppress(ValueError):
+            return np.array(tokens, dtype=float).reshape(len(lines), n)
+    values = np.empty((len(lines), n))
+    for i, line in enumerate(lines):
+        toks = line.split(",")
+        if len(toks) != n:
+            raise ParseError(f"expected {n} columns, got {len(toks)}: {line!r}", line=lineno + i)
         try:
-            data[i - 1] = [float(t) for t in toks]
+            values[i] = [float(t) for t in toks]
         except ValueError:
-            raise ParseError(f"malformed number in {lines[i]!r}", line=i + 1)
-    bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
-    if bad.size:
-        raise ParseError(f"non-finite value in {lines[bad[0] + 1]!r}", line=int(bad[0]) + 2)
-    return {name: data[:, j] for j, name in enumerate(names)}
+            raise ParseError(f"malformed number in {line!r}", line=lineno + i)
+    return values
 
 
 def _read_meta_config(meta_path: str) -> RunConfig:

@@ -46,7 +46,7 @@ import numpy as np
 from .errors import InvalidArgument
 from .grid import (Grid, SpeciesFields, deviations_l2, dirichlet_energies, lp_norms,
                    row_integrals)
-from .model import EquilibriumState, ModelParams, conserved_masses
+from .model import EquilibriumState, ModelParams, _scaled, conserved_masses
 
 __all__ = [
     "RunningIntegrals",
@@ -310,15 +310,19 @@ def sample(states, t, eq: EquilibriumState | Sequence[EquilibriumState], params:
             int_a2ac = int_b2bc = 0.0
         l1a, l1b, l1c = l1[i]
         # the CKP bound kappa*|Omega|*(l1_a^2/(2 M1) + l1_b^2/(2 M2) + l1_c^2/(M1+M2))
+        # (divided first only where a square overflows, so finite terms
+        # stay finite past l1 = 1.34e154)
         ckp_lhs = CKP_PREFACTOR * grid.domain.volume * (
-            l1a * l1a / (2.0 * ref.M1)
-            + l1b * l1b / (2.0 * ref.M2)
-            + l1c * l1c / (ref.M1 + ref.M2)
+            _scaled(l1a, l1a, 2.0 * ref.M1)
+            + _scaled(l1b, l1b, 2.0 * ref.M2)
+            + _scaled(l1c, l1c, ref.M1 + ref.M2)
         )
         a_l32, b_l32 = l32[i]
         dev_a, dev_b, dev_c = devs[i]
         e, e_rel = entropies[i]
-        # a list: a freed tuple of 20 items is never reused (cli._csv_lines)
+        # a list, not a tuple: CPython 3.11 keeps every freed tuple of 20
+        # items on a free list that never hands one out again, up to 2000
+        # of them (about 400 KB)
         rows.append([
             time, e, e_rel, diss, m1, m2, l1a, l1b, l1c,
             dev_a * dev_a, dev_b * dev_b, dev_c * dev_c, defects[i], ckp_lhs,

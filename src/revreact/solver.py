@@ -34,7 +34,7 @@ by index, so diffusion leaves it bit-for-bit unchanged.  No step solves a
 linear system.
 
 StrangStepper.records never writes its input.  Each iterator allocates
-one state and one work block (at most nine fields in all) and binds
+one state and one work block (at most ten fields in all) and binds
 every matmul and ufunc of the step to views of them once, so each step
 only runs those calls, in place: no gather, scatter or reshape, and the
 same operands and operation order as the allocating entry points
@@ -307,49 +307,55 @@ class DiffusionSemigroup:
         return out.reshape(np.shape(u))
 
 
-def _reaction(u: np.ndarray, work: np.ndarray, dt: float) -> list:
-    """The reaction substep over dt as calls that update the (3, *cells)
-    stack u in place, with every view they use bound once; work holds at
-    least four scratch fields of u's cells.
+def _reaction(src, u: np.ndarray, work: np.ndarray, dt: float) -> list:
+    """The reaction substep over dt as calls that write the flow of the
+    stack src, whose rows 0, 1 and 2 are read as a, b and c, into the
+    (3, *cells) stack u, with every view they use bound once; work holds
+    at least four scratch fields of u's cells.  A row of src is either the
+    same row of u, updated in place, or a field that neither u nor the
+    scratch overlaps.
 
     The calls evaluate the roots r1 <= r2 of c**2 - (1 + m1 + m2) c + m1 m2
     as sq = sqrt(1 + 2 (m1 + m2) + (m1 - m2)**2), r2 = (1 + m1 + m2 + sq)/2
     and r1 = m1 m2 / r2, then the closed form in reaction_substep,
     operation for operation, so they round as those expressions do.  Rows
-    0 and 1 hold m1 and m2 until they become a and b; row 2 holds c, then
+    0 and 1 of u hold m1 and m2 until they become a and b; row 2 holds
     exp(-sq dt) once c is read for the last time, then c_new.  Each call
     takes its output as its last argument, by position, which a partial
-    passes on faster than an out= keyword.
+    passes on faster than an out= keyword, and its constants as 0-d
+    arrays, which a ufunc takes faster than Python floats.
     """
-    m1, m2, c = u[0], u[1], u[2]
+    a, b, c = src[0], src[1], src[2]
+    m1, m2, c_new = u[0], u[1], u[2]
     s, sq, r1, g = work[:4]
+    one, two, half, minus_dt = (np.array(x) for x in (1.0, 2.0, 0.5, -dt))
     return [
-        partial(np.add, m1, c, m1),  # m1 = a + c
-        partial(np.add, m2, c, m2),  # m2 = b + c
-        partial(np.add, 1.0, m1, s),
+        partial(np.add, a, c, m1),  # m1 = a + c
+        partial(np.add, b, c, m2),  # m2 = b + c
+        partial(np.add, one, m1, s),
         partial(np.add, s, m2, s),  # s = 1 + m1 + m2
         partial(np.add, m1, m2, sq),
-        partial(np.multiply, 2.0, sq, sq),
-        partial(np.add, 1.0, sq, sq),
+        partial(np.multiply, two, sq, sq),
+        partial(np.add, one, sq, sq),
         partial(np.subtract, m1, m2, r1),
         partial(np.square, r1, r1),
         partial(np.add, sq, r1, sq),
         partial(np.sqrt, sq, sq),  # sq = r2 - r1
         partial(np.add, s, sq, s),
-        partial(np.multiply, 0.5, s, s),  # s holds r2 = (s + sq) / 2
+        partial(np.multiply, half, s, s),  # s holds r2 = (s + sq) / 2
         partial(np.multiply, m1, m2, r1),
         partial(np.divide, r1, s, r1),  # r1 = m1 m2 / r2
         partial(np.subtract, c, r1, g),
         partial(np.subtract, s, c, s),  # s holds r2 - c
-        partial(np.multiply, sq, -dt, c),
-        partial(np.exp, c, c),
-        partial(np.multiply, g, c, g),  # G = (c - r1) exp(-sq dt)
+        partial(np.multiply, sq, minus_dt, c_new),
+        partial(np.exp, c_new, c_new),
+        partial(np.multiply, g, c_new, g),  # G = (c - r1) exp(-sq dt)
         partial(np.add, s, g, s),
         partial(np.multiply, sq, g, g),
         partial(np.divide, g, s, g),
-        partial(np.add, r1, g, c),  # c_new = r1 + sq G / ((r2 - c) + G)
-        partial(np.subtract, m1, c, m1),  # a = m1 - c_new
-        partial(np.subtract, m2, c, m2),  # b = m2 - c_new
+        partial(np.add, r1, g, c_new),  # c_new = r1 + sq G / ((r2 - c) + G)
+        partial(np.subtract, m1, c_new, m1),  # a = m1 - c_new
+        partial(np.subtract, m2, c_new, m2),  # b = m2 - c_new
     ]
 
 
@@ -372,7 +378,7 @@ def reaction_substep(fields: SpeciesFields, dt: float) -> SpeciesFields:
     stack.
     """
     u = np.array(fields.stack)
-    for call in _reaction(u, np.empty((4,) + u.shape[1:]), dt):
+    for call in _reaction(u, u, np.empty((4,) + u.shape[1:]), dt):
         call()
     return SpeciesFields.from_stack(u)
 
@@ -411,19 +417,35 @@ class StrangStepper:
         in place (an axis longer than KERNEL_MAX_CELLS still allocates its
         FFTs).  The work block holds the two axis temporaries, which the
         reaction also uses as its scratch: at most six fields, at least
-        four.  The state and the work block live as long as the iterator.
+        four.  On one axis, where matmul cannot write its own operand, it
+        holds four scratch fields and a second stack instead: the
+        diffusion before each reaction writes the moving rows into that
+        stack, and the reaction reads them from it and writes the state,
+        so only the last half step of each record is copied back.  The
+        state and the work block live as long as the iterator.
         """
         u = np.ascontiguousarray(u, dtype=float)
         if u.shape != self.full.shape:
             raise ValueError(f"a state has shape {self.full.shape}, got {u.shape}")
         state = u.copy()
         moving = self.full.work_shape[0]
-        work = np.empty((max(2 * moving, 4),) + u.shape[1:])
+        one_axis = len(self.full.axes) == 1
+        work = np.empty((7 if one_axis else max(2 * moving, 4),) + u.shape[1:])
         temps = work[:moving], work[moving:2 * moving]
+
+        def diffuse_react(semigroup):
+            if not one_axis:
+                return (semigroup.calls(state, state, temps)
+                        + _reaction(state, state, work, self.dt))
+            diffused = work[4:]
+            rows = range(3)[semigroup.moving]
+            src = [diffused[i] if i in rows else state[i] for i in range(3)]
+            return (semigroup.calls(state, diffused, temps)
+                    + _reaction(src, state, work, self.dt))
+
+        first = diffuse_react(self.half)
+        step = diffuse_react(self.full)
         half = self.half.calls(state, state, temps)
-        react = _reaction(state, work, self.dt)
-        first = half + react
-        step = self.full.calls(state, state, temps) + react
         while True:
             for call in first:
                 call()
@@ -483,7 +505,7 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
             eq = equilibrium_state(*conserved_masses(initial, grid))
             if not all(math.isfinite(r) and r > 0.0 for r in (eq.a_inf, eq.b_inf, eq.c_inf)):
                 raise NumericalBlowup(f"equilibrium ({eq.a_inf}, {eq.b_inf}, {eq.c_inf}) is "
-                                      "not finite and positive at t = 0", t=0.0)
+                                      f"not finite and positive at t = {t}", t=t)
             block[0] = initial.stack
             done, filled = 0, 1  # records sampled; rows of the block already filled
             while done < len(times):

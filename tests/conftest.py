@@ -162,3 +162,42 @@ def inequality_rows_per_field(rng, grid, modes):
                                     params, grid.poincare_constant)
         rows[i] = s["E_rel"], s["ckp_lhs"], s["D"], rhs, s["M1"], s["M2"]
     return rows
+
+
+def reference_read_timeseries(path):
+    """timeseries.csv read as one text, split by str.splitlines and parsed
+    line by line with float(): the reference that cli.read_timeseries,
+    which reads a block of lines at a time, must agree with, in the arrays
+    it returns and in the error, message and line number it raises."""
+    from revreact.cli import CSV_HEADER
+    from revreact.errors import IoError, ParseError
+    from revreact.functionals import CSV_COLUMNS
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8 text: {exc}")
+    except OSError as exc:
+        raise IoError(f"cannot read CSV {path!r}: {exc}")
+    if not lines:
+        raise ParseError("empty CSV", line=1)
+    if lines[0] != CSV_HEADER:
+        raise ParseError(f"unexpected header {lines[0]!r}", line=1)
+    if len(lines) == 1:
+        raise ParseError("CSV has no data rows", line=1)
+    data = np.empty((len(lines) - 1, len(CSV_COLUMNS)))
+    for i in range(1, len(lines)):
+        toks = lines[i].split(",")
+        if len(toks) != len(CSV_COLUMNS):
+            raise ParseError(
+                f"expected {len(CSV_COLUMNS)} columns, got {len(toks)}: {lines[i]!r}", line=i + 1
+            )
+        try:
+            data[i - 1] = [float(t) for t in toks]
+        except ValueError:
+            raise ParseError(f"malformed number in {lines[i]!r}", line=i + 1)
+    bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
+    if bad.size:
+        raise ParseError(f"non-finite value in {lines[bad[0] + 1]!r}", line=int(bad[0]) + 2)
+    return {name: data[:, j] for j, name in enumerate(CSV_COLUMNS)}

@@ -61,6 +61,6 @@ def test_kernel_probes_time_both_kernels(tmp_path):
 @pytest.mark.parametrize("name", ["full_1d", "dc0_3d"])
 def test_preset_csv_passes_the_reference_gate(preset_run, name):
     r = preset_run(name)
-    text = "".join(cli._csv_lines(r.trajectory.columns))
+    text = b"".join(cli._csv_blocks(r.trajectory.columns)).decode()
     reference = workloads.make(name, seed=1).reference
     assert workloads.check_csv(text, workloads.expected_rows(r.cfg), reference) == []

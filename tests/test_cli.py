@@ -613,7 +613,7 @@ class TestCmdVerify:
         right = _short_run(tmp_path)
         react = revreact.solver._reaction
         monkeypatch.setattr(revreact.solver, "_reaction",
-                            lambda u, work, dt: react(u, work, 2.0 * dt))
+                            lambda src, u, work, dt: react(src, u, work, 2.0 * dt))
         assert not np.array_equal(_short_run(tmp_path), right)
         name, ok, _ = verify._suite_reaction_oracle(np.random.default_rng(0))
         assert ok is False
@@ -630,7 +630,7 @@ class TestCmdVerify:
         right = _short_run(tmp_path)
         react = revreact.solver._reaction
         monkeypatch.setattr(revreact.solver, "_reaction",
-                            lambda u, work, dt: react(u, work, (1.0 + 1e-11) * dt))
+                            lambda src, u, work, dt: react(src, u, work, (1.0 + 1e-11) * dt))
         assert not np.array_equal(_short_run(tmp_path), right)
         name, ok, detail = verify._suite_reaction_oracle(np.random.default_rng(0))
         assert ok is False

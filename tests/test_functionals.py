@@ -195,6 +195,20 @@ class TestCkp:
                               for k in ("E_rel", "ckp_lhs", "M1", "M2"))
         assert np.all(ckp_violation(e_rel, ckp, m1, m2, grid.domain.volume) == 0.0)
 
+    def test_finite_past_an_overflowing_square(self):
+        # l1_a is about 2e154, so l1_a**2 overflows, but l1_a**2 / (2 M1) is
+        # finite: that term is divided first, and the others, whose squares
+        # are finite, come out as they always did
+        grid = Grid.for_domain(DomainSpec.box([4.0]), [4])
+        f = SpeciesFields(np.array([1.3e154, 1e-3, 1e-3, 1e-3]), np.full(4, 1e-3),
+                          np.full(4, 1e-3))
+        s = self_sample(f, ANY_PARAMS, grid)
+        m1, m2, l1a, l1b, l1c = (s[k] for k in ("M1", "M2", "l1_a", "l1_b", "l1_c"))
+        assert 1.9e154 < l1a < 2.1e154 and l1a * l1a == math.inf
+        assert s["ckp_lhs"] == CKP_PREFACTOR * grid.domain.volume * (
+            l1a * (l1a / (2.0 * m1)) + l1b * l1b / (2.0 * m2) + l1c * l1c / (m1 + m2))
+        assert math.isfinite(s["ckp_lhs"])
+
 
 class TestDissipationBound:
     def test_equilibrium_is_zero_pair(self):

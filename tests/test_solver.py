@@ -707,6 +707,20 @@ class TestRun:
         assert exc_info.value.t == 0.0
         assert str(exc_info.value) == "non-finite functional at t = 0.0"
 
+    @pytest.mark.parametrize("init, start", [
+        # c_inf underflows to 0: the check of the reference's components
+        ((1e-170, 1e-170, 1e-170), "equilibrium (2e-170, 2e-170, 0.0) is not finite"),
+        # the masses overflow: an InvalidState from the reference's algebra
+        ((1e308, 1e308, 1e308), "masses must be finite and nonnegative"),
+    ])
+    def test_a_blowup_at_t0_words_t_alike_on_every_path(self, init, start):
+        grid, params, cfg, _ = self.make_run(t_end=0.1)
+        with pytest.raises(NumericalBlowup) as exc_info:
+            run(SpeciesFields.uniform(grid, *init), params, grid, cfg)
+        assert exc_info.value.t == 0.0
+        assert str(exc_info.value).startswith(start)
+        assert str(exc_info.value).endswith(" at t = 0.0")
+
     def test_blowup_reported_with_time(self, monkeypatch):
         from revreact import solver as solver_mod
 
