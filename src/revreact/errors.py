@@ -33,7 +33,8 @@ class NumericalBlowup(RevReactError):
 
 class UnresolvedFit(RevReactError):
     """A decay fit resolved no exponent: too few samples above the floor,
-    no decaying envelope, or a best exponent at the lowest one searched."""
+    no decaying envelope, a best exponent at the lowest one searched, or
+    an S1 above the range of doubles."""
 
 
 class _LineError(RevReactError):

@@ -135,6 +135,10 @@ class SolverConfig:
         """Number of time steps from 0 to t_end."""
         return round(self.t_end / self.dt)
 
+    def record_times(self) -> list[float]:
+        """The times of the recorded samples, from 0 to t_end."""
+        return [step * self.dt for step in range(0, self.n_steps + 1, self.record_every)]
+
 
 @dataclass
 class Trajectory:
@@ -496,7 +500,7 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
     """
     stepper = StrangStepper(params, cfg.dt, grid)
     running = functionals.RunningIntegrals()
-    times = [step * cfg.dt for step in range(0, cfg.n_steps + 1, cfg.record_every)]
+    times = cfg.record_times()
     traj = Trajectory({name: np.empty(len(times)) for name in functionals.CSV_COLUMNS})
     block = np.empty((min(block_records(grid), len(times)),) + initial.stack.shape)
     t = 0.0

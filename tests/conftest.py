@@ -71,6 +71,18 @@ def random_fields(rng, grid, lo=0.2, hi=3.0):
     )
 
 
+def envelope_bounds(fit, t, e_rel, slack=1e-9):
+    """Whether the fitted envelope S1*exp(-S2*(1+t)**alpha), times 1 + slack,
+    bounds every sample of E_rel above the fit floor."""
+    from revreact.analysis import FIT_FLOOR
+
+    t = np.asarray(t)
+    e_rel = np.asarray(e_rel)
+    keep = e_rel > FIT_FLOOR
+    bound = fit.S1 * np.exp(-fit.S2 * (1.0 + t[keep]) ** fit.alpha)
+    return bool(np.all(e_rel[keep] <= bound * (1.0 + slack)))
+
+
 def box_poincare_constant(lengths):
     """The continuous Neumann Poincare-Wirtinger constant (L_max/pi)**2 of a
     box, below the grid's discrete constant: a stricter reference for the

@@ -5,17 +5,17 @@ import pytest
 
 from revreact.analysis import (
     EPSILON,
+    FIT_FLOOR,
     DecayFit,
     _diagnostic_plan,
-    check_theorem_envelope,
     entropy_balance_audit,
-    envelope_holds,
     fit_subexponential,
     growth_diagnostics_from_series,
     theorem_alpha,
 )
 from revreact.errors import InvalidArgument, UnresolvedFit
 from revreact.functionals import CSV_COLUMNS
+from conftest import envelope_bounds
 
 
 class TestFitSubexponential:
@@ -63,7 +63,26 @@ class TestFitSubexponential:
         t = np.linspace(0.0, 10.0, 101)
         e = 2.0 * np.exp(-1.3 * t) * np.exp(rng.normal(0.0, 0.05, size=101))
         fit = fit_subexponential(t, e)
-        assert envelope_holds(fit, t, e)
+        assert envelope_bounds(fit, t, e)
+
+    def test_s1_beyond_exp_range_is_resolved(self):
+        # exp(S2*(1+t)**alpha) overflows at t >= 15.6 while the product
+        # E_rel*exp(S2*(1+t)**alpha) stays 1e300 at every sample
+        t = np.arange(0.0, 50.0001, 0.1)
+        e = 1e300 * np.exp(-50.0 * (1.0 + t) ** 0.9)
+        fit = fit_subexponential(t, e)
+        assert fit.alpha == 0.9
+        assert fit.S2 == pytest.approx(50.0, rel=1e-9)
+        assert fit.S1 == pytest.approx(1e300, rel=1e-9)
+        keep = e > FIT_FLOOR
+        ln_bound = math.log(fit.S1) - fit.S2 * (1.0 + t[keep]) ** fit.alpha
+        assert np.all(np.log(e[keep]) <= ln_bound + 1e-9)
+
+    def test_s1_above_double_range_unresolved(self):
+        t = np.arange(0.0, 5.0001, 0.1)
+        e = np.exp(1000.0 - 300.0 * (1.0 + t))  # S1 = exp(1000)
+        with pytest.raises(UnresolvedFit, match=r"S1 = exp\(1000\) is above the range"):
+            fit_subexponential(t, e)
 
 
 class TestTheoremEnvelope:
@@ -72,26 +91,28 @@ class TestTheoremEnvelope:
         assert theorem_alpha("dc0") == pytest.approx((2.0 - EPSILON) / 3.0)
         assert theorem_alpha("full") == 0.95
 
-    def _check(self, alpha, mode, dimension):
-        # samples exactly on the fitted envelope exp(-(1+t)**alpha), S1 = S2 = 1
-        fit = DecayFit(alpha=alpha, S1=1.0, S2=1.0, rms_residual=0.0,
-                       n_samples=50, t_window=(0.0, 10.0))
+    def _fit(self, alpha):
+        # samples exactly on the envelope exp(-(1+t)**alpha), S1 = S2 = 1
         t = np.linspace(0.0, 10.0, 50)
-        return check_theorem_envelope(fit, mode, dimension, t, np.exp(-(1.0 + t) ** alpha))
+        e = np.exp(-(1.0 + t) ** alpha)
+        fit = fit_subexponential(t, e)
+        assert fit.alpha == alpha
+        assert envelope_bounds(fit, t, e)
+        return fit
 
     def test_db0_dimension_one_passes(self):
-        report = self._check(0.97, "db0", 1)
-        assert report.passed
-        assert report.theoretical_alpha == pytest.approx(0.99 / 6.0)
+        # analyze's verdict: the fitted exponent is at least the theorem's
+        assert self._fit(0.97).alpha >= theorem_alpha("db0")
+        assert theorem_alpha("db0") == pytest.approx(0.99 / 6.0)
 
     def test_dc0_dimension_three_fails_below_target(self):
-        report = self._check(0.50, "dc0", 3)
-        assert not report.passed
-        assert report.theoretical_alpha == pytest.approx(1.99 / 3.0)
+        assert not self._fit(0.50).alpha >= theorem_alpha("dc0")
+        assert theorem_alpha("dc0") == pytest.approx(1.99 / 3.0)
 
     def test_boundary_alpha_passes(self):
-        report = self._check((1.0 - EPSILON) / 6.0, "db0", 2)
-        assert report.passed
+        fit = DecayFit(alpha=(1.0 - EPSILON) / 6.0, S1=1.0, S2=1.0, rms_residual=0.0,
+                       n_samples=50, t_window=(0.0, 10.0))
+        assert fit.alpha >= theorem_alpha("db0")
 
 
 class TestBalanceAudit:

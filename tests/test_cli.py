@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -218,9 +219,14 @@ class TestCmdRun:
 
 def synthetic_csv(path, t, e_rel, d=None, ckp=None):
     """Write a schema-complete CSV with consistent trivia columns, and next
-    to it the run_meta of a db0 run in 1-D on the unit interval."""
+    to it the run_meta of a db0 run in 1-D on the unit interval whose
+    record times are t: one record per step of t[1] - t[0] up to t[-1]."""
+    cfg = parse_config(EXAMPLE.replace(
+        "dt=0.001\nt_end=50\nrecord_every=100",
+        f"dt={t[1] - t[0]:.17g}\nt_end={t[-1]:.17g}\nrecord_every=1"))
+    assert SolverConfig(cfg.dt, cfg.t_end, cfg.record_every).record_times() == list(t)
     with open(os.path.join(os.path.dirname(path), "run_meta"), "w") as fh:
-        fh.write("# config\n" + serialize_config(parse_config(EXAMPLE)) + "# stats\n")
+        fh.write("# config\n" + serialize_config(cfg) + "# stats\n")
     n = t.size
     if d is None:
         d = np.abs(np.gradient(e_rel, t)) + 1e-16
@@ -427,6 +433,71 @@ class TestCmdAnalyze:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "report.txt")
+
+
+@pytest.fixture(scope="module")
+def dc0_runs(tmp_path_factory):
+    """The output directories of FAST, a dc0 run in 1-D, to t_end = 6 and 4."""
+    runs = {}
+    for t_end in (6.0, 4.0):
+        out = str(tmp_path_factory.mktemp("run"))
+        text = FAST.format(out=out).replace("t_end=1.0", f"t_end={t_end}")
+        assert cmd_run(parse_config(text)) == 0
+        runs[t_end] = out
+    return runs
+
+
+class TestRecordTimes:
+    """analyze reads only a CSV whose t column is its run's record times."""
+
+    def analyze_copy(self, tmp_path, capsys, run_dir, edit, meta=None):
+        """Analyze an edited copy of run_dir's CSV against the run_meta meta
+        (default: run_dir's); the one stderr line, which must be the
+        ParseError of a file line, and that line's number."""
+        with open(os.path.join(run_dir, "timeseries.csv")) as fh:
+            header, *rows = fh.read().splitlines()
+        csv = str(tmp_path / "timeseries.csv")
+        with open(csv, "w") as fh:
+            fh.write("\n".join([header] + edit(rows)) + "\n")
+        meta = os.path.join(run_dir, "run_meta") if meta is None else meta
+        assert main(["analyze", csv, "--mode", "dc0", "--dim", "1", "--meta", meta]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not os.path.exists(tmp_path / "report.txt")
+        assert not os.path.exists(tmp_path / "summary.json")
+        (line,) = captured.err.splitlines()
+        match = re.fullmatch(r"error: line (\d+): .*", line)
+        assert match, line
+        return line, int(match.group(1))
+
+    @staticmethod
+    def shifted(by):
+        def edit(rows):
+            out = []
+            for row in rows:
+                t, rest = row.split(",", 1)
+                out.append(f"{float(t) + by:.17g},{rest}")
+            return out
+        return edit
+
+    @pytest.mark.parametrize("by", [-5.0, 1e6])
+    def test_shifted_times_rejected(self, tmp_path, capsys, dc0_runs, by):
+        line, lineno = self.analyze_copy(tmp_path, capsys, dc0_runs[6.0], self.shifted(by))
+        assert lineno == 2
+        assert f"t = {by:.17g} is not the record time 0 of the run" in line
+
+    def test_deleted_row_rejected(self, tmp_path, capsys, dc0_runs):
+        line, lineno = self.analyze_copy(tmp_path, capsys, dc0_runs[6.0],
+                                         lambda rows: rows[:10] + rows[11:])
+        assert lineno == 12  # the row of t = 1.1 holds the next time
+        assert "t = 1.1000000000000001 is not the record time 1" in line
+
+    def test_other_runs_meta_rejected(self, tmp_path, capsys, dc0_runs):
+        # the t_end = 6 run's 61 rows against the 41 record times of t_end = 4
+        meta = os.path.join(dc0_runs[4.0], "run_meta")
+        line, lineno = self.analyze_copy(tmp_path, capsys, dc0_runs[6.0], list, meta)
+        assert lineno == 43
+        assert "61 data rows, but the run in" in line and "records 41" in line
 
 
 class TestBlowupPath:
