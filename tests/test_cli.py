@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import revreact
+from revreact.analysis import theorem_alpha
 from revreact.cli import (
     CSV_HEADER,
     cmd_analyze,
@@ -217,13 +218,17 @@ class TestCmdRun:
             assert np.array_equal(values[:, j], u)
 
 
-def synthetic_csv(path, t, e_rel, d=None, ckp=None):
+def synthetic_csv(path, t, e_rel, d=None, ckp=None, diffusivities=(1.0, 0.0, 1.0)):
     """Write a schema-complete CSV with consistent trivia columns, and next
-    to it the run_meta of a db0 run in 1-D on the unit interval whose
-    record times are t: one record per step of t[1] - t[0] up to t[-1]."""
+    to it the run_meta of a run in 1-D on the unit interval with the given
+    (d_a, d_b, d_c), by default a db0 run, whose record times are t: one
+    record per step of t[1] - t[0] up to t[-1]."""
+    d_a, d_b, d_c = diffusivities
     cfg = parse_config(EXAMPLE.replace(
+        "d_a=1.0\nd_b=0\nd_c=1.0", f"d_a={d_a!r}\nd_b={d_b!r}\nd_c={d_c!r}").replace(
         "dt=0.001\nt_end=50\nrecord_every=100",
         f"dt={t[1] - t[0]:.17g}\nt_end={t[-1]:.17g}\nrecord_every=1"))
+    assert (cfg.d_a, cfg.d_b, cfg.d_c) == diffusivities
     assert SolverConfig(cfg.dt, cfg.t_end, cfg.record_every).record_times() == list(t)
     with open(os.path.join(os.path.dirname(path), "run_meta"), "w") as fh:
         fh.write("# config\n" + serialize_config(cfg) + "# stats\n")
@@ -260,6 +265,45 @@ class TestCmdAnalyze:
             summary = json.load(fh)
         assert summary["volume"] == 1.0
         assert summary["dissipation_violations"] == 0
+
+    def test_alpha_below_target_fails_the_decay_verdict(self, tmp_path, capsys):
+        # a dc0 run decaying like exp(-(1+t)**0.5): the fitted exponent is
+        # below the theorem's (2 - EPSILON)/3, and every other check passes,
+        # so the exit is the decay verdict's
+        t = np.arange(0.0, 20.0001, 0.1)
+        path = str(tmp_path / "timeseries.csv")
+        synthetic_csv(path, t, np.exp(-((1.0 + t) ** 0.5)), diffusivities=(1.0, 1.0, 0.0))
+        assert cmd_analyze(path, "dc0", 1) == 1
+        out = capsys.readouterr().out
+        assert "decay fit: alpha = 0.50, " in out
+        assert "envelope check: FAIL\n" in out
+        assert "overall: FAIL\n" in out
+        with open(tmp_path / "summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["fit"]["alpha"] == 0.5
+        assert summary["fit"]["theoretical_alpha"] == theorem_alpha("dc0")
+        assert summary["fit"]["passed"] is False
+        assert summary["passed"] is False
+        assert math.isfinite(summary["balance_residual"])
+        assert summary["ckp_violations"] == 0
+        assert summary["dissipation_violations"] == 0
+
+    def test_alpha_at_target_passes(self, tmp_path, capsys):
+        # the full mode's target 0.95 is on the fit's alpha grid, so a run
+        # decaying like exp(-(1+t)**0.95) fits the target exactly and passes
+        t = np.arange(0.0, 20.0001, 0.1)
+        path = str(tmp_path / "timeseries.csv")
+        synthetic_csv(path, t, np.exp(-((1.0 + t) ** 0.95)), diffusivities=(1.0, 1.0, 1.0))
+        assert cmd_analyze(path, "full", 1) == 0
+        out = capsys.readouterr().out
+        assert "decay fit: alpha = 0.95, " in out
+        assert "envelope check: PASS\n" in out
+        assert "overall: PASS\n" in out
+        with open(tmp_path / "summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["fit"]["alpha"] == theorem_alpha("full")
+        assert summary["fit"]["passed"] is True
+        assert summary["passed"] is True
 
     def test_missing_run_meta_exits_2_before_writing(self, tmp_path, capsys):
         t = np.arange(0.0, 20.0001, 0.1)
