@@ -52,8 +52,8 @@ from .errors import (
     ParseError,
     RevReactError,
 )
-from .grid import Grid, SpeciesFields
-from .model import DomainSpec, ModelParams
+from .grid import DomainSpec, Grid, SpeciesFields
+from .model import ModelParams
 from .solver import SolverConfig, run as solver_run
 
 __all__ = [
@@ -526,7 +526,8 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
 
     # entropy balance
     try:
-        resid = analysis.entropy_balance_audit(t, cols["E_rel"], cols["D"])
+        resid = analysis.entropy_balance_audit(cols["E_rel"], cols["D"],
+                                               meta.record_every * meta.dt)
         finite = math.isfinite(resid)
         lines.append(
             f"entropy balance residual: {resid:.3e} ({'PASS' if finite else 'FAIL'})"

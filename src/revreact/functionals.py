@@ -17,12 +17,12 @@ and b; the two entropies take one log1p density pass per species,
 against both references at once; M1 and M2 are model.conserved_masses
 of the block.  What follows the passes (D, ckp_lhs, the squared
 deviations, the running integrals) is scalar arithmetic, done one
-record at a time on Python floats.  Each row is summed over its
-trailing cell axes, the order np.sum takes over that field alone, and
-every Lp root is Python's pow of one value, so every column of a block
-is bit-identical to evaluating its records, and their species, one at a
-time.  ckp_violation and bound_violation, with
-dissipation_bound_rhs, are the one judge of recorded samples.  The
+record at a time on Python floats.  Each pass ends in one of grid's
+reductions (integrate, lp_norm, dirichlet_energy, deviation_l2) of the
+whole block, which gives each field the value it gives that field alone,
+so every column of a block is bit-identical to evaluating its records,
+and their species, one at a time.  ckp_violation and bound_violation,
+with dissipation_bound_rhs, are the one judge of recorded samples.  The
 functionals take states already checked to be finite and strictly
 positive, by the SpeciesFields constructor or by positive_stacks on a
 block (run's records, verify's random fields), and do not check them
@@ -44,8 +44,7 @@ import math
 import numpy as np
 
 from .errors import InvalidArgument
-from .grid import (Grid, SpeciesFields, deviations_l2, dirichlet_energies, lp_norms,
-                   row_integrals)
+from .grid import Grid, SpeciesFields, deviation_l2, dirichlet_energy, integrate, lp_norm
 from .model import EquilibriumState, ModelParams, _scaled, conserved_masses
 
 __all__ = [
@@ -142,7 +141,7 @@ def _kl_integrals(u, refs, grid: Grid) -> np.ndarray:
     total = _kl_density(u[:, None, 0], refs[:, :, 0])
     total += _kl_density(u[:, None, 1], refs[:, :, 1])
     total += _kl_density(u[:, None, 2], refs[:, :, 2])
-    return row_integrals(total, grid)
+    return integrate(total, grid)
 
 
 def reaction_production(a, b, c):
@@ -177,9 +176,9 @@ def _sqrt_terms(u, params: ModelParams, grid: Grid):
     w = sqrt_u[:, 0] * sqrt_u[:, 1]
     w -= sqrt_u[:, 2]
     w *= w
-    return (deviations_l2(sqrt_u, grid).tolist(), row_integrals(w, grid).tolist(),
-            dirichlet_energies(sqrt_u[:, params.diffusing], grid).tolist(),
-            row_integrals(reaction_production(u[:, 0], u[:, 1], u[:, 2]), grid).tolist())
+    return (deviation_l2(sqrt_u, grid).tolist(), integrate(w, grid).tolist(),
+            dirichlet_energy(sqrt_u[:, params.diffusing], grid).tolist(),
+            integrate(reaction_production(u[:, 0], u[:, 1], u[:, 2]), grid).tolist())
 
 
 def dissipation_bound_rhs(dev2, abc_defect: float, params: ModelParams,
@@ -284,13 +283,13 @@ def sample(states, t, eq: EquilibriumState | Sequence[EquilibriumState], params:
     devs, defects, energies, productions = _sqrt_terms(u, params, grid)
     w = u[:, :2] * u[:, :2]
     w += u[:, :2] * u[:, 2:]
-    integrands = row_integrals(w, grid).tolist()
-    l1 = lp_norms(u - np.reshape(refs[:, 1], (-1, 3) + (1,) * len(grid.cells)), 1.0,
-                  grid).tolist()
-    l32 = lp_norms(u[:, :2], 1.5, grid).tolist()
+    integrands = integrate(w, grid).tolist()
+    l1 = lp_norm(u - np.reshape(refs[:, 1], (-1, 3) + (1,) * len(grid.cells)), 1.0,
+                 grid).tolist()
+    l32 = lp_norm(u[:, :2], 1.5, grid).tolist()
     p_n2 = max(1.0, grid.domain.dimension / 2.0)  # 3/2 in three dimensions
-    b_ln2 = [b for _, b in l32] if p_n2 == 1.5 else lp_norms(u[:, 1], p_n2, grid).tolist()
-    c_l3 = lp_norms(u[:, 2], 3.0, grid).tolist()
+    b_ln2 = [b for _, b in l32] if p_n2 == 1.5 else lp_norm(u[:, 1], p_n2, grid).tolist()
+    c_l3 = lp_norm(u[:, 2], 3.0, grid).tolist()
 
     # the scalar arithmetic, one record at a time on Python floats, into
     # one row of CSV_COLUMNS values per record

@@ -1,12 +1,17 @@
-"""Cell-centered finite volumes on boxes with Neumann boundaries.
+"""Box domains and cell-centered finite volumes on them, with Neumann
+boundaries.
 
-Uniform spacing per axis; midpoint quadrature.  The discrete Neumann
-Laplacian L is the one whose form -<Lu, u> in the cell-volume weighted
-inner product is dirichlet_energy(u), summed over the interior faces
-(zero-flux boundary faces contribute nothing).  On one axis its
-eigenvectors are the cosine modes and its eigenvalues neumann_eigenvalues;
-the solver applies its exact heat flow from those, so nothing in the
-package evaluates L itself.
+DomainSpec is the box; a Grid covers it with uniform spacing per axis.
+Each reduction over the cells (integrate, the midpoint rule, lp_norm,
+dirichlet_energy, deviation_l2) is one function: a Python float for a
+field of shape grid.cells, one value per field for a stack (..., *cells).
+
+The discrete Neumann Laplacian L is the one whose form -<Lu, u> in the
+cell-volume weighted inner product is dirichlet_energy(u), summed over
+the interior faces (zero-flux boundary faces contribute nothing).  On one
+axis its eigenvectors are the cosine modes and its eigenvalues
+neumann_eigenvalues; the solver applies its exact heat flow from those,
+so nothing in the package evaluates L itself.
 
 positive_stacks is the one rule that a state is finite and strictly
 positive; SpeciesFields and run's check of a block of record states both
@@ -22,21 +27,42 @@ import math
 import numpy as np
 
 from .errors import InvalidArgument, InvalidState
-from .model import DomainSpec
 
 __all__ = [
+    "DomainSpec",
     "Grid",
     "SpeciesFields",
     "positive_stacks",
     "neumann_eigenvalues",
     "integrate",
-    "row_integrals",
-    "lp_norms",
+    "lp_norm",
     "dirichlet_energy",
-    "dirichlet_energies",
     "deviation_l2",
-    "deviations_l2",
 ]
+
+
+@dataclass(frozen=True)
+class DomainSpec:
+    """Axis-aligned box domain in dimension N <= 3."""
+
+    dimension: int
+    lengths: tuple[float, ...]
+    volume: float
+
+    @classmethod
+    def box(cls, lengths) -> "DomainSpec":
+        lengths = tuple(float(x) for x in np.atleast_1d(lengths))
+        n = len(lengths)
+        if n not in (1, 2, 3):
+            raise InvalidArgument(f"dimension must be 1, 2 or 3, got {n}")
+        if any(not math.isfinite(x) or x <= 0.0 for x in lengths):
+            raise InvalidArgument(f"axis lengths must be positive, got {lengths}")
+        volume = math.prod(lengths)
+        if not 0.0 < volume < math.inf:
+            raise InvalidArgument(
+                f"axis lengths {lengths} give a volume that is not finite and positive"
+            )
+        return cls(dimension=n, lengths=lengths, volume=volume)
 
 
 @dataclass(frozen=True)
@@ -198,56 +224,55 @@ def _eigenvalue(k, n: int, h: float):
     return (4.0 / (h * h)) * np.sin(0.5 * np.pi * k / n) ** 2
 
 
-def integrate(u, grid: Grid) -> float:
-    """Midpoint-rule integral: cell_volume times the sum of cell values."""
-    u = np.asarray(u, dtype=float)
-    return grid.cell_volume * float(np.sum(u))
-
-
 def _leading(u: np.ndarray, grid: Grid) -> tuple[int, ...]:
     """The shape of u before its trailing len(grid.cells) cell axes."""
     return u.shape[:u.ndim - len(grid.cells)]
 
 
-def row_integrals(u, grid: Grid) -> np.ndarray:
-    """integrate over each row of a stack u of shape (..., *cells): a
-    float64 array of the leading shape of u.
+def _per_field(values: np.ndarray):
+    """A Python float for the 0-d value of a single field, else the array
+    of one value per field of a stack."""
+    return values if values.ndim else float(values)
 
-    Each row is summed over its cell axes flattened, which for a
-    C-contiguous stack is the order np.sum takes over that row alone, so
-    entry i equals integrate(u[i], grid) bit for bit.
+
+def integrate(u, grid: Grid):
+    """Midpoint-rule integral, cell_volume times the sum of cell values, of
+    a field u of shape grid.cells, or of each field of a stack u of shape
+    (..., *cells).
+
+    Each field is summed over its cell axes flattened, which for a
+    C-contiguous stack is the order np.sum takes over that field alone, so
+    entry i of a stack equals integrate(u[i], grid) bit for bit.
     """
     u = np.asarray(u, dtype=float)
-    return grid.cell_volume * np.add.reduce(u.reshape(_leading(u, grid) + (-1,)), axis=-1)
+    sums = np.add.reduce(u.reshape(_leading(u, grid) + (-1,)), axis=-1)
+    return _per_field(grid.cell_volume * sums)
 
 
-def lp_norms(u, p: float, grid: Grid) -> np.ndarray:
+def lp_norm(u, p: float, grid: Grid):
     """Lebesgue norm (cell_volume * sum |u|**p)**(1/p), for finite p >= 1,
-    of each row of a stack u of shape (..., *cells).
+    of a field u or of each field of a stack u of shape (..., *cells).
 
     The root s**(1/p) is Python's pow, one value at a time: np.power
     rounds differently from the C library's pow on some inputs, and the
-    rows of a block must equal the rows of one snapshot.
+    fields of a block must equal the fields of one snapshot.
     """
     p = float(p)
     powers = np.abs(u)
     powers **= p  # in place: the fast paths of ** apply to **= as well
-    sums = row_integrals(powers, grid)
-    return np.array([s ** (1.0 / p) for s in sums.ravel().tolist()]).reshape(sums.shape)
+    sums = np.asarray(integrate(powers, grid))
+    roots = [s ** (1.0 / p) for s in sums.ravel().tolist()]
+    return _per_field(np.array(roots).reshape(sums.shape))
 
 
-def dirichlet_energy(u, grid: Grid) -> float:
-    """Face-based discrete Dirichlet energy sum_faces area*h*((u_R-u_L)/h)**2.
+def dirichlet_energy(u, grid: Grid):
+    """Face-based discrete Dirichlet energy sum_faces area*h*((u_R-u_L)/h)**2
+    of a field u or of each field of a stack u of shape (..., *cells).
 
     With uniform cells, area*h equals the cell volume, so each interior face
     contributes cell_volume * (du/h)**2.  Zero-flux boundary faces contribute
     nothing.
     """
-    return float(dirichlet_energies(u, grid))
-
-
-def dirichlet_energies(u, grid: Grid) -> np.ndarray:
-    """dirichlet_energy of each row of a stack u of shape (..., *cells)."""
     u = np.asarray(u, dtype=float)
     lead = _leading(u, grid)
     total = np.zeros(lead)
@@ -257,22 +282,18 @@ def dirichlet_energies(u, grid: Grid) -> np.ndarray:
         d = np.diff(u, axis=ax)  # (u_R - u_L) per interior face, a new array
         d /= h
         d *= d
-        total += row_integrals(d, grid)
+        total += integrate(d, grid)
         del d  # before the next axis allocates its own
-    return total
+    return _per_field(total)
 
 
-def deviation_l2(u, grid: Grid) -> float:
-    """L2 norm of u minus its volume average."""
-    return float(deviations_l2(u, grid))
-
-
-def deviations_l2(u, grid: Grid) -> np.ndarray:
-    """deviation_l2 of each row of a stack u of shape (..., *cells)."""
+def deviation_l2(u, grid: Grid):
+    """L2 norm of u minus its volume average, for a field u or for each
+    field of a stack u of shape (..., *cells)."""
     u = np.asarray(u, dtype=float)
     lead = _leading(u, grid)
     n = math.prod(grid.cells)
     mean = u.reshape(lead + (-1,)).sum(axis=-1) / n  # np.mean is sum / count
     d = u - mean.reshape(lead + (1,) * len(grid.cells))
     d *= d
-    return np.sqrt(row_integrals(d, grid))  # correctly rounded, as math.sqrt is
+    return _per_field(np.sqrt(integrate(d, grid)))  # correctly rounded, as math.sqrt is

@@ -1,8 +1,9 @@
-"""Domain description and equilibrium algebra.
+"""Diffusivities, conserved masses and equilibrium algebra.
 
-The reversible reaction A + B <-> C conserves the spatial averages
-M1 = avg(a + c) and M2 = avg(b + c).  The unique nonnegative homogeneous
-equilibrium compatible with (M1, M2) solves
+The box and its grid live in grid, and the masses are grid.integrate of
+the fields.  The reversible reaction A + B <-> C conserves the spatial
+averages M1 = avg(a + c) and M2 = avg(b + c).  The unique nonnegative
+homogeneous equilibrium compatible with (M1, M2) solves
 
     c_inf**2 - (1 + M1 + M2) * c_inf + M1 * M2 = 0
 
@@ -19,38 +20,14 @@ import math
 import numpy as np
 
 from .errors import InvalidArgument, InvalidState
+from .grid import integrate
 
 __all__ = [
-    "DomainSpec",
     "ModelParams",
     "EquilibriumState",
     "conserved_masses",
     "equilibrium_state",
 ]
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """Axis-aligned box domain in dimension N <= 3."""
-
-    dimension: int
-    lengths: tuple[float, ...]
-    volume: float
-
-    @classmethod
-    def box(cls, lengths) -> "DomainSpec":
-        lengths = tuple(float(x) for x in np.atleast_1d(lengths))
-        n = len(lengths)
-        if n not in (1, 2, 3):
-            raise InvalidArgument(f"dimension must be 1, 2 or 3, got {n}")
-        if any(not math.isfinite(x) or x <= 0.0 for x in lengths):
-            raise InvalidArgument(f"axis lengths must be positive, got {lengths}")
-        volume = math.prod(lengths)
-        if not 0.0 < volume < math.inf:
-            raise InvalidArgument(
-                f"axis lengths {lengths} give a volume that is not finite and positive"
-            )
-        return cls(dimension=n, lengths=lengths, volume=volume)
 
 
 @dataclass(frozen=True)
@@ -111,17 +88,16 @@ def conserved_masses(states, grid):
     (3, *cells) stacks of shape (..., 3, *cells), an array (..., 2) of
     (M1, M2) per stack.
 
-    Computed by cell-volume-weighted summation over the structured grid,
-    divided by the volume |Omega| of the box grid.domain, in one pass over
-    the rows a and b of each stack (each row summed over its cells as
-    np.sum sums it alone, as grid.row_integrals does), so a stack of a
-    block gives the masses of its snapshot bit for bit.
+    Each is grid.integrate of a + c or b + c, one integral per row of the
+    two-row stack (..., 2, *cells) of both sums, divided by the volume
+    |Omega| of the box grid.domain, so a stack of a block gives the masses
+    of its snapshot bit for bit.
     """
     snapshot = hasattr(states, "stack")
     u = np.asarray(states.stack if snapshot else states, dtype=float)
-    u = u.reshape(u.shape[:u.ndim - len(grid.cells)] + (-1,))
-    sums = np.add.reduce(u[..., :2, :] + u[..., 2:, :], axis=-1)
-    masses = grid.cell_volume * sums / grid.domain.volume
+    cells = (slice(None),) * len(grid.cells)
+    masses = integrate(u[(..., slice(0, 2)) + cells] + u[(..., slice(2, 3)) + cells],
+                       grid) / grid.domain.volume
     return tuple(masses.tolist()) if snapshot else masses
 
 

@@ -17,6 +17,7 @@ from .functionals import (
     sample,
 )
 from .grid import (
+    DomainSpec,
     Grid,
     SpeciesFields,
     deviation_l2,
@@ -24,12 +25,7 @@ from .grid import (
     integrate,
     positive_stacks,
 )
-from .model import (
-    DomainSpec,
-    ModelParams,
-    conserved_masses,
-    equilibrium_state,
-)
+from .model import ModelParams, conserved_masses, equilibrium_state
 from .solver import StrangStepper, block_records, reaction_substep
 
 __all__ = ["run_property_suites"]

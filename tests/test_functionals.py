@@ -16,8 +16,8 @@ from revreact.functionals import (
     sample,
 )
 from revreact.errors import InvalidArgument
-from revreact.grid import Grid, SpeciesFields
-from revreact.model import DomainSpec, ModelParams, conserved_masses, equilibrium_state
+from revreact.grid import DomainSpec, Grid, SpeciesFields
+from revreact.model import ModelParams, conserved_masses, equilibrium_state
 from revreact.oracle import brute_force_sample
 from conftest import box_poincare_constant
 

@@ -5,20 +5,42 @@ import pytest
 
 from revreact.errors import InvalidArgument, InvalidState
 from revreact.grid import (
+    DomainSpec,
     Grid,
     SpeciesFields,
     deviation_l2,
     dirichlet_energy,
     integrate,
-    lp_norms,
+    lp_norm,
 )
-from revreact.model import DomainSpec
 from conftest import box_poincare_constant, laplacian_neumann
 
 
 def unit_grid(n, L=1.0):
     dom = DomainSpec.box([L])
     return dom, Grid.for_domain(dom, [n])
+
+
+class TestDomainSpec:
+    def test_box_invariants(self):
+        dom = DomainSpec.box([2.0, 0.5, 0.25])
+        assert dom.dimension == 3
+        assert dom.volume == pytest.approx(0.25, rel=1e-15)
+
+    def test_rejects_bad_dimension_and_lengths(self):
+        with pytest.raises(InvalidArgument):
+            DomainSpec.box([1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(InvalidArgument):
+            DomainSpec.box([1.0, -2.0])
+        # finite lengths whose volume overflows, and lengths whose volume
+        # underflows to 0
+        for lengths in ([1e150, 1e150, 1e150], [1e-150, 1e-150, 1e-150]):
+            with pytest.raises(InvalidArgument, match="lengths"):
+                DomainSpec.box(lengths)
+        # a box whose continuous Poincare constant overflows is a valid box;
+        # the grid's range check rejects it on an axis of several cells
+        with pytest.raises(InvalidArgument, match="lengths"):
+            Grid.for_domain(DomainSpec.box([1e200]), [8])
 
 
 class TestGrid:
@@ -166,12 +188,12 @@ class TestQuadrature:
         dom, grid = unit_grid(8, L=2.0)
         u = np.full(8, 3.0)
         for p in (1.0, 1.5, 2.0, 4.0):
-            norm = lp_norms(u[None], p, grid)[0]
+            norm = lp_norm(u, p, grid)
             assert norm == pytest.approx(3.0 * 2.0 ** (1.0 / p), rel=1e-13)
 
     def test_lp_norm_two_cells(self):
         dom, grid = unit_grid(2, L=1.0)  # cell volume 0.5
-        val = lp_norms(np.array([[3.0, 4.0]]), 2.0, grid)[0]
+        val = lp_norm(np.array([3.0, 4.0]), 2.0, grid)
         assert val == pytest.approx(math.sqrt(12.5), rel=1e-14)
 
 
@@ -206,7 +228,7 @@ class TestEnergies:
             u = rng.uniform(-2.0, 2.0, size=40)
             dev2 = deviation_l2(u, grid) ** 2
             mean = integrate(u, grid) / dom.volume
-            direct = lp_norms(u[None], 2, grid)[0] ** 2 - mean**2 * dom.volume
+            direct = lp_norm(u, 2, grid) ** 2 - mean**2 * dom.volume
             assert dev2 == pytest.approx(direct, rel=1e-12, abs=1e-13)
 
     @pytest.mark.parametrize("cells, lengths", [
@@ -244,3 +266,30 @@ class TestEnergies:
                 u = rng.uniform(0.0, 1.0, size=grid.cells)
                 dev2 = deviation_l2(u, grid) ** 2
                 assert dev2 <= box_poincare_constant(lengths) * dirichlet_energy(u, grid)
+
+
+REDUCTIONS = {
+    "integrate": integrate,
+    "lp_norm 1": lambda u, grid: lp_norm(u, 1.0, grid),
+    "lp_norm 3/2": lambda u, grid: lp_norm(u, 1.5, grid),
+    "lp_norm 3": lambda u, grid: lp_norm(u, 3.0, grid),
+    "dirichlet_energy": dirichlet_energy,
+    "deviation_l2": deviation_l2,
+}
+
+
+@pytest.mark.parametrize("cells, lengths", [
+    ([16], [1.0]), ([6, 5], [1.0, 0.7]), ([4, 3, 5], [1.0, 0.6, 0.45]),
+])
+def test_a_block_reduces_each_field_as_it_reduces_alone(cells, lengths, rng):
+    # the reductions that sample runs for every CSV column: a (B, 3, *cells)
+    # block of states gives the value of each field alone, bit for bit,
+    # and a single field gives a Python float
+    grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+    block = rng.uniform(0.2, 3.0, size=(4, 3) + grid.cells)
+    for name, reduce in REDUCTIONS.items():
+        values = reduce(block, grid)
+        assert isinstance(values, np.ndarray) and values.shape == (4, 3), name
+        alone = [[reduce(field, grid) for field in stack] for stack in block]
+        assert all(type(value) is float for row in alone for value in row), name
+        assert values.tolist() == alone, name

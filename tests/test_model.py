@@ -4,39 +4,12 @@ import numpy as np
 import pytest
 
 from revreact.errors import InvalidArgument, InvalidState
-from revreact.grid import Grid, SpeciesFields
-from revreact.model import (
-    DomainSpec,
-    ModelParams,
-    conserved_masses,
-    equilibrium_state,
-)
+from revreact.grid import DomainSpec, Grid, SpeciesFields
+from revreact.model import ModelParams, conserved_masses, equilibrium_state
 from conftest import riccati_roots
 
 SQRT5 = math.sqrt(5.0)
 SQRT2 = math.sqrt(2.0)
-
-
-class TestDomainSpec:
-    def test_box_invariants(self):
-        dom = DomainSpec.box([2.0, 0.5, 0.25])
-        assert dom.dimension == 3
-        assert dom.volume == pytest.approx(0.25, rel=1e-15)
-
-    def test_rejects_bad_dimension_and_lengths(self):
-        with pytest.raises(InvalidArgument):
-            DomainSpec.box([1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(InvalidArgument):
-            DomainSpec.box([1.0, -2.0])
-        # finite lengths whose volume overflows, and lengths whose volume
-        # underflows to 0
-        for lengths in ([1e150, 1e150, 1e150], [1e-150, 1e-150, 1e-150]):
-            with pytest.raises(InvalidArgument, match="lengths"):
-                DomainSpec.box(lengths)
-        # a box whose continuous Poincare constant overflows is a valid box;
-        # the grid's range check rejects it on an axis of several cells
-        with pytest.raises(InvalidArgument, match="lengths"):
-            Grid.for_domain(DomainSpec.box([1e200]), [8])
 
 
 class TestModelParams:

@@ -8,8 +8,8 @@ import pytest
 from revreact import oracle, verify
 from revreact.errors import InvalidArgument, InvalidState
 from revreact.functionals import CSV_COLUMNS, RunningIntegrals, sample
-from revreact.grid import Grid, SpeciesFields
-from revreact.model import DomainSpec, ModelParams, conserved_masses, equilibrium_state
+from revreact.grid import DomainSpec, Grid, SpeciesFields
+from revreact.model import ModelParams, conserved_masses, equilibrium_state
 from revreact.solver import reaction_substep
 
 SQRT2 = math.sqrt(2.0)

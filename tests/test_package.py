@@ -1,7 +1,7 @@
 """Package-level checks: every module's public names are real, every name
-a module imports is used, each except clause of the package catches one
-error class, each of which is raised, and a run loads no transform
-library."""
+a module imports is used, the modules import one another without a cycle,
+each except clause of the package catches one error class, each of which
+is raised, and a run loads no transform library."""
 import ast
 import importlib
 import os
@@ -60,6 +60,70 @@ def test_an_unused_import_is_found():
     source = ("from __future__ import annotations\nimport os.path\nimport math as m\n"
               "from x import a, b\n__all__ = ['b']\nprint(os.sep)\n")
     assert unused_imports(source) == [(3, "m"), (4, "a")]
+
+
+def package_imports(sources: dict) -> dict:
+    """The package modules that each module of sources (name -> source)
+    imports anywhere in it, function bodies included, by a relative import
+    (`from .m import x`, `from . import m`) or an absolute one (`from
+    revreact.m import x`, `from revreact import m`, `import revreact.m`)."""
+    graph = {}
+    for module, source in sources.items():
+        graph[module] = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                dotted = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = f"revreact.{node.module or ''}".rstrip(".") if node.level else node.module
+                dotted = ([f"{base}.{alias.name}" for alias in node.names]
+                          if base == "revreact" else [base])
+            else:
+                continue
+            graph[module].update(name.split(".")[1] for name in dotted
+                                 if name.startswith("revreact."))
+    return graph
+
+
+def import_cycle(graph: dict) -> list:
+    """One cycle [m, ..., m] of the import graph (module -> modules it
+    imports), or [] where the imports form none."""
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done or module not in graph:
+            return []
+        path.append(module)
+        for imported in sorted(graph[module]):
+            if cycle := visit(imported):
+                return cycle
+        path.pop()
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        if cycle := visit(module):
+            return cycle
+    return []
+
+
+def test_the_modules_import_one_another_without_a_cycle():
+    graph = package_imports({path.stem: path.read_text() for path in SOURCES})
+    assert graph["model"] >= {"grid"} and "model" not in graph["grid"]
+    assert import_cycle(graph) == [], "the package's imports form a cycle"
+
+
+def test_an_import_cycle_is_found():
+    sources = {"a": "from .b import x\nimport numpy\n",
+               "b": "def f():\n    from . import c, errors\n",
+               "c": "import revreact.a\n", "errors": "from revreact.b import y\n"}
+    graph = package_imports(sources)
+    assert graph == {"a": {"b"}, "b": {"c", "errors"}, "c": {"a"}, "errors": {"b"}}
+    assert import_cycle(graph) == ["a", "b", "c", "a"]
+    del sources["c"]
+    assert import_cycle(package_imports(sources)) == ["b", "errors", "b"]
+    assert import_cycle(package_imports({"a": "from .b import x\n", "b": ""})) == []
 
 
 def error_classes(source: str) -> list:

@@ -7,8 +7,9 @@ import pytest
 from revreact.cli import parse_config
 from revreact.errors import InvalidArgument, NumericalBlowup
 from revreact.functionals import CSV_COLUMNS, RunningIntegrals, sample
-from revreact.grid import Grid, SpeciesFields, integrate, neumann_eigenvalues, positive_stacks
-from revreact.model import DomainSpec, ModelParams, conserved_masses, equilibrium_state
+from revreact.grid import (DomainSpec, Grid, SpeciesFields, integrate, neumann_eigenvalues,
+                           positive_stacks)
+from revreact.model import ModelParams, conserved_masses, equilibrium_state
 from revreact.presets import PRESETS
 from revreact.solver import (
     KERNEL_MAX_CELLS,
