@@ -111,8 +111,8 @@ _NUMBER_KEYS = {
 def parse_config(text: str) -> RunConfig:
     """Parse a key=value run configuration; errors carry the line number.
 
-    Value ranges are checked by building the DomainSpec, Grid, ModelParams
-    and SolverConfig the config describes.
+    Value ranges are checked by building the Grid, ModelParams and
+    SolverConfig the config describes.
     """
     raw = {}
     lines_of = {}
@@ -158,8 +158,7 @@ def parse_config(text: str) -> RunConfig:
             named = [(m.start(), k) for k in keys if (m := re.search(rf"\b{k}\b", msg))]
             raise ConfigError(msg, line=lines_of[min(named)[1] if named else keys[0]]) from None
 
-    domain = build(("dim", "lengths"), DomainSpec.box, nums["lengths"])
-    build(("cells", "lengths"), Grid.for_domain, domain, nums["cells"])
+    build(("dim", "lengths", "cells"), Grid.box, nums["lengths"], nums["cells"])
     build(("d_a", "d_b", "d_c"), ModelParams, nums["d_a"], nums["d_b"], nums["d_c"])
     build(("dt", "t_end", "record_every"), SolverConfig,
           nums["dt"], nums["t_end"], nums["record_every"])
@@ -210,13 +209,14 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def build_domain(cfg: RunConfig):
-    domain = DomainSpec.box(cfg.lengths)
-    grid = Grid.for_domain(domain, cfg.cells)
-    return domain, grid
+    """(grid.domain, grid) for the config's grid; bench/run.py calls it."""
+    grid = Grid.box(cfg.lengths, cfg.cells)
+    return grid.domain, grid
 
 
 def build_initial(cfg: RunConfig, grid: Grid, domain: DomainSpec) -> SpeciesFields:
-    """Initial fields for the configured preset.
+    """Initial fields for the configured preset on grid, whose box is
+    grid.domain; domain, which bench/run.py passes, is not read.
 
     cosine_bump modulates the first axis with the even harmonic
     cos(2 pi x / L): a up, b down, and c = a*b at pointwise reaction
@@ -231,7 +231,7 @@ def build_initial(cfg: RunConfig, grid: Grid, domain: DomainSpec) -> SpeciesFiel
     if kind == "cosine_bump":
         amp = cfg.init[1]
         x = grid.axis_coordinates(0)
-        mode = np.cos(2.0 * np.pi * x / domain.lengths[0])
+        mode = np.cos(2.0 * np.pi * x / grid.domain.lengths[0])
         bump = mode.reshape((-1,) + (1,) * (len(shape) - 1)) * np.ones(shape)
         base_a = math.sqrt(2.0)
         base_b = math.sqrt(2.0) - 1.0
@@ -299,10 +299,10 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
 
 def cmd_run(cfg: RunConfig) -> int:
     """Run the configured simulation and write its outputs; 0 on success."""
-    domain, grid = build_domain(cfg)
+    grid = Grid.box(cfg.lengths, cfg.cells)
     params = ModelParams(cfg.d_a, cfg.d_b, cfg.d_c)
     solver_cfg = SolverConfig(cfg.dt, cfg.t_end, cfg.record_every)
-    initial = build_initial(cfg, grid, domain)
+    initial = build_initial(cfg, grid, grid.domain)
 
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -483,7 +483,7 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
             f"mode {mode} and dim {dim} contradict the run in {meta_path!r} "
             f"(mode {params.mode}, dim {meta.dim})"
         )
-    domain, grid = build_domain(meta)
+    grid = Grid.box(meta.lengths, meta.cells)
     cols = read_timeseries(csv_path)
     t = cols["t"]
     times = SolverConfig(meta.dt, meta.t_end, meta.record_every).record_times()
@@ -552,7 +552,7 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
         )
 
     # inequality suites
-    volume = summary["volume"] = domain.volume
+    volume = summary["volume"] = grid.domain.volume
     ckp_count = int(np.count_nonzero(functionals.ckp_violation(
         cols["E_rel"], cols["ckp_lhs"], cols["M1"], cols["M2"], volume)))
     lines.append(f"CKP violations: {ckp_count} ({'PASS' if ckp_count == 0 else 'FAIL'})")

@@ -102,6 +102,8 @@ CSV_COLUMNS = (
 #: -(1 - 2**-53), the double next above -1: its log1p is ln(2**-53), about
 #: -36.7, where log1p(-1) is -inf and a division by zero
 _ABOVE_MINUS_ONE = math.nextafter(-1.0, 0.0)
+#: w/c where ab/c = 1e-2, at and below which ln(ab/c) is a sum of logarithms
+_LOG_SUM_CUT = -0.99
 
 
 def _kl_density(u, ref):
@@ -148,17 +150,18 @@ def reaction_production(a, b, c):
     """Pointwise (ab-c)*ln(ab/c), evaluated as w*log1p(w/c) with w = ab - c.
 
     With c > 0, w/c > -1, so the logarithm shares the sign of w: the
-    product is nonnegative cellwise, and 0 exactly where ab == c.  Where ab
-    is below about 1e-16 of c, w/c rounds to -1, whose log1p is -inf,
-    although ln(ab/c) is finite; those cells, and only those, take it as
+    product is nonnegative cellwise, and 0 exactly where ab == c.  Next to
+    -c, w keeps only the digits of ab that survive rounding (log1p(w/c) is
+    2.3e-5 off at ab/c = 1e-15, and -inf below about 1e-16), so the cells
+    with w/c <= _LOG_SUM_CUT, and only those, take the logarithm as
     ln(a) + ln(b) - ln(c), which neither underflows nor overflows.
     """
     w = a * b - c
     ratio = w / c
-    if np.min(ratio) > -1.0:
+    if np.min(ratio) > _LOG_SUM_CUT:
         return w * np.log1p(ratio)
-    return w * np.where(ratio == -1.0, np.log(a) + np.log(b) - np.log(c),
-                        np.log1p(np.maximum(ratio, _ABOVE_MINUS_ONE)))
+    return w * np.where(ratio <= _LOG_SUM_CUT, np.log(a) + np.log(b) - np.log(c),
+                        np.log1p(np.maximum(ratio, _LOG_SUM_CUT)))
 
 
 def _sqrt_terms(u, params: ModelParams, grid: Grid):

@@ -1,7 +1,9 @@
 """Box domains and cell-centered finite volumes on them, with Neumann
 boundaries.
 
-DomainSpec is the box; a Grid covers it with uniform spacing per axis.
+A Grid covers a box with uniform spacing per axis; Grid.box(lengths,
+cells) builds it, and with it the DomainSpec record of the box that it
+keeps as grid.domain.
 Each reduction over the cells (integrate, the midpoint rule, lp_norm,
 dirichlet_energy, deviation_l2) is one function: a Python float for a
 field of shape grid.cells, one value per field for a stack (..., *cells).
@@ -43,26 +45,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Axis-aligned box domain in dimension N <= 3."""
+    """Axis-aligned box domain in dimension N <= 3: the record a Grid
+    keeps as grid.domain.  Only Grid.box builds one."""
 
     dimension: int
     lengths: tuple[float, ...]
     volume: float
-
-    @classmethod
-    def box(cls, lengths) -> "DomainSpec":
-        lengths = tuple(float(x) for x in np.atleast_1d(lengths))
-        n = len(lengths)
-        if n not in (1, 2, 3):
-            raise InvalidArgument(f"dimension must be 1, 2 or 3, got {n}")
-        if any(not math.isfinite(x) or x <= 0.0 for x in lengths):
-            raise InvalidArgument(f"axis lengths must be positive, got {lengths}")
-        volume = math.prod(lengths)
-        if not 0.0 < volume < math.inf:
-            raise InvalidArgument(
-                f"axis lengths {lengths} give a volume that is not finite and positive"
-            )
-        return cls(dimension=n, lengths=lengths, volume=volume)
 
 
 @dataclass(frozen=True)
@@ -72,7 +60,8 @@ class Grid:
 
     The one geometry object: evaluators read the box (|Omega|, the
     dimension) from grid.domain, so a grid and a box that disagree cannot
-    be passed together.  Build it with for_domain.
+    be passed together.  Build it with Grid.box, the only constructor of
+    its DomainSpec.
 
     poincare_constant is the sharp constant P of the discrete
     Poincare-Wirtinger inequality deviation_l2(u)**2 <= P *
@@ -91,22 +80,33 @@ class Grid:
     poincare_constant: float
 
     @classmethod
-    def for_domain(cls, domain: DomainSpec, cells) -> "Grid":
-        cells = tuple(int(n) for n in np.atleast_1d(cells))
-        if len(cells) != domain.dimension:
+    def box(cls, lengths, cells) -> "Grid":
+        """The grid of cells[i] cells along axis i of the box with the given
+        axis lengths.  The lengths are checked first, then the cells."""
+        lengths = tuple(float(x) for x in np.atleast_1d(lengths))
+        dim = len(lengths)
+        if dim not in (1, 2, 3):
+            raise InvalidArgument(f"dimension must be 1, 2 or 3, got {dim}")
+        if any(not math.isfinite(x) or x <= 0.0 for x in lengths):
+            raise InvalidArgument(f"axis lengths must be positive, got {lengths}")
+        volume = math.prod(lengths)
+        if not 0.0 < volume < math.inf:
             raise InvalidArgument(
-                f"need {domain.dimension} cell counts, got {len(cells)}"
+                f"axis lengths {lengths} give a volume that is not finite and positive"
             )
+        cells = tuple(int(n) for n in np.atleast_1d(cells))
+        if len(cells) != dim:
+            raise InvalidArgument(f"need {dim} cell counts, got {len(cells)}")
         if any(n < 1 for n in cells):
-            raise InvalidArgument(f"cell counts must be positive, got {cells}")
-        spacings = tuple(L / n for L, n in zip(domain.lengths, cells))
+            raise InvalidArgument(f"cells per axis must be positive, got {cells}")
+        spacings = tuple(L / n for L, n in zip(lengths, cells))
         cell_volume = math.prod(spacings)
         # h * h > 0 is tested first: 4 / (h * h), the scale of the axis
         # eigenvalues, raises ZeroDivisionError when h * h underflows to 0
         if not (cell_volume > 0.0
                 and all(h * h > 0.0 and 4.0 / (h * h) < math.inf for h in spacings)):
             raise InvalidArgument(
-                f"axis lengths {domain.lengths} over {cells} cells give spacings "
+                f"axis lengths {lengths} over {cells} cells give spacings "
                 f"{spacings} whose cell volume or 4/h^2 is not finite and positive"
             )
         # the smallest nonzero eigenvalue of each axis of at least 2 cells
@@ -114,11 +114,11 @@ class Grid:
         poincare = 1.0 / min(lam1) if lam1 and min(lam1) > 0.0 else math.inf
         if lam1 and poincare == math.inf:
             raise InvalidArgument(
-                f"axis lengths {domain.lengths} over {cells} cells give a discrete "
+                f"axis lengths {lengths} over {cells} cells give a discrete "
                 "Poincare constant that is not finite"
             )
-        return cls(domain=domain, cells=cells, spacings=spacings, cell_volume=cell_volume,
-                   poincare_constant=poincare)
+        return cls(domain=DomainSpec(dim, lengths, volume), cells=cells, spacings=spacings,
+                   cell_volume=cell_volume, poincare_constant=poincare)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""

@@ -39,7 +39,7 @@ every matmul and ufunc of the step to views of them once, so each step
 only runs those calls, in place: no gather, scatter or reshape, and the
 same operands and operation order as the allocating entry points
 DiffusionSemigroup.apply and reaction_substep, which run the same calls
-on new arrays.  advance is the first state of such an iterator.
+on new arrays.
 
 run records in blocks (block_records), stepping and sampling under
 np.errstate(all="ignore"): a step or a sample that overflows or divides
@@ -113,7 +113,7 @@ class SolverConfig:
 
     dt: float
     t_end: float
-    record_every: int = 100
+    record_every: int
 
     def __post_init__(self):
         if not math.isfinite(self.t_end):
@@ -378,8 +378,8 @@ def reaction_substep(fields: SpeciesFields, dt: float) -> SpeciesFields:
     c - r1 <= G < 0).  c(dt) stays between c and r1 < min(m1, m2), so
     a = m1 - c(dt) and b = m2 - c(dt) stay positive.
 
-    Runs the in-place calls of StrangStepper.advance on a copy of the
-    stack.
+    Runs the in-place reaction calls of a StrangStepper step on a copy of
+    the stack.
     """
     u = np.array(fields.stack)
     for call in _reaction(u, u, np.empty((4,) + u.shape[1:]), dt):
@@ -401,12 +401,6 @@ class StrangStepper:
         self.dt = dt
         self.half = DiffusionSemigroup(grid, params.diffusivities(), 0.5 * dt)
         self.full = DiffusionSemigroup(grid, params.diffusivities(), dt)
-
-    def advance(self, u: np.ndarray, n_steps: int) -> np.ndarray:
-        """The stack u after n_steps Strang steps, as a new array; u is
-        never written.  The first state of records(u, n_steps), whose
-        work arrays are freed when it returns."""
-        return next(self.records(u, n_steps))
 
     def records(self, u: np.ndarray, n_steps: int):
         """Iterator over the states n_steps, 2 n_steps, 3 n_steps, ...

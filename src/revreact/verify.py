@@ -17,7 +17,6 @@ from .functionals import (
     sample,
 )
 from .grid import (
-    DomainSpec,
     Grid,
     SpeciesFields,
     deviation_l2,
@@ -49,8 +48,8 @@ def _suite_equilibrium(rng):
 
 def _grids():
     return [
-        Grid.for_domain(DomainSpec.box([1.0]), [64]),
-        Grid.for_domain(DomainSpec.box([1.0, 0.7]), [24, 16]),
+        Grid.box([1.0], [64]),
+        Grid.box([1.0, 0.7], [24, 16]),
     ]
 
 
@@ -69,7 +68,7 @@ def _suite_diffusion(rng):
     modes under the full step against the Rayleigh quotient of the
     Dirichlet form that sample records.  Draws nothing from rng."""
     dt = 1e-3
-    grids = _grids() + [Grid.for_domain(DomainSpec.box([1.0, 0.8, 0.6]), [8, 6, 5])]
+    grids = _grids() + [Grid.box([1.0, 0.8, 0.6], [8, 6, 5])]
     sym = rows = low = square = decay = 0.0
     for grid in grids:
         for params in (ModelParams(1.0, 0.0, 1.0), ModelParams(1.0, 0.5, 0.8)):
@@ -150,7 +149,7 @@ def _suite_reaction_oracle(rng):
 
 
 def _suite_brute_force(rng):
-    grid = Grid.for_domain(DomainSpec.box([1.0]), [32])
+    grid = Grid.box([1.0], [32])
     params = ModelParams(1.0, 0.5, 0.0)
     worst = 0.0
     for _ in range(20):
@@ -202,7 +201,7 @@ def _inequality_rows(rng, grid):
 
 
 def _suite_inequalities(rng):
-    grid = Grid.for_domain(DomainSpec.box([1.0]), [128])
+    grid = Grid.box([1.0], [128])
     e_rel, ckp_lhs, diss, rhs, m1, m2 = _inequality_rows(rng, grid).T
     volume = grid.domain.volume
     ckp_bad = int(np.count_nonzero(ckp_violation(e_rel, ckp_lhs, m1, m2, volume)))
@@ -216,7 +215,7 @@ def _suite_inequalities(rng):
 
 
 def _suite_reaction_conservation(rng):
-    grid = Grid.for_domain(DomainSpec.box([1.0]), [64])
+    grid = Grid.box([1.0], [64])
     worst = 0.0
     for _ in range(50):
         f = SpeciesFields(*(rng.uniform(0.1, 4.0, size=grid.cells) for _ in range(3)))

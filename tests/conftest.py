@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from revreact.cli import build_domain, build_initial, parse_config
+from revreact.cli import build_initial, parse_config
+from revreact.grid import Grid
 from revreact.model import ModelParams
 from revreact.presets import PRESETS
 from revreact.solver import SolverConfig, run
@@ -27,9 +28,9 @@ class PresetRun:
             cfg = replace(cfg, **overrides)
         self.name = name
         self.cfg = cfg
-        self.domain, self.grid = build_domain(cfg)
+        self.grid = Grid.box(cfg.lengths, cfg.cells)
         self.params = ModelParams(cfg.d_a, cfg.d_b, cfg.d_c)
-        self.initial = build_initial(cfg, self.grid, self.domain)
+        self.initial = build_initial(cfg, self.grid, self.grid.domain)
         solver_cfg = SolverConfig(cfg.dt, cfg.t_end, cfg.record_every)
         started = time.perf_counter()
         self.trajectory = run(self.initial, self.params, self.grid, solver_cfg)

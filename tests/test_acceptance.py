@@ -19,7 +19,7 @@ from revreact.functionals import (
     dissipation_bound_rhs,
     sample,
 )
-from revreact.grid import DomainSpec, Grid, SpeciesFields, integrate, positive_stacks
+from revreact.grid import Grid, SpeciesFields, integrate, positive_stacks
 from revreact.model import ModelParams, conserved_masses, equilibrium_state
 from revreact.solver import StrangStepper
 from conftest import box_poincare_constant, envelope_bounds, laplacian_neumann
@@ -83,7 +83,7 @@ class TestAcceptance:
         worst_pde = 0.0
         n_blocks = int(round(r.cfg.t_end / r.cfg.dt)) // r.cfg.record_every
         for k in range(1, n_blocks + 1):
-            u = stepper.advance(u, r.cfg.record_every)
+            u = next(stepper.records(u, r.cfg.record_every))
             a, b, c = u
             t = k * r.cfg.record_every * r.cfg.dt
             ref = oracle.homogeneous_ode(2.0, 1.0, 0.01, t, max(1000, int(2000 * t)))
@@ -129,12 +129,12 @@ class TestAcceptance:
                f"improvement x{improvement:.2f} (need >= 3)")
 
     def test_5_inequality_suites(self, preset_run, rng):
-        def violations(cols, params, domain):
+        def violations(cols, params, grid):
             """(CKP, dissipation-bound) violation counts over columns of samples."""
-            masses = (cols["M1"], cols["M2"], domain.volume)
+            masses = (cols["M1"], cols["M2"], grid.domain.volume)
             rhs = dissipation_bound_rhs((cols["dev_A2"], cols["dev_B2"], cols["dev_C2"]),
                                         cols["abc_defect"], params,
-                                        box_poincare_constant(domain.lengths))
+                                        box_poincare_constant(grid.domain.lengths))
             return (np.count_nonzero(ckp_violation(cols["E_rel"], cols["ckp_lhs"], *masses)),
                     np.count_nonzero(bound_violation(cols["D"], rhs, *masses)))
 
@@ -144,15 +144,14 @@ class TestAcceptance:
             r = preset_run(name)
             n_samples += len(r.column("t"))
             cols = {k: r.column(k) for k in CSV_COLUMNS}
-            ckp, diss = violations(cols, r.params, r.domain)
+            ckp, diss = violations(cols, r.params, r.grid)
             ckp_bad += ckp
             diss_bad += diss
         # 1000 random positive field ensembles, 333 or 334 per mode: the
         # fields conftest.random_fields draws one by one, drawn as one
         # block, each sampled against the equilibrium of its own masses,
         # with one sample call per mode
-        dom = DomainSpec.box([1.0])
-        grid = Grid.for_domain(dom, [128])
+        grid = Grid.box([1.0], [128])
         modes = (ModelParams(1.0, 0.0, 1.0), ModelParams(1.0, 1.0, 0.0),
                  ModelParams(1.0, 0.5, 0.8))
         u = rng.uniform(0.2, 3.0, size=(1000, 3) + grid.cells)
@@ -161,7 +160,7 @@ class TestAcceptance:
         for k, params in enumerate(modes):
             members = slice(k, None, len(modes))
             cols = sample(u[members], np.zeros(len(eqs[members])), eqs[members], params, grid)
-            ckp, diss = violations(cols, params, dom)
+            ckp, diss = violations(cols, params, grid)
             ckp_bad += ckp
             diss_bad += diss
         ok = ckp_bad == 0 and diss_bad == 0
@@ -218,8 +217,7 @@ class TestAcceptance:
 
     def test_8_discretization_properties(self, preset_run, rng):
         # operator identities on random fields
-        dom = DomainSpec.box([1.0, 0.7])
-        grid = Grid.for_domain(dom, [16, 12])
+        grid = Grid.box([1.0, 0.7], [16, 12])
         worst_cons = worst_sym = worst_sd = 0.0
         for _ in range(50):
             u = rng.uniform(-1.0, 1.0, size=grid.cells)
@@ -235,8 +233,7 @@ class TestAcceptance:
         # cosine eigenmode convergence order
         errors = []
         for n in (32, 64, 128):
-            d1 = DomainSpec.box([1.0])
-            g1 = Grid.for_domain(d1, [n])
+            g1 = Grid.box([1.0], [n])
             x = g1.axis_coordinates(0)
             u = np.cos(np.pi * x)
             errors.append(np.max(np.abs(laplacian_neumann(u, g1) + np.pi**2 * u)))
@@ -248,7 +245,7 @@ class TestAcceptance:
         r = preset_run("full_1d")
         def advance(dt, t_end=1.0):
             u = np.stack((r.initial.a, r.initial.b, r.initial.c))
-            return StrangStepper(r.params, dt, r.grid).advance(u, int(round(t_end / dt)))
+            return next(StrangStepper(r.params, dt, r.grid).records(u, int(round(t_end / dt))))
 
         ref = advance(0.0002)
         e1 = float(np.max(np.abs(advance(0.02) - ref)))

@@ -16,13 +16,13 @@ from revreact.cli import (
     cmd_run,
     main,
     parse_config,
-    build_domain,
     build_initial,
     read_timeseries,
     serialize_config,
 )
 from revreact.errors import ConfigError, InvalidArgument, IoError, ParseError
 from revreact.functionals import CSV_COLUMNS
+from revreact.grid import Grid
 from revreact.model import ModelParams
 from revreact.presets import PRESETS, preset_names
 from revreact.solver import SolverConfig, run
@@ -205,10 +205,10 @@ class TestCmdRun:
     def test_snapshot_round_trip(self, tmp_path):
         out = self.run_fast(tmp_path)
         cfg = parse_config(FAST.format(out=out))
-        domain, grid = build_domain(cfg)
+        grid = Grid.box(cfg.lengths, cfg.cells)
         params = ModelParams(cfg.d_a, cfg.d_b, cfg.d_c)
         solver_cfg = SolverConfig(cfg.dt, cfg.t_end, cfg.record_every)
-        final = run(build_initial(cfg, grid, domain), params, grid, solver_cfg).final_fields
+        final = run(build_initial(cfg, grid, grid.domain), params, grid, solver_cfg).final_fields
         with open(os.path.join(out, "final_fields.snap")) as fh:
             header, *rows = fh.read().splitlines()
         assert header.split() == ["1", "24", "1"]
@@ -776,8 +776,8 @@ class TestCmdVerify:
 def _short_run(tmp_path):
     """The final fields of FAST after ten steps."""
     cfg = parse_config(FAST.format(out=tmp_path))
-    domain, grid = build_domain(cfg)
-    initial = build_initial(cfg, grid, domain)
+    grid = Grid.box(cfg.lengths, cfg.cells)
+    initial = build_initial(cfg, grid, grid.domain)
     short = SolverConfig(cfg.dt, 10 * cfg.dt, 10)
     return run(initial, ModelParams(cfg.d_a, cfg.d_b, cfg.d_c), grid, short).final_fields.stack
 

@@ -1,6 +1,7 @@
 import decimal
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +17,7 @@ from revreact.functionals import (
     sample,
 )
 from revreact.errors import InvalidArgument
-from revreact.grid import DomainSpec, Grid, SpeciesFields
+from revreact.grid import Grid, SpeciesFields
 from revreact.model import ModelParams, conserved_masses, equilibrium_state
 from revreact.oracle import brute_force_sample
 from conftest import box_poincare_constant
@@ -25,7 +26,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def unit_setup(n=64, L=1.0):
-    return Grid.for_domain(DomainSpec.box([L]), [n])
+    return Grid.box([L], [n])
 
 
 def random_fields(rng, grid, lo=0.2, hi=3.0):
@@ -199,7 +200,7 @@ class TestCkp:
         # l1_a is about 2e154, so l1_a**2 overflows, but l1_a**2 / (2 M1) is
         # finite: that term is divided first, and the others, whose squares
         # are finite, come out as they always did
-        grid = Grid.for_domain(DomainSpec.box([4.0]), [4])
+        grid = Grid.box([4.0], [4])
         f = SpeciesFields(np.array([1.3e154, 1e-3, 1e-3, 1e-3]), np.full(4, 1e-3),
                           np.full(4, 1e-3))
         s = self_sample(f, ANY_PARAMS, grid)
@@ -300,13 +301,11 @@ class TestSample:
         # the cells of this box multiply to a volume that differs from
         # |Omega| = 0.45 in the last bit; ckp_lhs uses |Omega| itself.  The
         # last bit does not reach every product, so several fields are drawn
-        dom = DomainSpec.box([1.0, 0.45])
-        grid = Grid.for_domain(dom, [64, 24])
-        assert grid.domain is dom
+        grid = Grid.box([1.0, 0.45], [64, 24])
         for _ in range(20):
             s = self_sample(random_fields(rng, grid), ModelParams(1.0, 1.0, 1.0), grid)
             m1, m2 = s["M1"], s["M2"]
-            assert s["ckp_lhs"] == CKP_PREFACTOR * dom.volume * (
+            assert s["ckp_lhs"] == CKP_PREFACTOR * grid.domain.volume * (
                 s["l1_a"] * s["l1_a"] / (2.0 * m1)
                 + s["l1_b"] * s["l1_b"] / (2.0 * m2)
                 + s["l1_c"] * s["l1_c"] / (m1 + m2)
@@ -336,7 +335,7 @@ class TestBlockSample:
     def test_block_equals_each_record_alone_bit_for_bit(self, rng, cells, lengths, d):
         # b_lN2 is the L1 norm of b in 1-D and 2-D and reuses the L^(3/2)
         # norm in 3-D, so the three grids cover both of its branches
-        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        grid = Grid.box(lengths, cells)
         params = ModelParams(*d)
         u = rng.uniform(0.2, 3.0, size=(16, 3, *grid.cells))
         t = np.cumsum(rng.uniform(0.01, 0.1, size=len(u)))
@@ -365,7 +364,7 @@ class TestBlockSample:
     def test_per_member_references_equal_each_record_alone(self, rng, cells, lengths, d):
         # an ensemble: each member against the equilibrium of its own
         # masses, as verify samples its random fields
-        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        grid = Grid.box(lengths, cells)
         params = ModelParams(*d)
         u = rng.uniform(0.2, 3.0, size=(9, 3, *grid.cells))
         t = np.zeros(len(u))
@@ -412,8 +411,10 @@ class TestBlockSample:
 
 class TestSpeciesFarBelowItsReference:
     # a species below about 1e-16 of its reference rounds x = (u - ref)/ref
-    # in the entropy densities, and w/c in the reaction production, to -1
-    @pytest.mark.parametrize("a", [1e-17, 1e-20, 1e-300])
+    # in the entropy densities, and w/c in the reaction production, to -1;
+    # at a = 1e-15, w/c keeps about one digit of ab/c, which put D 2.3e-5
+    # off before ln(ab/c) was taken as a sum of logarithms there
+    @pytest.mark.parametrize("a", [1e-15, 1e-17, 1e-20, 1e-300])
     @pytest.mark.parametrize("d", [(1.0, 0.5, 0.8), (1.0, 0.0, 0.7), (1.0, 1.0, 0.0)],
                              ids=["full", "db0", "dc0"])
     def test_sample_matches_the_brute_force_sampler(self, a, d):
@@ -444,6 +445,27 @@ class TestSpeciesFarBelowItsReference:
         assert np.array_equal(density[~keep], [1.5, 1.5, 1.5])
         assert np.allclose(production[~keep], (w * np.log(a * b / c))[~keep],
                            rtol=1e-14, atol=0.0)
+
+    def test_reaction_production_against_mpmath(self):
+        # 6000 draws of a, b and c from 10^U(-20, 20) and 10^U(-150, 150)
+        # with ab and w/c finite; the worst relative error over 13 such
+        # samples was 3.5e-14, where ln a + ln b - ln c cancels just below
+        # the cut; with log1p(w/c) everywhere it was 2.5e-2 on this one
+        rng = np.random.default_rng(0)
+        spans = np.tile([20.0, 150.0], 6000)[:, None]
+        a, b, c = 10.0 ** rng.uniform(-spans, spans, size=(12000, 3)).T
+        with np.errstate(over="ignore", under="ignore"):
+            keep = np.isfinite(a * b) & (a * b > 0.0) & np.isfinite((a * b - c) / c)
+        a, b, c = a[keep][:6000], b[keep][:6000], c[keep][:6000]
+        assert len(a) == 6000 and np.min(a * b / c) < 1e-100
+        got = reaction_production(a, b, c)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for x, y, z, g in zip(a.tolist(), b.tolist(), c.tolist(), got.tolist()):
+                x, y, z = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(z)
+                want = (x * y - z) * mpmath.log(x * y / z)
+                worst = max(worst, float(abs(g - want) / want))
+        assert worst <= 4e-14
 
     def test_overflow_still_fails_closed(self):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -5,7 +5,6 @@ import pytest
 
 from revreact.errors import InvalidArgument, InvalidState
 from revreact.grid import (
-    DomainSpec,
     Grid,
     SpeciesFields,
     deviation_l2,
@@ -17,42 +16,51 @@ from conftest import box_poincare_constant, laplacian_neumann
 
 
 def unit_grid(n, L=1.0):
-    dom = DomainSpec.box([L])
-    return dom, Grid.for_domain(dom, [n])
+    return Grid.box([L], [n])
 
 
-class TestDomainSpec:
+class TestGrid:
     def test_box_invariants(self):
-        dom = DomainSpec.box([2.0, 0.5, 0.25])
-        assert dom.dimension == 3
-        assert dom.volume == pytest.approx(0.25, rel=1e-15)
+        grid = Grid.box([2.0, 0.5, 0.25], [4, 2, 1])
+        assert grid.domain.dimension == 3
+        assert grid.domain.lengths == (2.0, 0.5, 0.25)
+        assert grid.domain.volume == pytest.approx(0.25, rel=1e-15)
 
     def test_rejects_bad_dimension_and_lengths(self):
-        with pytest.raises(InvalidArgument):
-            DomainSpec.box([1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(InvalidArgument):
-            DomainSpec.box([1.0, -2.0])
+        with pytest.raises(InvalidArgument, match="dimension"):
+            Grid.box([1.0, 1.0, 1.0, 1.0], [4, 4, 4, 4])
+        for lengths in ([1.0, -2.0], [1.0, math.inf]):
+            with pytest.raises(InvalidArgument, match="lengths must be positive"):
+                Grid.box(lengths, [4, 4])
         # finite lengths whose volume overflows, and lengths whose volume
         # underflows to 0
         for lengths in ([1e150, 1e150, 1e150], [1e-150, 1e-150, 1e-150]):
             with pytest.raises(InvalidArgument, match="lengths"):
-                DomainSpec.box(lengths)
+                Grid.box(lengths, [2, 2, 2])
         # a box whose continuous Poincare constant overflows is a valid box;
         # the grid's range check rejects it on an axis of several cells
-        with pytest.raises(InvalidArgument, match="lengths"):
-            Grid.for_domain(DomainSpec.box([1e200]), [8])
+        with pytest.raises(InvalidArgument, match="lengths .* Poincare"):
+            Grid.box([1e200], [8])
 
+    def test_rejects_bad_cells(self):
+        with pytest.raises(InvalidArgument, match="need 2 cell counts, got 1"):
+            Grid.box([1.0, 0.5], [8])
+        for cells in ([8, 0], [8, -3]):
+            with pytest.raises(InvalidArgument, match="cells per axis must be positive"):
+                Grid.box([1.0, 0.5], cells)
+        # the lengths are checked before the cells
+        with pytest.raises(InvalidArgument, match="lengths must be positive"):
+            Grid.box([-1.0], [0])
+        with pytest.raises(InvalidArgument, match="dimension"):
+            Grid.box([1.0] * 4, [8])
 
-class TestGrid:
     def test_cell_volume_matches_domain(self):
-        dom = DomainSpec.box([1.0, 0.45])
-        grid = Grid.for_domain(dom, [64, 24])
-        assert grid.domain is dom
-        assert grid.cell_volume * math.prod(grid.cells) == pytest.approx(dom.volume, rel=1e-12)
+        grid = Grid.box([1.0, 0.45], [64, 24])
+        assert grid.cell_volume * math.prod(grid.cells) == pytest.approx(
+            grid.domain.volume, rel=1e-12)
 
     def test_spacings(self):
-        dom = DomainSpec.box([2.0, 1.0])
-        grid = Grid.for_domain(dom, [8, 5])
+        grid = Grid.box([2.0, 1.0], [8, 5])
         assert grid.spacings == (0.25, 0.2)
 
     @pytest.mark.parametrize("lengths, cells", [
@@ -62,12 +70,12 @@ class TestGrid:
     ])
     def test_rejects_unresolvable_spacing(self, lengths, cells):
         with pytest.raises(InvalidArgument, match="lengths"):
-            Grid.for_domain(DomainSpec.box(lengths), cells)
+            Grid.box(lengths, cells)
 
 
 class TestSpeciesFields:
     def test_rejects_nonpositive(self):
-        _, grid = unit_grid(4)
+        grid = unit_grid(4)
         with pytest.raises(InvalidState, match="must be strictly positive"):
             SpeciesFields(np.array([1.0, 1.0, 0.0, 1.0]), np.ones(4), np.ones(4))
 
@@ -111,7 +119,7 @@ class TestSpeciesFields:
     def test_validated_fields_cannot_change(self):
         from dataclasses import FrozenInstanceError
 
-        _, grid = unit_grid(4)
+        grid = unit_grid(4)
         f = SpeciesFields.uniform(grid, 1.0, 1.0, 1.0)
         with pytest.raises(FrozenInstanceError):
             f.a = np.array([1.0, -1.0, 1.0, 1.0])
@@ -123,13 +131,12 @@ class TestSpeciesFields:
 
 class TestLaplacian:
     def test_constant_is_harmonic(self):
-        _, grid = unit_grid(16)
+        grid = unit_grid(16)
         out = laplacian_neumann(np.full(16, 3.7), grid)
         assert np.all(out == 0.0)
 
     def test_hand_evaluated_three_cells(self):
-        dom = DomainSpec.box([3.0])
-        grid = Grid.for_domain(dom, [3])  # h = 1
+        grid = Grid.box([3.0], [3])  # h = 1
         out = laplacian_neumann(np.array([1.0, 2.0, 4.0]), grid)
         assert out == pytest.approx([1.0, 1.0, -2.0], abs=1e-15)
         assert integrate(out, grid) == pytest.approx(0.0, abs=1e-14)
@@ -140,7 +147,7 @@ class TestLaplacian:
         L = 1.0
         errors = []
         for n in (32, 64, 128):
-            dom, grid = unit_grid(n, L)
+            grid = unit_grid(n, L)
             x = grid.axis_coordinates(0)
             u = np.cos(np.pi * x / L)
             err = laplacian_neumann(u, grid) + (np.pi / L) ** 2 * u
@@ -151,8 +158,7 @@ class TestLaplacian:
 
     def test_conservativity_random(self, rng):
         for cells, lengths in (([64], [1.0]), ([12, 18], [1.0, 0.7])):
-            dom = DomainSpec.box(lengths)
-            grid = Grid.for_domain(dom, cells)
+            grid = Grid.box(lengths, cells)
             for _ in range(20):
                 u = rng.uniform(-1.0, 1.0, size=grid.cells)
                 lap = laplacian_neumann(u, grid)
@@ -160,8 +166,7 @@ class TestLaplacian:
                 assert abs(integrate(lap, grid)) <= 1e-13 * scale
 
     def test_symmetry_and_semidefiniteness(self, rng):
-        dom = DomainSpec.box([1.0, 0.7])
-        grid = Grid.for_domain(dom, [12, 18])
+        grid = Grid.box([1.0, 0.7], [12, 18])
         for _ in range(20):
             u = rng.uniform(-1.0, 1.0, size=grid.cells)
             v = rng.uniform(-1.0, 1.0, size=grid.cells)
@@ -175,60 +180,59 @@ class TestLaplacian:
 
 class TestQuadrature:
     def test_integrate_constants(self):
-        dom, grid = unit_grid(10, L=2.0)
+        grid = unit_grid(10, L=2.0)
         assert integrate(np.ones(10), grid) == pytest.approx(2.0, rel=1e-14)
         assert integrate(np.full(10, 3.0), grid) == pytest.approx(6.0, rel=1e-14)
 
     def test_integrate_cosine_mode_vanishes(self):
-        dom, grid = unit_grid(64, L=1.0)
+        grid = unit_grid(64, L=1.0)
         x = grid.axis_coordinates(0)
         assert integrate(np.cos(np.pi * x), grid) == pytest.approx(0.0, abs=1e-14)
 
     def test_lp_norm_constants(self):
-        dom, grid = unit_grid(8, L=2.0)
+        grid = unit_grid(8, L=2.0)
         u = np.full(8, 3.0)
         for p in (1.0, 1.5, 2.0, 4.0):
             norm = lp_norm(u, p, grid)
             assert norm == pytest.approx(3.0 * 2.0 ** (1.0 / p), rel=1e-13)
 
     def test_lp_norm_two_cells(self):
-        dom, grid = unit_grid(2, L=1.0)  # cell volume 0.5
+        grid = unit_grid(2, L=1.0)  # cell volume 0.5
         val = lp_norm(np.array([3.0, 4.0]), 2.0, grid)
         assert val == pytest.approx(math.sqrt(12.5), rel=1e-14)
 
 
 class TestEnergies:
     def test_constant_energies_vanish(self):
-        _, grid = unit_grid(9)
+        grid = unit_grid(9)
         u = np.full(9, 2.5)
         assert dirichlet_energy(np.sqrt(u), grid) == 0.0
         assert deviation_l2(u, grid) == 0.0
 
     def test_single_face(self):
-        dom = DomainSpec.box([2.0])
-        grid = Grid.for_domain(dom, [2])  # h = 1, face area 1
+        grid = Grid.box([2.0], [2])  # h = 1, face area 1
         assert dirichlet_energy(np.sqrt([1.0, 4.0]), grid) == pytest.approx(1.0, rel=1e-14)
 
     def test_cosine_mode_dirichlet_energy(self):
         # u = (1 + 0.1 cos(pi x/L))^2 has sqrt-energy 0.01 (pi/L)^2 L/2
         L = 1.0
-        dom, grid = unit_grid(256, L)
+        grid = unit_grid(256, L)
         x = grid.axis_coordinates(0)
         u = (1.0 + 0.1 * np.cos(np.pi * x / L)) ** 2
         exact = 0.01 * (np.pi / L) ** 2 * (L / 2.0)
         assert dirichlet_energy(np.sqrt(u), grid) == pytest.approx(exact, rel=0.01)
 
     def test_deviation_two_cells(self):
-        dom, grid = unit_grid(2, L=1.0)  # cell volume 0.5
+        grid = unit_grid(2, L=1.0)  # cell volume 0.5
         assert deviation_l2(np.array([0.0, 2.0]), grid) == pytest.approx(1.0, rel=1e-14)
 
     def test_deviation_pythagoras(self, rng):
-        dom, grid = unit_grid(40, L=1.3)
+        grid = unit_grid(40, L=1.3)
         for _ in range(20):
             u = rng.uniform(-2.0, 2.0, size=40)
             dev2 = deviation_l2(u, grid) ** 2
-            mean = integrate(u, grid) / dom.volume
-            direct = lp_norm(u, 2, grid) ** 2 - mean**2 * dom.volume
+            mean = integrate(u, grid) / grid.domain.volume
+            direct = lp_norm(u, 2, grid) ** 2 - mean**2 * grid.domain.volume
             assert dev2 == pytest.approx(direct, rel=1e-12, abs=1e-13)
 
     @pytest.mark.parametrize("cells, lengths", [
@@ -236,7 +240,7 @@ class TestEnergies:
         ([6, 4, 3], [1.0, 0.6, 0.45]), ([1, 5], [3.0, 1.0]),
     ])
     def test_lowest_mode_attains_the_discrete_poincare_constant(self, cells, lengths):
-        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        grid = Grid.box(lengths, cells)
         ratios = []
         for ax, n in enumerate(cells):
             if n > 1:
@@ -250,18 +254,17 @@ class TestEnergies:
     @pytest.mark.parametrize("n", [8, 16, 64, 128])
     def test_discrete_constant_exceeds_the_box_constant(self, n):
         # by the factor (x / sin x)^2 = 1 + pi^2/(12 n^2) + O(n^-4), x = pi/(2n)
-        dom, grid = unit_grid(n)
-        excess = grid.poincare_constant / box_poincare_constant(dom.lengths) - 1.0
+        grid = unit_grid(n)
+        excess = grid.poincare_constant / box_poincare_constant(grid.domain.lengths) - 1.0
         assert excess == pytest.approx(math.pi ** 2 / (12 * n * n), rel=0.02)
 
     def test_single_cell_grid_has_no_poincare_constraint(self):
-        grid = Grid.for_domain(DomainSpec.box([1.0, 2.0]), [1, 1])
+        grid = Grid.box([1.0, 2.0], [1, 1])
         assert grid.poincare_constant == math.inf
 
     def test_discrete_poincare_random(self, rng):
         for cells, lengths in (([64], [1.0]), ([16, 12], [1.0, 0.6])):
-            dom = DomainSpec.box(lengths)
-            grid = Grid.for_domain(dom, cells)
+            grid = Grid.box(lengths, cells)
             for _ in range(100):
                 u = rng.uniform(0.0, 1.0, size=grid.cells)
                 dev2 = deviation_l2(u, grid) ** 2
@@ -285,7 +288,7 @@ def test_a_block_reduces_each_field_as_it_reduces_alone(cells, lengths, rng):
     # the reductions that sample runs for every CSV column: a (B, 3, *cells)
     # block of states gives the value of each field alone, bit for bit,
     # and a single field gives a Python float
-    grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+    grid = Grid.box(lengths, cells)
     block = rng.uniform(0.2, 3.0, size=(4, 3) + grid.cells)
     for name, reduce in REDUCTIONS.items():
         values = reduce(block, grid)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from revreact.errors import InvalidArgument, InvalidState
-from revreact.grid import DomainSpec, Grid, SpeciesFields
+from revreact.grid import Grid, SpeciesFields
 from revreact.model import ModelParams, conserved_masses, equilibrium_state
 from conftest import riccati_roots
 
@@ -132,8 +132,7 @@ class TestEquilibrium:
 
 class TestConservedMasses:
     def test_uniform_constant_fields(self):
-        dom = DomainSpec.box([2.0])
-        grid = Grid.for_domain(dom, [8])
+        grid = Grid.box([2.0], [8])
         f = SpeciesFields.uniform(grid, 1.0, 0.7, 1.0)
         m1, m2 = conserved_masses(f, grid)
         assert m1 == pytest.approx(2.0, rel=1e-14)
@@ -145,8 +144,7 @@ class TestConservedMasses:
         # a = 1 + 0.5 cos(pi x / L), c = 1 - 0.5 cos(pi x / L): midpoint sums
         # cancel the mode pairwise, so M1 = 2 up to rounding
         L = 3.0
-        dom = DomainSpec.box([L])
-        grid = Grid.for_domain(dom, [256])
+        grid = Grid.box([L], [256])
         x = grid.axis_coordinates(0)
         a = 1.0 + 0.5 * np.cos(np.pi * x / L)
         c = 1.0 - 0.5 * np.cos(np.pi * x / L)

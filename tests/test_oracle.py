@@ -8,7 +8,7 @@ import pytest
 from revreact import oracle, verify
 from revreact.errors import InvalidArgument, InvalidState
 from revreact.functionals import CSV_COLUMNS, RunningIntegrals, sample
-from revreact.grid import DomainSpec, Grid, SpeciesFields
+from revreact.grid import Grid, SpeciesFields
 from revreact.model import ModelParams, conserved_masses, equilibrium_state
 from revreact.solver import reaction_substep
 
@@ -145,8 +145,7 @@ class TestHomogeneousOde:
 
 class TestBruteForceSample:
     def test_agrees_with_functionals(self, rng):
-        dom = DomainSpec.box([1.0, 0.5])
-        grid = Grid.for_domain(dom, [8, 4])
+        grid = Grid.box([1.0, 0.5], [8, 4])
         params = ModelParams(1.0, 0.0, 0.7)
         for _ in range(100):
             f = SpeciesFields(
@@ -166,7 +165,7 @@ class TestBruteForceSample:
     def test_agrees_with_functionals_in_three_dimensions(self, rng, diffusivities):
         # the stacked sample reduces over axes 1-3 of its (3, *cells) stack,
         # one more than a single field: every axis must still count once
-        grid = Grid.for_domain(DomainSpec.box([1.0, 0.6, 0.45]), [6, 4, 3])
+        grid = Grid.box([1.0, 0.6, 0.45], [6, 4, 3])
         params = ModelParams(*diffusivities)
         running_fast, running_slow = RunningIntegrals(), RunningIntegrals()
         for t in (0.0, 0.5, 1.0):
@@ -187,7 +186,7 @@ class TestBruteForceSample:
             self.int_b2bc += dt * self.fb_prev
             self.t_prev, self.fa_prev, self.fb_prev = t, fa, fb
 
-        grid = Grid.for_domain(DomainSpec.box([1.0]), [8])
+        grid = Grid.box([1.0], [8])
         params = ModelParams(1.0, 0.0, 1.0)
         monkeypatch.setattr(RunningIntegrals, "update", left_riemann)
         running_fast, running_slow = RunningIntegrals(), RunningIntegrals()
@@ -201,8 +200,7 @@ class TestBruteForceSample:
 
     @pytest.mark.parametrize("with_running", [False, True])
     def test_both_samplers_key_the_csv_columns(self, with_running):
-        dom = DomainSpec.box([1.0])
-        grid = Grid.for_domain(dom, [8])
+        grid = Grid.box([1.0], [8])
         f = SpeciesFields.uniform(grid, 2.0, 1.0, 0.4)
         eq = equilibrium_state(*conserved_masses(f, grid))
         args = (f, 0.5, eq, ModelParams(1.0, 0.0, 1.0), grid)
@@ -217,8 +215,7 @@ class TestBruteForceSample:
         assert s_fast["t"] == s_slow["t"] == 0.5
 
     def test_equilibrium_gives_zero_distances(self):
-        dom = DomainSpec.box([1.0])
-        grid = Grid.for_domain(dom, [8])
+        grid = Grid.box([1.0], [8])
         eq = equilibrium_state(2.0, 1.0)
         f = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
         s = oracle.brute_force_sample(f, 0.0, eq, ModelParams(1.0, 1.0, 1.0), grid)
@@ -227,12 +224,12 @@ class TestBruteForceSample:
 
     def test_standard_preset_initial_sample(self):
         # the standard 1D initial snapshot against the naive quadrature
-        from revreact.cli import build_domain, build_initial, parse_config
+        from revreact.cli import build_initial, parse_config
         from revreact.presets import PRESETS
 
         cfg = parse_config(PRESETS["db0_1d"])
-        dom, grid = build_domain(cfg)
-        f = build_initial(cfg, grid, dom)
+        grid = Grid.box(cfg.lengths, cfg.cells)
+        f = build_initial(cfg, grid, grid.domain)
         params = ModelParams(cfg.d_a, cfg.d_b, cfg.d_c)
         eq = equilibrium_state(*conserved_masses(f, grid))
         s_fast = sample(f, 0.0, eq, params, grid)
@@ -242,8 +239,7 @@ class TestBruteForceSample:
             assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), 1e-30)
 
     def test_uniform_gives_zero_deviations(self):
-        dom = DomainSpec.box([1.0])
-        grid = Grid.for_domain(dom, [8])
+        grid = Grid.box([1.0], [8])
         f = SpeciesFields.uniform(grid, 2.0, 1.0, 0.4)
         eq = equilibrium_state(*conserved_masses(f, grid))
         s = oracle.brute_force_sample(f, 0.0, eq, ModelParams(1.0, 1.0, 1.0), grid)

@@ -1,5 +1,6 @@
 """Package-level checks: every module's public names are real, every name
-a module imports is used, the modules import one another without a cycle,
+a module imports is used, every function is named outside the tests, the
+modules import one another without a cycle,
 each except clause of the package catches one error class, each of which
 is raised, and a run loads no transform library."""
 import ast
@@ -60,6 +61,48 @@ def test_an_unused_import_is_found():
     source = ("from __future__ import annotations\nimport os.path\nimport math as m\n"
               "from x import a, b\n__all__ = ['b']\nprint(os.sep)\n")
     assert unused_imports(source) == [(3, "m"), (4, "a")]
+
+
+def unreferenced_functions(sources: dict, others: list) -> list:
+    """(module, line, name) of each function and method, nested ones
+    included and dunders aside, that a module of sources (name -> source)
+    defines and that no source of sources or others names: as a variable
+    or a call, as an attribute, or in an import."""
+    defined, named = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                defined.append((module, node.lineno, node.name))
+    for source in [*sources.values(), *others]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+    return sorted(d for d in defined if d[2] not in named)
+
+
+def test_every_function_is_referenced_outside_the_tests():
+    # a function that only tests call is a path the program never runs
+    bench = sorted((pathlib.Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+    unreferenced = unreferenced_functions({path.stem: path.read_text() for path in SOURCES},
+                                          [path.read_text() for path in bench])
+    assert not unreferenced, f"functions that src and bench never name: {unreferenced}"
+
+
+def test_an_unreferenced_function_is_found():
+    source = ("def called():\n    pass\n\ndef planted():\n    pass\n\n"
+              "class K:\n    def __init__(self):\n        self.go()\n"
+              "    def go(self):\n        called()\n    def stale(self):\n        pass\n\n"
+              "def benched():\n    pass\n\ndef imported():\n    pass\n")
+    others = ["import m\nm.benched()\n", "from m import imported as alias\n"]
+    assert unreferenced_functions({"m": source}, others) == [("m", 4, "planted"),
+                                                             ("m", 12, "stale")]
+    assert unreferenced_functions({"m": source}, []) == [
+        ("m", 4, "planted"), ("m", 12, "stale"), ("m", 15, "benched"), ("m", 18, "imported")]
 
 
 def package_imports(sources: dict) -> dict:

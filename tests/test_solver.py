@@ -7,7 +7,7 @@ import pytest
 from revreact.cli import parse_config
 from revreact.errors import InvalidArgument, NumericalBlowup
 from revreact.functionals import CSV_COLUMNS, RunningIntegrals, sample
-from revreact.grid import (DomainSpec, Grid, SpeciesFields, integrate, neumann_eigenvalues,
+from revreact.grid import (Grid, SpeciesFields, integrate, neumann_eigenvalues,
                            positive_stacks)
 from revreact.model import ModelParams, conserved_masses, equilibrium_state
 from revreact.presets import PRESETS
@@ -28,8 +28,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def setup_1d(n=64, L=1.0):
-    dom = DomainSpec.box([L])
-    return dom, Grid.for_domain(dom, [n])
+    return Grid.box([L], [n])
 
 
 def discrete_lambda(k, n, h):
@@ -39,7 +38,7 @@ def discrete_lambda(k, n, h):
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(InvalidArgument):
-            SolverConfig(dt=1.0, t_end=0.5)
+            SolverConfig(dt=1.0, t_end=0.5, record_every=1)
         with pytest.raises(InvalidArgument):
             SolverConfig(dt=0.1, t_end=1.0, record_every=0)
 
@@ -61,13 +60,13 @@ class TestSolverConfig:
 class TestDiffusionSubstep:
     # the diffusion substep of the Strang step is the exact semigroup
     def test_constant_fixed_point(self):
-        dom, grid = setup_1d()
+        grid = setup_1d()
         u = np.full(64, 2.0)
         v = DiffusionSemigroup(grid, 1.0, 0.1).apply(u)
         assert v == pytest.approx(u, rel=1e-12)
 
     def test_degenerate_identity(self):
-        dom, grid = setup_1d()
+        grid = setup_1d()
         u = np.linspace(1.0, 2.0, 64)
         v = DiffusionSemigroup(grid, 0.0, 0.1).apply(u)
         assert np.array_equal(v, u)
@@ -75,7 +74,7 @@ class TestDiffusionSubstep:
     def test_eigenmode_decay_factor(self):
         # the flow damps the discrete mode by exp(-dt d lambda_h)
         n, L, d, dt, k = 64, 1.0, 0.7, 0.05, 3
-        dom, grid = setup_1d(n, L)
+        grid = setup_1d(n, L)
         x = grid.axis_coordinates(0)
         mode = np.cos(k * np.pi * x / L)
         u = 1.0 + 0.1 * mode
@@ -85,7 +84,7 @@ class TestDiffusionSubstep:
         assert np.max(np.abs(v - expected)) <= 1e-10
 
     def test_conserves_mass_and_positivity(self, rng):
-        dom, grid = setup_1d(48)
+        grid = setup_1d(48)
         u = rng.uniform(0.05, 2.0, size=48)
         v = DiffusionSemigroup(grid, 2.0, 0.5).apply(u)
         assert integrate(v, grid) == pytest.approx(integrate(u, grid), rel=1e-11)
@@ -95,7 +94,7 @@ class TestDiffusionSubstep:
 class TestSemigroup:
     def test_matches_backward_euler_at_second_order(self):
         # exp(-z) vs 1/(1+z) differ by z^2/2 + O(z^3) per mode
-        dom, grid = setup_1d(32)
+        grid = setup_1d(32)
         u = 1.0 + 0.3 * np.cos(2 * np.pi * grid.axis_coordinates(0))
         lam = discrete_lambda(2, 32, 1.0 / 32)
         gaps = []
@@ -110,7 +109,7 @@ class TestSemigroup:
         # 64 kernel-axis cells against expm of the assembled stencil, on
         # random fields and on a constant field, which the flow fixes; at
         # d = 0 the flow is the identity, bit for bit
-        dom, grid = setup_1d(64)
+        grid = setup_1d(64)
         const = np.full(64, 2.0)
         for d, tau in ((1.0, 1e-5), (1.0, 5e-6), (0.3, 1e-3), (2.0, 1e-2)):
             op = DiffusionSemigroup(grid, d, tau)
@@ -126,8 +125,7 @@ class TestSemigroup:
         assert lam[1] == pytest.approx(discrete_lambda(1, 16, 0.125), rel=1e-13)
 
     def test_conservation_and_positivity(self, rng):
-        dom = DomainSpec.box([1.0, 0.5])
-        grid = Grid.for_domain(dom, [16, 8])
+        grid = Grid.box([1.0, 0.5], [16, 8])
         op = DiffusionSemigroup(grid, 1.5, 0.01)
         u = rng.uniform(0.05, 2.0, size=grid.cells)
         v = op.apply(u)
@@ -142,7 +140,7 @@ class TestThreeDimensional:
         lengths = [1.0, 0.5, 0.25]
         d, tau = 0.7, 0.05
         for cells in ([8, 4, 2], [KERNEL_MAX_CELLS + 8, 4, 2]):
-            grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+            grid = Grid.box(lengths, cells)
             x, y, z = np.ix_(*map(grid.axis_coordinates, range(3)))
             mode = np.cos(3 * np.pi * x) * np.cos(np.pi * y / 0.5) * np.cos(np.pi * z / 0.25)
             lam = sum(discrete_lambda(k, n, L / n) for k, n, L in zip((3, 1, 1), cells, lengths))
@@ -151,7 +149,7 @@ class TestThreeDimensional:
             assert np.max(np.abs(v - expected)) <= 1e-13, cells
 
     def test_matches_exact_flow_in_3d(self, rng):
-        grid = Grid.for_domain(DomainSpec.box([1.0, 0.5, 0.25]), [8, 4, 4])
+        grid = Grid.box([1.0, 0.5, 0.25], [8, 4, 4])
         const = np.full(grid.cells, 2.0)
         for tau in (1e-5, 1e-3, 0.1):
             op = DiffusionSemigroup(grid, 1.0, tau)
@@ -163,14 +161,14 @@ class TestThreeDimensional:
 
 class TestReactionSubstep:
     def test_local_equilibrium_fixed_point(self):
-        dom, grid = setup_1d(4)
+        grid = setup_1d(4)
         f = SpeciesFields.uniform(grid, SQRT2, SQRT2 - 1.0, 2.0 - SQRT2)
         for dt in (1e-3, 0.1, 10.0):
             g = reaction_substep(f, dt)
             assert np.max(np.abs(g.c - f.c)) <= 1e-14
 
     def test_riccati_attractor(self):
-        dom, grid = setup_1d(1)
+        grid = setup_1d(1)
         f = SpeciesFields.uniform(grid, 2.0, 1.0, 1e-4)
         g = reaction_substep(f, 200.0)
         eq = equilibrium_state(2.0 + 1e-4, 1.0 + 1e-4)
@@ -178,7 +176,7 @@ class TestReactionSubstep:
         assert float(g.a[0]) == pytest.approx(eq.a_inf, rel=1e-12)
 
     def test_exact_pointwise_conservation(self, rng):
-        dom, grid = setup_1d(64)
+        grid = setup_1d(64)
         f = SpeciesFields(
             rng.uniform(0.1, 4.0, size=64),
             rng.uniform(0.1, 4.0, size=64),
@@ -189,7 +187,7 @@ class TestReactionSubstep:
         assert np.max(np.abs((g.b + g.c) - (f.b + f.c)) / (f.b + f.c)) <= 5e-16
 
     def test_positivity_random(self, rng):
-        dom, grid = setup_1d(64)
+        grid = setup_1d(64)
         for dt in (1e-3, 1.0, 50.0):
             f = SpeciesFields(
                 rng.uniform(1e-4, 5.0, size=64),
@@ -202,7 +200,7 @@ class TestReactionSubstep:
     def test_extreme_time_steps(self, rng):
         # dt spanning twelve orders: conservation and positivity never break,
         # huge dt lands on the pointwise equilibrium r1
-        dom, grid = setup_1d(16)
+        grid = setup_1d(16)
         f = SpeciesFields(
             rng.uniform(1e-3, 8.0, size=16),
             rng.uniform(1e-3, 8.0, size=16),
@@ -242,7 +240,7 @@ class TestReactionSubstep:
 def strang_once(f, params, dt, grid):
     """One Strang step of the fields f."""
     u = np.stack((f.a, f.b, f.c))
-    return SpeciesFields(*StrangStepper(params, dt, grid).advance(u, 1))
+    return SpeciesFields(*next(StrangStepper(params, dt, grid).records(u, 1)))
 
 
 def spectral_flow(u, d, tau, grid):
@@ -291,7 +289,7 @@ class TestAxisOperators:
     @pytest.mark.parametrize("lengths, cells", [([1.0], [300]), ([1.0, 0.3], [300, 6])])
     def test_long_axis_matches_spectral_reference(self, rng, lengths, cells):
         assert cells[0] > KERNEL_MAX_CELLS and all(n <= KERNEL_MAX_CELLS for n in cells[1:])
-        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        grid = Grid.box(lengths, cells)
         u = rng.uniform(0.5, 1.5, size=(2, *grid.cells))
         ds = (0.3, 1.0)
         v = DiffusionSemigroup(grid, ds, 2e-4).apply(u)
@@ -301,7 +299,7 @@ class TestAxisOperators:
             assert abs(v[k].sum() - u[k].sum()) <= 1e-13 * u[k].sum()
 
     def test_dc0_3d_grid_steps_without_transforms(self, rng, monkeypatch):
-        grid = Grid.for_domain(DomainSpec.box([1.0, 0.4, 0.4]), [48, 12, 12])
+        grid = Grid.box([1.0, 0.4, 0.4], [48, 12, 12])
         assert max(grid.cells) <= KERNEL_MAX_CELLS
         stepper = StrangStepper(ModelParams(1.0, 1.0, 0.0), 2e-3, grid)
 
@@ -311,10 +309,10 @@ class TestAxisOperators:
         for name in ("rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, forbidden)
         u = rng.uniform(0.5, 1.5, size=(3, *grid.cells))
-        v = stepper.advance(u, 3)
+        v = next(stepper.records(u, 3))
         assert np.all(np.isfinite(v)) and not np.array_equal(v, u)
         # the patch reaches the transforms of a long axis
-        long_axis = Grid.for_domain(DomainSpec.box([1.0]), [KERNEL_MAX_CELLS + 1])
+        long_axis = Grid.box([1.0], [KERNEL_MAX_CELLS + 1])
         with pytest.raises(AssertionError, match="FFT called"):
             DiffusionSemigroup(long_axis, 1.0, 2e-3).apply(np.ones(long_axis.cells))
 
@@ -347,7 +345,7 @@ class TestAxisOperators:
     def test_long_axis_matches_dense_kernels(self, rng, lengths, cells, tau):
         # the FFT of the even extension against the heat kernel of the axis
         # as if it were short; measured up to 3.4e-15
-        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        grid = Grid.box(lengths, cells)
         assert max(grid.cells) > KERNEL_MAX_CELLS
         u = rng.uniform(0.5, 1.5, size=(2, *grid.cells))
         ds = (0.3, 1.0)
@@ -363,7 +361,7 @@ class TestAxisOperators:
 class TestStackedSemigroup:
     @pytest.mark.parametrize("lengths, cells", [([1.0], [64]), ([1.0, 0.5, 0.25], [12, 6, 4])])
     def test_stack_equals_per_species_bit_for_bit(self, rng, lengths, cells):
-        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        grid = Grid.box(lengths, cells)
         u = rng.uniform(0.5, 1.5, size=(3, *grid.cells))
         ds = (1.0, 0.5, 0.0)
         stacked = DiffusionSemigroup(grid, ds, 0.01).apply(u)
@@ -371,7 +369,7 @@ class TestStackedSemigroup:
             assert np.array_equal(stacked[k], DiffusionSemigroup(grid, d, 0.01).apply(u[k]))
 
     def test_zero_diffusivity_entry_unchanged(self, rng):
-        dom, grid = setup_1d(32)
+        grid = setup_1d(32)
         u = rng.uniform(0.5, 1.5, size=(3, 32))
         v = DiffusionSemigroup(grid, (1.0, 0.0, 2.0), 0.1).apply(u)
         assert np.array_equal(v[1], u[1])
@@ -379,33 +377,33 @@ class TestStackedSemigroup:
 
     def test_moving_entries_must_be_evenly_spaced(self):
         # the moving entries are one basic slice; every set of three rows is
-        dom, grid = setup_1d(32)
+        grid = setup_1d(32)
         with pytest.raises(InvalidArgument, match="evenly spaced"):
             DiffusionSemigroup(grid, (1.0, 1.0, 0.0, 1.0), 0.1)
         for d in ((1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0)):
             DiffusionSemigroup(grid, d, 0.1)
 
     def test_stack_length_must_match_diffusivities(self):
-        dom, grid = setup_1d(32)
+        grid = setup_1d(32)
         with pytest.raises(ValueError):
             DiffusionSemigroup(grid, 1.0, 0.1).apply(np.ones((3, 32)))
 
     def test_advance_leaves_input_unmodified(self, rng):
-        dom, grid = setup_1d(32)
+        grid = setup_1d(32)
         u = rng.uniform(0.5, 1.5, size=(3, 32))
         kept = u.copy()
-        v = StrangStepper(ModelParams(1.0, 0.0, 1.0), 0.01, grid).advance(u, 3)
+        v = next(StrangStepper(ModelParams(1.0, 0.0, 1.0), 0.01, grid).records(u, 3))
         assert np.array_equal(u, kept)
         assert v.shape == u.shape and not np.array_equal(v, u)
 
 
 def preset_stepper(name):
     """The stepper and grid of a shipped preset."""
-    from revreact.cli import build_domain, parse_config
+    from revreact.cli import parse_config
     from revreact.presets import PRESETS
 
     cfg = parse_config(PRESETS[name])
-    _, grid = build_domain(cfg)
+    grid = Grid.box(cfg.lengths, cfg.cells)
     return StrangStepper(ModelParams(cfg.d_a, cfg.d_b, cfg.d_c), cfg.dt, grid), grid
 
 
@@ -427,37 +425,37 @@ class TestAdvance:
         # db0_1d moves the rows [0, 2], a strided slice; long_axis takes the
         # cosine-transform branch on its first axis
         if name == "long_axis":
-            grid = Grid.for_domain(DomainSpec.box([1.0, 0.3]), [KERNEL_MAX_CELLS + 108, 6])
+            grid = Grid.box([1.0, 0.3], [KERNEL_MAX_CELLS + 108, 6])
             stepper = StrangStepper(ModelParams(1.0, 0.0, 0.7), 1e-3, grid)
         else:
             stepper, grid = preset_stepper(name)
         u = rng.uniform(0.5, 1.5, size=(3, *grid.cells))
         for k in (1, 3):
-            assert np.array_equal(stepper.advance(u, k), composed_steps(stepper, u, k)), k
+            assert np.array_equal(next(stepper.records(u, k)), composed_steps(stepper, u, k)), k
 
     def test_results_are_not_aliased(self, rng):
         stepper, grid = preset_stepper("dc0_2d")
         u = rng.uniform(0.5, 1.5, size=(3, *grid.cells))
-        first = stepper.advance(u, 3)
+        first = next(stepper.records(u, 3))
         kept = first.copy()
-        second = stepper.advance(first, 3)
+        second = next(stepper.records(first, 3))
         assert np.array_equal(first, kept)
         # a reused stepper and a new one give the same results
-        assert np.array_equal(stepper.advance(u, 3), kept)
-        assert np.array_equal(stepper.advance(first, 3), second)
-        assert np.array_equal(preset_stepper("dc0_2d")[0].advance(u, 3), kept)
+        assert np.array_equal(next(stepper.records(u, 3)), kept)
+        assert np.array_equal(next(stepper.records(first, 3)), second)
+        assert np.array_equal(next(preset_stepper("dc0_2d")[0].records(u, 3)), kept)
 
     @pytest.mark.parametrize("lengths, cells", [([1.0], [32]), ([1.0, 0.5, 0.25], [8, 4, 4])])
     def test_rejects_a_stack_of_another_shape(self, rng, lengths, cells):
         # a stack of one, or one whose last axis would broadcast, must not
         # be written into the three rows of the state
-        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        grid = Grid.box(lengths, cells)
         stepper = StrangStepper(ModelParams(1.0, 0.0, 1.0), 0.01, grid)
         for shape in ((1, *cells), (3, *cells[:-1], 1), (4, *cells), tuple(cells)):
             u = rng.uniform(0.5, 1.5, size=shape)
             kept = u.copy()
             with pytest.raises(ValueError):
-                stepper.advance(u, 2)
+                next(stepper.records(u, 2))
             assert np.array_equal(u, kept)
 
     def test_memory_on_the_dc0_3d_grid(self, rng):
@@ -468,11 +466,11 @@ class TestAdvance:
         stepper, grid = preset_stepper("dc0_3d")
         u = rng.uniform(0.5, 1.5, size=(3, *grid.cells))
         field_bytes = u[0].nbytes
-        stepper.advance(u, 2)
+        next(stepper.records(u, 2))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            v = stepper.advance(u, 50)
+            v = next(stepper.records(u, 50))
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -482,7 +480,7 @@ class TestAdvance:
 
 class TestStrangStep:
     def test_uniform_fields_reduce_to_reaction(self):
-        dom, grid = setup_1d(32)
+        grid = setup_1d(32)
         params = ModelParams(1.0, 0.5, 0.8)
         f = SpeciesFields.uniform(grid, 2.0, 1.0, 0.3)
         full = strang_once(f, params, 0.05, grid)
@@ -491,7 +489,7 @@ class TestStrangStep:
         assert np.max(np.abs(full.c - react.c)) <= 1e-13
 
     def test_equilibrium_fixed_point(self):
-        dom, grid = setup_1d(32)
+        grid = setup_1d(32)
         params = ModelParams(1.0, 0.0, 1.0)
         eq = equilibrium_state(2.0, 1.0)
         f = SpeciesFields.uniform(grid, eq.a_inf, eq.b_inf, eq.c_inf)
@@ -506,8 +504,7 @@ class TestRun2D:
         # inequality suite must hold sample by sample
         from revreact.functionals import bound_violation, ckp_violation, dissipation_bound_rhs
 
-        dom = DomainSpec.box([1.0, 0.45])
-        grid = Grid.for_domain(dom, [32, 12])
+        grid = Grid.box([1.0, 0.45], [32, 12])
         params = ModelParams(1.0, 0.0, 1.0)
         cfg = SolverConfig(dt=2e-3, t_end=3.0, record_every=50)
         x, y = np.ix_(*map(grid.axis_coordinates, range(2)))
@@ -520,11 +517,11 @@ class TestRun2D:
         m1 = cols["M1"]
         assert np.max(np.abs(m1 - m1[0]) / m1[0]) <= 1e-9
         assert np.all(np.diff(cols["E_rel"]) <= 1e-12)
-        masses = (cols["M1"], cols["M2"], dom.volume)
+        masses = (cols["M1"], cols["M2"], grid.domain.volume)
         assert np.all(ckp_violation(cols["E_rel"], cols["ckp_lhs"], *masses) == 0.0)
         rhs = dissipation_bound_rhs((cols["dev_A2"], cols["dev_B2"], cols["dev_C2"]),
                                     cols["abc_defect"], params,
-                                    box_poincare_constant(dom.lengths))
+                                    box_poincare_constant(grid.domain.lengths))
         assert np.all(bound_violation(cols["D"], rhs, *masses) == 0.0)
 
 
@@ -546,7 +543,7 @@ class TestSpeciesSymmetry:
         # most 2.9e-15 relative on the final fields and, on every column,
         # 2.5e-15 of |x| + |x(0)|, a floor that covers the dev_*2 and l1_*
         # values decayed to 1e-13, whose relative difference reaches 1.5e-10
-        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        grid = Grid.box(lengths, cells)
         cfg = SolverConfig(dt=1e-3, t_end=2.0, record_every=100)
         f = random_fields(rng, grid)
         x = run(f, ModelParams(*d), grid, cfg)
@@ -563,7 +560,7 @@ class TestSpeciesSymmetry:
 
 class TestRun:
     def make_run(self, t_end=1.0, record_every=10):
-        _, grid = setup_1d(32)
+        grid = setup_1d(32)
         params = ModelParams(1.0, 1.0, 0.0)
         cfg = SolverConfig(dt=1e-3, t_end=t_end, record_every=record_every)
         x = grid.axis_coordinates(0)
@@ -592,7 +589,7 @@ class TestRun:
         assert np.all(np.diff(e_rel) <= 1e-12)
 
     def test_equilibrium_run_stays_flat(self):
-        _, grid = setup_1d(16)
+        grid = setup_1d(16)
         params = ModelParams(1.0, 0.5, 0.5)
         cfg = SolverConfig(dt=1e-2, t_end=1.0, record_every=10)
         eq = equilibrium_state(2.0, 1.0)
@@ -621,7 +618,7 @@ class TestRun:
         u = f0.stack
         for i in range(n_records):
             if i:
-                u = stepper.advance(u, cfg.record_every)
+                u = next(stepper.records(u, cfg.record_every))
             s = sample(SpeciesFields.from_stack(u), i * cfg.record_every * cfg.dt, eq, params,
                        grid, running)
             for name in CSV_COLUMNS:
@@ -770,7 +767,7 @@ class TestFailurePremise:
                              ids=["dc0", "db0", "full"])
     def test_a_trap_leaves_a_value_the_run_rejects(self, cells, lengths, d):
         rng = np.random.default_rng(7)
-        grid = Grid.for_domain(DomainSpec.box(lengths), cells)
+        grid = Grid.box(lengths, cells)
         params = ModelParams(*d)
         seen = {"trapped": 0, "valid": 0}
         for dt in (1e-3, 0.3):
@@ -779,10 +776,10 @@ class TestFailurePremise:
                 u = self.extreme(rng, (3,) + cells, len(cells), -20.0, 30.0, 130.0)
                 k = int(rng.integers(1, 4))
                 with np.errstate(all="ignore"):
-                    valid = bool(positive_stacks(stepper.advance(u, k)))
+                    valid = bool(positive_stacks(next(stepper.records(u, k))))
                 try:
                     with np.errstate(**self.TRAPS):
-                        stepper.advance(u, k)
+                        next(stepper.records(u, k))
                 except FloatingPointError:
                     assert not valid, (dt, k)
                     seen["trapped"] += 1
