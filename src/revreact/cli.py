@@ -461,13 +461,15 @@ def _read_meta_config(meta_path: str) -> RunConfig:
 def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None) -> int:
     """Verify a recorded time series; writes report.txt and summary.json.
 
-    Exit 0 iff the fitted decay exponent is at least the theorem's,
-    inequality violation counts are zero and the balance residual is
-    finite; the growth constants are reported without a verdict.  The
-    run_meta at meta_path (default: next to the CSV) supplies the record
-    times that the CSV's t column must equal, the domain volume of the CKP
-    check, and the diffusivities and the grid, whose discrete Poincare
-    constant it uses, of the dissipation-bound check.  Before anything is
+    Exit 0 iff the fitted decay exponent is at least the theorem's, or
+    every sample's |E_rel| is at or below analysis.FIT_FLOOR (the run is at
+    equilibrium, which is not a failure), inequality violation counts are
+    zero and the balance residual is finite; the growth constants are
+    reported without a verdict.  The run_meta at meta_path (default: next
+    to the CSV) supplies the record times that the CSV's t column must
+    equal, the domain volume of the CKP check, and the diffusivities and
+    the grid, whose discrete Poincare constant it uses, of the
+    dissipation-bound check.  Before anything is
     written, a run_meta or CSV that cannot be read raises IoError, a
     run_meta without its config section raises ParseError, a mode or dim
     other than that of its run raises InvalidArgument, and a CSV whose t
@@ -520,9 +522,16 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
         }
         ok &= passed
     except analysis.UnresolvedFit as exc:
-        lines.append(f"decay fit: FAIL ({exc})")
-        summary["fit"] = {"error": str(exc)}
-        ok = False
+        if np.all(np.abs(cols["E_rel"]) <= analysis.FIT_FLOOR):
+            # a run that starts at equilibrium and stays there: no sample
+            # is above the fit's floor, and there is nothing to fit
+            lines.append(f"decay fit: at equilibrium (|E_rel| <= {analysis.FIT_FLOOR:g} "
+                         f"at every sample)")
+            summary["fit"] = {"at_equilibrium": True}
+        else:
+            lines.append(f"decay fit: FAIL ({exc})")
+            summary["fit"] = {"error": str(exc)}
+            ok = False
 
     # entropy balance
     try:

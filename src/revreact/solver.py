@@ -47,11 +47,13 @@ np.errstate(all="ignore"): a step or a sample that overflows or divides
 grid.positive_stacks or the finiteness check of the sample finds.  Its
 arrays live as follows: the (B, 3, *cells) block of record states
 for the whole run, reused by every block; the state and work block of
-one records iterator while it fills one block, freed before that block
-is sampled; the work arrays of one functionals.sample call, each at most
-about the size of the block, about three at once; the columns of the
-Trajectory, preallocated, one float64 per record each; and the final
-fields, a copy of the last state.
+one records iterator, which fills every block of the run and is freed
+before the last block is sampled (where a block holds one record, one
+iterator per block, freed before that block is sampled); the work
+arrays of one functionals.sample call, each at most about the size of
+the block, about three at once; the columns of the Trajectory,
+preallocated, one float64 per record each; and the final fields, a copy
+of the last state.
 """
 from __future__ import annotations
 
@@ -94,12 +96,13 @@ KERNEL_MAX_CELLS = 192
 #: block holds about three block-sized work arrays at once, and they come
 #: from the heap (glibc raises its mmap threshold past them once a larger
 #: array has been freed), whose pages stay resident.  Set by measurement
-#: on a 2-vCPU x86 host with CPython 3.11 and numpy 2.4: an operation of
-#: the bench's dense_record workload (128 cells, each of 5000 steps
-#: recorded; 1.5 s one record at a time) took 0.8, 0.7 and 0.6 s with
-#: blocks of 16, 32 and 64 KiB, and after three full_1d operations the
-#: heap was as large as one record at a time left it with 16 and 32 KiB,
-#: 130 KB larger with 64 KiB
+#: on a 2-vCPU x86 host with CPython 3.11 and numpy 2.4, with one records
+#: iterator filling every block of a run: over 4 runs of the bench (28 s
+#: each), an operation of its dense_record workload (128 cells, each of
+#: 5000 steps recorded) took a median 0.72, 0.57 and 0.52 s with blocks
+#: of 16, 32 and 64 KiB, and peak_rss_mb read 73.73, 73.77 and 73.79 MB
+#: there and 62.33, 62.50 and 62.50 MB on full_1d.  64 KiB is faster but
+#: uses no less memory on either workload, so the block stays at 32 KiB
 BLOCK_BYTES = 32 * 1024
 
 
@@ -420,7 +423,9 @@ class StrangStepper:
         diffusion before each reaction writes the moving rows into that
         stack, and the reaction reads them from it and writes the state,
         so only the last half step of each record is copied back.  The
-        state and the work block live as long as the iterator.
+        state and the work block live as long as the iterator, and the
+        next iteration continues from the state last yielded, so one
+        iterator gives the same states as a new one started from each.
         """
         u = np.ascontiguousarray(u, dtype=float)
         if u.shape != self.full.shape:
@@ -476,13 +481,16 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
 
     The records are taken in blocks of block_records(grid) states, the
     first of which starts with the initial state.  One
-    StrangStepper.records iterator per block, its calls bound once, fills
-    the (B, 3, *cells) block array that every block reuses; one
+    StrangStepper.records iterator, its calls bound once, fills the
+    (B, 3, *cells) block array that every block reuses, each block
+    continuing from the last state of the one before; one
     grid.positive_stacks call checks the block's states, and one
     functionals.sample call evaluates those before the first that fails
-    into the columns of the trajectory.  While a block is sampled, the
-    iterator's state and work block are freed.  The final fields are a
-    copy of the last state.
+    into the columns of the trajectory.  The iterator's state and work
+    block are freed before the last block is sampled; where a block holds
+    one record (a large state), each block has its own iterator, freed
+    before the block is sampled.  The final fields are a copy of the last
+    state.
 
     numpy's floating-point errors are ignored: a reference, state or
     sample that leaves the positive orthant (a and b rounded to 0 at huge
@@ -506,15 +514,18 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
                                       f"not finite and positive at t = {t}", t=t)
             block[0] = initial.stack
             done, filled = 0, 1  # records sampled; rows of the block already filled
+            states = None
             while done < len(times):
                 rows = block[:min(len(block), len(times) - done)]
                 started = time.perf_counter()
-                # the last state sampled is the last row of the previous,
-                # full block, or the initial state in row 0
-                states = stepper.records(block[filled - 1], cfg.record_every)
+                if states is None:
+                    # the last state sampled is the last row of the previous,
+                    # full block, or the initial state in row 0
+                    states = stepper.records(block[filled - 1], cfg.record_every)
                 for i in range(filled, len(rows)):
                     rows[i] = next(states)
-                del states  # its state and work block, before the block is sampled
+                if len(block) == 1 or done + len(rows) == len(times):
+                    states = None  # its state and work block, before the block is sampled
                 traj.step_s += time.perf_counter() - started
                 started = time.perf_counter()
                 good = _leading_true(positive_stacks(rows, 1))

@@ -407,6 +407,43 @@ class TestCmdAnalyze:
         with open(os.path.join(out, "summary.json")) as fh:
             assert json.load(fh)["dissipation_violations"] == 0
 
+    def test_run_at_equilibrium_is_not_a_decay_failure(self, tmp_path, capsys):
+        # (sqrt2, sqrt2 - 1, 2 - sqrt2) is the equilibrium of its masses, so
+        # no sample's E_rel is above the fit's floor: the decay line says so
+        # and is no failure, and every other check passes
+        out = str(tmp_path / "run")
+        cfg = parse_config(
+            "dim=1\ncells=16\nlengths=1.0\nd_a=1\nd_b=0.5\nd_c=0.8\n"
+            "init=uniform 1.4142135623730951 0.41421356237309515 0.5857864376269049\n"
+            f"dt=0.01\nt_end=5\nrecord_every=10\nout_dir={out}\nseed=1")
+        assert cmd_run(cfg) == 0
+        assert cmd_analyze(os.path.join(out, "timeseries.csv"), "full", 1) == 0
+        report = capsys.readouterr().out
+        assert "decay fit: at equilibrium (|E_rel| <= 1e-14 at every sample)\n" in report
+        assert "FAIL" not in report
+        assert "overall: PASS\n" in report
+        with open(os.path.join(out, "summary.json")) as fh:
+            summary = json.load(fh)
+        assert summary["fit"] == {"at_equilibrium": True}
+        assert summary["passed"] is True
+
+    @pytest.mark.parametrize("e_rel0, above", [(1e-6, 8), (-1e-13, 0)],
+                             ids=["decays", "negative"])
+    def test_a_run_not_at_equilibrium_with_nothing_to_fit_fails(self, tmp_path, capsys,
+                                                               e_rel0, above):
+        # E_rel falls below the floor within 8 samples, or starts negative
+        # beyond rounding: fewer than 10 samples to fit, and not a run at
+        # equilibrium
+        t = np.arange(0.0, 2.0001, 0.1)
+        e = e_rel0 * np.exp(-25.0 * t)
+        assert np.count_nonzero(e > 1e-14) == above
+        path = str(tmp_path / "timeseries.csv")
+        synthetic_csv(path, t, e)
+        assert cmd_analyze(path, "db0", 1) == 1
+        report = capsys.readouterr().out
+        assert f"decay fit: FAIL (only {above} samples above the 1e-14 floor" in report
+        assert "overall: FAIL\n" in report
+
     def test_short_run_fit_is_unresolved_not_a_fitted_exponent(self, tmp_path, capsys):
         # over t in [0, 1], (1+t)**0.05 spans 1 to 1.035: the best alpha is
         # the lowest searched, which the report gives as no fit at all

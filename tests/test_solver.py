@@ -599,10 +599,13 @@ class TestRun:
             assert e_rel <= 1e-12
             assert diss <= 1e-12
 
-    @pytest.mark.parametrize("block_bytes", [None, 4 * 3 * 8 * 32], ids=["default", "four"])
-    def test_blocks_equal_the_record_by_record_composition(self, monkeypatch, block_bytes):
-        # 201 records: more than one block, and a multiple neither of the 42
-        # records per block of the 32-cell grid nor of 4
+    @pytest.mark.parametrize("block_bytes, blocks", [
+        (None, 5), (4 * 3 * 8 * 32, 51), (256 * 3 * 8 * 32, 1)], ids=["default", "four", "whole"])
+    def test_blocks_equal_the_record_by_record_composition(self, monkeypatch, block_bytes,
+                                                           blocks):
+        # 201 records: a multiple neither of the 42 records per block of the
+        # 32-cell grid nor of 4, so the last block is short; or one block of
+        # the whole run, clipped from 256 records to 201
         from revreact import solver as solver_mod
 
         if block_bytes is not None:
@@ -610,8 +613,8 @@ class TestRun:
         grid, params, cfg, f0 = self.make_run(t_end=0.4, record_every=2)
         traj = run(f0, params, grid, cfg)
         n_records = len(traj.columns["t"])
-        assert n_records == 201 and n_records % solver_mod.block_records(grid) != 0
-        assert solver_mod.block_records(grid) < n_records
+        assert n_records == 201
+        assert -(-n_records // solver_mod.block_records(grid)) == blocks
         stepper = StrangStepper(params, cfg.dt, grid)
         eq = equilibrium_state(*conserved_masses(f0, grid))
         running = RunningIntegrals()
@@ -630,6 +633,43 @@ class TestRun:
         while owner.base is not None:
             owner = owner.base
         assert owner.nbytes == u.nbytes
+
+    @pytest.mark.parametrize("block_bytes, blocks, iterators", [
+        (None, 3, 1), (3 * 8 * 32, 101, 101)], ids=["blocks", "one_record"])
+    def test_one_records_iterator_per_run_unless_a_block_holds_one_record(
+            self, monkeypatch, block_bytes, blocks, iterators):
+        # make_run's 101 records fill 3 blocks of 42 on its 32 cells: one
+        # iterator continues through all of them and is freed before the
+        # last block is sampled; with a block of one record each block binds
+        # its own, freed before the block is sampled
+        import weakref
+
+        from revreact import solver as solver_mod
+
+        if block_bytes is not None:
+            monkeypatch.setattr(solver_mod, "BLOCK_BYTES", block_bytes)
+        grid, params, cfg, f0 = self.make_run()
+        last_t = cfg.record_times()[-1]
+        real_records = StrangStepper.records
+        real_sample = solver_mod.functionals.sample
+        made, alive = [], []
+
+        def watched_records(stepper, u, n_steps):
+            states = real_records(stepper, u, n_steps)
+            made.append(weakref.ref(states))
+            return states
+
+        def watched_sample(states, t, *args, **kwargs):
+            alive.append((t[-1] == last_t, sum(ref() is not None for ref in made)))
+            return real_sample(states, t, *args, **kwargs)
+
+        monkeypatch.setattr(StrangStepper, "records", watched_records)
+        monkeypatch.setattr(solver_mod.functionals, "sample", watched_sample)
+        run(f0, params, grid, cfg)
+        assert len(made) == iterators
+        assert len(alive) == blocks
+        assert alive[-1] == (True, 0)
+        assert all(n == (iterators == 1) for _, n in alive[:-1])
 
     @pytest.mark.parametrize("bad, step_fails", [
         ("sample", False), ("sample", True), ("state", False), ("state", True), (None, True),
