@@ -16,9 +16,9 @@ run_meta          exact echo of the parsed config plus solver statistics:
 
 `analyze` re-reads the CSV and the run_meta of its run (given by --meta,
 else the sibling), whose mode and dim must be the requested ones and
-which supplies the domain volume and the dissipation-bound coefficients,
+which supplies the box volume and the dissipation-bound coefficients,
 and writes report.txt / summary.json.  A run_meta that cannot be read, or
-has no config section, is an error.
+has no valid config section, is an error.
 
 Both data files are written, and timeseries.csv is read back, in blocks
 of BLOCK_LINES lines: a block is written as the bytes of one %-format of
@@ -29,6 +29,7 @@ held, never those of the whole series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import argparse
 import contextlib
@@ -52,7 +53,7 @@ from .errors import (
     ParseError,
     RevReactError,
 )
-from .grid import DomainSpec, Grid, SpeciesFields
+from .grid import Grid, SpeciesFields, check_dimension
 from .model import ModelParams
 from .solver import SolverConfig, run as solver_run
 
@@ -83,6 +84,9 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The value of each config key, and the Grid, ModelParams and
+    SolverConfig they describe, built once: by parse_config, else on first read."""
+
     dim: int
     cells: tuple[int, ...]
     lengths: tuple[float, ...]
@@ -95,6 +99,10 @@ class RunConfig:
     record_every: int
     out_dir: str
     seed: int
+
+    grid = cached_property(lambda self: Grid.box(self.lengths, self.cells))
+    params = cached_property(lambda self: ModelParams(self.d_a, self.d_b, self.d_c))
+    solver = cached_property(lambda self: SolverConfig(self.dt, self.t_end, self.record_every))
 
 
 #: the config keys, in canonical order: one per RunConfig field
@@ -112,7 +120,8 @@ def parse_config(text: str) -> RunConfig:
     """Parse a key=value run configuration; errors carry the line number.
 
     Value ranges are checked by building the Grid, ModelParams and
-    SolverConfig the config describes.
+    SolverConfig the config describes, kept as cfg.grid, cfg.params and
+    cfg.solver.
     """
     raw = {}
     lines_of = {}
@@ -136,6 +145,16 @@ def parse_config(text: str) -> RunConfig:
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
 
+    def build(keys, constructor, *args):
+        """constructor(*args), with InvalidArgument raised as a ConfigError on
+        the line of the first of keys that its message names (else keys[0])."""
+        try:
+            return constructor(*args)
+        except InvalidArgument as exc:
+            msg = str(exc)
+            named = [(m.start(), k) for k in keys if (m := re.search(rf"\b{k}\b", msg))]
+            raise ConfigError(msg, line=lines_of[min(named)[1] if named else keys[0]]) from None
+
     nums = {}
     for key, kind in _NUMBER_KEYS.items():
         try:
@@ -147,21 +166,13 @@ def parse_config(text: str) -> RunConfig:
             count = f"one value per axis (dim={nums['dim']})" if per_axis else "one value"
             raise ConfigError(f"{key} takes {count}, got {raw[key]!r}", line=lines_of[key])
         nums[key] = vals if per_axis else vals[0]
+        if key == "dim":
+            build(("dim",), check_dimension, nums["dim"])
 
-    def build(keys, constructor, *args):
-        """constructor(*args), with InvalidArgument raised as a ConfigError on
-        the line of the first of keys that its message names (else keys[0])."""
-        try:
-            return constructor(*args)
-        except InvalidArgument as exc:
-            msg = str(exc)
-            named = [(m.start(), k) for k in keys if (m := re.search(rf"\b{k}\b", msg))]
-            raise ConfigError(msg, line=lines_of[min(named)[1] if named else keys[0]]) from None
-
-    build(("dim", "lengths", "cells"), Grid.box, nums["lengths"], nums["cells"])
-    build(("d_a", "d_b", "d_c"), ModelParams, nums["d_a"], nums["d_b"], nums["d_c"])
-    build(("dt", "t_end", "record_every"), SolverConfig,
-          nums["dt"], nums["t_end"], nums["record_every"])
+    grid = build(("lengths", "cells"), Grid.box, nums["lengths"], nums["cells"])
+    model = build(("d_a", "d_b", "d_c"), ModelParams, nums["d_a"], nums["d_b"], nums["d_c"])
+    solver = build(("dt", "t_end", "record_every"), SolverConfig,
+                   nums["dt"], nums["t_end"], nums["record_every"])
     if nums["seed"] < 0:
         raise ConfigError(f"seed must be nonnegative, got {nums['seed']}", line=lines_of["seed"])
 
@@ -189,7 +200,9 @@ def parse_config(text: str) -> RunConfig:
             line=line,
         )
 
-    return RunConfig(init=(kind,) + params, out_dir=raw["out_dir"], **nums)
+    cfg = RunConfig(init=(kind,) + params, out_dir=raw["out_dir"], **nums)
+    vars(cfg).update(grid=grid, params=model, solver=solver)
+    return cfg
 
 
 def _config_value(value) -> str:
@@ -209,14 +222,13 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def build_domain(cfg: RunConfig):
-    """(grid.domain, grid) for the config's grid; bench/run.py calls it."""
-    grid = Grid.box(cfg.lengths, cfg.cells)
-    return grid.domain, grid
+    """(cfg.grid, cfg.grid), the (box, grid) pair that bench/run.py reads."""
+    return cfg.grid, cfg.grid
 
 
-def build_initial(cfg: RunConfig, grid: Grid, domain: DomainSpec) -> SpeciesFields:
-    """Initial fields for the configured preset on grid, whose box is
-    grid.domain; domain, which bench/run.py passes, is not read.
+def build_initial(cfg: RunConfig, *bench_args) -> SpeciesFields:
+    """Initial fields for the configured preset on cfg.grid; bench_args,
+    the grid and box that bench/run.py passes, are not read.
 
     cosine_bump modulates the first axis with the even harmonic
     cos(2 pi x / L): a up, b down, and c = a*b at pointwise reaction
@@ -224,27 +236,21 @@ def build_initial(cfg: RunConfig, grid: Grid, domain: DomainSpec) -> SpeciesFiel
     from the configured seed.
     """
     kind = cfg.init[0]
+    grid = cfg.grid
     shape = grid.cells
     if kind == "uniform":
-        a0, b0, c0 = cfg.init[1:]
-        return SpeciesFields.uniform(grid, a0, b0, c0)
+        return SpeciesFields.uniform(grid, *cfg.init[1:])
     if kind == "cosine_bump":
         amp = cfg.init[1]
-        x = grid.axis_coordinates(0)
-        mode = np.cos(2.0 * np.pi * x / grid.domain.lengths[0])
+        mode = np.cos(2.0 * np.pi * grid.axis_coordinates(0) / grid.lengths[0])
         bump = mode.reshape((-1,) + (1,) * (len(shape) - 1)) * np.ones(shape)
-        base_a = math.sqrt(2.0)
-        base_b = math.sqrt(2.0) - 1.0
-        a = base_a * (1.0 + amp * bump)
-        b = base_b * (1.0 - amp * bump)
+        a = math.sqrt(2.0) * (1.0 + amp * bump)
+        b = (math.sqrt(2.0) - 1.0) * (1.0 - amp * bump)
         return SpeciesFields(a, b, a * b)
     if kind == "random_positive":
         floor, amp = cfg.init[1:]
         rng = np.random.default_rng(cfg.seed)
-        a = floor + amp * rng.random(shape)
-        b = floor + amp * rng.random(shape)
-        c = floor + amp * rng.random(shape)
-        return SpeciesFields(a, b, c)
+        return SpeciesFields(*(floor + amp * rng.random(shape) for _ in range(3)))
     raise ConfigError(f"unknown init kind {kind!r}")
 
 
@@ -299,10 +305,7 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
 
 def cmd_run(cfg: RunConfig) -> int:
     """Run the configured simulation and write its outputs; 0 on success."""
-    grid = Grid.box(cfg.lengths, cfg.cells)
-    params = ModelParams(cfg.d_a, cfg.d_b, cfg.d_c)
-    solver_cfg = SolverConfig(cfg.dt, cfg.t_end, cfg.record_every)
-    initial = build_initial(cfg, grid, grid.domain)
+    initial = build_initial(cfg)
 
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -312,7 +315,7 @@ def cmd_run(cfg: RunConfig) -> int:
     started = time.perf_counter()
     error = None
     try:
-        traj = solver_run(initial, params, grid, solver_cfg)
+        traj = solver_run(initial, cfg.params, cfg.grid, cfg.solver)
     except NumericalBlowup as exc:
         error = exc
         traj = None
@@ -330,14 +333,14 @@ def cmd_run(cfg: RunConfig) -> int:
             write_s = time.perf_counter() - started
             meta_lines += [
                 "status=ok",
-                f"steps={solver_cfg.n_steps}",
+                f"steps={cfg.solver.n_steps}",
                 f"samples={len(traj.columns['t'])}",
                 f"sample_calls={traj.sample_calls}",
                 f"wall_time_s={elapsed:.3f}",
                 f"step_s={traj.step_s:.3f}",
                 f"sample_s={traj.sample_s:.3f}",
                 f"write_s={write_s:.3f}",
-                f"steps_per_s={solver_cfg.n_steps / max(traj.step_s, 1e-9):.0f}",
+                f"steps_per_s={cfg.solver.n_steps / max(traj.step_s, 1e-9):.0f}",
             ]
         else:
             # a blowup leaves no outputs of an earlier run, nor an analyze
@@ -448,14 +451,19 @@ def _csv_rows(lines: list, lineno: int) -> np.ndarray:
 
 def _read_meta_config(meta_path: str) -> RunConfig:
     """The config echoed in a run_meta.  IoError if it cannot be read,
-    ParseError if it has no "# config" ... "# stats" section."""
+    ParseError, naming it and the line in it, if it has no valid
+    "# config" ... "# stats" section."""
     lines = _read_lines(meta_path, "run_meta")
     try:
         start = lines.index("# config") + 1
         end = lines.index("# stats")
     except ValueError:
         raise ParseError(f"{meta_path!r} has no '# config' ... '# stats' section")
-    return parse_config("\n".join(lines[start:end]) + "\n")
+    try:  # blank lines in place of the others keep each line's number in the run_meta
+        return parse_config("\n" * start + "\n".join(lines[start:end]))
+    except ConfigError as exc:
+        reason = str(exc).removeprefix(f"line {exc.line}: ")
+        raise ParseError(f"config in run_meta {meta_path!r}: {reason}", line=exc.line) from None
 
 
 def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None) -> int:
@@ -467,11 +475,11 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
     zero and the balance residual is finite; the growth constants are
     reported without a verdict.  The run_meta at meta_path (default: next
     to the CSV) supplies the record times that the CSV's t column must
-    equal, the domain volume of the CKP check, and the diffusivities and
+    equal, the box volume of the CKP check, and the diffusivities and
     the grid, whose discrete Poincare constant it uses, of the
     dissipation-bound check.  Before anything is
     written, a run_meta or CSV that cannot be read raises IoError, a
-    run_meta without its config section raises ParseError, a mode or dim
+    run_meta without a valid config section raises ParseError, a mode or dim
     other than that of its run raises InvalidArgument, and a CSV whose t
     column is not its run's record times raises ParseError, naming the
     first line that differs.
@@ -479,16 +487,14 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
     if meta_path is None:
         meta_path = os.path.join(os.path.dirname(csv_path) or ".", "run_meta")
     meta = _read_meta_config(meta_path)
-    params = ModelParams(meta.d_a, meta.d_b, meta.d_c)
-    if (mode, dim) != (params.mode, meta.dim):
+    if (mode, dim) != (meta.params.mode, meta.dim):
         raise InvalidArgument(
             f"mode {mode} and dim {dim} contradict the run in {meta_path!r} "
-            f"(mode {params.mode}, dim {meta.dim})"
+            f"(mode {meta.params.mode}, dim {meta.dim})"
         )
-    grid = Grid.box(meta.lengths, meta.cells)
     cols = read_timeseries(csv_path)
     t = cols["t"]
-    times = SolverConfig(meta.dt, meta.t_end, meta.record_every).record_times()
+    times = meta.solver.record_times()
     n = min(len(t), len(times))
     differs = np.flatnonzero(t[:n] != times[:n])
     if differs.size:
@@ -561,7 +567,7 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
         )
 
     # inequality suites
-    volume = summary["volume"] = grid.domain.volume
+    volume = summary["volume"] = meta.grid.volume
     ckp_count = int(np.count_nonzero(functionals.ckp_violation(
         cols["E_rel"], cols["ckp_lhs"], cols["M1"], cols["M2"], volume)))
     lines.append(f"CKP violations: {ckp_count} ({'PASS' if ckp_count == 0 else 'FAIL'})")
@@ -570,7 +576,7 @@ def cmd_analyze(csv_path: str, mode: str, dim: int, meta_path: str | None = None
 
     rhs = functionals.dissipation_bound_rhs(
         [cols[f"dev_{sp}2"] for sp in "ABC"], cols["abc_defect"],
-        params, grid.poincare_constant,
+        meta.params, meta.grid.poincare_constant,
     )
     diss_count = int(np.count_nonzero(functionals.bound_violation(
         cols["D"], rhs, cols["M1"], cols["M2"], volume)))

@@ -253,8 +253,8 @@ def sample(states, t, eq: EquilibriumState | Sequence[EquilibriumState], params:
     sampled alone against its reference.  An empty block (t of size 0)
     gives empty columns and leaves the running integrals as they are.
 
-    The box is grid.domain: its volume |Omega| enters M1, M2 and ckp_lhs,
-    its dimension the exponent of b_lN2.  Updates the running
+    The box is the grid: grid.volume |Omega| enters M1, M2 and ckp_lhs,
+    len(grid.cells) the exponent of b_lN2.  Updates the running
     time-integrals (trapezoid rule at record times) record by record when
     an accumulator is supplied.  The components of eq must be positive, as
     run checks at t = 0.  Nothing here checks the result: on huge fields a
@@ -290,7 +290,7 @@ def sample(states, t, eq: EquilibriumState | Sequence[EquilibriumState], params:
     l1 = lp_norm(u - np.reshape(refs[:, 1], (-1, 3) + (1,) * len(grid.cells)), 1.0,
                  grid).tolist()
     l32 = lp_norm(u[:, :2], 1.5, grid).tolist()
-    p_n2 = max(1.0, grid.domain.dimension / 2.0)  # 3/2 in three dimensions
+    p_n2 = max(1.0, len(grid.cells) / 2.0)  # 3/2 in three dimensions
     b_ln2 = [b for _, b in l32] if p_n2 == 1.5 else lp_norm(u[:, 1], p_n2, grid).tolist()
     c_l3 = lp_norm(u[:, 2], 3.0, grid).tolist()
 
@@ -314,7 +314,7 @@ def sample(states, t, eq: EquilibriumState | Sequence[EquilibriumState], params:
         # the CKP bound kappa*|Omega|*(l1_a^2/(2 M1) + l1_b^2/(2 M2) + l1_c^2/(M1+M2))
         # (divided first only where a square overflows, so finite terms
         # stay finite past l1 = 1.34e154)
-        ckp_lhs = CKP_PREFACTOR * grid.domain.volume * (
+        ckp_lhs = CKP_PREFACTOR * grid.volume * (
             _scaled(l1a, l1a, 2.0 * ref.M1)
             + _scaled(l1b, l1b, 2.0 * ref.M2)
             + _scaled(l1c, l1c, ref.M1 + ref.M2)

@@ -1,9 +1,9 @@
 """Box domains and cell-centered finite volumes on them, with Neumann
 boundaries.
 
-A Grid covers a box with uniform spacing per axis; Grid.box(lengths,
-cells) builds it, and with it the DomainSpec record of the box that it
-keeps as grid.domain.
+A Grid is a box, its axis lengths and volume, with a uniform spacing of
+cells per axis; Grid.box(lengths, cells) builds it, and its dimension
+is len(grid.cells).
 Each reduction over the cells (integrate, the midpoint rule, lp_norm,
 dirichlet_energy, deviation_l2) is one function: a Python float for a
 field of shape grid.cells, one value per field for a stack (..., *cells).
@@ -31,8 +31,8 @@ import numpy as np
 from .errors import InvalidArgument, InvalidState
 
 __all__ = [
-    "DomainSpec",
     "Grid",
+    "check_dimension",
     "SpeciesFields",
     "positive_stacks",
     "neumann_eigenvalues",
@@ -44,24 +44,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DomainSpec:
-    """Axis-aligned box domain in dimension N <= 3: the record a Grid
-    keeps as grid.domain.  Only Grid.box builds one."""
-
-    dimension: int
-    lengths: tuple[float, ...]
-    volume: float
-
-
-@dataclass(frozen=True)
 class Grid:
-    """Structured grid on a box: the DomainSpec it covers, cells per axis,
-    spacings, the (uniform) cell volume and the discrete Poincare constant.
+    """Structured grid on a box: cells per axis, the box's lengths and volume
+    |Omega|, spacings, the (uniform) cell volume and the Poincare constant.
 
     The one geometry object: evaluators read the box (|Omega|, the
-    dimension) from grid.domain, so a grid and a box that disagree cannot
-    be passed together.  Build it with Grid.box, the only constructor of
-    its DomainSpec.
+    dimension len(cells)) from the grid, so a grid and a box that
+    disagree cannot be passed together.  Build it with Grid.box.
 
     poincare_constant is the sharp constant P of the discrete
     Poincare-Wirtinger inequality deviation_l2(u)**2 <= P *
@@ -73,8 +62,9 @@ class Grid:
     a grid of single cells every deviation vanishes and it is inf.
     """
 
-    domain: DomainSpec
     cells: tuple[int, ...]
+    lengths: tuple[float, ...]
+    volume: float
     spacings: tuple[float, ...]
     cell_volume: float
     poincare_constant: float
@@ -84,9 +74,7 @@ class Grid:
         """The grid of cells[i] cells along axis i of the box with the given
         axis lengths.  The lengths are checked first, then the cells."""
         lengths = tuple(float(x) for x in np.atleast_1d(lengths))
-        dim = len(lengths)
-        if dim not in (1, 2, 3):
-            raise InvalidArgument(f"dimension must be 1, 2 or 3, got {dim}")
+        dim = check_dimension(len(lengths))
         if any(not math.isfinite(x) or x <= 0.0 for x in lengths):
             raise InvalidArgument(f"axis lengths must be positive, got {lengths}")
         volume = math.prod(lengths)
@@ -117,13 +105,20 @@ class Grid:
                 f"axis lengths {lengths} over {cells} cells give a discrete "
                 "Poincare constant that is not finite"
             )
-        return cls(domain=DomainSpec(dim, lengths, volume), cells=cells, spacings=spacings,
+        return cls(cells=cells, lengths=lengths, volume=volume, spacings=spacings,
                    cell_volume=cell_volume, poincare_constant=poincare)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""
         h = self.spacings[axis]
         return (np.arange(self.cells[axis]) + 0.5) * h
+
+
+def check_dimension(dim: int) -> int:
+    """dim, the number of axes of a box; InvalidArgument unless 1, 2 or 3."""
+    if dim not in (1, 2, 3):
+        raise InvalidArgument(f"dimension must be 1, 2 or 3, got {dim}")
+    return dim
 
 
 @dataclass(frozen=True, init=False, eq=False)

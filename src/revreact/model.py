@@ -90,14 +90,14 @@ def conserved_masses(states, grid):
 
     Each is grid.integrate of a + c or b + c, one integral per row of the
     two-row stack (..., 2, *cells) of both sums, divided by the volume
-    |Omega| of the box grid.domain, so a stack of a block gives the masses
-    of its snapshot bit for bit.
+    |Omega| of the box, grid.volume, so a stack of a block gives the
+    masses of its snapshot bit for bit.
     """
     snapshot = hasattr(states, "stack")
     u = np.asarray(states.stack if snapshot else states, dtype=float)
     cells = (slice(None),) * len(grid.cells)
     masses = integrate(u[(..., slice(0, 2)) + cells] + u[(..., slice(2, 3)) + cells],
-                       grid) / grid.domain.volume
+                       grid) / grid.volume
     return tuple(masses.tolist()) if snapshot else masses
 
 

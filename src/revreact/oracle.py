@@ -111,12 +111,11 @@ def brute_force_sample(fields, t: float, eq, params, grid,
 
     The contract of functionals.sample for the SpeciesFields of one
     snapshot at a scalar t, with Python floats for its values and the box
-    read from grid.domain too; it takes no block of records.  Computed
+    read from the grid too; it takes no block of records.  Computed
     with per-cell Python loops, math.fsum reductions, and the direct
     textbook formulas; a running accumulator is advanced by the trapezoid
     rule written out here.
     """
-    domain = grid.domain
     a = fields.a.ravel()
     b = fields.b.ravel()
     c = fields.c.ravel()
@@ -143,8 +142,8 @@ def brute_force_sample(fields, t: float, eq, params, grid,
     if params.d_c > 0.0:
         diss += 4.0 * params.d_c * _loop_dirichlet(fields.c, grid, sqrt=True)
 
-    m1 = vol * math.fsum(a[i] + c[i] for i in range(n)) / domain.volume
-    m2 = vol * math.fsum(b[i] + c[i] for i in range(n)) / domain.volume
+    m1 = vol * math.fsum(a[i] + c[i] for i in range(n)) / grid.volume
+    m2 = vol * math.fsum(b[i] + c[i] for i in range(n)) / grid.volume
 
     l1a = vol * math.fsum(abs(a[i] - eq.a_inf) for i in range(n))
     l1b = vol * math.fsum(abs(b[i] - eq.b_inf) for i in range(n))
@@ -160,7 +159,7 @@ def brute_force_sample(fields, t: float, eq, params, grid,
     )
 
     kappa = (3.0 + 2.0 * math.sqrt(2.0)) / (9.0 + 2.0 * math.sqrt(2.0))
-    ckp = kappa * domain.volume * (
+    ckp = kappa * grid.volume * (
         l1a * l1a / (2.0 * eq.M1)
         + l1b * l1b / (2.0 * eq.M2)
         + l1c * l1c / (eq.M1 + eq.M2)
@@ -200,7 +199,7 @@ def brute_force_sample(fields, t: float, eq, params, grid,
         "ckp_lhs": ckp,
         "b_l32": lp(fields.b, 1.5),
         "a_l32": lp(fields.a, 1.5),
-        "b_lN2": lp(fields.b, max(1.0, domain.dimension / 2.0)),
+        "b_lN2": lp(fields.b, max(1.0, len(grid.cells) / 2.0)),
         "c_l3": lp(fields.c, 3.0),
         "int_a2ac": int_a2ac,
         "int_b2bc": int_b2bc,

@@ -58,7 +58,7 @@ def _axis_mode(grid, ax, k):
     centers and constant along the other axes."""
     shape = [1] * len(grid.cells)
     shape[ax] = grid.cells[ax]
-    mode = np.cos(k * np.pi * grid.axis_coordinates(ax) / grid.domain.lengths[ax])
+    mode = np.cos(k * np.pi * grid.axis_coordinates(ax) / grid.lengths[ax])
     return np.broadcast_to(mode.reshape(shape), grid.cells)
 
 
@@ -203,9 +203,8 @@ def _inequality_rows(rng, grid):
 def _suite_inequalities(rng):
     grid = Grid.box([1.0], [128])
     e_rel, ckp_lhs, diss, rhs, m1, m2 = _inequality_rows(rng, grid).T
-    volume = grid.domain.volume
-    ckp_bad = int(np.count_nonzero(ckp_violation(e_rel, ckp_lhs, m1, m2, volume)))
-    diss_bad = int(np.count_nonzero(bound_violation(diss, rhs, m1, m2, volume)))
+    ckp_bad = int(np.count_nonzero(ckp_violation(e_rel, ckp_lhs, m1, m2, grid.volume)))
+    diss_bad = int(np.count_nonzero(bound_violation(diss, rhs, m1, m2, grid.volume)))
     ok = ckp_bad == 0 and diss_bad == 0
     return (
         "inequality ensembles (1000 random fields)",

@@ -10,10 +10,8 @@ import pytest
 import scipy.linalg
 
 from revreact.cli import build_initial, parse_config
-from revreact.grid import Grid
-from revreact.model import ModelParams
 from revreact.presets import PRESETS
-from revreact.solver import SolverConfig, run
+from revreact.solver import run
 
 
 class PresetRun:
@@ -28,12 +26,11 @@ class PresetRun:
             cfg = replace(cfg, **overrides)
         self.name = name
         self.cfg = cfg
-        self.grid = Grid.box(cfg.lengths, cfg.cells)
-        self.params = ModelParams(cfg.d_a, cfg.d_b, cfg.d_c)
-        self.initial = build_initial(cfg, self.grid, self.grid.domain)
-        solver_cfg = SolverConfig(cfg.dt, cfg.t_end, cfg.record_every)
+        self.grid = cfg.grid
+        self.params = cfg.params
+        self.initial = build_initial(cfg)
         started = time.perf_counter()
-        self.trajectory = run(self.initial, self.params, self.grid, solver_cfg)
+        self.trajectory = run(self.initial, self.params, self.grid, cfg.solver)
         self.wall_time = time.perf_counter() - started
 
     def column(self, name):

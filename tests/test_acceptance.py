@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from revreact import analysis, oracle
-from revreact.cli import cmd_run, parse_config, read_timeseries
+from revreact.cli import cmd_run, parse_config
 from revreact.functionals import (
     CSV_COLUMNS,
     bound_violation,
@@ -131,10 +131,10 @@ class TestAcceptance:
     def test_5_inequality_suites(self, preset_run, rng):
         def violations(cols, params, grid):
             """(CKP, dissipation-bound) violation counts over columns of samples."""
-            masses = (cols["M1"], cols["M2"], grid.domain.volume)
+            masses = (cols["M1"], cols["M2"], grid.volume)
             rhs = dissipation_bound_rhs((cols["dev_A2"], cols["dev_B2"], cols["dev_C2"]),
                                         cols["abc_defect"], params,
-                                        box_poincare_constant(grid.domain.lengths))
+                                        box_poincare_constant(grid.lengths))
             return (np.count_nonzero(ckp_violation(cols["E_rel"], cols["ckp_lhs"], *masses)),
                     np.count_nonzero(bound_violation(cols["D"], rhs, *masses)))
 

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -117,6 +118,14 @@ class TestParseConfig:
             parse_config(text.replace("dim=1", "dim=4"))
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("dim", [0, 4])
+    def test_dim_alone_out_of_range_rejected_on_dim_line(self, dim):
+        # cells and lengths still hold one value: the grid's range check on
+        # dim comes before the per-axis counts that dim sets
+        with pytest.raises(ConfigError) as err:
+            parse_config(EXAMPLE.replace("dim=1", f"dim={dim}"))
+        assert str(err.value) == f"line 1: dimension must be 1, 2 or 3, got {dim}"
+
     def test_unrecorded_tail_rejected(self):
         text = EXAMPLE.replace("t_end=50", "t_end=0.35")
         with pytest.raises(ConfigError, match="record intervals") as err:
@@ -205,10 +214,7 @@ class TestCmdRun:
     def test_snapshot_round_trip(self, tmp_path):
         out = self.run_fast(tmp_path)
         cfg = parse_config(FAST.format(out=out))
-        grid = Grid.box(cfg.lengths, cfg.cells)
-        params = ModelParams(cfg.d_a, cfg.d_b, cfg.d_c)
-        solver_cfg = SolverConfig(cfg.dt, cfg.t_end, cfg.record_every)
-        final = run(build_initial(cfg, grid, grid.domain), params, grid, solver_cfg).final_fields
+        final = run(build_initial(cfg), cfg.params, cfg.grid, cfg.solver).final_fields
         with open(os.path.join(out, "final_fields.snap")) as fh:
             header, *rows = fh.read().splitlines()
         assert header.split() == ["1", "24", "1"]
@@ -229,7 +235,7 @@ def synthetic_csv(path, t, e_rel, d=None, ckp=None, diffusivities=(1.0, 0.0, 1.0
         "dt=0.001\nt_end=50\nrecord_every=100",
         f"dt={t[1] - t[0]:.17g}\nt_end={t[-1]:.17g}\nrecord_every=1"))
     assert (cfg.d_a, cfg.d_b, cfg.d_c) == diffusivities
-    assert SolverConfig(cfg.dt, cfg.t_end, cfg.record_every).record_times() == list(t)
+    assert cfg.solver.record_times() == list(t)
     with open(os.path.join(os.path.dirname(path), "run_meta"), "w") as fh:
         fh.write("# config\n" + serialize_config(cfg) + "# stats\n")
     n = t.size
@@ -502,6 +508,26 @@ class TestCmdAnalyze:
         assert "# config" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "report.txt"))
 
+    def test_malformed_config_in_meta_names_the_meta_and_its_line(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert cmd_run(parse_config(FAST.format(out=out))) == 0
+        meta = os.path.join(out, "run_meta")
+        with open(meta) as fh:
+            lines = fh.read().splitlines()
+        # the config's line 8 is the run_meta's line 9, under "# config"
+        assert lines[:1] == ["# config"] and lines[8] == "dt=0.002"
+        lines[8] = "dt=abc"
+        with open(meta, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        csv = os.path.join(out, "timeseries.csv")
+        expected = f"line 9: config in run_meta {meta!r}: malformed number in dt='abc'"
+        with pytest.raises(ParseError) as err:
+            cmd_analyze(csv, "dc0", 1)
+        assert (str(err.value), err.value.line) == (expected, 9)
+        assert main(["analyze", csv, "--mode", "dc0", "--dim", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not os.path.exists(os.path.join(out, "report.txt"))
+
     @pytest.mark.parametrize("dim", [0, 4])
     def test_dim_outside_one_to_three_rejected(self, tmp_path, capsys, dim):
         t = np.arange(0.0, 20.0001, 0.1)
@@ -749,7 +775,7 @@ class TestCmdVerify:
 
         grids = verify._grids()
         monkeypatch.setattr(verify, "_grids", lambda: [
-            dataclasses.replace(g, poincare_constant=box_poincare_constant(g.domain.lengths))
+            dataclasses.replace(g, poincare_constant=box_poincare_constant(g.lengths))
             for g in grids])
         name, ok, detail = verify._suite_poincare(np.random.default_rng(0))
         assert ok is False
@@ -810,13 +836,44 @@ class TestCmdVerify:
         assert f"FAIL  {name}:" in capsys.readouterr().out
 
 
+class TestSingleBuild:
+    """A parsed config builds its Grid, ModelParams and SolverConfig once,
+    and run and analyze read them from it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = collections.Counter()
+        box = Grid.box.__func__
+
+        def counted_box(cls, lengths, cells):
+            counts["Grid"] += 1
+            return box(cls, lengths, cells)
+
+        monkeypatch.setattr(Grid, "box", classmethod(counted_box))
+        for cls in (ModelParams, SolverConfig):
+            def counted_init(self, *args, _init=cls.__init__, _name=cls.__name__):
+                counts[_name] += 1
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        return counts
+
+    def test_run_builds_each_once(self, tmp_path, builds):
+        assert cmd_run(parse_config(FAST.format(out=tmp_path))) == 0
+        assert builds == {"Grid": 1, "ModelParams": 1, "SolverConfig": 1}
+
+    def test_analyze_builds_each_once(self, tmp_path, builds):
+        assert cmd_run(parse_config(FAST.format(out=tmp_path))) == 0
+        builds.clear()
+        cmd_analyze(str(tmp_path / "timeseries.csv"), "dc0", 1)
+        assert builds == {"Grid": 1, "ModelParams": 1, "SolverConfig": 1}
+
+
 def _short_run(tmp_path):
     """The final fields of FAST after ten steps."""
     cfg = parse_config(FAST.format(out=tmp_path))
-    grid = Grid.box(cfg.lengths, cfg.cells)
-    initial = build_initial(cfg, grid, grid.domain)
     short = SolverConfig(cfg.dt, 10 * cfg.dt, 10)
-    return run(initial, ModelParams(cfg.d_a, cfg.d_b, cfg.d_c), grid, short).final_fields.stack
+    return run(build_initial(cfg), cfg.params, cfg.grid, short).final_fields.stack
 
 
 class TestMain:

@@ -50,7 +50,7 @@ def bound_sides(s, params, grid):
     """(D, dissipation_bound_rhs) of one sample."""
     dev2 = (s["dev_A2"], s["dev_B2"], s["dev_C2"])
     return s["D"], dissipation_bound_rhs(dev2, s["abc_defect"], params,
-                                         box_poincare_constant(grid.domain.lengths))
+                                         box_poincare_constant(grid.lengths))
 
 
 class TestEntropy:
@@ -194,7 +194,7 @@ class TestCkp:
                    for _ in range(200)]
         e_rel, ckp, m1, m2 = (np.array([s[k] for s in samples])
                               for k in ("E_rel", "ckp_lhs", "M1", "M2"))
-        assert np.all(ckp_violation(e_rel, ckp, m1, m2, grid.domain.volume) == 0.0)
+        assert np.all(ckp_violation(e_rel, ckp, m1, m2, grid.volume) == 0.0)
 
     def test_finite_past_an_overflowing_square(self):
         # l1_a is about 2e154, so l1_a**2 overflows, but l1_a**2 / (2 M1) is
@@ -206,7 +206,7 @@ class TestCkp:
         s = self_sample(f, ANY_PARAMS, grid)
         m1, m2, l1a, l1b, l1c = (s[k] for k in ("M1", "M2", "l1_a", "l1_b", "l1_c"))
         assert 1.9e154 < l1a < 2.1e154 and l1a * l1a == math.inf
-        assert s["ckp_lhs"] == CKP_PREFACTOR * grid.domain.volume * (
+        assert s["ckp_lhs"] == CKP_PREFACTOR * grid.volume * (
             l1a * (l1a / (2.0 * m1)) + l1b * l1b / (2.0 * m2) + l1c * l1c / (m1 + m2))
         assert math.isfinite(s["ckp_lhs"])
 
@@ -248,7 +248,7 @@ class TestDissipationBound:
         for i in range(150):
             s = self_sample(random_fields(rng, grid), modes[i % 3], grid)
             lhs, rhs = bound_sides(s, modes[i % 3], grid)
-            assert bound_violation(lhs, rhs, s["M1"], s["M2"], grid.domain.volume) == 0.0
+            assert bound_violation(lhs, rhs, s["M1"], s["M2"], grid.volume) == 0.0
 
     def test_rhs_array_call_equals_per_sample_calls(self, rng):
         # analyze and verify evaluate the rhs over columns of samples
@@ -305,7 +305,7 @@ class TestSample:
         for _ in range(20):
             s = self_sample(random_fields(rng, grid), ModelParams(1.0, 1.0, 1.0), grid)
             m1, m2 = s["M1"], s["M2"]
-            assert s["ckp_lhs"] == CKP_PREFACTOR * grid.domain.volume * (
+            assert s["ckp_lhs"] == CKP_PREFACTOR * grid.volume * (
                 s["l1_a"] * s["l1_a"] / (2.0 * m1)
                 + s["l1_b"] * s["l1_b"] / (2.0 * m2)
                 + s["l1_c"] * s["l1_c"] / (m1 + m2)

@@ -22,9 +22,9 @@ def unit_grid(n, L=1.0):
 class TestGrid:
     def test_box_invariants(self):
         grid = Grid.box([2.0, 0.5, 0.25], [4, 2, 1])
-        assert grid.domain.dimension == 3
-        assert grid.domain.lengths == (2.0, 0.5, 0.25)
-        assert grid.domain.volume == pytest.approx(0.25, rel=1e-15)
+        assert grid.cells == (4, 2, 1)
+        assert grid.lengths == (2.0, 0.5, 0.25)
+        assert grid.volume == pytest.approx(0.25, rel=1e-15)
 
     def test_rejects_bad_dimension_and_lengths(self):
         with pytest.raises(InvalidArgument, match="dimension"):
@@ -57,7 +57,7 @@ class TestGrid:
     def test_cell_volume_matches_domain(self):
         grid = Grid.box([1.0, 0.45], [64, 24])
         assert grid.cell_volume * math.prod(grid.cells) == pytest.approx(
-            grid.domain.volume, rel=1e-12)
+            grid.volume, rel=1e-12)
 
     def test_spacings(self):
         grid = Grid.box([2.0, 1.0], [8, 5])
@@ -231,8 +231,8 @@ class TestEnergies:
         for _ in range(20):
             u = rng.uniform(-2.0, 2.0, size=40)
             dev2 = deviation_l2(u, grid) ** 2
-            mean = integrate(u, grid) / grid.domain.volume
-            direct = lp_norm(u, 2, grid) ** 2 - mean**2 * grid.domain.volume
+            mean = integrate(u, grid) / grid.volume
+            direct = lp_norm(u, 2, grid) ** 2 - mean**2 * grid.volume
             assert dev2 == pytest.approx(direct, rel=1e-12, abs=1e-13)
 
     @pytest.mark.parametrize("cells, lengths", [
@@ -255,7 +255,7 @@ class TestEnergies:
     def test_discrete_constant_exceeds_the_box_constant(self, n):
         # by the factor (x / sin x)^2 = 1 + pi^2/(12 n^2) + O(n^-4), x = pi/(2n)
         grid = unit_grid(n)
-        excess = grid.poincare_constant / box_poincare_constant(grid.domain.lengths) - 1.0
+        excess = grid.poincare_constant / box_poincare_constant(grid.lengths) - 1.0
         assert excess == pytest.approx(math.pi ** 2 / (12 * n * n), rel=0.02)
 
     def test_single_cell_grid_has_no_poincare_constraint(self):

@@ -228,12 +228,10 @@ class TestBruteForceSample:
         from revreact.presets import PRESETS
 
         cfg = parse_config(PRESETS["db0_1d"])
-        grid = Grid.box(cfg.lengths, cfg.cells)
-        f = build_initial(cfg, grid, grid.domain)
-        params = ModelParams(cfg.d_a, cfg.d_b, cfg.d_c)
-        eq = equilibrium_state(*conserved_masses(f, grid))
-        s_fast = sample(f, 0.0, eq, params, grid)
-        s_slow = oracle.brute_force_sample(f, 0.0, eq, params, grid)
+        f = build_initial(cfg)
+        eq = equilibrium_state(*conserved_masses(f, cfg.grid))
+        s_fast = sample(f, 0.0, eq, cfg.params, cfg.grid)
+        s_slow = oracle.brute_force_sample(f, 0.0, eq, cfg.params, cfg.grid)
         for name in CSV_COLUMNS:
             x, y = s_fast[name], s_slow[name]
             assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), 1e-30)

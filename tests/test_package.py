@@ -1,6 +1,7 @@
 """Package-level checks: every module's public names are real, every name
-a module imports is used, every function is named outside the tests, the
-modules import one another without a cycle,
+a module imports is used, every parameter of a function is read, every
+function is named outside the tests, the modules import one another
+without a cycle,
 each except clause of the package catches one error class, each of which
 is raised, and a run loads no transform library."""
 import ast
@@ -61,6 +62,46 @@ def test_an_unused_import_is_found():
     source = ("from __future__ import annotations\nimport os.path\nimport math as m\n"
               "from x import a, b\n__all__ = ['b']\nprint(os.sep)\n")
     assert unused_imports(source) == [(3, "m"), (4, "a")]
+
+
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) of each parameter of each function and
+    method of the module source, *args and **kwargs included, that no
+    name in the function's body, nested functions included, reads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            read = {name.id for statement in node.body for name in ast.walk(statement)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            unread += [(node.lineno, node.name, param.arg) for param in params
+                       if param is not None and param.arg not in read]
+    return sorted(unread)
+
+
+#: (module, function, parameter) left unread on purpose, with the reason
+UNREAD_PARAMETERS = {
+    ("verify", "_suite_diffusion", "rng"):
+        "run_property_suites passes every suite the one shared generator",
+    ("cli", "build_initial", "bench_args"):
+        "bench/run.py passes the grid and box that cfg.grid now carries",
+}
+
+
+def test_every_parameter_is_read():
+    unread = [(path.stem, function, param)
+              for path in SOURCES for _, function, param in unread_parameters(path.read_text())]
+    assert sorted(unread) == sorted(UNREAD_PARAMETERS), \
+        f"parameters that their function never reads: {unread}"
+
+
+def test_an_unread_parameter_is_found():
+    source = ("def f(a, /, b, *args, c, d=1, **kwargs):\n    return a + c + kwargs['x']\n"
+              "class K:\n    def m(self, planted):\n        def inner():\n"
+              "            return self\n        planted = 1\n        return inner\n")
+    assert unread_parameters(source) == [(1, "f", "args"), (1, "f", "b"), (1, "f", "d"),
+                                         (4, "m", "planted")]
 
 
 def unreferenced_functions(sources: dict, others: list) -> list:

@@ -403,8 +403,7 @@ def preset_stepper(name):
     from revreact.presets import PRESETS
 
     cfg = parse_config(PRESETS[name])
-    grid = Grid.box(cfg.lengths, cfg.cells)
-    return StrangStepper(ModelParams(cfg.d_a, cfg.d_b, cfg.d_c), cfg.dt, grid), grid
+    return StrangStepper(cfg.params, cfg.dt, cfg.grid), cfg.grid
 
 
 def composed_steps(stepper, u, k):
@@ -517,11 +516,11 @@ class TestRun2D:
         m1 = cols["M1"]
         assert np.max(np.abs(m1 - m1[0]) / m1[0]) <= 1e-9
         assert np.all(np.diff(cols["E_rel"]) <= 1e-12)
-        masses = (cols["M1"], cols["M2"], grid.domain.volume)
+        masses = (cols["M1"], cols["M2"], grid.volume)
         assert np.all(ckp_violation(cols["E_rel"], cols["ckp_lhs"], *masses) == 0.0)
         rhs = dissipation_bound_rhs((cols["dev_A2"], cols["dev_B2"], cols["dev_C2"]),
                                     cols["abc_defect"], params,
-                                    box_poincare_constant(grid.domain.lengths))
+                                    box_poincare_constant(grid.lengths))
         assert np.all(bound_violation(cols["D"], rhs, *masses) == 0.0)
 
 
