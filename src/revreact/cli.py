@@ -459,7 +459,7 @@ def _read_meta_config(meta_path: str) -> RunConfig:
         end = lines.index("# stats")
     except ValueError:
         raise ParseError(f"{meta_path!r} has no '# config' ... '# stats' section")
-    try:  # blank lines in place of the others keep each line's number in the run_meta
+    try:  # blank lines for those above the section keep the run_meta's line numbers
         return parse_config("\n" * start + "\n".join(lines[start:end]))
     except ConfigError as exc:
         reason = str(exc).removeprefix(f"line {exc.line}: ")

@@ -253,8 +253,8 @@ def sample(states, t, eq: EquilibriumState | Sequence[EquilibriumState], params:
     sampled alone against its reference.  An empty block (t of size 0)
     gives empty columns and leaves the running integrals as they are.
 
-    The box is the grid: grid.volume |Omega| enters M1, M2 and ckp_lhs,
-    len(grid.cells) the exponent of b_lN2.  Updates the running
+    The box is the grid's: grid.volume, |Omega|, enters M1, M2 and ckp_lhs,
+    and the dimension len(grid.cells) the exponent of b_lN2.  Updates the running
     time-integrals (trapezoid rule at record times) record by record when
     an accumulator is supplied.  The components of eq must be positive, as
     run checks at t = 0.  Nothing here checks the result: on huge fields a
