@@ -53,8 +53,8 @@ from .errors import (
     ParseError,
     RevReactError,
 )
-from .grid import Grid, SpeciesFields, check_dimension
-from .model import ModelParams
+from .grid import DIMENSIONS, Grid, SpeciesFields, check_dimension
+from .model import MODES, ModelParams
 from .solver import SolverConfig, run as solver_run
 
 __all__ = [
@@ -82,10 +82,49 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def check_seed(seed: int) -> int:
+    """seed, the random_positive generator's seed; InvalidArgument if negative."""
+    if seed < 0:
+        raise InvalidArgument(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
+def parse_init(text: str) -> tuple:
+    """The init value (kind, *params) written as text: a kind of
+    INIT_KINDS, then its finite float parameters.  InvalidArgument, with
+    text in its message where a rule names it, unless the kind is known,
+    the parameters are numbers, and their count and range suit the kind."""
+    toks = text.split()
+    if not toks or toks[0] not in INIT_KINDS:
+        raise InvalidArgument(f"init must start with one of {INIT_KINDS}, got {text!r}")
+    kind = toks[0]
+    try:
+        params = tuple(float(tok) for tok in toks[1:])
+    except ValueError:
+        raise InvalidArgument(f"malformed number in init={text!r}") from None
+    if not all(map(math.isfinite, params)):
+        raise InvalidArgument(f"init parameters must be finite, got {text!r}")
+    if kind == "uniform" and (len(params) != 3 or min(params) <= 0):
+        raise InvalidArgument("init uniform needs three positive values")
+    if kind == "cosine_bump" and (len(params) != 1 or not 0 < params[0] < 1):
+        raise InvalidArgument("init cosine_bump needs amplitude in (0,1)")
+    if kind == "random_positive" and (len(params) != 2 or params[0] <= 0 or params[1] < 0
+                                      or not math.isfinite(params[0] + params[1])):
+        raise InvalidArgument(
+            "init random_positive needs positive floor and nonnegative amp with a finite sum"
+        )
+    return (kind,) + params
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """The value of each config key, and the Grid, ModelParams and
-    SolverConfig they describe, built once: by parse_config, else on first read."""
+    SolverConfig they describe, built once: by parse_config, else on first read.
+
+    The seed and init rules (check_seed, parse_init) run on construction,
+    however the config is made; init must be the tuple that its config
+    text parses to.
+    """
 
     dim: int
     cells: tuple[int, ...]
@@ -99,6 +138,12 @@ class RunConfig:
     record_every: int
     out_dir: str
     seed: int
+
+    def __post_init__(self):
+        check_seed(self.seed)
+        if parse_init(_config_value(self.init)) != self.init:
+            raise InvalidArgument(f"init must be a kind and its float parameters, "
+                                  f"got {self.init!r}")
 
     grid = cached_property(lambda self: Grid.box(self.lengths, self.cells))
     params = cached_property(lambda self: ModelParams(self.d_a, self.d_b, self.d_c))
@@ -173,34 +218,10 @@ def parse_config(text: str) -> RunConfig:
     model = build(("d_a", "d_b", "d_c"), ModelParams, nums["d_a"], nums["d_b"], nums["d_c"])
     solver = build(("dt", "t_end", "record_every"), SolverConfig,
                    nums["dt"], nums["t_end"], nums["record_every"])
-    if nums["seed"] < 0:
-        raise ConfigError(f"seed must be nonnegative, got {nums['seed']}", line=lines_of["seed"])
+    build(("seed",), check_seed, nums["seed"])
+    init = build(("init",), parse_init, raw["init"])
 
-    toks = raw["init"].split()
-    line = lines_of["init"]
-    if not toks or toks[0] not in INIT_KINDS:
-        raise ConfigError(
-            f"init must start with one of {INIT_KINDS}, got {raw['init']!r}", line=line
-        )
-    kind = toks[0]
-    try:
-        params = tuple(float(tok) for tok in toks[1:])
-    except ValueError:
-        raise ConfigError(f"malformed number in init={raw['init']!r}", line=line)
-    if not all(map(math.isfinite, params)):
-        raise ConfigError(f"init parameters must be finite, got {raw['init']!r}", line=line)
-    if kind == "uniform" and (len(params) != 3 or min(params) <= 0):
-        raise ConfigError("init uniform needs three positive values", line=line)
-    if kind == "cosine_bump" and (len(params) != 1 or not 0 < params[0] < 1):
-        raise ConfigError("init cosine_bump needs amplitude in (0,1)", line=line)
-    if kind == "random_positive" and (len(params) != 2 or params[0] <= 0 or params[1] < 0
-                                      or not math.isfinite(params[0] + params[1])):
-        raise ConfigError(
-            "init random_positive needs positive floor and nonnegative amp with a finite sum",
-            line=line,
-        )
-
-    cfg = RunConfig(init=(kind,) + params, out_dir=raw["out_dir"], **nums)
+    cfg = RunConfig(init=init, out_dir=raw["out_dir"], **nums)
     vars(cfg).update(grid=grid, params=model, solver=solver)
     return cfg
 
@@ -629,8 +650,8 @@ def main(argv=None) -> int:
 
     p_an = sub.add_parser("analyze", help="verify a recorded time series")
     p_an.add_argument("csv", help="path to timeseries.csv")
-    p_an.add_argument("--mode", required=True, choices=("full", "db0", "dc0"))
-    p_an.add_argument("--dim", required=True, type=int, choices=(1, 2, 3))
+    p_an.add_argument("--mode", required=True, choices=MODES)
+    p_an.add_argument("--dim", required=True, type=int, choices=DIMENSIONS)
     p_an.add_argument("--meta", default=None,
                       help="path to the run's run_meta (default: the one next to the CSV)")
 

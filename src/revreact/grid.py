@@ -32,6 +32,7 @@ from .errors import InvalidArgument, InvalidState
 
 __all__ = [
     "Grid",
+    "DIMENSIONS",
     "check_dimension",
     "SpeciesFields",
     "positive_stacks",
@@ -114,9 +115,13 @@ class Grid:
         return (np.arange(self.cells[axis]) + 0.5) * h
 
 
+#: the numbers of axes a box may have
+DIMENSIONS = (1, 2, 3)
+
+
 def check_dimension(dim: int) -> int:
-    """dim, the number of axes of a box; InvalidArgument unless 1, 2 or 3."""
-    if dim not in (1, 2, 3):
+    """dim, the number of axes of a box; InvalidArgument unless in DIMENSIONS."""
+    if dim not in DIMENSIONS:
         raise InvalidArgument(f"dimension must be 1, 2 or 3, got {dim}")
     return dim
 

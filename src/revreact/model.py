@@ -23,11 +23,16 @@ from .errors import InvalidArgument, InvalidState
 from .grid import integrate
 
 __all__ = [
+    "MODES",
     "ModelParams",
     "EquilibriumState",
     "conserved_masses",
     "equilibrium_state",
 ]
+
+
+#: the degeneracy modes, indexed by (d_b == 0) + 2 (d_c == 0)
+MODES = ("full", "db0", "dc0")
 
 
 @dataclass(frozen=True)
@@ -53,12 +58,8 @@ class ModelParams:
 
     @property
     def mode(self) -> str:
-        """Degeneracy mode: 'db0', 'dc0' or 'full'."""
-        if self.d_b == 0.0:
-            return "db0"
-        if self.d_c == 0.0:
-            return "dc0"
-        return "full"
+        """Degeneracy mode, one of MODES: 'db0', 'dc0' or 'full'."""
+        return MODES[(self.d_b == 0.0) + 2 * (self.d_c == 0.0)]
 
     def diffusivities(self) -> tuple[float, float, float]:
         return (self.d_a, self.d_b, self.d_c)

@@ -41,6 +41,23 @@ same operands and operation order as the allocating entry points
 DiffusionSemigroup.apply and reaction_substep, which run the same calls
 on new arrays.
 
+Every array that those calls read or write starts on an ALIGN_BYTES
+(64-byte) boundary, one cache line and one AVX-512 vector: the heat
+kernels, the state and work block of a records iterator, and the arrays
+that apply and reaction_substep allocate, each a view into a buffer 64
+bytes longer (_aligned_empty).  numpy's own arrays start on glibc's
+16-byte boundary, and one of 128 KiB or more, such as a 128-cell kernel,
+is mmapped 16 bytes past a page boundary, so never on 64.  Placement
+changes only speed: on a 2-vCPU AVX-512 x86 host with OpenBLAS
+0.3.31 (medians of 40 interleaved rounds, twice), the matmul of full_1d's
+(3, 1, 128) state by its kernel took 4.5 us with the kernel on 64 bytes
+against 7.5 to 7.9 us at offsets 16, 32 and 48, and the 26 reaction calls
+on dc0_3d's 6912-cell rows 67 to 68 us against 83 to 86 us at offsets 16
+and 48.  The calls, their operands and their order are the same wherever
+the arrays start, so every result is too.
+An axis longer than KERNEL_MAX_CELLS allocates its FFTs inside numpy.fft
+at numpy's placement; no preset has such an axis, and it is left so.
+
 run records in blocks (block_records), stepping and sampling under
 np.errstate(all="ignore"): a step or a sample that overflows or divides
 0 by 0 leaves a NaN, an inf or a non-positive value in its record, which
@@ -105,6 +122,10 @@ KERNEL_MAX_CELLS = 192
 #: uses no less memory on either workload, so the block stays at 32 KiB
 BLOCK_BYTES = 32 * 1024
 
+#: boundary in bytes on which every array that a step reads or writes
+#: starts (heat kernels, state and work block); numpy only guarantees 16
+ALIGN_BYTES = 64
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -157,6 +178,16 @@ class Trajectory:
     sample_calls: int = 0
 
 
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialised C-contiguous float64 array of shape whose data
+    starts on an ALIGN_BYTES boundary: a view into a buffer ALIGN_BYTES
+    longer, which it keeps alive."""
+    size = math.prod(shape)
+    buffer = np.empty(size + ALIGN_BYTES // 8)
+    start = -buffer.ctypes.data % ALIGN_BYTES // 8
+    return buffer[start:start + size].reshape(shape)
+
+
 def _cosines(n: int) -> np.ndarray:
     """cos(k m pi / n) for m = 0..n (rows) and k = 0..n-1 (columns).
 
@@ -187,7 +218,8 @@ def heat_kernels(n: int, h: float, rates) -> np.ndarray:
     cosines of _cosines, so the entries are accurate to a few units of
     rounding: rows sum to 1 within about 1e-15, and entries whose true
     value is below rounding stay above -1e-16.  The kernel is exactly
-    symmetric because g is indexed by |i - j|.
+    symmetric because g is indexed by |i - j|.  The stack is C-contiguous
+    and starts on an ALIGN_BYTES boundary.
     """
     e = np.exp(np.multiply.outer(np.asarray(rates, dtype=float), neumann_eigenvalues(n, h)))
     e[:, 0] *= 0.5
@@ -198,9 +230,11 @@ def heat_kernels(n: int, h: float, rates) -> np.ndarray:
     # views and allocates nothing else of its size
     g = np.concatenate((g[:, n - 1:0:-1], g, g[:, n - 1:0:-1]), axis=-1)
     windows = sliding_window_view(g, n, axis=-1)
-    # C order for every stack length: matmul's summation order follows the
-    # layout, and a stacked entry must equal its stand-alone flow bit for bit
-    return np.add(windows[:, n - 1::-1], windows[:, n:], order="C")
+    # into a C-contiguous stack for every stack length: matmul's summation
+    # order follows the layout, and a stacked entry must equal its
+    # stand-alone flow bit for bit
+    kernels = _aligned_empty((len(g), n, n))
+    return np.add(windows[:, n - 1::-1], windows[:, n:], out=kernels)
 
 
 def _row_slice(rows: list) -> slice:
@@ -244,7 +278,8 @@ class DiffusionSemigroup:
     (_transform), whose kernel would be slower and hold n^2 doubles.  The
     kernels are built here, once; entries that share one rate share them.
     calls binds that chain of axes to the arrays it reads and writes;
-    apply runs it on a new array.
+    apply runs it on a new array.  The kernels start on ALIGN_BYTES
+    boundaries, as heat_kernels returns them.
     """
 
     def __init__(self, grid: Grid, d, tau: float):
@@ -306,10 +341,15 @@ class DiffusionSemigroup:
         return calls
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """A new array holding the flow of every entry of u; u is not modified."""
-        src = np.ascontiguousarray(u, dtype=float).reshape(self.shape)
-        out = src.copy()
-        for call in self.calls(src, out, np.empty((2,) + self.work_shape)):
+        """A new array holding the flow of every entry of u; u is not modified.
+
+        u is copied into the new array, which starts on an ALIGN_BYTES
+        boundary, and flows there in place, as the state of
+        StrangStepper.records does, so the result does not depend on where
+        u starts."""
+        out = _aligned_empty(self.shape)
+        out[...] = np.reshape(u, self.shape)
+        for call in self.calls(out, out, _aligned_empty((2,) + self.work_shape)):
             call()
         return out.reshape(np.shape(u))
 
@@ -382,10 +422,12 @@ def reaction_substep(fields: SpeciesFields, dt: float) -> SpeciesFields:
     a = m1 - c(dt) and b = m2 - c(dt) stay positive.
 
     Runs the in-place reaction calls of a StrangStepper step on a copy of
-    the stack.
+    the stack and scratch fields, each starting on an ALIGN_BYTES boundary
+    as in the step.
     """
-    u = np.array(fields.stack)
-    for call in _reaction(u, u, np.empty((4,) + u.shape[1:]), dt):
+    u = _aligned_empty(fields.stack.shape)
+    u[...] = fields.stack
+    for call in _reaction(u, u, _aligned_empty((4,) + u.shape[1:]), dt):
         call()
     return SpeciesFields.from_stack(u)
 
@@ -413,7 +455,8 @@ class StrangStepper:
         which the next iteration overwrites: copy what is to be kept.  The
         first iteration raises ValueError, before anything is written,
         unless u has the shape (3, *grid.cells).  It copies u into the
-        state, allocates one work block and binds every call of the step
+        state, allocates one work block, both on ALIGN_BYTES boundaries
+        wherever u starts, and binds every call of the step
         to views of the two once, so each iteration only runs those calls,
         in place (an axis longer than KERNEL_MAX_CELLS still allocates its
         FFTs).  The work block holds the two axis temporaries, which the
@@ -427,13 +470,13 @@ class StrangStepper:
         next iteration continues from the state last yielded, so one
         iterator gives the same states as a new one started from each.
         """
-        u = np.ascontiguousarray(u, dtype=float)
-        if u.shape != self.full.shape:
-            raise ValueError(f"a state has shape {self.full.shape}, got {u.shape}")
-        state = u.copy()
+        if np.shape(u) != self.full.shape:
+            raise ValueError(f"a state has shape {self.full.shape}, got {np.shape(u)}")
+        state = _aligned_empty(self.full.shape)
+        state[...] = u
         moving = self.full.work_shape[0]
         one_axis = len(self.full.axes) == 1
-        work = np.empty((7 if one_axis else max(2 * moving, 4),) + u.shape[1:])
+        work = _aligned_empty((7 if one_axis else max(2 * moving, 4),) + state.shape[1:])
         temps = work[:moving], work[moving:2 * moving]
 
         def diffuse_react(semigroup):

@@ -1,4 +1,6 @@
+import argparse
 import collections
+import dataclasses
 import json
 import math
 import os
@@ -23,8 +25,8 @@ from revreact.cli import (
 )
 from revreact.errors import ConfigError, InvalidArgument, IoError, ParseError
 from revreact.functionals import CSV_COLUMNS
-from revreact.grid import Grid
-from revreact.model import ModelParams
+from revreact.grid import DIMENSIONS, Grid
+from revreact.model import MODES, ModelParams
 from revreact.presets import PRESETS, preset_names
 from revreact.solver import SolverConfig, run
 from conftest import box_poincare_constant, inequality_rows_per_field
@@ -148,6 +150,23 @@ class TestParseConfig:
         for name in preset_names():
             cfg = parse_config(PRESETS[name])
             assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"init": ("cosine_bump", 2.0)}, "init cosine_bump needs amplitude in (0,1)"),
+        ({"init": ("random_positive", 0.5)}, "init random_positive needs positive floor"),
+        ({"init": ("uniform", 1.0, 2.0, math.inf)}, "init parameters must be finite"),
+        ({"init": ("bump", 0.5)}, "init must start with one of"),
+        ({"init": ("uniform", "1", "2", "3")}, "init must be a kind and its float parameters"),
+    ])
+    def test_a_config_made_without_parse_config_checks_seed_and_init(self, changes, message):
+        # the seed and init rules run on construction, so a replaced config
+        # fails with the message parse_config gives, not inside numpy
+        cfg = parse_config(EXAMPLE.replace("cosine_bump 0.5", "random_positive 0.5 1.0"))
+        with pytest.raises(InvalidArgument, match=re.escape(message)):
+            dataclasses.replace(cfg, **changes)
+        assert dataclasses.replace(cfg, seed=0, init=("cosine_bump", 0.25)).init == (
+            "cosine_bump", 0.25)
 
 
 class TestCmdRun:
@@ -769,8 +788,6 @@ class TestCmdVerify:
     def test_box_poincare_constant_fails_the_poincare_suite(self, monkeypatch):
         # the continuous constant (L_max/pi)^2 is below the discrete one: the
         # lowest mode of each grid must expose it
-        import dataclasses
-
         from revreact import verify
 
         grids = verify._grids()
@@ -929,6 +946,20 @@ class TestMain:
         assert "error: line " in err
         assert "Warning" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_analyze_choices_are_the_mode_and_dimension_rules(self, monkeypatch):
+        # argparse reads the tuples that ModelParams.mode and
+        # grid.check_dimension read, not copies of them
+        choices = {}
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def recording(container, *names, **kwargs):
+            choices[names[0]] = kwargs.get("choices")
+            return add_argument(container, *names, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", recording)
+        assert main(["presets"]) == 0
+        assert choices["--mode"] is MODES and choices["--dim"] is DIMENSIONS
 
     @pytest.mark.parametrize("argv", [["presets", "nosuch"], ["run", "preset:nosuch"]])
     def test_unknown_preset_exit_2(self, capsys, argv):

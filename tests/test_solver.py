@@ -477,6 +477,57 @@ class TestAdvance:
         assert v.nbytes <= after - before <= v.nbytes + 1024
 
 
+def placed_copy(u, offset):
+    """A copy of u whose data starts offset bytes past a 64-byte boundary,
+    as a view into a larger buffer."""
+    buffer = np.empty(u.size + 16)
+    start = (-buffer.ctypes.data % 64 + offset) // 8
+    v = buffer[start:start + u.size].reshape(u.shape)
+    v[...] = u
+    assert v.ctypes.data % 64 == offset
+    return v
+
+
+class TestAlignment:
+    # every array a step's calls read or write starts on a 64-byte boundary,
+    # where matmul and the reaction's ufuncs run at full speed
+    @pytest.mark.parametrize("n", [1, 12, 48, 128, 192])
+    def test_heat_kernels_start_on_64_bytes(self, n):
+        for rates in ([-0.01], [-0.01, -0.02]):
+            kernels = heat_kernels(n, 1.0 / n, rates)
+            assert kernels.ctypes.data % 64 == 0 and kernels.flags.c_contiguous
+
+    @pytest.mark.parametrize("lengths, cells, d", [
+        ([1.0], [128], (0.01, 0.01, 0.01)),
+        ([1.0], [48], (1.0, 0.0, 1.0)),
+        ([1.0, 0.5], [48, 12], (1.0, 1.0, 0.0)),
+        ([1.0, 0.4, 0.4], [48, 12, 12], (1.0, 1.0, 0.0)),
+        ([1.0, 0.5, 0.25], [12, 6, 4], (1.0, 0.5, 0.25)),
+    ])
+    def test_kernels_and_state_start_on_64_bytes(self, rng, lengths, cells, d):
+        grid = Grid.box(lengths, cells)
+        stepper = StrangStepper(ModelParams(*d), 1e-3, grid)
+        for semigroup in (stepper.half, stepper.full, DiffusionSemigroup(grid, d, 0.1)):
+            assert all(kernel.ctypes.data % 64 == 0 for _, kernel, _ in semigroup.axes)
+        u = rng.uniform(0.5, 1.5, size=(3, *grid.cells))
+        states = stepper.records(placed_copy(u, 8), 2)
+        assert next(states).ctypes.data % 64 == 0
+        assert next(states).ctypes.data % 64 == 0
+
+    @pytest.mark.parametrize("name", ["db0_1d", "dc0_3d", "full_1d"])
+    def test_results_do_not_depend_on_input_placement(self, rng, name):
+        stepper, grid = preset_stepper(name)
+        u = rng.uniform(0.5, 1.5, size=(3, *grid.cells))
+        aligned, shifted = placed_copy(u, 0), placed_copy(u, 8)
+        assert np.array_equal(next(stepper.records(aligned, 3)),
+                              next(stepper.records(shifted, 3)))
+        for semigroup in (stepper.half, stepper.full):
+            assert np.array_equal(semigroup.apply(aligned), semigroup.apply(shifted))
+        assert np.array_equal(
+            reaction_substep(SpeciesFields.from_stack(aligned), stepper.dt).stack,
+            reaction_substep(SpeciesFields.from_stack(shifted), stepper.dt).stack)
+
+
 class TestStrangStep:
     def test_uniform_fields_reduce_to_reaction(self):
         grid = setup_1d(32)
