@@ -10,7 +10,8 @@ final_fields.snap line 1: dim, cells per axis, lengths per axis; then one
                   "a b c" line per cell in row-major order
 run_meta          exact echo of the parsed config plus solver statistics:
                   steps, samples, the functionals.sample calls that
-                  recorded them, wall time, and the seconds spent
+                  recorded them, the calls one Strang step runs (as the
+                  solver bound them), wall time, and the seconds spent
                   stepping, recording samples and writing these files,
                   with the steps per second of stepping
 
@@ -357,6 +358,7 @@ def cmd_run(cfg: RunConfig) -> int:
                 f"steps={cfg.solver.n_steps}",
                 f"samples={len(traj.columns['t'])}",
                 f"sample_calls={traj.sample_calls}",
+                f"step_calls={traj.step_calls}",
                 f"wall_time_s={elapsed:.3f}",
                 f"step_s={traj.step_s:.3f}",
                 f"sample_s={traj.sample_s:.3f}",

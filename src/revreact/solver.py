@@ -15,12 +15,17 @@ exp(tau d L) = K_1 x ... x K_N with K = C^T diag(exp(-tau d lam)) C for the
 cosine transform C and eigenvalues lam = grid.neumann_eigenvalues of one
 axis, so it is applied one axis at a time: an axis of at most
 KERNEL_MAX_CELLS cells by its dense heat kernel K, built once per
-diffusivity and step length and applied with one matmul, a longer axis by
-np.fft's real FFT of its even extension, whose coefficients are the
-type-II cosine coefficients times a phase.  The kernels are summed from
-a table of cosines whose angles are reduced exactly in integers, so no
-step needs a cosine transform library, and numpy.fft is only imported
-when an axis is longer than KERNEL_MAX_CELLS.
+diffusivity and step length and applied as one matrix product, a longer
+axis by np.fft's real FFT of its even extension, whose coefficients are
+the type-II cosine coefficients times a phase.  On the last axis, where
+nothing comes after it, moving rows that share one kernel (every preset
+but uniform_ode) are multiplied as one 2-D product of all of them,
+(moving * before, n) times K, by np.dot (np.matmul where the output rows
+are strided): one BLAS matrix product, where a stack (moving, 1, n)
+times (1, n, n) runs one matrix-vector product per row.  The kernels are summed from a table of cosines whose angles
+are reduced exactly in integers, so no step needs a cosine transform
+library, and numpy.fft is only imported when an axis is longer than
+KERNEL_MAX_CELLS.
 In exact arithmetic each factor is symmetric, nonnegative and doubly
 stochastic, which makes positivity, mass conservation and entropy decay
 structural, and leaves the pure O(dt^2) splitting error as the only
@@ -35,11 +40,12 @@ linear system.
 
 StrangStepper.records never writes its input.  Each iterator allocates
 one state and one work block (at most ten fields in all) and binds
-every matmul and ufunc of the step to views of them once, so each step
+every product and ufunc of the step to views of them once, so each step
 only runs those calls, in place: no gather, scatter or reshape, and the
 same operands and operation order as the allocating entry points
 DiffusionSemigroup.apply and reaction_substep, which run the same calls
-on new arrays.
+on new arrays.  A step is one product per axis (an FFT flow on a long
+axis) and the 24 calls of the reaction: 25 calls on a 1-D grid.
 
 Every array that those calls read or write starts on an ALIGN_BYTES
 (64-byte) boundary, one cache line and one AVX-512 vector: the heat
@@ -49,12 +55,17 @@ bytes longer (_aligned_empty).  numpy's own arrays start on glibc's
 16-byte boundary, and one of 128 KiB or more, such as a 128-cell kernel,
 is mmapped 16 bytes past a page boundary, so never on 64.  Placement
 changes only speed: on a 2-vCPU AVX-512 x86 host with OpenBLAS
-0.3.31 (medians of 40 interleaved rounds, twice), the matmul of full_1d's
-(3, 1, 128) state by its kernel took 4.5 us with the kernel on 64 bytes
-against 7.5 to 7.9 us at offsets 16, 32 and 48, and the 26 reaction calls
-on dc0_3d's 6912-cell rows 67 to 68 us against 83 to 86 us at offsets 16
-and 48.  The calls, their operands and their order are the same wherever
-the arrays start, so every result is too.
+0.3.31 (medians of 40 interleaved rounds, twice), the stacked matmul of
+full_1d's (3, 1, 128) state by its kernel, the product a step then ran,
+took 4.5 us with the kernel on 64 bytes against 7.5 to 7.9 us at offsets
+16, 32 and 48, and the 26 reaction calls a step then ran on dc0_3d's
+6912-cell rows 67 to 68 us against 83 to 86 us at offsets 16 and 48.
+The calls, their operands and their order are the same wherever the
+arrays start, so every result is too.  On the same host the 2-D np.dot
+of full_1d's rows takes 2.8 to 3.0 us against 4.2 to 4.3 us for that
+stacked matmul (timeit minima), and the 24 reaction calls take 66.6 us
+on dc0_3d's rows against 69.7 us for the 26 (medians of 40 interleaved
+rounds in one process).
 An axis longer than KERNEL_MAX_CELLS allocates its FFTs inside numpy.fft
 at numpy's placement; no preset has such an axis, and it is left so.
 
@@ -168,14 +179,17 @@ class SolverConfig:
 class Trajectory:
     """The recorded samples of one run, one float64 array per CSV column
     (keyed by functionals.CSV_COLUMNS, one entry per record), its final
-    fields, the seconds it spent stepping and recording samples, and the
-    number of functionals.sample calls that recorded them."""
+    fields, the seconds it spent stepping and recording samples, the
+    number of functionals.sample calls that recorded them, and the number
+    of calls one full Strang step ran, as its records iterator bound
+    them."""
 
     columns: dict
     final_fields: SpeciesFields | None = None
     step_s: float = 0.0
     sample_s: float = 0.0
     sample_calls: int = 0
+    step_calls: int = 0
 
 
 def _aligned_empty(shape) -> np.ndarray:
@@ -230,9 +244,11 @@ def heat_kernels(n: int, h: float, rates) -> np.ndarray:
     # views and allocates nothing else of its size
     g = np.concatenate((g[:, n - 1:0:-1], g, g[:, n - 1:0:-1]), axis=-1)
     windows = sliding_window_view(g, n, axis=-1)
-    # into a C-contiguous stack for every stack length: matmul's summation
-    # order follows the layout, and a stacked entry must equal its
-    # stand-alone flow bit for bit
+    # into a C-contiguous stack for every stack length: a product's
+    # summation order follows the layout, so a kernel is laid out alike in
+    # a stack of one and of several; whether a stacked entry's flow then
+    # equals its stand-alone flow bit for bit depends on the BLAS path
+    # (DiffusionSemigroup)
     kernels = _aligned_empty((len(g), n, n))
     return np.add(windows[:, n - 1::-1], windows[:, n:], out=kernels)
 
@@ -249,17 +265,15 @@ def _row_slice(rows: list) -> slice:
     return slice(rows[0], rows[-1] + 1, step)
 
 
-def _transform(x, y, factor):
-    """The call that writes the flow of x along its axis 2, of n cells, into
-    y.  The real FFT of the even extension (x, x reversed) of length 2n
-    holds the type-II cosine coefficients of x, each times a phase; factor
-    damps modes 0..n-1 and zeroes mode n, whose coefficient is 0, and the
-    first n entries of the inverse FFT are the flow."""
-    def call():
-        coeff = np.fft.rfft(np.concatenate((x, x[:, :, ::-1]), axis=2), axis=2)
-        coeff *= factor
-        np.copyto(y, np.fft.irfft(coeff, axis=2)[:, :, :x.shape[2]])
-    return call
+def _cosine_flow(x, factor, y):
+    """Write the flow of x along its axis 2, of n cells, into y.  The real
+    FFT of the even extension (x, x reversed) of length 2n holds the
+    type-II cosine coefficients of x, each times a phase; factor damps
+    modes 0..n-1 and zeroes mode n, whose coefficient is 0, and the first
+    n entries of the inverse FFT are the flow."""
+    coeff = np.fft.rfft(np.concatenate((x, x[:, :, ::-1]), axis=2), axis=2)
+    coeff *= factor
+    np.copyto(y, np.fft.irfft(coeff, axis=2)[:, :, :x.shape[2]])
 
 
 class DiffusionSemigroup:
@@ -273,13 +287,28 @@ class DiffusionSemigroup:
     every set of rows of a (3, *cells) stack is.
 
     The flow factors over the axes and is applied one axis at a time: by a
-    dense heat kernel (one matmul) on an axis of at most KERNEL_MAX_CELLS
-    cells, by the real FFT of the even extension along a longer axis
-    (_transform), whose kernel would be slower and hold n^2 doubles.  The
-    kernels are built here, once; entries that share one rate share them.
-    calls binds that chain of axes to the arrays it reads and writes;
-    apply runs it on a new array.  The kernels start on ALIGN_BYTES
-    boundaries, as heat_kernels returns them.
+    dense heat kernel on an axis of at most KERNEL_MAX_CELLS cells, by the
+    real FFT of the even extension along a longer axis (_cosine_flow),
+    whose kernel would be slower and hold n^2 doubles.  The kernels are
+    built here, once; entries that share one rate share them.  On the
+    last axis, with nothing after it, the kernels multiply the moving
+    rows from the right.  A shared kernel multiplies all of them,
+    (entries * before, n), as one 2-D np.dot where the output is
+    C-contiguous, and by np.matmul, broadcast over the entries, where it
+    is strided (rows 0 and 2 of an N-D state).  Entries with their own
+    rates are multiplied as a stack, one product per entry.
+
+    So a stacked entry's flow equals its stand-alone flow bit for bit
+    only where BLAS sums each of its rows alike in both products.  With
+    their own rates, each is the same product of the same rows.  With a
+    shared rate on a 1-D grid, an entry alone is a matrix-vector product
+    and its row of the 2-D product a matrix product, which differ by a
+    few units of rounding; on an N-D grid both are matrix products, equal
+    bit for bit on the last axes of 4, 12 and 24 cells the tests check,
+    but not on every length (on 33 cells they differ).  calls binds the
+    chain of axes to the arrays it reads and writes; apply runs it on a
+    new array.  The kernels start on ALIGN_BYTES boundaries, as
+    heat_kernels returns them.
     """
 
     def __init__(self, grid: Grid, d, tau: float):
@@ -287,16 +316,18 @@ class DiffusionSemigroup:
         self.shape = rates.shape + grid.cells
         self.moving = _row_slice(np.flatnonzero(rates != 0.0).tolist())
         rates = rates[self.moving]
-        #: the shape of one axis temporary: the moving entries
+        #: the shape of the moving entries and of one axis temporary
         self.work_shape = rates.shape + grid.cells
-        # moving entries with one common rate (every preset) share one
-        # kernel, broadcast over the stack, instead of holding a copy each
-        kernel_rates = rates[:1] if np.all(rates == rates[:1]) else rates
+        # moving entries with one common rate (every preset but uniform_ode)
+        # share one kernel instead of holding a copy each
+        shared = len(set(rates.tolist())) == 1
+        kernel_rates = rates[:1] if shared else rates
         #: per axis: the (entries, before, along, after) shape it acts on,
         #: and its kernels, which multiply a kernel axis from the left, or,
         #: where nothing comes after it, its (entries, before, along) rows
-        #: from the right; a long axis has its cosine-mode factors instead,
-        #: shaped to broadcast along it
+        #: from the right, a shared kernel as one (n, n) matrix; a long
+        #: axis has its cosine-mode factors instead, shaped to broadcast
+        #: along it
         self.axes = []
         for ax, (n, h) in enumerate(zip(grid.cells, grid.spacings)):
             shape = (rates.size, math.prod(grid.cells[:ax]), n, math.prod(grid.cells[ax + 1:]))
@@ -305,39 +336,47 @@ class DiffusionSemigroup:
                 factor = np.pad(factor, ((0, 0), (0, 1)))  # mode n of the FFT
                 self.axes.append((shape, None, factor[:, None, :, None]))
             elif shape[3] == 1:
-                self.axes.append((shape[:3], heat_kernels(n, h, kernel_rates), None))
+                kernels = heat_kernels(n, h, kernel_rates)
+                self.axes.append((shape[:3], kernels[0] if shared else kernels, None))
             else:
                 self.axes.append((shape, heat_kernels(n, h, kernel_rates)[:, None], None))
 
-    def calls(self, src: np.ndarray, dst: np.ndarray, work) -> list:
-        """Calls that write the flow of the moving entries of src into those
-        of dst, with every view they use bound once.
+    def calls(self, x: np.ndarray, y: np.ndarray, work) -> list:
+        """Calls that write the flow of the moving entries x into y, with
+        every view they use bound once.
 
-        src and dst are C-contiguous arrays of self.shape, possibly one
-        array; the other entries of dst are not touched.  work[0] and
-        work[1] are C-contiguous arrays of self.work_shape: each axis but
-        the last writes one and the next axis reads it.  Each matmul takes
-        its output as its last argument, as the calls of _reaction do.
+        x and y are arrays of self.work_shape, each the moving entries of a
+        C-contiguous stack of self.shape or a C-contiguous array of its
+        own; they may be one array (x is y).  work[0] and work[1] are
+        C-contiguous arrays of self.work_shape: each axis but the last
+        writes one and the next axis reads it.  Every call is a partial
+        that takes its output as its last argument, as the calls of
+        _reaction do.
         """
         if not self.work_shape[0]:
             return []
-        x, last = src[self.moving], dst[self.moving]
         outs = [work[i % 2] for i in range(len(self.axes) - 1)]
-        # matmul cannot write its own operand: one axis in place goes
+        # a product cannot write its own operand: one axis in place goes
         # through a temporary, copied back at the end
-        outs.append(work[0] if src is dst and len(self.axes) == 1 else last)
+        outs.append(work[0] if x is y and len(self.axes) == 1 else y)
         calls = []
-        for (shape, kernel, factor), y in zip(self.axes, outs):
-            xv, yv = x.reshape(shape, copy=False), y.reshape(shape, copy=False)
+        for (shape, kernel, factor), out in zip(self.axes, outs):
+            xv, yv = x.reshape(shape, copy=False), out.reshape(shape, copy=False)
             if kernel is None:
-                calls.append(_transform(xv, yv, factor))
-            elif len(shape) == 3:  # rows times the symmetric kernel
-                calls.append(partial(np.matmul, xv, kernel, yv))
-            else:
+                calls.append(partial(_cosine_flow, xv, factor, yv))
+            elif len(shape) == 4:
                 calls.append(partial(np.matmul, kernel, xv, yv))
-            x = y
-        if x is not last:
-            calls.append(partial(np.copyto, last, x))
+            elif kernel.ndim == 3:  # each entry's rows times its own kernel
+                calls.append(partial(np.matmul, xv, kernel, yv))
+            elif yv.flags.c_contiguous:  # all rows times the shared kernel
+                rows = (-1, shape[2])
+                calls.append(partial(np.dot, xv.reshape(rows, copy=False), kernel,
+                                     yv.reshape(rows, copy=False)))
+            else:
+                calls.append(partial(np.matmul, xv, kernel, yv))
+            x = out
+        if x is not y:
+            calls.append(partial(np.copyto, y, x))
         return calls
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -349,7 +388,8 @@ class DiffusionSemigroup:
         u starts."""
         out = _aligned_empty(self.shape)
         out[...] = np.reshape(u, self.shape)
-        for call in self.calls(out, out, _aligned_empty((2,) + self.work_shape)):
+        moving = out[self.moving]
+        for call in self.calls(moving, moving, _aligned_empty((2,) + self.work_shape)):
             call()
         return out.reshape(np.shape(u))
 
@@ -363,31 +403,31 @@ def _reaction(src, u: np.ndarray, work: np.ndarray, dt: float) -> list:
     scratch overlaps.
 
     The calls evaluate the roots r1 <= r2 of c**2 - (1 + m1 + m2) c + m1 m2
-    as sq = sqrt(1 + 2 (m1 + m2) + (m1 - m2)**2), r2 = (1 + m1 + m2 + sq)/2
-    and r1 = m1 m2 / r2, then the closed form in reaction_substep,
-    operation for operation, so they round as those expressions do.  Rows
-    0 and 1 of u hold m1 and m2 until they become a and b; row 2 holds
-    exp(-sq dt) once c is read for the last time, then c_new.  Each call
-    takes its output as its last argument, by position, which a partial
-    passes on faster than an out= keyword, and its constants as 0-d
-    arrays, which a ufunc takes faster than Python floats.
+    as sq = sqrt((1 + m1 - m2)**2 + 4 m2), r2 = (1 + m1 + m2 + sq)/2 and
+    r1 = m1 m2 / r2, then the closed form in reaction_substep, operation
+    for operation, so they round as those expressions do.  Both terms of
+    the discriminant are nonnegative, and 1 + m1 is formed once, for it
+    and for 1 + m1 + m2: 24 calls in all.  Rows 0 and 1 of u hold m1 and
+    m2 until they become a and b; row 2 holds exp(-sq dt) once c is read
+    for the last time, then c_new.  Each call takes its output as its
+    last argument, by position, which a partial passes on faster than an
+    out= keyword, and its constants as 0-d arrays, which a ufunc takes
+    faster than Python floats.
     """
     a, b, c = src[0], src[1], src[2]
     m1, m2, c_new = u[0], u[1], u[2]
     s, sq, r1, g = work[:4]
-    one, two, half, minus_dt = (np.array(x) for x in (1.0, 2.0, 0.5, -dt))
+    one, four, half, minus_dt = (np.array(x) for x in (1.0, 4.0, 0.5, -dt))
     return [
         partial(np.add, a, c, m1),  # m1 = a + c
         partial(np.add, b, c, m2),  # m2 = b + c
-        partial(np.add, one, m1, s),
-        partial(np.add, s, m2, s),  # s = 1 + m1 + m2
-        partial(np.add, m1, m2, sq),
-        partial(np.multiply, two, sq, sq),
-        partial(np.add, one, sq, sq),
-        partial(np.subtract, m1, m2, r1),
-        partial(np.square, r1, r1),
+        partial(np.add, one, m1, s),  # s = 1 + m1
+        partial(np.subtract, s, m2, sq),
+        partial(np.square, sq, sq),
+        partial(np.multiply, four, m2, r1),
         partial(np.add, sq, r1, sq),
         partial(np.sqrt, sq, sq),  # sq = r2 - r1
+        partial(np.add, s, m2, s),  # s = 1 + m1 + m2
         partial(np.add, s, sq, s),
         partial(np.multiply, half, s, s),  # s holds r2 = (s + sq) / 2
         partial(np.multiply, m1, m2, r1),
@@ -446,6 +486,9 @@ class StrangStepper:
         self.dt = dt
         self.half = DiffusionSemigroup(grid, params.diffusivities(), 0.5 * dt)
         self.full = DiffusionSemigroup(grid, params.diffusivities(), dt)
+        #: the number of calls of one full step, as the last records
+        #: iterator bound them (0 before any is bound)
+        self.step_calls = 0
 
     def records(self, u: np.ndarray, n_steps: int):
         """Iterator over the states n_steps, 2 n_steps, 3 n_steps, ...
@@ -456,19 +499,22 @@ class StrangStepper:
         first iteration raises ValueError, before anything is written,
         unless u has the shape (3, *grid.cells).  It copies u into the
         state, allocates one work block, both on ALIGN_BYTES boundaries
-        wherever u starts, and binds every call of the step
-        to views of the two once, so each iteration only runs those calls,
-        in place (an axis longer than KERNEL_MAX_CELLS still allocates its
-        FFTs).  The work block holds the two axis temporaries, which the
-        reaction also uses as its scratch: at most six fields, at least
-        four.  On one axis, where matmul cannot write its own operand, it
-        holds four scratch fields and a second stack instead: the
-        diffusion before each reaction writes the moving rows into that
-        stack, and the reaction reads them from it and writes the state,
-        so only the last half step of each record is copied back.  The
-        state and the work block live as long as the iterator, and the
-        next iteration continues from the state last yielded, so one
-        iterator gives the same states as a new one started from each.
+        wherever u starts, and binds every call of the step to views of
+        the two once, so each iteration only runs those calls, in place
+        (an axis longer than KERNEL_MAX_CELLS still allocates its FFTs).
+        It sets step_calls to the length of one full step's call list.
+
+        The work block holds the two axis temporaries, which the reaction
+        also uses as its scratch: at most six fields, at least four.  On
+        one axis, where a product cannot write its own operand, it holds
+        four scratch fields and then the diffused moving rows, one
+        contiguous block of as many fields as rows move: the diffusion
+        before each reaction writes that block, and the reaction reads the
+        moving species from it and the others from the state, and writes
+        the state, so only the last half step of each record is copied
+        back.  The state and the work block live as long as the iterator,
+        and the next iteration continues from the state last yielded, so
+        one iterator gives the same states as a new one started from each.
         """
         if np.shape(u) != self.full.shape:
             raise ValueError(f"a state has shape {self.full.shape}, got {np.shape(u)}")
@@ -476,22 +522,26 @@ class StrangStepper:
         state[...] = u
         moving = self.full.work_shape[0]
         one_axis = len(self.full.axes) == 1
-        work = _aligned_empty((7 if one_axis else max(2 * moving, 4),) + state.shape[1:])
+        work = _aligned_empty((4 + moving if one_axis else max(2 * moving, 4),)
+                              + state.shape[1:])
         temps = work[:moving], work[moving:2 * moving]
 
         def diffuse_react(semigroup):
+            rows = state[semigroup.moving]
             if not one_axis:
-                return (semigroup.calls(state, state, temps)
+                return (semigroup.calls(rows, rows, temps)
                         + _reaction(state, state, work, self.dt))
             diffused = work[4:]
-            rows = range(3)[semigroup.moving]
-            src = [diffused[i] if i in rows else state[i] for i in range(3)]
-            return (semigroup.calls(state, diffused, temps)
+            species = range(3)[semigroup.moving]
+            src = [diffused[species.index(i)] if i in species else state[i] for i in range(3)]
+            return (semigroup.calls(rows, diffused, temps)
                     + _reaction(src, state, work, self.dt))
 
         first = diffuse_react(self.half)
         step = diffuse_react(self.full)
-        half = self.half.calls(state, state, temps)
+        rows = state[self.half.moving]
+        half = self.half.calls(rows, rows, temps)
+        self.step_calls = len(step)
         while True:
             for call in first:
                 call()
@@ -590,5 +640,6 @@ def run(initial: SpeciesFields, params: ModelParams, grid: Grid,
     except InvalidState as exc:
         raise NumericalBlowup(f"{exc} at t = {t}", t=t) from exc
     traj.final_fields = SpeciesFields.from_stack(rows[-1].copy())
+    traj.step_calls = stepper.step_calls
     return traj
 

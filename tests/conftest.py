@@ -117,10 +117,11 @@ def riccati_roots(m1, m2):
 
     r1 is the pointwise reaction equilibrium; the flow dc/dt = (c-r1)(c-r2)
     relaxes c toward r1.  Always real: the discriminant equals
-    1 + 2(m1+m2) + (m1-m2)**2 > 0.
+    (1+m1-m2)**2 + 4*m2 > 0, a sum of two nonnegative terms.
     """
-    s = 1.0 + m1 + m2
-    sq = np.sqrt(1.0 + 2.0 * (m1 + m2) + (m1 - m2) ** 2)
+    s = 1.0 + m1
+    sq = np.sqrt((s - m2) ** 2 + 4.0 * m2)
+    s = s + m2
     r2 = 0.5 * (s + sq)
     r1 = m1 * m2 / r2
     return r1, r2, sq

@@ -201,6 +201,8 @@ class TestCmdRun:
         assert timers["step_s"] + timers["sample_s"] <= timers["wall_time_s"] + 0.002
         # records are sampled in blocks: at least one call, at most one per sample
         assert 1 <= int(stats["sample_calls"]) <= int(stats["samples"])
+        # FAST's dc0 step: one product of the a and b rows, 24 reaction calls
+        assert int(stats["step_calls"]) == 25
 
     def test_header_names_the_csv_columns(self):
         assert CSV_HEADER.split(",") == list(CSV_COLUMNS)

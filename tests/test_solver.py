@@ -225,6 +225,35 @@ class TestReactionSubstep:
             got = reaction_substep(SpeciesFields(a, b, c), dt)
             assert np.array_equal(got.stack, np.stack((m1 - c_new, m2 - c_new, c_new)))
 
+    def test_matches_mpmath_on_a_wide_ensemble(self):
+        # 1500 states log-uniform on [1e-6, 1e4]^3 and 1500 within a
+        # relative 1e-6 of their equilibrium c = ab, against the closed form
+        # in 40-digit arithmetic from the same doubles.  The largest relative
+        # error of a, b or c comes from the cancellation in a = m1 - c_new
+        # (b = m2 - c_new); the gate is the 2.63e-12 measured here with the
+        # discriminant 1 + 2 (m1 + m2) + (m1 - m2)**2, and the substep's
+        # (1 + m1 - m2)**2 + 4 m2 reads 2.26e-12
+        gen = np.random.default_rng(20240626)
+        wide = 10.0 ** gen.uniform(-6.0, 4.0, size=(3, 1500))
+        a, b = 10.0 ** gen.uniform(-6.0, 4.0, size=(2, 1500))
+        near = np.stack((a, b, a * b * (1.0 + gen.uniform(-1e-6, 1e-6, size=1500))))
+        states = np.concatenate((wide, near), axis=1)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for dt in (1e-3, 2e-3, 0.5):
+                got = reaction_substep(SpeciesFields(*states), dt).stack
+                for state, new in zip(states.T.tolist(), got.T.tolist()):
+                    a, b, c = map(mpmath.mpf, state)
+                    m1, m2 = a + c, b + c
+                    sq = mpmath.sqrt((1 + m1 - m2) ** 2 + 4 * m2)
+                    r2 = (1 + m1 + m2 + sq) / 2
+                    r1 = m1 * m2 / r2
+                    g = (c - r1) * mpmath.exp(-sq * dt)
+                    c_new = r1 + sq * g / ((r2 - c) + g)
+                    for x, want in zip(new, (m1 - c_new, m2 - c_new, c_new)):
+                        worst = max(worst, float(abs(x - want) / want))
+        assert worst <= 2.63e-12
+
     def test_matches_rk4_oracle(self, rng):
         # 100 states as one (100,)-shaped field, over a short and a long step;
         # on verify's states RK4 is 1.07e-14 off the exact flow at 1000
@@ -368,6 +397,36 @@ class TestStackedSemigroup:
         for k, d in enumerate(ds):
             assert np.array_equal(stacked[k], DiffusionSemigroup(grid, d, 0.01).apply(u[k]))
 
+    @pytest.mark.parametrize("n", [16, 48, 128, 192])
+    def test_shared_rate_rows_agree_with_their_one_row_flows_in_1d(self, rng, n):
+        # a shared kernel multiplies all rows of a 1-D stack as one matrix
+        # product, and a row alone as a matrix-vector product, which BLAS
+        # sums in another order: the two agree to rounding, not bit for bit;
+        # measured up to 1.7e-15 on these fields of order 1 (2.4e-15 over
+        # more lengths, rates and draws)
+        grid = setup_1d(n)
+        for ds in ((1.0, 1.0, 1.0), (1.0, 0.0, 1.0)):
+            for tau in (5e-6, 1e-3, 0.1):
+                u = rng.uniform(0.5, 1.5, size=(3, n))
+                stacked = DiffusionSemigroup(grid, ds, tau).apply(u)
+                for k, d in enumerate(ds):
+                    alone = DiffusionSemigroup(grid, d, tau).apply(u[k])
+                    assert np.max(np.abs(stacked[k] - alone)) <= 3e-15, (ds, tau)
+
+    @pytest.mark.parametrize("lengths, cells", [([1.0, 0.5, 0.25], [12, 6, 4]),
+                                                ([1.0, 0.45], [64, 24]),
+                                                ([1.0, 0.4, 0.4], [48, 12, 12])])
+    def test_shared_rate_stack_equals_per_species_bit_for_bit_in_nd(self, rng, lengths, cells):
+        # on the last axis the stack's rows and each entry's rows are both
+        # matrix products, which OpenBLAS sums alike on axes of 4, 12 and
+        # 24 cells (not on every length: on 33 cells they differ)
+        grid = Grid.box(lengths, cells)
+        for ds in ((1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)):
+            u = rng.uniform(0.5, 1.5, size=(3, *grid.cells))
+            stacked = DiffusionSemigroup(grid, ds, 0.01).apply(u)
+            for k, d in enumerate(ds):
+                assert np.array_equal(stacked[k], DiffusionSemigroup(grid, d, 0.01).apply(u[k]))
+
     def test_zero_diffusivity_entry_unchanged(self, rng):
         grid = setup_1d(32)
         u = rng.uniform(0.5, 1.5, size=(3, 32))
@@ -475,6 +534,31 @@ class TestAdvance:
             tracemalloc.stop()
         assert peak - before <= 12 * field_bytes
         assert v.nbytes <= after - before <= v.nbytes + 1024
+
+
+class TestStepCalls:
+    # the calls a records iterator binds for one full step: its diffusion,
+    # then the 24 of the reaction
+    @pytest.mark.parametrize("name", ["full_1d", "db0_1d", "dc0_1d"])
+    def test_one_2d_product_and_24_reaction_calls_per_step(self, rng, name):
+        stepper, grid = preset_stepper(name)
+        assert stepper.step_calls == 0
+        u = rng.uniform(0.5, 1.5, size=(3, *grid.cells))
+        next(stepper.records(u, 2))
+        assert stepper.step_calls == 1 + 24
+        shape = stepper.full.work_shape
+        diffusion = stepper.full.calls(np.empty(shape), np.empty(shape), np.empty((2, *shape)))
+        assert [call.func for call in diffusion] == [np.dot]
+        assert [x.ndim for x in diffusion[0].args] == [2, 2, 2]
+
+    def test_distinct_rates_keep_the_per_species_stacked_product(self, rng):
+        stepper, grid = preset_stepper("uniform_ode")
+        next(stepper.records(rng.uniform(0.5, 1.5, size=(3, *grid.cells)), 2))
+        assert stepper.step_calls == 1 + 24
+        shape = stepper.full.work_shape
+        diffusion = stepper.full.calls(np.empty(shape), np.empty(shape), np.empty((2, *shape)))
+        assert [call.func for call in diffusion] == [np.matmul]
+        assert diffusion[0].args[1].shape == (3, *grid.cells, *grid.cells)
 
 
 def placed_copy(u, offset):
