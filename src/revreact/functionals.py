@@ -9,24 +9,49 @@ snapshot, the (3, *cells) stack of a SpeciesFields, is the block of one
 record and runs the same calls; its columns are Python floats.  The
 equilibrium reference is one per block (the records of a run) or one
 per record (an ensemble of fields, each against its own masses), and
-one reference is the broadcast case of one per record.  sample
-makes one pass over the block for each ingredient shared by the species:
-the masses, the square roots, the deviations, the L1 distances, the
-Dirichlet energies of the diffusing species and the L^(3/2) norms of a
-and b; the two entropies take one log1p density pass per species,
-against both references at once; M1 and M2 are model.conserved_masses
-of the block.  What follows the passes (D, ckp_lhs, the squared
-deviations, the running integrals) is scalar arithmetic, done one
-record at a time on Python floats.  Each pass ends in one of grid's
-reductions (integrate, lp_norm, dirichlet_energy, deviation_l2) of the
-whole block, which gives each field the value it gives that field alone,
-so every column of a block is bit-identical to evaluating its records,
-and their species, one at a time.  ckp_violation and bound_violation,
-with dissipation_bound_rhs, are the one judge of recorded samples.  The
-functionals take states already checked to be finite and strictly
-positive, by the SpeciesFields constructor or by positive_stacks on a
-block (run's records, verify's random fields), and do not check them
-again.
+one reference is the broadcast case of one per record.
+
+sample evaluates each ingredient with one ufunc call per species pass.
+A pass takes as many species as keep an array of their size under
+WORK_BYTES, glibc's default 128 KiB mmap threshold (_species_passes):
+all three on a 10-record block of 128 cells (30 KiB) and on verify's
+blocks of 30 fields (90 KiB), and on the 6912 cells of the dc0_3d
+preset a and b (108 KiB), then c.  On the block as given, the entropy
+and the relative entropy are one log1p density call each per pass,
+against the unit reference (with no division or product by 1) and
+against (a_inf, b_inf, c_inf) of each record, summed over the species
+axis by np.add.reduce as (a + b) + c, and the L1 distances integrate
+the differences that E_rel starts from.  On the block by species, a
+contiguous (3, B, *cells) copy where one pass takes every species, each
+pass takes the Lp powers (the exponents 3/2, 3/2 and 3 of a, b and c in
+one call), the square roots with their deviations and the Dirichlet
+energies of the diffusing species, and the integrands a*a + a*c and
+b*b + b*c of the running integrals; the reaction production is one call
+on a, b and c, and M1 and M2 are model.conserved_masses of the block.
+On a 2-vCPU x86 host with CPython 3.11 and numpy 2.4 (fastest of 40
+interleaved rounds in one process, two runs), a 10-record block of 128
+cells takes 227-246 us (db0) and 245-259 us (full) against 263-281 and
+272-290 us with one density pass per species for the entropies; the
+dc0_3d state takes 609-633 us against 559-574 us, its square roots and
+deviations two passes where they were one over 162 KiB arrays.  The
+tracemalloc peak of a call is 3.17 (db0) and 4.17 (full) block sizes
+against 3.45 and 4.44, and 2.43 state sizes on the dc0_3d state against
+2.75.
+
+Each pass ends in one of grid's reductions (integrate, lp_norm,
+dirichlet_energy, deviation_l2) of all its fields, which gives each
+field the value it gives that field alone, so every column of a block is
+bit-identical to evaluating its records, and their species, one at a
+time, whatever species passes either takes.  What follows the passes
+(D, ckp_lhs and the running integrals) is scalar arithmetic, one record
+at a time on Python floats; the other columns are the values of the
+passes, and the squared deviations one product.
+
+ckp_violation and bound_violation, with dissipation_bound_rhs, are the
+one judge of recorded samples.  The functionals take states already
+checked to be finite and strictly positive, by the SpeciesFields
+constructor or by positive_stacks on a block (run's records, verify's
+random fields), and do not check them again.
 
 Nonnegativity of the entropy-type quantities is structural: the entropy
 and the relative entropy integrate one log1p density
@@ -102,14 +127,20 @@ CSV_COLUMNS = (
 #: -(1 - 2**-53), the double next above -1: its log1p is ln(2**-53), about
 #: -36.7, where log1p(-1) is -inf and a division by zero
 _ABOVE_MINUS_ONE = math.nextafter(-1.0, 0.0)
+#: the exponents of the Lp norms a_l32, b_l32 and c_l3, one row per species
+_LP_EXPONENTS = np.array([[1.5], [1.5], [3.0]])
 #: w/c where ab/c = 1e-2, at and below which ln(ab/c) is a sum of logarithms
 _LOG_SUM_CUT = -0.99
 
 
-def _kl_density(u, ref):
+def _kl_density(u, ref=None, x=None):
     """u*ln(u/ref) - u + ref, evaluated cancellation-free via log1p as
     ref*((1+x)*log1p(x) - x) with x = (u-ref)/ref, elementwise over u and
-    ref broadcast together, updating its work arrays in place.
+    ref broadcast together, updating its work arrays in place.  ref None
+    is the unit reference of the entropy, for which the division and the
+    product by ref, both exact, are left out.  x, where given, is the
+    difference u - ref already formed, a work array the density takes
+    over.
 
     Where u is below about 1e-16 of ref, x rounds to -1, where
     (1+x)*log1p(x) would be 0*(-inf) = NaN; the density there is ref
@@ -117,33 +148,87 @@ def _kl_density(u, ref):
     gives exactly those cells ref, with no division by zero, and leaves
     every other x, each at least _ABOVE_MINUS_ONE, and an overflowed u
     (x = inf, a NaN density) as they are."""
-    x = u - ref
-    x /= ref
+    if x is None:
+        x = u - (1.0 if ref is None else ref)
+    if ref is not None:
+        x /= ref
     out = np.maximum(x, _ABOVE_MINUS_ONE)
     np.log1p(out, out=out)
     out *= 1.0 + x
     out -= x
-    out *= ref
+    if ref is not None:
+        out *= ref
     return out
 
 
-def _kl_integrals(u, refs, grid: Grid) -> np.ndarray:
-    """int sum_u _kl_density(u, ref_u) over a, b and c, for each state of
-    the (B, 3, *cells) block u and each row (ref_a, ref_b, ref_c) of its
-    references refs, a (B or 1, R, 3) array whose leading axis is
-    broadcast against the block: a (B, R) array.
+#: glibc's default mmap threshold: malloc serves an array under it from
+#: its heap, whose pages stay resident, and maps and unmaps a larger one
+#: on every call
+WORK_BYTES = 128 * 1024
 
-    One density pass per species evaluates it against every reference at
-    once.  Passes over the whole (B, refs, 3, *cells) block would be
-    fewer, but on a 3-D stack their work arrays outgrow glibc's 128 KiB
-    mmap threshold: the heap is trimmed and faulted in again on every
-    call, and the peak memory of a record grows by more than they save.
-    """
-    refs = np.reshape(refs, refs.shape + (1,) * len(grid.cells))
-    total = _kl_density(u[:, None, 0], refs[:, :, 0])
-    total += _kl_density(u[:, None, 1], refs[:, :, 1])
-    total += _kl_density(u[:, None, 2], refs[:, :, 2])
-    return integrate(total, grid)
+
+def _species_passes(u) -> list[slice]:
+    """The passes of sample over the species of the (B, 3, *cells) block
+    u, in order, as slices of its species axis: each takes as many species
+    as keep an array of their size under WORK_BYTES, and at least one.  A
+    10-record block of 128 cells takes all three (30 KiB), as do verify's
+    30 fields on 128 cells (90 KiB); the 6912 cells of the dc0_3d preset
+    take a and b (108 KiB), then c.
+
+    A work array of WORK_BYTES or more is mapped and unmapped on every
+    call, or taken from the top of the heap, which is trimmed and faulted
+    in again: fewer, larger passes then cost more time and peak memory
+    than they save in calls.  A list, not a tuple: a tuple built from a
+    generator is resized on creation, and CPython 3.11 keeps each such
+    tuple on a free list when it is freed, one more per call."""
+    k = min(3, max(1, (WORK_BYTES - 1) // (u.nbytes // 3)))
+    return [slice(j, min(j + k, 3)) for j in range(0, 3, k)]
+
+
+def _joined(parts, axis: int = 0) -> np.ndarray:
+    """The arrays of values of the species passes, one per pass in order,
+    joined along their species axis."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
+def _species_sum(parts) -> np.ndarray:
+    """The sum (a + b) + c over the species of the (B, k, *cells) arrays
+    parts of the species passes, in order, a (B, *cells) array:
+    np.add.reduce over the species axis adds its rows in order, as
+    adding one species at a time does."""
+    parts = iter(parts)
+    total = np.add.reduce(next(parts), axis=1)
+    for part in parts:
+        total += np.add.reduce(part, axis=1)
+    return total
+
+
+def _kl_integrals(u, refs, grid: Grid, passes):
+    """The entropy E = int sum_u _kl_density(u, 1) and the relative entropy
+    E_rel = int sum_u _kl_density(u, ref_u), summed over a, b and c, of
+    each state of the (B, 3, *cells) block u, with refs the (B or 1, 3,
+    1, ...) references of the records broadcast against the block; and
+    the L1 distances int |u - ref_u|, from the differences u - ref_u that
+    E_rel starts from: E and E_rel with one value per state, and a (B, 3)
+    array of the rows (l1_a, l1_b, l1_c).
+
+    Each density is one call per species pass, made when the density of
+    the pass before it has been summed, and holds three arrays of the
+    pass's size at once: three of 30 KiB on a 10-record block of 128 cells,
+    where the density calls of E and E_rel take about 14 and 28 us on a
+    2-vCPU x86 host with numpy 2.4, and on the dc0_3d preset's state three
+    of 108 KiB for a and b, then three of 54 KiB for c.  E is integrated
+    before E_rel is evaluated."""
+    entropy = integrate(_species_sum(_kl_density(u[:, s]) for s in passes), grid)
+    l1 = []
+
+    def relative(s):
+        x = u[:, s] - refs[:, s]
+        l1.append(lp_norm(x, 1.0, grid))
+        return _kl_density(u[:, s], refs[:, s], x)
+
+    rel_entropy = integrate(_species_sum(relative(s) for s in passes), grid)
+    return entropy, rel_entropy, _joined(l1, axis=1)
 
 
 def reaction_production(a, b, c):
@@ -164,24 +249,57 @@ def reaction_production(a, b, c):
                         np.log1p(np.maximum(ratio, _LOG_SUM_CUT)))
 
 
-def _sqrt_terms(u, params: ModelParams, grid: Grid):
-    """From one square root of the (B, 3, *cells) block u, as lists of
-    Python floats with one entry per state: the deviation_l2 of sqrt(a),
-    sqrt(b) and sqrt(c), the defect ||sqrt(ab) - sqrt(c)||^2, and the two
-    parts of the entropy dissipation
+def _running_integrands(v, grid: Grid, passes) -> np.ndarray:
+    """The (2, B) rows int a*a + a*c and int b*b + b*c, the integrands of
+    RunningIntegrals, from the (3, B, *cells) block by species v: one call
+    per species pass cut to a and b."""
+    parts = []
+    for s in passes:
+        if s.start < 2:
+            ab = v[s.start:min(s.stop, 2)]
+            w = ab * ab
+            w += ab * v[2:]
+            parts.append(integrate(w, grid))
+    return _joined(parts)
 
-        D = 4 sum_u d_u int |grad sqrt(u)|^2 + int (ab - c) ln(ab/c):
 
-    the Dirichlet energies of sqrt(u) for the species with d_u > 0, the
-    rows params.diffusing (the gradient term drops out in the degenerate
-    modes d_b = 0 and d_c = 0), and the reaction production."""
-    sqrt_u = np.sqrt(u)
-    w = sqrt_u[:, 0] * sqrt_u[:, 1]
-    w -= sqrt_u[:, 2]
+def _rows_in(rows: slice, s: slice) -> slice:
+    """The species of rows, a slice of (a, b, c), that the species pass s
+    takes, as a basic slice of the pass's own rows (a view, where a list
+    of rows would copy them), empty where it takes none of them."""
+    taken = [j - s.start for j in range(3)[rows] if s.start <= j < s.stop]
+    return slice(taken[0], taken[-1] + 1, rows.step) if taken else slice(0, 0)
+
+
+def _sqrt_terms(roots, params: ModelParams, grid: Grid, passes):
+    """From the square roots of the block by species, one (k, B, *cells)
+    array per species pass: the (3, B) rows of the deviation_l2 of
+    sqrt(a), sqrt(b) and sqrt(c), the defect ||sqrt(ab) - sqrt(c)||^2 of
+    each state, and the rows of the Dirichlet energies of sqrt(u) for the
+    species with d_u > 0, the rows params.diffusing, whose sum weighted by
+    4 d_u is the gradient part of the entropy dissipation
+
+        D = 4 sum_u d_u int |grad sqrt(u)|^2 + int (ab - c) ln(ab/c)
+
+    (the gradient term drops out in the degenerate modes d_b = 0 and
+    d_c = 0).  The deviations and the energies are one call per species
+    pass: on a 10-record block of 128 cells, one call each on the roots of
+    all three species, a (3, 10, 128) array of 30 KiB (about 23 us for the
+    deviations and 17 us for the energies of the two diffusing species of
+    db0 on a 2-vCPU x86 host with numpy 2.4); on the dc0_3d preset's state,
+    one on the 108 KiB roots of a and b and one on the 54 KiB root of c
+    (the deviations; c has no energy there)."""
+    devs = _joined([deviation_l2(root, grid) for root in roots])
+    energies = []
+    for s, root in zip(passes, roots):
+        diffusing = root[_rows_in(params.diffusing, s)]
+        if len(diffusing):
+            energies.append(dirichlet_energy(diffusing, grid))
+    sqrt_a, sqrt_b, sqrt_c = (row for root in roots for row in root)
+    w = sqrt_a * sqrt_b
+    w -= sqrt_c
     w *= w
-    return (deviation_l2(sqrt_u, grid).tolist(), integrate(w, grid).tolist(),
-            dirichlet_energy(sqrt_u[:, params.diffusing], grid).tolist(),
-            integrate(reaction_production(u[:, 0], u[:, 1], u[:, 2]), grid).tolist())
+    return devs, integrate(w, grid), _joined(energies)
 
 
 def dissipation_bound_rhs(dev2, abc_defect: float, params: ModelParams,
@@ -273,63 +391,66 @@ def sample(states, t, eq: EquilibriumState | Sequence[EquilibriumState], params:
             raise InvalidArgument(f"{len(eqs)} equilibrium references for {t.size} records")
     if not t.size:
         return {name: np.empty(0) for name in CSV_COLUMNS}
-    # the references of each record, a (B or 1, 2, 3) array: (1, 1, 1) for
-    # E and (a_inf, b_inf, c_inf) for E_rel and the L1 distances; one
-    # reference for the block is its broadcast case
-    refs = np.array([((1.0, 1.0, 1.0), (e.a_inf, e.b_inf, e.c_inf)) for e in eqs])
-    # one pass over the block per ingredient, read back as one row of
-    # Python floats per record: the conserved masses, the integrals of the
-    # two entropy densities and of the integrands a*a + a*c and b*b + b*c
-    # of the running integrals, and the L1 distances and Lp norms
-    masses = conserved_masses(u, grid).tolist()
-    entropies = _kl_integrals(u, refs, grid).tolist()
-    devs, defects, energies, productions = _sqrt_terms(u, params, grid)
-    w = u[:, :2] * u[:, :2]
-    w += u[:, :2] * u[:, 2:]
-    integrands = integrate(w, grid).tolist()
-    l1 = lp_norm(u - np.reshape(refs[:, 1], (-1, 3) + (1,) * len(grid.cells)), 1.0,
-                 grid).tolist()
-    l32 = lp_norm(u[:, :2], 1.5, grid).tolist()
+    # the references (a_inf, b_inf, c_inf) of each record, a (B or 1, 3,
+    # 1, ...) array: one reference for the block is its broadcast case
+    refs = np.array([(e.a_inf, e.b_inf, e.c_inf) for e in eqs]).reshape(
+        (-1, 3) + (1,) * len(grid.cells))
+    passes = _species_passes(u)
+    # each ingredient is one call per species pass.  The masses, the
+    # entropies and the L1 distances take the block as given; the other
+    # passes take it by species, v, a contiguous (3, B, *cells) copy where
+    # one pass takes every species (so that a call on some species runs one
+    # inner loop per species, not one per record), else a view.  v is
+    # freed once the square roots are taken, before their deviations and
+    # energies, so that it and the densities are never held at once.
+    masses = conserved_masses(u, grid)
+    entropy, rel_entropy, l1 = _kl_integrals(u, refs, grid, passes)
+    v = np.swapaxes(u, 0, 1)
+    if len(passes) == 1:
+        v = v.copy()
+    integrands = _running_integrands(v, grid, passes)
+    # a_l32, b_l32 and c_l3, with the exponents 3/2, 3/2 and 3 in one call
+    # per pass
+    lp = _joined([lp_norm(v[s], _LP_EXPONENTS[s], grid) for s in passes])
     p_n2 = max(1.0, len(grid.cells) / 2.0)  # 3/2 in three dimensions
-    b_ln2 = [b for _, b in l32] if p_n2 == 1.5 else lp_norm(u[:, 1], p_n2, grid).tolist()
-    c_l3 = lp_norm(u[:, 2], 3.0, grid).tolist()
+    b_ln2 = lp[1] if p_n2 == 1.5 else lp_norm(v[1], p_n2, grid)
+    productions = integrate(reaction_production(*v), grid)
+    roots = [np.sqrt(v[s]) for s in passes]
+    del v
+    devs, defects, energies = _sqrt_terms(roots, params, grid, passes)
 
-    # the scalar arithmetic, one record at a time on Python floats, into
-    # one row of CSV_COLUMNS values per record
+    # the scalar arithmetic, one record at a time on Python floats: D,
+    # ckp_lhs and the running integrals; the other columns are the values
+    # of the passes as they are, and the squared deviations one product
     diffusivities = params.diffusivities()[params.diffusing]
-    rows = []
-    for i, (time, ref) in enumerate(zip(t.ravel().tolist(),
-                                        eqs if len(eqs) == t.size else eqs * t.size)):
-        m1, m2 = masses[i]
+    ckp_scale = CKP_PREFACTOR * grid.volume
+    # the denominators 2 M1, 2 M2 and M1 + M2 of ckp_lhs, one row per reference
+    scales = [(2.0 * e.M1, 2.0 * e.M2, e.M1 + e.M2) for e in eqs]
+    scalars = []
+    for time, (z1, z2, z3), energy, production, (l1a, l1b, l1c), (fa, fb) in zip(
+            t.ravel().tolist(), scales if len(scales) == t.size else scales * t.size,
+            energies.T.tolist(), productions.tolist(), l1.tolist(),
+            integrands.T.tolist()):
         diss = 0.0
-        for d, energy in zip(diffusivities, energies[i]):
-            diss += 4.0 * d * energy
-        diss += productions[i]
+        for d, energy_u in zip(diffusivities, energy):
+            diss += 4.0 * d * energy_u
+        diss += production
         if running is not None:
-            running.update(time, *integrands[i])
+            running.update(time, fa, fb)
             int_a2ac, int_b2bc = running.int_a2ac, running.int_b2bc
         else:
             int_a2ac = int_b2bc = 0.0
-        l1a, l1b, l1c = l1[i]
         # the CKP bound kappa*|Omega|*(l1_a^2/(2 M1) + l1_b^2/(2 M2) + l1_c^2/(M1+M2))
         # (divided first only where a square overflows, so finite terms
         # stay finite past l1 = 1.34e154)
-        ckp_lhs = CKP_PREFACTOR * grid.volume * (
-            _scaled(l1a, l1a, 2.0 * ref.M1)
-            + _scaled(l1b, l1b, 2.0 * ref.M2)
-            + _scaled(l1c, l1c, ref.M1 + ref.M2)
-        )
-        a_l32, b_l32 = l32[i]
-        dev_a, dev_b, dev_c = devs[i]
-        e, e_rel = entropies[i]
-        # a list, not a tuple: CPython 3.11 keeps every freed tuple of 20
-        # items on a free list that never hands one out again, up to 2000
-        # of them (about 400 KB)
-        rows.append([
-            time, e, e_rel, diss, m1, m2, l1a, l1b, l1c,
-            dev_a * dev_a, dev_b * dev_b, dev_c * dev_c, defects[i], ckp_lhs,
-            b_l32, a_l32, b_ln2[i], c_l3[i], int_a2ac, int_b2bc,
-        ])
+        ckp_lhs = ckp_scale * (_scaled(l1a, l1a, z1) + _scaled(l1b, l1b, z2)
+                               + _scaled(l1c, l1c, z3))
+        scalars.append([diss, ckp_lhs, int_a2ac, int_b2bc])
+    diss, ckp_lhs, int_a2ac, int_b2bc = np.array(scalars).T
+    dev2 = devs * devs
+    columns = [np.array(t, dtype=float).ravel(), entropy, rel_entropy, diss, masses[:, 0],
+               masses[:, 1], l1[:, 0], l1[:, 1], l1[:, 2], dev2[0], dev2[1], dev2[2], defects,
+               ckp_lhs, lp[1], lp[0], b_ln2, lp[2], int_a2ac, int_b2bc]
     if t.ndim == 0:
-        return dict(zip(CSV_COLUMNS, rows[0]))
-    return dict(zip(CSV_COLUMNS, np.array(rows).T))
+        return {name: float(column[0]) for name, column in zip(CSV_COLUMNS, columns)}
+    return dict(zip(CSV_COLUMNS, columns))

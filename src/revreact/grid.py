@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import itertools
 import math
 
 import numpy as np
@@ -249,19 +250,32 @@ def integrate(u, grid: Grid):
     return _per_field(grid.cell_volume * sums)
 
 
-def lp_norm(u, p: float, grid: Grid):
+def lp_norm(u, p, grid: Grid):
     """Lebesgue norm (cell_volume * sum |u|**p)**(1/p), for finite p >= 1,
     of a field u or of each field of a stack u of shape (..., *cells).
+
+    p is one exponent for every field, or an array of exponents broadcast
+    against the leading shape (...), such as ((1.5,), (1.5,), (3.0,))
+    against the species axis of a (3, B, *cells) stack; each field comes
+    out as it does alone with its own exponent.  For p = 1 the power and
+    the root are exact, and the norm is the integral of |u|.
 
     The root s**(1/p) is Python's pow, one value at a time: np.power
     rounds differently from the C library's pow on some inputs, and the
     fields of a block must equal the fields of one snapshot.
     """
-    p = float(p)
     powers = np.abs(u)
-    powers **= p  # in place: the fast paths of ** apply to **= as well
+    if isinstance(p, np.ndarray):
+        powers **= p.reshape(p.shape + (1,) * len(grid.cells))
+        exponents = (np.zeros(_leading(powers, grid)) + p).ravel().tolist()
+    elif p == 1.0:
+        return integrate(powers, grid)
+    else:
+        p = float(p)
+        powers **= p  # in place: the fast paths of ** apply to **= as well
+        exponents = itertools.repeat(p)
     sums = np.asarray(integrate(powers, grid))
-    roots = [s ** (1.0 / p) for s in sums.ravel().tolist()]
+    roots = [s ** (1.0 / q) for s, q in zip(sums.ravel().tolist(), exponents)]
     return _per_field(np.array(roots).reshape(sums.shape))
 
 

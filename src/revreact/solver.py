@@ -78,10 +78,12 @@ for the whole run, reused by every block; the state and work block of
 one records iterator, which fills every block of the run and is freed
 before the last block is sampled (where a block holds one record, one
 iterator per block, freed before that block is sampled); the work
-arrays of one functionals.sample call, each at most about the size of
-the block, about three at once; the columns of the Trajectory,
-preallocated, one float64 per record each; and the final fields, a copy
-of the last state.
+arrays of one functionals.sample call, each at most the size of the
+block and under functionals.WORK_BYTES where one species of the block
+is, at most 3.2 block sizes at once on a 10-record db0_1d block, 4.2 on
+a full_1d one and 2.4 state sizes on the dc0_3d state (tracemalloc
+peaks); the columns of the Trajectory, preallocated, one float64 per
+record each; and the final fields, a copy of the last state.
 """
 from __future__ import annotations
 
@@ -121,9 +123,9 @@ KERNEL_MAX_CELLS = 192
 
 #: bytes of record states that run steps and samples as one block; a
 #: larger state, as on the dc0_3d preset, is a block of one.  Sampling a
-#: block holds about three block-sized work arrays at once, and they come
-#: from the heap (glibc raises its mmap threshold past them once a larger
-#: array has been freed), whose pages stay resident.  Set by measurement
+#: 10-record block holds at most 3.2 (db0) to 4.2 (full) block sizes of
+#: work arrays at once, each under glibc's 128 KiB mmap threshold, so they
+#: come from the heap, whose pages stay resident.  Set by measurement
 #: on a 2-vCPU x86 host with CPython 3.11 and numpy 2.4, with one records
 #: iterator filling every block of a run: over 4 runs of the bench (28 s
 #: each), an operation of its dense_record workload (128 cells, each of

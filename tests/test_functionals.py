@@ -1,25 +1,34 @@
 import decimal
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+import revreact
 from revreact.functionals import (
     CKP_PREFACTOR,
     CSV_COLUMNS,
     RunningIntegrals,
     _kl_density,
+    _species_passes,
     bound_violation,
     ckp_violation,
     dissipation_bound_rhs,
     reaction_production,
     sample,
 )
+from revreact.cli import build_initial, parse_config
 from revreact.errors import InvalidArgument
 from revreact.grid import Grid, SpeciesFields
 from revreact.model import ModelParams, conserved_masses, equilibrium_state
 from revreact.oracle import brute_force_sample
+from revreact.presets import PRESETS
 from conftest import box_poincare_constant
 
 SQRT2 = math.sqrt(2.0)
@@ -324,20 +333,45 @@ class TestSample:
         assert s["int_b2bc"] == pytest.approx(2.0, rel=1e-13)
 
 
+#: the blocks of the bit-identity tests below: (cells, lengths, records,
+#: passes), with passes the number of species passes of the block and of
+#: one of its records alone.  Besides the three grids, they cross the
+#: WORK_BYTES bound of _species_passes: the 6912 cells of the dc0_3d
+#: preset, whose state takes a pass of a and b and one of c; a 3-D grid
+#: whose state takes one pass per species; and 1-D blocks whose arrays of
+#: all species sit just under 128 KiB (42 records) and just over it (43)
+_ACROSS_WORK_BYTES = [
+    pytest.param([48, 12, 12], [1.0, 0.4, 0.4], 2, (3, 2), id="3d-dc0_3d-cells"),
+    pytest.param([32, 16, 16], [1.0, 0.5, 0.5], 2, (3, 3), id="3d-one-species-per-pass"),
+    pytest.param([128], [1.0], 42, (1, 1), id="1d-42-records-under-128KiB"),
+    pytest.param([128], [1.0], 43, (2, 1), id="1d-43-records-over-128KiB"),
+]
+
+
+def assert_passes(u, passes):
+    """The species passes of the block u and of its first record alone
+    number as the test case states."""
+    assert (len(_species_passes(u)), len(_species_passes(u[:1]))) == passes
+
+
 class TestBlockSample:
     # run samples a block of record states in one call: each record must
     # come out as it does on its own, a block of one
-    @pytest.mark.parametrize("cells, lengths", [
-        ([128], [1.0]), ([24, 16], [1.0, 0.7]), ([12, 6, 6], [1.0, 0.5, 0.5])],
-        ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("cells, lengths, records, passes", [
+        pytest.param([128], [1.0], 16, (1, 1), id="1d"),
+        pytest.param([24, 16], [1.0, 0.7], 16, (2, 1), id="2d"),
+        pytest.param([12, 6, 6], [1.0, 0.5, 0.5], 16, (2, 1), id="3d"),
+    ] + _ACROSS_WORK_BYTES)
     @pytest.mark.parametrize("d", [(1.0, 0.5, 0.8), (1.0, 0.0, 0.7), (1.0, 1.0, 0.0)],
                              ids=["full", "db0", "dc0"])
-    def test_block_equals_each_record_alone_bit_for_bit(self, rng, cells, lengths, d):
+    def test_block_equals_each_record_alone_bit_for_bit(self, rng, cells, lengths, records,
+                                                         passes, d):
         # b_lN2 is the L1 norm of b in 1-D and 2-D and reuses the L^(3/2)
         # norm in 3-D, so the three grids cover both of its branches
         grid = Grid.box(lengths, cells)
         params = ModelParams(*d)
-        u = rng.uniform(0.2, 3.0, size=(16, 3, *grid.cells))
+        u = rng.uniform(0.2, 3.0, size=(records, 3, *grid.cells))
+        assert_passes(u, passes)
         t = np.cumsum(rng.uniform(0.01, 0.1, size=len(u)))
         eq = equilibrium_state(*conserved_masses(SpeciesFields.from_stack(u[0]), grid))
         block_running, alone_running = RunningIntegrals(), RunningIntegrals()
@@ -356,17 +390,23 @@ class TestBlockSample:
                 assert alone[name] == s ** (1.0 / p), (i, name)
         assert block_running == alone_running
 
-    @pytest.mark.parametrize("cells, lengths", [
-        ([128], [1.0]), ([24, 16], [1.0, 0.7]), ([12, 6, 6], [1.0, 0.5, 0.5])],
-        ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("cells, lengths, records, passes", [
+        pytest.param([128], [1.0], 9, (1, 1), id="1d"),
+        pytest.param([24, 16], [1.0, 0.7], 9, (1, 1), id="2d"),
+        pytest.param([12, 6, 6], [1.0, 0.5, 0.5], 9, (1, 1), id="3d"),
+        pytest.param([128], [1.0], 30, (1, 1), id="1d-30-records"),
+    ] + _ACROSS_WORK_BYTES)
     @pytest.mark.parametrize("d", [(1.0, 0.5, 0.8), (1.0, 0.0, 0.7), (1.0, 1.0, 0.0)],
                              ids=["full", "db0", "dc0"])
-    def test_per_member_references_equal_each_record_alone(self, rng, cells, lengths, d):
+    def test_per_member_references_equal_each_record_alone(self, rng, cells, lengths, records,
+                                                           passes, d):
         # an ensemble: each member against the equilibrium of its own
-        # masses, as verify samples its random fields
+        # masses, as verify samples its random fields (30 records: the
+        # fields of one block that verify draws on 128 cells)
         grid = Grid.box(lengths, cells)
         params = ModelParams(*d)
-        u = rng.uniform(0.2, 3.0, size=(9, 3, *grid.cells))
+        u = rng.uniform(0.2, 3.0, size=(records, 3, *grid.cells))
+        assert_passes(u, passes)
         t = np.zeros(len(u))
         eqs = [equilibrium_state(*m) for m in conserved_masses(u, grid).tolist()]
         block = sample(u, t, eqs, params, grid)
@@ -407,6 +447,70 @@ class TestBlockSample:
             assert tuple(cols) == CSV_COLUMNS
             assert all(col.shape == (0,) and col.dtype == float for col in cols.values())
         assert running == RunningIntegrals()
+
+
+class TestSampleMemory:
+    # the tracemalloc peak of one sample call, in bytes of the block it
+    # samples, bounded by what it read with one pass per species for the
+    # entropies: 2.753x on the dc0_3d state, 4.443x on a 10-record full_1d
+    # block and 3.447x on a db0_1d one
+    @pytest.mark.parametrize("preset, records, bound", [
+        ("dc0_3d", None, 2.75), ("full_1d", 10, 4.44), ("db0_1d", 10, 3.44)],
+        ids=["dc0_3d-state", "full_1d-10-records", "db0_1d-10-records"])
+    def test_peak_is_bounded_by_the_block(self, rng, preset, records, bound):
+        cfg = parse_config(PRESETS[preset])
+        if records is None:
+            states, t = build_initial(cfg).stack, 0.0
+        else:
+            states = rng.uniform(0.2, 3.0, size=(records, 3) + cfg.grid.cells)
+            t = np.arange(float(records))
+        first = SpeciesFields.from_stack(states.reshape((-1, 3) + cfg.grid.cells)[0])
+        eq = equilibrium_state(*conserved_masses(first, cfg.grid))
+        sample(states, t, eq, cfg.params, cfg.grid, RunningIntegrals())
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sample(states, t, eq, cfg.params, cfg.grid, RunningIntegrals())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        nbytes = states.nbytes
+        assert peak <= bound * nbytes, peak / nbytes
+
+    def test_repeated_calls_leave_no_objects_behind(self):
+        # an object that each call leaves behind pins the pages it lands
+        # on, over run's 501 calls on dense_record's blocks.  A tuple built
+        # from a generator is one: CPython 3.11 resizes it on creation and
+        # keeps it on a free list when it is freed, one more per call until
+        # that list holds 2000; in a fresh interpreter, as in a run, the
+        # list is far from full
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from revreact.functionals import RunningIntegrals, sample
+            from revreact.grid import Grid, SpeciesFields
+            from revreact.model import ModelParams, conserved_masses, equilibrium_state
+            grid = Grid.box([1.0], [128])
+            u = np.random.default_rng(0).uniform(0.2, 3.0, size=(10, 3, 128))
+            t = np.arange(10.0)
+            eq = equilibrium_state(*conserved_masses(SpeciesFields.from_stack(u[0]), grid))
+            params = ModelParams(1.0, 0.0, 0.7)
+            for _ in range(100):
+                sample(u, t, eq, params, grid, RunningIntegrals())
+            before = sys.getallocatedblocks()
+            for _ in range(300):
+                sample(u, t, eq, params, grid, RunningIntegrals())
+            print(sys.getallocatedblocks() - before)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(revreact.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 100
 
 
 class TestSpeciesFarBelowItsReference:
